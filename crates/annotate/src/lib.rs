@@ -5,32 +5,43 @@
 //! annotations*, the act the paper identifies as "the primary determinant of
 //! simulation accuracy and run-time" (§3).
 //!
-//! For each task the bridge walks the segments in order, grouping them into
-//! annotation regions according to an [`AnnotationPolicy`], and resolves
-//! each region into the annotation tuple the kernel consumes:
+//! Annotation runs in two steps, **profile, then fold**:
 //!
-//! * **complexity** — chosen so the region's contention-free duration on its
-//!   pinned processor equals exactly what the cycle-accurate simulator would
-//!   take: compute cycles + cache-hit cycles + miss-service cycles. The
-//!   shared `compute_cycles` helper guarantees identical rounding;
-//! * **accesses** — the region's cache-*miss* count, obtained by running the
-//!   very same [`Cache`] model over the segment's
-//!   reference streams (the cache persists across the whole task, so warm-up
-//!   and reuse behave identically in both fidelities);
-//! * **sync** — a barrier arrival when the region's last segment carries
-//!   one.
+//! 1. **Profile** — [`profile_task`] runs a task's reference streams, in
+//!    order, through the very same [`Cache`] model the cycle-accurate
+//!    simulator uses (the cache persists across the whole task, so warm-up
+//!    and reuse behave identically in both fidelities) and records each
+//!    segment's hit and miss counts. This is the only per-reference loop of
+//!    the crate and the expensive step. Its result depends on nothing but
+//!    the segments' reference streams and the processor's cache geometry —
+//!    not on the annotation policy, the minimum timeslice, the contention
+//!    model, the bus delay or the processor's power — so callers evaluating
+//!    many of those settings on one scenario can compute it once (see
+//!    [`ProfiledWorkload`]).
+//! 2. **Fold** — walks the segments with their profile, grouping them
+//!    into annotation regions according to an [`AnnotationPolicy`], and
+//!    resolves each region into the annotation tuple the kernel consumes:
+//!    * **complexity** — chosen so the region's contention-free duration on
+//!      its pinned processor equals exactly what the cycle-accurate simulator
+//!      would take: compute cycles + cache-hit cycles + miss-service cycles.
+//!      The shared `compute_cycles` helper guarantees identical rounding;
+//!    * **accesses** — the region's cache-*miss* count;
+//!    * **sync** — a barrier arrival when the region's last segment carries
+//!      one.
 //!
 //! Idle gaps always become their own regions: merging them into work regions
 //! would smear access density over time the processor was actually silent,
 //! destroying precisely the unbalance the experiments study.
 //!
 //! [`assemble`] packages the whole thing: workload + machine + contention
-//! model → a ready-to-run [`SystemBuilder`].
+//! model → a ready-to-run [`SystemBuilder`]. [`ProfiledWorkload`] does the
+//! same from precomputed profiles, and also yields the per-task totals alone
+//! for whole-program estimators that need no kernel system.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mesh_arch::{Cache, MachineConfig, ProcConfig};
+use mesh_arch::{Cache, CacheConfig, MachineConfig, ProcConfig};
 use mesh_core::model::ContentionModel;
 use mesh_core::{
     Annotation, Complexity, Power, ProcId, SharedId, SimTime, SyncId, SyncOp, SystemBuilder,
@@ -97,6 +108,81 @@ impl TaskStats {
     }
 }
 
+/// One segment's outcome in its processor's private cache: how many of its
+/// references hit and how many missed (a miss is a shared-bus access).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SegmentProfile {
+    /// References served by the cache.
+    pub hits: u64,
+    /// References that missed.
+    pub misses: u64,
+}
+
+/// The cache pass of annotation: runs the task's reference streams, in
+/// order, through one private cache of geometry `cache` and returns each
+/// segment's hit and miss counts, index-aligned with `task.segments`. Idle
+/// segments issue no references and get `(0, 0)`.
+///
+/// The cache persists across the whole task, exactly as in the
+/// cycle-accurate simulator. The result depends only on the segments'
+/// reference streams and `cache` — every annotation policy, timing and
+/// contention model folds the same profile (see [`ProfiledWorkload`]).
+pub fn profile_task(task: &TaskProgram, cache: CacheConfig) -> Vec<SegmentProfile> {
+    let mut cache = Cache::new(cache);
+    task.segments
+        .iter()
+        .map(|seg| {
+            let mut profile = SegmentProfile::default();
+            if seg.kind == SegmentKind::Work {
+                for addr in seg.refs() {
+                    if cache.access(addr).is_miss() {
+                        profile.misses += 1;
+                    } else {
+                        profile.hits += 1;
+                    }
+                }
+            }
+            profile
+        })
+        .collect()
+}
+
+/// One closed annotation region, before resource ids are attached.
+struct Region {
+    cycles: u64,
+    misses: u64,
+    io_ops: u64,
+    barrier: Option<usize>,
+}
+
+impl Region {
+    fn annotation(
+        &self,
+        power: f64,
+        bus: SharedId,
+        io: Option<SharedId>,
+        barrier_ids: &[SyncId],
+    ) -> Annotation {
+        let mut ann = Annotation {
+            // Complexity is pre-scaled by the processor's power so that the
+            // kernel's resolution (complexity / power) lands on exactly
+            // `cycles` — regions are pinned, so this is well-defined.
+            complexity: Complexity::from_units(self.cycles as f64 * power),
+            accesses: mesh_core::AccessSet::new(),
+            sync: self.barrier.map(|b| SyncOp::Barrier(barrier_ids[b])),
+        };
+        if self.misses > 0 {
+            ann.accesses.add(bus, self.misses as f64);
+        }
+        if let Some(io_sid) = io {
+            if self.io_ops > 0 {
+                ann.accesses.add(io_sid, self.io_ops as f64);
+            }
+        }
+        ann
+    }
+}
+
 #[derive(Default)]
 struct RegionAcc {
     ops: u64,
@@ -107,52 +193,139 @@ struct RegionAcc {
 }
 
 impl RegionAcc {
-    #[allow(clippy::too_many_arguments)]
-    fn flush(
+    /// Closes the open work region, if any segment is in it.
+    fn close(
         &mut self,
         proc: ProcConfig,
         bus_delay: u64,
-        bus: SharedId,
-        io: Option<(SharedId, u64)>,
-        sync: Option<SyncOp>,
-        regions: &mut Vec<Annotation>,
+        io_delay: Option<u64>,
+        barrier: Option<usize>,
         stats: &mut TaskStats,
+        emit: &mut impl FnMut(Region),
     ) {
-        if self.segments == 0 && sync.is_none() {
+        if self.segments == 0 {
             return;
         }
-        let io_cycles = io.map(|(_, delay)| self.io_ops * delay).unwrap_or(0);
+        let io_cycles = io_delay.map_or(0, |delay| self.io_ops * delay);
         let cycles = compute_cycles(self.ops, proc)
             + self.hits * proc.hit_cycles
             + self.misses * bus_delay
             + io_cycles;
-        let mut ann = Annotation {
-            // Complexity is pre-scaled by the processor's power so that the
-            // kernel's resolution (complexity / power) lands on exactly
-            // `cycles` — regions are pinned, so this is well-defined.
-            complexity: Complexity::from_units(cycles as f64 * proc.power),
-            accesses: mesh_core::AccessSet::new(),
-            sync,
-        };
-        if self.misses > 0 {
-            ann.accesses.add(bus, self.misses as f64);
-        }
-        if let Some((io_sid, _)) = io {
-            if self.io_ops > 0 {
-                ann.accesses.add(io_sid, self.io_ops as f64);
-            }
-        }
         stats.work_cycles += cycles;
         stats.hits += self.hits;
         stats.misses += self.misses;
         stats.io_ops += self.io_ops;
         stats.regions += 1;
-        regions.push(ann);
+        emit(Region {
+            cycles,
+            misses: self.misses,
+            io_ops: self.io_ops,
+            barrier,
+        });
         *self = RegionAcc::default();
     }
 }
 
-/// Annotates one task for the given processor.
+/// Groups a profiled task's segments into regions under `policy`, handing
+/// each closed region to `emit`, and returns the task's totals.
+fn fold_regions(
+    task: &TaskProgram,
+    profile: &[SegmentProfile],
+    proc: ProcConfig,
+    bus_delay: u64,
+    io_delay: Option<u64>,
+    policy: AnnotationPolicy,
+    mut emit: impl FnMut(Region),
+) -> TaskStats {
+    assert_eq!(
+        profile.len(),
+        task.segments.len(),
+        "the profile must cover every segment of the task"
+    );
+    let mut stats = TaskStats::default();
+    let mut acc = RegionAcc::default();
+    for (seg, counts) in task.segments.iter().zip(profile) {
+        match seg.kind {
+            SegmentKind::Idle => {
+                // Close any open work region, then emit the idle region.
+                acc.close(proc, bus_delay, io_delay, None, &mut stats, &mut emit);
+                stats.idle_cycles += seg.compute_ops;
+                stats.regions += 1;
+                emit(Region {
+                    cycles: seg.compute_ops,
+                    misses: 0,
+                    io_ops: 0,
+                    barrier: seg.barrier,
+                });
+            }
+            SegmentKind::Work => {
+                acc.ops += seg.compute_ops;
+                acc.hits += counts.hits;
+                acc.misses += counts.misses;
+                acc.io_ops += seg.io_ops;
+                acc.segments += 1;
+                let boundary = seg.barrier.is_some()
+                    || match policy {
+                        AnnotationPolicy::AtBarriers => false,
+                        AnnotationPolicy::PerSegment => true,
+                        AnnotationPolicy::EverySegments(n) => acc.segments >= n.max(1),
+                    };
+                if boundary {
+                    acc.close(
+                        proc,
+                        bus_delay,
+                        io_delay,
+                        seg.barrier,
+                        &mut stats,
+                        &mut emit,
+                    );
+                }
+            }
+        }
+    }
+    acc.close(proc, bus_delay, io_delay, None, &mut stats, &mut emit);
+    stats
+}
+
+/// The fold of annotation: turns a task's cache profile (from
+/// [`profile_task`] on the same processor's cache) into the region list (a
+/// ready [`VecProgram`] payload) and the task's totals under `policy`.
+///
+/// Arguments are those of [`annotate_task_with_io`]; folding one profile
+/// under several policies gives exactly what annotating afresh under each
+/// would.
+///
+/// # Panics
+///
+/// Panics if `profile` does not have one entry per segment, or if a segment
+/// references a barrier index outside `barrier_ids`.
+#[allow(clippy::too_many_arguments)]
+fn fold_task(
+    task: &TaskProgram,
+    profile: &[SegmentProfile],
+    proc: ProcConfig,
+    bus_delay: u64,
+    bus: SharedId,
+    io: Option<(SharedId, u64)>,
+    barrier_ids: &[SyncId],
+    policy: AnnotationPolicy,
+) -> (Vec<Annotation>, TaskStats) {
+    let mut regions = Vec::new();
+    let io_sid = io.map(|(sid, _)| sid);
+    let stats = fold_regions(
+        task,
+        profile,
+        proc,
+        bus_delay,
+        io.map(|(_, delay)| delay),
+        policy,
+        |region| regions.push(region.annotation(proc.power, bus, io_sid, barrier_ids)),
+    );
+    (regions, stats)
+}
+
+/// Annotates one task for the given processor: [`profile_task`], then
+/// the fold.
 ///
 /// Returns the region list (a ready [`VecProgram`] payload) and the task's
 /// totals. `bus_delay` must match the machine's bus (miss service time);
@@ -185,55 +358,17 @@ pub fn annotate_task_with_io(
     barrier_ids: &[SyncId],
     policy: AnnotationPolicy,
 ) -> (Vec<Annotation>, TaskStats) {
-    let mut cache = Cache::new(proc.cache);
-    let mut regions: Vec<Annotation> = Vec::new();
-    let mut stats = TaskStats::default();
-    let mut acc = RegionAcc::default();
-
-    for seg in &task.segments {
-        let sync = seg.barrier.map(|b| SyncOp::Barrier(barrier_ids[b]));
-        match seg.kind {
-            SegmentKind::Idle => {
-                // Close any open work region, then emit the idle region.
-                acc.flush(proc, bus_delay, bus, io, None, &mut regions, &mut stats);
-                let cycles = seg.compute_ops;
-                regions.push(Annotation {
-                    complexity: Complexity::from_units(cycles as f64 * proc.power),
-                    accesses: mesh_core::AccessSet::new(),
-                    sync,
-                });
-                stats.idle_cycles += cycles;
-                stats.regions += 1;
-            }
-            SegmentKind::Work => {
-                let mut hits = 0u64;
-                let mut misses = 0u64;
-                for addr in seg.refs() {
-                    if cache.access(addr).is_miss() {
-                        misses += 1;
-                    } else {
-                        hits += 1;
-                    }
-                }
-                acc.ops += seg.compute_ops;
-                acc.hits += hits;
-                acc.misses += misses;
-                acc.io_ops += seg.io_ops;
-                acc.segments += 1;
-                let boundary = sync.is_some()
-                    || match policy {
-                        AnnotationPolicy::AtBarriers => false,
-                        AnnotationPolicy::PerSegment => true,
-                        AnnotationPolicy::EverySegments(n) => acc.segments >= n.max(1),
-                    };
-                if boundary {
-                    acc.flush(proc, bus_delay, bus, io, sync, &mut regions, &mut stats);
-                }
-            }
-        }
-    }
-    acc.flush(proc, bus_delay, bus, io, None, &mut regions, &mut stats);
-    (regions, stats)
+    let profile = profile_task(task, proc.cache);
+    fold_task(
+        task,
+        &profile,
+        proc,
+        bus_delay,
+        bus,
+        io,
+        barrier_ids,
+        policy,
+    )
 }
 
 /// An error assembling a hybrid system from a workload and machine.
@@ -253,6 +388,10 @@ pub enum AssembleError {
     /// device, or the machine has one and no model was supplied for it
     /// (use [`assemble_with_io`]).
     IoConfiguration(String),
+    /// Precomputed cache profiles do not match the workload: a different
+    /// task count, a different segment count, or a segment whose hits and
+    /// misses do not add up to its references.
+    ProfileMismatch(String),
 }
 
 impl fmt::Display for AssembleError {
@@ -263,6 +402,7 @@ impl fmt::Display for AssembleError {
             }
             AssembleError::InvalidWorkload(s) => write!(f, "invalid workload: {s}"),
             AssembleError::IoConfiguration(s) => write!(f, "I/O configuration: {s}"),
+            AssembleError::ProfileMismatch(s) => write!(f, "profile mismatch: {s}"),
         }
     }
 }
@@ -350,11 +490,15 @@ where
     M: ContentionModel + 'static,
 {
     if machine.io.is_some() {
-        return Err(AssembleError::IoConfiguration(
-            "machine has an I/O device; use assemble_with_io to supply its model".to_string(),
-        ));
+        return Err(no_io_model());
     }
     assemble_inner(workload, machine, Box::new(model), None, policy)
+}
+
+fn no_io_model() -> AssembleError {
+    AssembleError::IoConfiguration(
+        "machine has an I/O device; use assemble_with_io to supply its model".to_string(),
+    )
 }
 
 /// As [`assemble`], for machines with a shared I/O device: `bus_model` and
@@ -376,27 +520,23 @@ where
     M1: ContentionModel + 'static,
     M2: ContentionModel + 'static,
 {
-    let Some(io) = machine.io else {
+    if machine.io.is_none() {
         return Err(AssembleError::IoConfiguration(
             "machine has no I/O device".to_string(),
         ));
-    };
+    }
     assemble_inner(
         workload,
         machine,
         Box::new(bus_model),
-        Some((Box::new(io_model), io.delay_cycles)),
+        Some(Box::new(io_model)),
         policy,
     )
 }
 
-fn assemble_inner(
-    workload: &Workload,
-    machine: &MachineConfig,
-    bus_model: Box<dyn ContentionModel>,
-    io_model: Option<(Box<dyn ContentionModel>, u64)>,
-    policy: AnnotationPolicy,
-) -> Result<HybridSetup, AssembleError> {
+/// Checks that the workload can run on the machine: it fits, validates,
+/// and has an I/O device for any I/O it issues.
+fn check_pairing(workload: &Workload, machine: &MachineConfig) -> Result<(), AssembleError> {
     if workload.tasks.len() > machine.procs.len() {
         return Err(AssembleError::TaskCountMismatch {
             tasks: workload.tasks.len(),
@@ -410,60 +550,223 @@ fn assemble_inner(
         .tasks
         .iter()
         .any(|t| t.segments.iter().any(|s| s.io_ops > 0));
-    if issues_io && io_model.is_none() {
+    if issues_io && machine.io.is_none() {
         return Err(AssembleError::IoConfiguration(
             "workload issues I/O operations but the machine has no I/O device".to_string(),
         ));
     }
+    Ok(())
+}
 
-    let mut builder = SystemBuilder::new();
-    let procs: Vec<ProcId> = machine
-        .procs
+fn assemble_inner(
+    workload: &Workload,
+    machine: &MachineConfig,
+    bus_model: Box<dyn ContentionModel>,
+    io_model: Option<Box<dyn ContentionModel>>,
+    policy: AnnotationPolicy,
+) -> Result<HybridSetup, AssembleError> {
+    check_pairing(workload, machine)?;
+    let profiles: Vec<Vec<SegmentProfile>> = workload
+        .tasks
         .iter()
-        .enumerate()
-        .map(|(i, p)| builder.add_proc(format!("proc{i}"), Power::from_units_per_cycle(p.power)))
+        .zip(&machine.procs)
+        .map(|(task, proc)| profile_task(task, proc.cache))
         .collect();
-    let bus = builder.add_shared_resource(
-        "bus",
-        SimTime::from_cycles(machine.bus.delay_cycles as f64),
-        bus_model,
-    );
-    let io = io_model.map(|(model, delay)| {
-        let sid = builder.add_shared_resource("io", SimTime::from_cycles(delay as f64), model);
-        (sid, delay)
-    });
-    let barrier_ids: Vec<SyncId> = workload
-        .barriers
-        .iter()
-        .map(|&parties| builder.add_barrier(parties))
-        .collect();
+    let profiled = ProfiledWorkload {
+        workload,
+        machine,
+        profiles: &profiles,
+    };
+    Ok(profiled.build(bus_model, io_model, policy))
+}
 
-    let mut threads = Vec::new();
-    let mut tasks = Vec::new();
-    for (i, task) in workload.tasks.iter().enumerate() {
-        let (regions, stats) = annotate_task_with_io(
-            task,
-            machine.procs[i],
-            machine.bus.delay_cycles,
-            bus,
-            io,
-            &barrier_ids,
-            policy,
-        );
-        let t = builder.add_thread(task.name.clone(), VecProgram::new(regions));
-        builder.pin_thread(t, &[procs[i]]);
-        threads.push(t);
-        tasks.push(stats);
+/// A workload paired with its machine and precomputed cache profiles — one
+/// [`profile_task`] result per task, on the cache of the processor the task
+/// is pinned to.
+///
+/// This is the entry point for callers that evaluate many annotation
+/// policies, timeslices or contention models on one scenario: the profile
+/// is computed (or fetched from a cache) once and folded per setting.
+/// Folding is per segment, not per reference, so each fold is cheap.
+#[derive(Clone, Copy, Debug)]
+pub struct ProfiledWorkload<'a> {
+    workload: &'a Workload,
+    machine: &'a MachineConfig,
+    profiles: &'a [Vec<SegmentProfile>],
+}
+
+impl<'a> ProfiledWorkload<'a> {
+    /// Pairs a workload and machine with their profiles.
+    ///
+    /// # Errors
+    ///
+    /// As [`assemble`], plus [`AssembleError::ProfileMismatch`] if
+    /// `profiles` does not have one entry per task and, per task, one entry
+    /// per segment whose hits and misses add up to the segment's references.
+    pub fn new(
+        workload: &'a Workload,
+        machine: &'a MachineConfig,
+        profiles: &'a [Vec<SegmentProfile>],
+    ) -> Result<ProfiledWorkload<'a>, AssembleError> {
+        check_pairing(workload, machine)?;
+        if profiles.len() != workload.tasks.len() {
+            return Err(AssembleError::ProfileMismatch(format!(
+                "{} task profiles for {} tasks",
+                profiles.len(),
+                workload.tasks.len()
+            )));
+        }
+        for (ti, (task, profile)) in workload.tasks.iter().zip(profiles).enumerate() {
+            if profile.len() != task.segments.len() {
+                return Err(AssembleError::ProfileMismatch(format!(
+                    "task {ti}: {} segment profiles for {} segments",
+                    profile.len(),
+                    task.segments.len()
+                )));
+            }
+            for (si, (seg, counts)) in task.segments.iter().zip(profile).enumerate() {
+                if counts.hits.checked_add(counts.misses) != Some(seg.total_refs()) {
+                    return Err(AssembleError::ProfileMismatch(format!(
+                        "task {ti} segment {si}: {} hits + {} misses for {} references",
+                        counts.hits,
+                        counts.misses,
+                        seg.total_refs()
+                    )));
+                }
+            }
+        }
+        Ok(ProfiledWorkload {
+            workload,
+            machine,
+            profiles,
+        })
     }
 
-    Ok(HybridSetup {
-        builder,
-        bus,
-        io: io.map(|(sid, _)| sid),
-        procs,
-        threads,
-        tasks,
-    })
+    /// Per-task totals under `policy`, without building a kernel system —
+    /// all a whole-program analytical estimator needs. Equal to the
+    /// [`HybridSetup::tasks`] that assembling under `policy` yields.
+    pub fn task_stats(&self, policy: AnnotationPolicy) -> Vec<TaskStats> {
+        let io_delay = self.machine.io.map(|io| io.delay_cycles);
+        self.workload
+            .tasks
+            .iter()
+            .zip(self.profiles)
+            .zip(&self.machine.procs)
+            .map(|((task, profile), &proc)| {
+                fold_regions(
+                    task,
+                    profile,
+                    proc,
+                    self.machine.bus.delay_cycles,
+                    io_delay,
+                    policy,
+                    |_| {},
+                )
+            })
+            .collect()
+    }
+
+    /// Task `index`'s annotation regions (a ready [`VecProgram`] payload)
+    /// and totals under `policy` — what [`annotate_task_with_io`] returns
+    /// for the task on its processor, without the cache pass. Misses go to
+    /// `bus`, I/O operations to `io` (served at the machine's I/O delay),
+    /// and `barrier_ids` maps workload barrier indices to kernel sync ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not a task of the workload, or if a segment
+    /// references a barrier index outside `barrier_ids`.
+    pub fn regions(
+        &self,
+        index: usize,
+        bus: SharedId,
+        io: Option<SharedId>,
+        barrier_ids: &[SyncId],
+        policy: AnnotationPolicy,
+    ) -> (Vec<Annotation>, TaskStats) {
+        fold_task(
+            &self.workload.tasks[index],
+            &self.profiles[index],
+            self.machine.procs[index],
+            self.machine.bus.delay_cycles,
+            bus,
+            io.zip(self.machine.io.map(|device| device.delay_cycles)),
+            barrier_ids,
+            policy,
+        )
+    }
+
+    /// As [`assemble`], folding the precomputed profiles instead of running
+    /// the cache pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AssembleError::IoConfiguration`] if the machine has an I/O
+    /// device (use [`assemble_with_io`]).
+    pub fn assemble<M>(
+        &self,
+        model: M,
+        policy: AnnotationPolicy,
+    ) -> Result<HybridSetup, AssembleError>
+    where
+        M: ContentionModel + 'static,
+    {
+        if self.machine.io.is_some() {
+            return Err(no_io_model());
+        }
+        Ok(self.build(Box::new(model), None, policy))
+    }
+
+    fn build(
+        &self,
+        bus_model: Box<dyn ContentionModel>,
+        io_model: Option<Box<dyn ContentionModel>>,
+        policy: AnnotationPolicy,
+    ) -> HybridSetup {
+        let machine = self.machine;
+        let mut builder = SystemBuilder::new();
+        let procs: Vec<ProcId> = machine
+            .procs
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                builder.add_proc(format!("proc{i}"), Power::from_units_per_cycle(p.power))
+            })
+            .collect();
+        let bus = builder.add_shared_resource(
+            "bus",
+            SimTime::from_cycles(machine.bus.delay_cycles as f64),
+            bus_model,
+        );
+        let io = io_model.zip(machine.io).map(|(model, io)| {
+            builder.add_shared_resource("io", SimTime::from_cycles(io.delay_cycles as f64), model)
+        });
+        let barrier_ids: Vec<SyncId> = self
+            .workload
+            .barriers
+            .iter()
+            .map(|&parties| builder.add_barrier(parties))
+            .collect();
+
+        let mut threads = Vec::new();
+        let mut tasks = Vec::new();
+        for (i, task) in self.workload.tasks.iter().enumerate() {
+            let (regions, stats) = self.regions(i, bus, io, &barrier_ids, policy);
+            let t = builder.add_thread(task.name.clone(), VecProgram::new(regions));
+            builder.pin_thread(t, &[procs[i]]);
+            threads.push(t);
+            tasks.push(stats);
+        }
+
+        HybridSetup {
+            builder,
+            bus,
+            io,
+            procs,
+            threads,
+            tasks,
+        }
+    }
 }
 
 #[cfg(test)]

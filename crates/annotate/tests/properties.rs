@@ -1,7 +1,11 @@
 //! Property-based tests of the annotation bridge: conservation across
-//! annotation policies and agreement with the cycle-accurate caches.
+//! annotation policies, agreement with the cycle-accurate caches, and the
+//! profile-then-fold split (one cache profile serves every policy).
 
-use mesh_annotate::{annotate_task, assemble, AnnotationPolicy};
+use mesh_annotate::{
+    annotate_task, annotate_task_with_io, assemble, profile_task, AnnotationPolicy, AssembleError,
+    ProfiledWorkload, SegmentProfile,
+};
 use mesh_arch::{BusConfig, CacheConfig, MachineConfig, ProcConfig};
 use mesh_core::model::NoContention;
 use mesh_core::{SharedId, SyncId};
@@ -60,8 +64,105 @@ fn annotate(
     )
 }
 
+fn one_task_workload(task: TaskProgram) -> (Workload, MachineConfig) {
+    let mut w = Workload::new();
+    w.add_task(task);
+    (w, MachineConfig::homogeneous(1, proc(), BusConfig::new(4)))
+}
+
+#[test]
+fn profiles_that_do_not_match_the_workload_are_rejected() {
+    let task = build_task(&[(10, 4, 0, 5), (20, 0, 3, 0)]);
+    let (w, machine) = one_task_workload(task.clone());
+    let good = vec![profile_task(&task, proc().cache)];
+    assert!(ProfiledWorkload::new(&w, &machine, &good).is_ok());
+
+    // One task profile too many, and none at all.
+    let extra = [good[0].clone(), good[0].clone()];
+    for profiles in [&extra[..], &[]] {
+        assert!(matches!(
+            ProfiledWorkload::new(&w, &machine, profiles),
+            Err(AssembleError::ProfileMismatch(_))
+        ));
+    }
+    // A segment short, and a segment too many: a zip would truncate.
+    let mut short = good.clone();
+    short[0].pop();
+    let mut long = good.clone();
+    long[0].push(SegmentProfile::default());
+    for profiles in [&short, &long] {
+        assert!(matches!(
+            ProfiledWorkload::new(&w, &machine, profiles),
+            Err(AssembleError::ProfileMismatch(_))
+        ));
+    }
+    // Right shape, wrong counts: a profile of some other segment.
+    let mut miscounted = good.clone();
+    miscounted[0][0].hits += 1;
+    assert!(matches!(
+        ProfiledWorkload::new(&w, &machine, &miscounted),
+        Err(AssembleError::ProfileMismatch(_))
+    ));
+    // The workload/machine checks of `assemble` still come first.
+    let small = MachineConfig::homogeneous(0, proc(), BusConfig::new(4));
+    assert!(matches!(
+        ProfiledWorkload::new(&w, &small, &good),
+        Err(AssembleError::TaskCountMismatch { .. })
+    ));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One profile folded under every policy yields exactly the regions and
+    /// totals a fresh annotation under that policy does, and the
+    /// workload-level fold agrees with what assembling reports.
+    #[test]
+    fn one_profile_folds_like_fresh_annotation(
+        segs in arb_segments(),
+        n in 1usize..6,
+        bus_delay in 1u64..20,
+        power in 0usize..3,
+    ) {
+        let task = build_task(&segs);
+        // Non-unit powers exercise the per-region rounding of compute cycles.
+        let p = proc().with_power([1.0, 0.8, 0.5][power]);
+        let bus = SharedId::from_index(0);
+        let bars = [SyncId::from_index(0)];
+        let (w, _) = one_task_workload(task.clone());
+        let machine = MachineConfig::homogeneous(1, p, BusConfig::new(bus_delay));
+        let profiles = [profile_task(&task, p.cache)];
+        let profiled = ProfiledWorkload::new(&w, &machine, &profiles).unwrap();
+        for policy in [
+            AnnotationPolicy::PerSegment,
+            AnnotationPolicy::EverySegments(n),
+            AnnotationPolicy::AtBarriers,
+        ] {
+            let fresh = annotate_task_with_io(&task, p, bus_delay, bus, None, &bars, policy);
+            let folded = profiled.regions(0, bus, None, &bars, policy);
+            prop_assert_eq!(&folded, &fresh);
+            prop_assert_eq!(profiled.task_stats(policy), vec![fresh.1]);
+            let setup = profiled.assemble(NoContention, policy).unwrap();
+            prop_assert_eq!(setup.tasks, vec![fresh.1]);
+        }
+    }
+
+    /// The profile accounts for every reference exactly once, and idle
+    /// segments get `(0, 0)`.
+    #[test]
+    fn profile_covers_every_reference(segs in arb_segments()) {
+        let task = build_task(&segs);
+        let profile = profile_task(&task, proc().cache);
+        prop_assert_eq!(profile.len(), task.segments.len());
+        let total: u64 = profile.iter().map(|s| s.hits + s.misses).sum();
+        prop_assert_eq!(total, task.total_refs());
+        for (seg, counts) in task.segments.iter().zip(&profile) {
+            prop_assert_eq!(counts.hits + counts.misses, seg.total_refs());
+            if seg.kind == mesh_workloads::SegmentKind::Idle {
+                prop_assert_eq!(*counts, SegmentProfile::default());
+            }
+        }
+    }
 
     /// Totals (work cycles, idle, hits, misses) are invariant under the
     /// annotation policy — coarser regions merely redistribute them.

@@ -11,8 +11,8 @@
 //! cargo run -p mesh-bench --bin ablation_models --release
 //! ```
 
-use mesh_annotate::{assemble, AnnotationPolicy};
-use mesh_bench::{fft_machine, FFT_BUS_DELAY};
+use mesh_annotate::AnnotationPolicy;
+use mesh_bench::{assemble_memoized, fft_machine, FFT_BUS_DELAY};
 use mesh_core::model::ContentionModel;
 use mesh_metrics::{abs_percent_error, Table};
 use mesh_models::{
@@ -26,7 +26,8 @@ fn run_model<M: ContentionModel + 'static>(
     machine: &mesh_arch::MachineConfig,
     model: M,
 ) -> (f64, u64) {
-    let setup = assemble(workload, machine, model, AnnotationPolicy::AtBarriers).expect("assemble");
+    // Every model folds the one memoized annotation profile of the scenario.
+    let setup = assemble_memoized(workload, machine, model, AnnotationPolicy::AtBarriers);
     let work = setup.work_total();
     let outcome = setup.builder.build().expect("build").run().expect("run");
     (

@@ -26,7 +26,9 @@ pub mod memo;
 pub mod perf;
 pub mod sweep;
 
-use mesh_annotate::{assemble, AnnotationPolicy, HybridSetup};
+use mesh_annotate::{
+    profile_task, AnnotationPolicy, HybridSetup, ProfiledWorkload, SegmentProfile,
+};
 use mesh_arch::{Arbitration, BusConfig, CacheConfig, MachineConfig, ProcConfig};
 use mesh_core::model::ContentionModel;
 use mesh_cyclesim::CycleReport;
@@ -267,6 +269,107 @@ fn bump_subeval(name: &str) {
     }
 }
 
+/// The memoized product of the annotation sub-evaluation: every task's
+/// per-segment cache profile ([`profile_task`] on its processor's cache).
+struct Profiles(Vec<Vec<SegmentProfile>>);
+
+/// Encoded as `<tasks>`, then per task `<segments>` followed by each
+/// segment's `<hits> <misses>`.
+impl crate::checkpoint::Checkpointable for Profiles {
+    fn encode(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = self.0.len().to_string();
+        for task in &self.0 {
+            let _ = write!(out, " {}", task.len());
+            for seg in task {
+                let _ = write!(out, " {} {}", seg.hits, seg.misses);
+            }
+        }
+        out
+    }
+
+    fn decode(s: &str) -> Option<Profiles> {
+        let mut it = s.split_whitespace().map(|t| t.parse::<u64>().ok());
+        let mut next = || it.next().flatten();
+        let tasks = next()?;
+        let mut profiles = Vec::new();
+        for _ in 0..tasks {
+            let segments = next()?;
+            let mut task = Vec::new();
+            for _ in 0..segments {
+                task.push(SegmentProfile {
+                    hits: next()?,
+                    misses: next()?,
+                });
+            }
+            profiles.push(task);
+        }
+        if it.next().is_some() {
+            return None;
+        }
+        Some(Profiles(profiles))
+    }
+}
+
+/// The sub-evaluation fingerprint of a scenario's annotation profile: the
+/// content of every task's segments plus the cache geometry of the
+/// processor it runs on. Nothing else determines a profile, so the key
+/// deliberately leaves out the annotation policy, minimum timeslice,
+/// contention model, bus and I/O timing, and processor power and hit cost —
+/// every point of a sweep over those shares one profile.
+pub fn annotation_profile_fp(workload: &Workload, machine: &MachineConfig) -> u128 {
+    let mut fp = memo::ScenarioFp::new("subeval-annotate").word(workload.tasks.len() as u64);
+    for (task, proc) in workload.tasks.iter().zip(&machine.procs) {
+        fp = fp
+            .hashed(&task.segments)
+            .words(&proc.cache.geometry_words());
+    }
+    fp.finish()
+}
+
+/// Computes (or replays) the scenario's annotation profile, memoized under
+/// [`annotation_profile_fp`] like the other sub-evaluations. Callers request
+/// it inside their own leg's memo closure, so a replayed leg never asks.
+fn annotation_profiles(workload: &Workload, machine: &MachineConfig) -> Vec<Vec<SegmentProfile>> {
+    let fp = annotation_profile_fp(workload, machine);
+    let (profiles, shared) = memo::memoize_flagged(fp, || {
+        Profiles(
+            workload
+                .tasks
+                .iter()
+                .zip(&machine.procs)
+                .map(|(task, proc)| profile_task(task, proc.cache))
+                .collect(),
+        )
+    });
+    if shared {
+        bump_subeval("bench.subeval.annotation_shared");
+    }
+    profiles.0
+}
+
+/// As [`mesh_annotate::assemble`], but folding the scenario's memoized
+/// annotation profile (see [`annotation_profile_fp`]): however many
+/// policies and models are assembled on one scenario, its cache pass runs
+/// once per process, or not at all once the persistent result cache holds
+/// it.
+///
+/// # Panics
+///
+/// Panics if the workload is invalid for the machine or the machine has an
+/// I/O device.
+pub fn assemble_memoized<M: ContentionModel + 'static>(
+    workload: &Workload,
+    machine: &MachineConfig,
+    model: M,
+    policy: AnnotationPolicy,
+) -> HybridSetup {
+    let profiles = annotation_profiles(workload, machine);
+    ProfiledWorkload::new(workload, machine, &profiles)
+        .and_then(|profiled| profiled.assemble(model, policy))
+        .expect("hybrid assembly failed")
+}
+
 /// The memoized product of the cycle-accurate reference sub-evaluation: the
 /// ground-truth queuing percentage plus the recorded wall clock and
 /// simulated-cycle count.
@@ -417,8 +520,7 @@ fn hybrid_leg_flagged(
 ) -> (HybridLeg, bool) {
     let fp = hybrid_subeval_fp(workload, machine, options);
     let (leg, shared) = memo::memoize_flagged(fp, || {
-        let setup: HybridSetup = assemble(workload, machine, ChenLinBus::new(), options.policy)
-            .expect("hybrid assembly failed");
+        let setup = assemble_memoized(workload, machine, ChenLinBus::new(), options.policy);
         let work_cycles = setup.work_total();
         let misses = setup.misses_total();
         let mut builder = setup.builder;
@@ -464,18 +566,21 @@ fn analytical_leg(workload: &Workload, machine: &MachineConfig, policy: Annotati
         .words(&model.digest_words())
         .finish();
     let (pct, shared) = memo::memoize_flagged(fp, || {
-        let setup: HybridSetup =
-            assemble(workload, machine, ChenLinBus::new(), policy).expect("hybrid assembly failed");
-        let profiles: Vec<ThreadProfile> = setup
-            .tasks
-            .iter()
-            .map(|t| {
-                ThreadProfile::new(
-                    mesh_core::SimTime::from_cycles(t.work_cycles as f64),
-                    t.misses as f64,
-                )
-            })
-            .collect();
+        // Totals folded from the scenario's memoized annotation profile; no
+        // kernel system is built.
+        let cache_profiles = annotation_profiles(workload, machine);
+        let profiles: Vec<ThreadProfile> =
+            ProfiledWorkload::new(workload, machine, &cache_profiles)
+                .expect("hybrid assembly failed")
+                .task_stats(policy)
+                .iter()
+                .map(|t| {
+                    ThreadProfile::new(
+                        mesh_core::SimTime::from_cycles(t.work_cycles as f64),
+                        t.misses as f64,
+                    )
+                })
+                .collect();
         let estimator = AnalyticalEstimator::new(
             ChenLinBus::new(),
             mesh_core::SimTime::from_cycles(machine.bus.delay_cycles as f64),
@@ -784,8 +889,7 @@ fn hybrid_envelope_run<M: ContentionModel + 'static>(
     model: M,
     priorities: &[u32],
 ) -> HybridRun {
-    let mut setup = assemble(workload, machine, model, AnnotationPolicy::AtBarriers)
-        .expect("hybrid assembly failed");
+    let mut setup = assemble_memoized(workload, machine, model, AnnotationPolicy::AtBarriers);
     for (&thread, &priority) in setup.threads.iter().zip(priorities) {
         setup.builder.set_priority(thread, priority);
     }

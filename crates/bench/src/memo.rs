@@ -26,8 +26,10 @@
 //! checkpoints use — floats travel as bit patterns, so a memoized result is
 //! *byte-identical* to the computed one). Files are published with the
 //! temp + rename pattern; a corrupt or mismatched entry is quarantined
-//! (renamed to `<fp>.quarantined`) and recomputed. Entries are a few
-//! hundred bytes, so there is no GC tier — wipe the directory to reset.
+//! (renamed to `<fp>.quarantined`) and recomputed. Most entries are a few
+//! hundred bytes; an annotation profile (`subeval-annotate`, two counts per
+//! workload segment) is a few KB. A scenario's entries therefore stay well
+//! under a megabyte, so there is no GC tier — wipe the directory to reset.
 
 use crate::checkpoint::Checkpointable;
 use std::collections::HashMap;
@@ -43,7 +45,8 @@ pub const RESULT_CACHE_ENV: &str = "MESH_RESULT_CACHE";
 
 /// Environment variable sizing the in-process sub-evaluation LRU (entry
 /// count, split over shards). `0` disables the tier; unset uses
-/// [`DEFAULT_SUBEVAL_LRU`].
+/// [`DEFAULT_SUBEVAL_LRU`]; a malformed value warns on stderr and uses the
+/// default too.
 pub const SUBEVAL_LRU_ENV: &str = "MESH_SUBEVAL_LRU";
 
 /// Default capacity (entries) of the in-process sub-evaluation LRU.
@@ -109,6 +112,27 @@ impl ScenarioFp {
             self = self.word(w);
         }
         self
+    }
+
+    /// Folds in any [`Hash`](std::hash::Hash) value through std's hashing
+    /// protocol — e.g. workload segments, which derive `Hash` over every
+    /// field.
+    #[must_use]
+    pub fn hashed<T: std::hash::Hash + ?Sized>(self, value: &T) -> ScenarioFp {
+        struct Fold(ScenarioFp);
+        impl std::hash::Hasher for Fold {
+            fn write(&mut self, bytes: &[u8]) {
+                for &b in bytes {
+                    self.0 = self.0.byte(b);
+                }
+            }
+            fn finish(&self) -> u64 {
+                self.0 .0 as u64
+            }
+        }
+        let mut fold = Fold(self);
+        value.hash(&mut fold);
+        fold.0
     }
 
     /// Folds in a string, length-prefixed.
@@ -222,13 +246,27 @@ fn lru_capacity() -> usize {
     if cap != LRU_UNRESOLVED {
         return cap;
     }
-    let resolved = std::env::var(SUBEVAL_LRU_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_SUBEVAL_LRU)
-        .min(LRU_UNRESOLVED - 1);
+    let resolved = match std::env::var(SUBEVAL_LRU_ENV) {
+        Ok(value) if !value.is_empty() => parse_lru_capacity(&value).unwrap_or_else(|warning| {
+            eprintln!("{warning}");
+            DEFAULT_SUBEVAL_LRU
+        }),
+        _ => DEFAULT_SUBEVAL_LRU,
+    }
+    .min(LRU_UNRESOLVED - 1);
     LRU_CAPACITY.store(resolved, Ordering::Relaxed);
     resolved
+}
+
+/// Parses a [`SUBEVAL_LRU_ENV`] value; the error is the warning to print
+/// before falling back to [`DEFAULT_SUBEVAL_LRU`].
+fn parse_lru_capacity(value: &str) -> Result<usize, String> {
+    value.trim().parse::<usize>().map_err(|_| {
+        format!(
+            "mesh-bench: ignoring invalid {SUBEVAL_LRU_ENV}={value:?} \
+             (want a non-negative integer; using {DEFAULT_SUBEVAL_LRU})"
+        )
+    })
 }
 
 /// Sets the in-process sub-evaluation LRU capacity (entries; `0` disables
@@ -575,6 +613,19 @@ mod tests {
     }
 
     #[test]
+    fn malformed_lru_capacity_warns_instead_of_passing_silently() {
+        assert_eq!(parse_lru_capacity("256"), Ok(256));
+        assert_eq!(parse_lru_capacity(" 0 "), Ok(0));
+        for bad in ["4k", "-1", "1e3", "lots"] {
+            let warning = parse_lru_capacity(bad).expect_err(bad);
+            assert!(
+                warning.contains(&format!("ignoring invalid {SUBEVAL_LRU_ENV}={bad:?}")),
+                "{warning}"
+            );
+        }
+    }
+
+    #[test]
     fn memoize_round_trips_and_counts() {
         let dir = temp_cache("roundtrip");
         let value = (42u64, 2.5f64, 7usize);
@@ -586,8 +637,14 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Serializes the tests that quarantine entries: the quarantine counter
+    /// is process-global, so a concurrent quarantine would skew the exact
+    /// count asserted below.
+    static QUARANTINING: Mutex<()> = Mutex::new(());
+
     #[test]
     fn corrupt_entries_quarantine_and_recompute() {
+        let _serial = QUARANTINING.lock().unwrap_or_else(|e| e.into_inner());
         let dir = temp_cache("corrupt");
         let _ = memoize_in(&dir, 0xCD, || 1234u64);
         let path = entry_path(&dir, 0xCD);
@@ -608,6 +665,7 @@ mod tests {
 
     #[test]
     fn foreign_fingerprint_and_version_reject() {
+        let _serial = QUARANTINING.lock().unwrap_or_else(|e| e.into_inner());
         let dir = temp_cache("foreign");
         let _ = memoize_in(&dir, 0xEF, || 5u64);
         // Copy the entry under a different fingerprint: key check rejects.

@@ -3,16 +3,22 @@
 //! and warm; a result-memo replay must reproduce the populating point
 //! *exactly* (recorded wall clocks included); a planner-driven sweep's
 //! stdout must be byte-identical across {planner off, planner on, sub-memo
-//! cold, sub-memo warm, sharded}; and distinct hybrid knob settings must
-//! never collide within a sub-evaluation fingerprint domain.
+//! cold, sub-memo warm, sharded}; distinct hybrid knob settings must
+//! never collide within a sub-evaluation fingerprint domain; and the
+//! annotation-profile key must cover exactly the inputs a profile depends
+//! on.
 //!
 //! The in-process leg test mutates process-global cache configuration, so
 //! its legs run in sequence inside one test function; the stdout legs spawn
 //! the `subeval_demo` binary, so each gets a pristine process.
 
 use mesh_annotate::AnnotationPolicy;
-use mesh_bench::{compare, fft_machine, memo, ComparisonPoint, HybridOptions};
+use mesh_arch::{Arbitration, BusConfig, CacheConfig, IoConfig, MachineConfig, ProcConfig};
+use mesh_bench::{
+    annotation_profile_fp, compare, fft_machine, memo, ComparisonPoint, HybridOptions,
+};
 use mesh_workloads::fft::{self, FftConfig};
+use mesh_workloads::{MemPattern, Segment, SegmentKind, TaskProgram, Workload};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::process::Command;
@@ -133,6 +139,163 @@ fn results_identical_across_cache_configurations() {
     mesh_cyclesim::set_store(None, None);
     let _ = std::fs::remove_dir_all(&store_dir);
     let _ = std::fs::remove_dir_all(&memo_dir);
+}
+
+/// Two tasks exercising every segment and pattern field.
+fn profile_workload() -> Workload {
+    let mut w = Workload::new();
+    let bar = w.add_barrier(2);
+    for t in 0..2u64 {
+        w.add_task(
+            TaskProgram::new(format!("t{t}"))
+                .with_segment(
+                    Segment::work(100)
+                        .with_pattern(MemPattern::Strided {
+                            base: t << 20,
+                            stride: 32,
+                            count: 16,
+                        })
+                        .with_pattern(MemPattern::Random {
+                            base: 1 << 24,
+                            span: 4096,
+                            count: 8,
+                            seed: t,
+                        })
+                        .with_io(2)
+                        .with_barrier(bar),
+                )
+                .with_segment(Segment::idle(50))
+                .with_segment(Segment::work(30)),
+        );
+    }
+    w
+}
+
+fn profile_machine() -> MachineConfig {
+    let cache = CacheConfig::new(8 * 1024, 32, 4).unwrap();
+    MachineConfig::homogeneous(2, ProcConfig::new(cache), BusConfig::new(4))
+}
+
+/// A named, single-field edit of a workload.
+type Edit = (String, Box<dyn Fn(&mut Workload)>);
+
+/// Every way to edit one field of one segment or pattern of task `t`.
+fn segment_edits(t: usize) -> Vec<Edit> {
+    fn edit(name: &str, t: usize, f: impl Fn(&mut Vec<Segment>) + 'static) -> Edit {
+        (
+            format!("task {t}: {name}"),
+            Box::new(move |w: &mut Workload| f(&mut w.tasks[t].segments)),
+        )
+    }
+    fn strided(segs: &mut [Segment]) -> (&mut u64, &mut u64, &mut u64) {
+        match &mut segs[0].mem[0] {
+            MemPattern::Strided {
+                base,
+                stride,
+                count,
+            } => (base, stride, count),
+            MemPattern::Random { .. } => unreachable!(),
+        }
+    }
+    fn random(segs: &mut [Segment]) -> (&mut u64, &mut u64, &mut u64, &mut u64) {
+        match &mut segs[0].mem[1] {
+            MemPattern::Random {
+                base,
+                span,
+                count,
+                seed,
+            } => (base, span, count, seed),
+            MemPattern::Strided { .. } => unreachable!(),
+        }
+    }
+    vec![
+        edit("kind", t, |s| s[1].kind = SegmentKind::Work),
+        edit("compute_ops", t, |s| s[2].compute_ops += 1),
+        edit("idle cycles", t, |s| s[1].compute_ops += 1),
+        edit("io_ops", t, |s| s[0].io_ops += 1),
+        edit("barrier", t, |s| s[2].barrier = Some(0)),
+        edit("pattern added", t, |s| {
+            s[2].mem.push(MemPattern::Strided {
+                base: 0,
+                stride: 32,
+                count: 1,
+            })
+        }),
+        edit("pattern order", t, |s| s[0].mem.swap(0, 1)),
+        edit("segment added", t, |s| s.push(Segment::work(1))),
+        edit("strided base", t, |s| *strided(s).0 += 32),
+        edit("strided stride", t, |s| *strided(s).1 += 32),
+        edit("strided count", t, |s| *strided(s).2 += 1),
+        edit("random base", t, |s| *random(s).0 += 32),
+        edit("random span", t, |s| *random(s).1 += 32),
+        edit("random count", t, |s| *random(s).2 += 1),
+        edit("random seed", t, |s| *random(s).3 += 1),
+    ]
+}
+
+/// The `subeval-annotate` key covers every input a cache profile depends on
+/// — each field of each segment and pattern, the task count, each
+/// processor's cache geometry — and nothing else: bus delay and
+/// arbitration, the I/O device, processor power and hit cost, and task
+/// names leave it unchanged, so profiles are shared across them. The
+/// annotation policy, minimum timeslice and contention model are not
+/// inputs of the key at all (`subeval.rs` shows one profile serving a
+/// policy × timeslice grid and a second model).
+#[test]
+fn annotation_profile_fingerprint_covers_its_inputs() {
+    let w = profile_workload();
+    let m = profile_machine();
+    let base = annotation_profile_fp(&w, &m);
+    assert_eq!(base, annotation_profile_fp(&w.clone(), &m.clone()));
+
+    let mut seen = HashSet::from([base]);
+    for t in 0..w.tasks.len() {
+        for (name, apply) in segment_edits(t) {
+            let mut edited = w.clone();
+            apply(&mut edited);
+            assert_ne!(edited, w, "{name} must edit the workload");
+            let fp = annotation_profile_fp(&edited, &m);
+            assert!(seen.insert(fp), "{name} left the profile key unchanged");
+        }
+    }
+    let mut fewer = w.clone();
+    fewer.tasks.pop();
+    assert!(seen.insert(annotation_profile_fp(&fewer, &m)), "task count");
+
+    let geometries = [(16 * 1024, 32, 4), (8 * 1024, 64, 4), (8 * 1024, 32, 2)];
+    for p in 0..m.procs.len() {
+        for (size, line, ways) in geometries {
+            let mut edited = m.clone();
+            edited.procs[p].cache = CacheConfig::new(size, line, ways).unwrap();
+            assert!(
+                seen.insert(annotation_profile_fp(&w, &edited)),
+                "proc {p} cache {size}/{line}/{ways} left the profile key unchanged"
+            );
+        }
+    }
+
+    let mut renamed = w.clone();
+    renamed.tasks[0].name = "renamed".to_string();
+    let timing_only: Vec<MachineConfig> = vec![
+        MachineConfig::new(m.procs.clone(), BusConfig::new(16)),
+        MachineConfig::new(
+            m.procs.clone(),
+            m.bus.with_arbitration(Arbitration::FixedPriority),
+        ),
+        m.clone().with_io(IoConfig::new(8)),
+        MachineConfig::new(
+            vec![m.procs[0], m.procs[1].with_power(0.8).with_hit_cycles(3)],
+            m.bus,
+        ),
+    ];
+    assert_eq!(annotation_profile_fp(&renamed, &m), base, "task name");
+    for machine in &timing_only {
+        assert_eq!(
+            annotation_profile_fp(&w, machine),
+            base,
+            "{machine:?} changes no cache profile"
+        );
+    }
 }
 
 const DEMO_EXE: &str = env!("CARGO_BIN_EXE_subeval_demo");

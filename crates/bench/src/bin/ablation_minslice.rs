@@ -51,7 +51,6 @@ fn main() {
             |_| {
                 mesh_bench::iss_reference(&workload, &machine);
             },
-            |_| mesh_cyclesim::ensure_stored(&workload, &machine, mesh_cyclesim::Pacing::default()),
             |&min| {
                 compare(
                     &workload,

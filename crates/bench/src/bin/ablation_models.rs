@@ -75,7 +75,6 @@ fn main() {
             |_| {
                 mesh_bench::iss_reference(&workload, &machine);
             },
-            |_| mesh_cyclesim::ensure_stored(&workload, &machine, mesh_cyclesim::Pacing::default()),
             |&name| {
                 let (pct, _) = match name {
                     "chen-lin (M/D/1 + blocking bound)" => {

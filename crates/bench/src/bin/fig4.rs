@@ -10,7 +10,7 @@
 //! cargo run -p mesh-bench --bin fig4 --release
 //! ```
 
-use mesh_bench::{prewarm_fft_point, run_fft_point, FFT_BUS_DELAY, FFT_CACHES, FFT_PROC_SWEEP};
+use mesh_bench::{run_fft_point, FFT_BUS_DELAY, FFT_CACHES, FFT_PROC_SWEEP};
 use mesh_metrics::{mean, series_to_csv, Series, Table};
 
 fn main() {
@@ -25,12 +25,9 @@ fn main() {
         .collect();
     let results = mesh_bench::or_exit(
         "fig4",
-        mesh_bench::sweep::try_sweep_labeled_prewarmed(
-            "fig4",
-            &points,
-            |&(cache_bytes, procs)| prewarm_fft_point(procs, cache_bytes, FFT_BUS_DELAY),
-            |&(cache_bytes, procs)| run_fft_point(procs, cache_bytes, FFT_BUS_DELAY),
-        ),
+        mesh_bench::sweep::try_sweep_labeled("fig4", &points, |&(cache_bytes, procs)| {
+            run_fft_point(procs, cache_bytes, FFT_BUS_DELAY)
+        }),
     );
     let mut rows = points.iter().zip(results);
 

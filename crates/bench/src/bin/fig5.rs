@@ -11,7 +11,7 @@
 //! cargo run -p mesh-bench --bin fig5 --release
 //! ```
 
-use mesh_bench::{prewarm_phm_point, run_phm_point, FIG5_BUS_DELAYS};
+use mesh_bench::{run_phm_point, FIG5_BUS_DELAYS};
 use mesh_metrics::{mean, series_to_csv, Series, Table};
 
 fn main() {
@@ -26,12 +26,9 @@ fn main() {
 
     let results = mesh_bench::or_exit(
         "fig5",
-        mesh_bench::sweep::try_sweep_labeled_prewarmed(
-            "fig5",
-            &FIG5_BUS_DELAYS,
-            |&delay| prewarm_phm_point(0.90, delay, 0xC0FFEE),
-            |&delay| run_phm_point(0.90, delay, 0xC0FFEE),
-        ),
+        mesh_bench::sweep::try_sweep_labeled("fig5", &FIG5_BUS_DELAYS, |&delay| {
+            run_phm_point(0.90, delay, 0xC0FFEE)
+        }),
     );
     for (delay, p) in FIG5_BUS_DELAYS.iter().zip(results) {
         mesh.push(*delay as f64, p.mesh_pct);

@@ -16,7 +16,7 @@
 //! ```
 
 use mesh_bench::sweep::FBits;
-use mesh_bench::{prewarm_phm_point, run_phm_point, FIG5_BUS_DELAYS, FIG6_IDLE_SWEEP};
+use mesh_bench::{run_phm_point, FIG5_BUS_DELAYS, FIG6_IDLE_SWEEP};
 use mesh_metrics::{mean, series_to_csv, Series, Table};
 
 fn main() {
@@ -41,12 +41,9 @@ fn main() {
         .collect();
     let results = mesh_bench::or_exit(
         "fig6",
-        mesh_bench::sweep::try_sweep_labeled_prewarmed(
-            "fig6",
-            &points,
-            |&(idle, delay, seed)| prewarm_phm_point(idle.get(), delay, seed),
-            |&(idle, delay, seed)| run_phm_point(idle.get(), delay, seed),
-        ),
+        mesh_bench::sweep::try_sweep_labeled("fig6", &points, |&(idle, delay, seed)| {
+            run_phm_point(idle.get(), delay, seed)
+        }),
     );
     let mut rows = results.into_iter();
 

@@ -50,39 +50,31 @@ fn main() {
     let io_delays = [4u64, 8, 16, 32];
     let results = mesh_bench::or_exit(
         "multi_resource",
-        mesh_bench::sweep::try_sweep_labeled_prewarmed(
-            "multi_resource",
-            &io_delays,
-            |&io_delay| {
-                let machine = phm_machine(8).with_io(IoConfig::new(io_delay));
-                mesh_cyclesim::ensure_stored(&workload, &machine, mesh_cyclesim::Pacing::default());
-            },
-            |&io_delay| {
-                let machine = phm_machine(8).with_io(IoConfig::new(io_delay));
-                let iss = mesh_cyclesim::simulate(&workload, &machine).expect("iss");
-                let setup = assemble_with_io(
-                    &workload,
-                    &machine,
-                    ChenLinBus::new(),
-                    Md1Queue::new(),
-                    AnnotationPolicy::PerSegment,
-                )
-                .expect("assemble");
-                let work = setup.work_total() as f64;
-                let bus = setup.bus;
-                let io = setup.io.expect("io resource");
-                let outcome = setup.builder.build().expect("build").run().expect("run");
-                let report = outcome.report;
+        mesh_bench::sweep::try_sweep_labeled("multi_resource", &io_delays, |&io_delay| {
+            let machine = phm_machine(8).with_io(IoConfig::new(io_delay));
+            let iss = mesh_cyclesim::simulate(&workload, &machine).expect("iss");
+            let setup = assemble_with_io(
+                &workload,
+                &machine,
+                ChenLinBus::new(),
+                Md1Queue::new(),
+                AnnotationPolicy::PerSegment,
+            )
+            .expect("assemble");
+            let work = setup.work_total() as f64;
+            let bus = setup.bus;
+            let io = setup.io.expect("io resource");
+            let outcome = setup.builder.build().expect("build").run().expect("run");
+            let report = outcome.report;
 
-                let pct = |q: f64| 100.0 * q / work;
-                (
-                    pct(report.shared[bus.index()].queuing.as_cycles()),
-                    pct(iss.bus_queuing_total() as f64),
-                    pct(report.shared[io.index()].queuing.as_cycles()),
-                    pct(iss.io_queuing_total() as f64),
-                )
-            },
-        ),
+            let pct = |q: f64| 100.0 * q / work;
+            (
+                pct(report.shared[bus.index()].queuing.as_cycles()),
+                pct(iss.bus_queuing_total() as f64),
+                pct(report.shared[io.index()].queuing.as_cycles()),
+                pct(iss.io_queuing_total() as f64),
+            )
+        }),
     );
     for (io_delay, (mesh_bus, iss_bus, mesh_io, iss_io)) in io_delays.into_iter().zip(results) {
         let mesh_total = mesh_bus + mesh_io;

@@ -95,11 +95,6 @@ fn main() {
                 let machine = fft_machine(procs, 8 * 1024, FFT_BUS_DELAY);
                 mesh_bench::adversarial_bus_queuing_max(&workload, &machine);
             },
-            |&(_, procs)| {
-                let workload = build(&UniformConfig::with_threads(procs));
-                let machine = fft_machine(procs, 8 * 1024, FFT_BUS_DELAY);
-                mesh_cyclesim::ensure_stored(&workload, &machine, mesh_cyclesim::Pacing::default());
-            },
             |&(key, procs)| run_point(key, procs),
         ),
     );

@@ -18,13 +18,10 @@
 //! trace-compile cost, cache bypassed) — the compile/consume split of the
 //! trace pipeline.
 //!
-//! The `store/` section prices the persistent trace store and the result
-//! memo cache against throwaway directories: `store/cold_compile` (compile
-//! plus publish into an empty store), `store/warm_load` (reload from a
-//! populated store with the in-memory cache cleared) and `store/memo_hit`
-//! (a full comparison point served from the result cache). The section
-//! restores the process-wide cache configuration afterwards, so the other
-//! benchmarks are unaffected by it.
+//! The `store/` section prices the result memo cache against a throwaway
+//! directory: `store/memo_hit` is a full comparison point served from the
+//! result cache. The section restores the process-wide cache
+//! configuration afterwards, so the other benchmarks are unaffected by it.
 //!
 //! The `sweep/` section times an end-to-end ablation grid through the
 //! split-phase evaluation tiers: `sweep/grid_cold` (sub-evaluation LRU
@@ -347,83 +344,33 @@ fn bench_models(suite: &mut Suite, samples: usize) {
     }
 }
 
-/// Prices the persistent-cache tiers on the smoke FFT workload against
-/// throwaway directories:
-///
-/// * `store/cold_compile` — trace compile plus publish into an emptied
-///   store (the first process ever to see a workload);
-/// * `store/warm_load` — reload from a populated store with only the
-///   in-memory cache cleared (every later process);
-/// * `store/memo_hit` — a full `run_fft_point` served from a warm result
-///   cache (a repeated sweep point).
+/// Prices the persistent result cache on the smoke FFT workload against a
+/// throwaway directory: `store/memo_hit` is a full `run_fft_point` served
+/// from a warm result cache (a repeated sweep point).
 ///
 /// Runs last and restores the environment-driven cache configuration
-/// afterwards, so no other section sees the temporary directories.
+/// afterwards, so no other section sees the temporary directory.
 fn bench_store(suite: &mut Suite, samples: usize) {
-    let wants_cold = suite.wants("store/cold_compile");
-    let wants_warm = suite.wants("store/warm_load");
-    let wants_memo = suite.wants("store/memo_hit");
-    if !wants_cold && !wants_warm && !wants_memo {
+    if !suite.wants("store/memo_hit") {
         return;
     }
-    let unique = format!("mesh-perfsuite-{}", std::process::id());
-    let store_dir = std::env::temp_dir().join(format!("{unique}-store"));
-    let memo_dir = std::env::temp_dir().join(format!("{unique}-memo"));
-    let workload = fft::build(&FftConfig {
-        points: 16_384,
-        threads: 4,
-        ..FftConfig::default()
+    let memo_dir = std::env::temp_dir().join(format!("mesh-perfsuite-{}-memo", std::process::id()));
+    mesh_bench::memo::set_result_cache(Some(&memo_dir));
+    let populate = mesh_bench::run_fft_point(4, 8 * 1024, FFT_BUS_DELAY);
+    let median = time_median_ns(samples, 1, || {
+        let hit = mesh_bench::run_fft_point(4, 8 * 1024, FFT_BUS_DELAY);
+        assert_eq!(hit.iss_pct, populate.iss_pct, "memo must replay the point");
+        hit
     });
-    let machine = fft_machine(4, 8 * 1024, FFT_BUS_DELAY);
+    suite.record("store/memo_hit", median);
 
-    mesh_cyclesim::set_store(Some(&store_dir), None);
-    if wants_cold {
-        let median = time_median_batched_ns(
-            samples,
-            || {
-                let _ = std::fs::remove_dir_all(&store_dir);
-                std::fs::create_dir_all(&store_dir).expect("recreate store dir");
-                mesh_cyclesim::trace::clear_cache();
-            },
-            |()| mesh_cyclesim::prewarm(&workload, &machine, Pacing::default()),
-        );
-        suite.record("store/cold_compile", median);
-    }
-    if wants_warm {
-        // One populating pass, then each sample drops only the in-memory
-        // cache so the prewarm must read the published files back.
-        mesh_cyclesim::prewarm(&workload, &machine, Pacing::default());
-        let median = time_median_batched_ns(samples, mesh_cyclesim::trace::clear_cache, |()| {
-            mesh_cyclesim::prewarm(&workload, &machine, Pacing::default())
-        });
-        suite.record("store/warm_load", median);
-    }
-    if wants_memo {
-        mesh_bench::memo::set_result_cache(Some(&memo_dir));
-        let populate = mesh_bench::run_fft_point(4, 8 * 1024, FFT_BUS_DELAY);
-        let median = time_median_ns(samples, 1, || {
-            let hit = mesh_bench::run_fft_point(4, 8 * 1024, FFT_BUS_DELAY);
-            assert_eq!(hit.iss_pct, populate.iss_pct, "memo must replay the point");
-            hit
-        });
-        suite.record("store/memo_hit", median);
-    }
-
-    // Back to whatever the environment configured, then drop the tempdirs.
-    match std::env::var_os(mesh_cyclesim::store::STORE_ENV) {
-        Some(dir) if !dir.is_empty() => {
-            mesh_cyclesim::set_store(Some(std::path::Path::new(&dir)), None)
-        }
-        _ => mesh_cyclesim::set_store(None, None),
-    }
+    // Back to whatever the environment configured, then drop the tempdir.
     match std::env::var_os(mesh_bench::memo::RESULT_CACHE_ENV) {
         Some(dir) if !dir.is_empty() => {
             mesh_bench::memo::set_result_cache(Some(std::path::Path::new(&dir)))
         }
         _ => mesh_bench::memo::set_result_cache(None),
     }
-    mesh_cyclesim::trace::clear_cache();
-    let _ = std::fs::remove_dir_all(&store_dir);
     let _ = std::fs::remove_dir_all(&memo_dir);
 }
 
@@ -526,7 +473,6 @@ fn main() {
     // The environment-driven cache configuration, captured before the
     // store/ section temporarily redirects it, is what the artifact
     // records: it is what every *other* benchmark ran under.
-    let env_trace_store = mesh_cyclesim::store_enabled();
     let env_result_cache = mesh_bench::memo::enabled();
     let env_subeval_lru = mesh_bench::memo::subeval_lru_capacity() > 0;
     let mut suite = Suite {
@@ -609,9 +555,8 @@ fn main() {
         }
     }
 
-    // The persistent-cache tiers and the split-phase sweep grid, last so
-    // their store/config juggling and cache clearing cannot perturb any
-    // other section.
+    // The result cache and the split-phase sweep grid, last so their
+    // config juggling and cache clearing cannot perturb any other section.
     bench_store(&mut suite, s_sim);
     bench_sweep(&mut suite, s_sim);
 
@@ -620,10 +565,9 @@ fn main() {
         quick: args.quick,
         // Recorded so the perf gate can refuse to compare medians across
         // different parallelism or cache configurations (threads, fabric
-        // shards, persistent trace store, result memo cache).
+        // shards, result memo cache).
         jobs: mesh_bench::sweep::jobs_from_env(),
         shards: mesh_bench::fabric::shards_from_env().unwrap_or(0),
-        trace_store: usize::from(env_trace_store),
         result_cache: usize::from(env_result_cache),
         planner: if mesh_bench::eval::planner_enabled() {
             1
@@ -695,7 +639,7 @@ fn main() {
             );
         }
         // The obs/ and store/ prefixes gate the instrumentation overhead
-        // and the persistent-cache tiers the same way (a no-op against
+        // and the result cache the same way (a no-op against
         // baselines that predate those sections, since only benchmarks
         // present in both files are compared).
         for prefix in ["cyclesim/", "obs/", "store/", "sweep/"] {

@@ -11,7 +11,7 @@
 //! cargo run -p mesh-bench --bin table1 --release
 //! ```
 
-use mesh_bench::{prewarm_fft_point, run_fft_point, FFT_BUS_DELAY, FFT_CACHES, FFT_PROC_SWEEP};
+use mesh_bench::{run_fft_point, FFT_BUS_DELAY, FFT_CACHES, FFT_PROC_SWEEP};
 use mesh_metrics::Table;
 
 fn main() {
@@ -36,12 +36,9 @@ fn main() {
         .collect();
     let results = mesh_bench::or_exit(
         "table1",
-        mesh_bench::sweep::try_sweep_labeled_prewarmed(
-            "table1",
-            &points,
-            |&(procs, cache_bytes)| prewarm_fft_point(procs, cache_bytes, FFT_BUS_DELAY),
-            |&(procs, cache_bytes)| run_fft_point(procs, cache_bytes, FFT_BUS_DELAY),
-        ),
+        mesh_bench::sweep::try_sweep_labeled("table1", &points, |&(procs, cache_bytes)| {
+            run_fft_point(procs, cache_bytes, FFT_BUS_DELAY)
+        }),
     );
     // Timing table: flag rows whose wall clocks were replayed from the
     // result cache rather than measured by this process.

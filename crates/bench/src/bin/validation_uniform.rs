@@ -31,28 +31,19 @@ fn main() {
     let procs_sweep = [2usize, 4, 8];
     let results = mesh_bench::or_exit(
         "validation_uniform",
-        mesh_bench::sweep::try_sweep_labeled_prewarmed(
-            "validation_uniform",
-            &procs_sweep,
-            |&procs| {
-                let workload = build(&UniformConfig::with_threads(procs));
-                let machine = fft_machine(procs, 8 * 1024, 4);
-                mesh_cyclesim::ensure_stored(&workload, &machine, mesh_cyclesim::Pacing::default());
-            },
-            |&procs| {
-                let workload = build(&UniformConfig::with_threads(procs));
-                // Small caches so the steady sweep keeps missing.
-                let machine = fft_machine(procs, 8 * 1024, 4);
-                compare(
-                    &workload,
-                    &machine,
-                    HybridOptions {
-                        policy: AnnotationPolicy::AtBarriers,
-                        min_timeslice: 0.0,
-                    },
-                )
-            },
-        ),
+        mesh_bench::sweep::try_sweep_labeled("validation_uniform", &procs_sweep, |&procs| {
+            let workload = build(&UniformConfig::with_threads(procs));
+            // Small caches so the steady sweep keeps missing.
+            let machine = fft_machine(procs, 8 * 1024, 4);
+            compare(
+                &workload,
+                &machine,
+                HybridOptions {
+                    policy: AnnotationPolicy::AtBarriers,
+                    min_timeslice: 0.0,
+                },
+            )
+        }),
     );
     for (procs, p) in procs_sweep.into_iter().zip(results) {
         a_errs.push(p.analytical_error());

@@ -31,7 +31,7 @@
 //! evaluation inside each worker's own LRU.
 //!
 //! `MESH_BENCH_PLANNER=off` (or `0`) disables the planner; the sweep then
-//! behaves exactly like [`crate::sweep::try_sweep_labeled_prewarmed`].
+//! behaves exactly like [`crate::sweep::try_sweep_labeled`].
 //! Output is byte-identical either way — the planner changes only *when*
 //! sub-evaluations run, never what they produce.
 
@@ -44,16 +44,33 @@ use std::hash::Hash;
 
 /// Environment variable disabling the split-phase planner: `off` or `0`
 /// routes [`sweep_with_references`] straight to the ordinary sweep entry
-/// points. Any other value (or unset) keeps the planner on.
+/// points; `on` or `1` (or unset) keeps the planner on. Any other value
+/// warns on stderr and keeps it on.
 pub const PLANNER_ENV: &str = "MESH_BENCH_PLANNER";
 
 /// Whether the split-phase planner is active (default: yes; see
 /// [`PLANNER_ENV`]).
 pub fn planner_enabled() -> bool {
-    !matches!(
-        std::env::var(PLANNER_ENV).as_deref().map(str::trim),
-        Ok("off") | Ok("0")
-    )
+    match std::env::var(PLANNER_ENV) {
+        Ok(value) => parse_planner(&value).unwrap_or_else(|warning| {
+            eprintln!("{warning}");
+            true
+        }),
+        Err(_) => true,
+    }
+}
+
+/// Parses a [`PLANNER_ENV`] value into "planner on?"; the error is the
+/// warning to print before falling back to the default (on).
+fn parse_planner(value: &str) -> Result<bool, String> {
+    match value.trim() {
+        "off" | "0" => Ok(false),
+        "" | "on" | "1" => Ok(true),
+        _ => Err(format!(
+            "mesh-bench: ignoring invalid {PLANNER_ENV}={value:?} \
+             (want off|0 or on|1; keeping the planner on)"
+        )),
+    }
 }
 
 /// Groups `points` by reference key: returns (group index per point, number
@@ -100,34 +117,31 @@ impl Drop for HintsGuard {
 /// * `reference_run` computes (and thereby caches) the shared reference for
 ///   one point — typically a thin wrapper over [`crate::iss_reference`].
 ///   Its return value is discarded; the caches carry the result.
-/// * `prewarm` and `eval` are exactly the hooks of
-///   [`crate::sweep::try_sweep_labeled_prewarmed`].
+/// * `eval` is exactly the hook of [`crate::sweep::try_sweep_labeled`].
 ///
 /// Stdout and results are byte-identical to the un-planned path: the
 /// planner only reorders work. A failure in the reference phase is
 /// *demoted* to a warning — the evaluation phase re-attempts the reference
 /// under the real point label, so errors surface with proper grid
 /// coordinates.
-pub fn sweep_with_references<K, V, F, P, R, G>(
+pub fn sweep_with_references<K, V, F, R, G>(
     label: &str,
     points: &[K],
     reference_key: G,
     reference_run: R,
-    prewarm: P,
     eval: F,
 ) -> Result<Vec<V>, SweepError>
 where
     K: Hash + Eq + Clone + Sync + fmt::Debug,
     V: Clone + Send + Checkpointable,
     F: Fn(&K) -> V + Sync,
-    P: Fn(&K) + Sync,
     R: Fn(&K) + Sync,
     G: Fn(&K) -> u128,
 {
     // Workers get their assignment from the plan file; the parent already
     // planned for them. Disabled planner: plain dispatch.
     if fabric::worker_config().is_some() || !planner_enabled() {
-        return crate::sweep::try_sweep_labeled_prewarmed(label, points, prewarm, eval);
+        return crate::sweep::try_sweep_labeled(label, points, eval);
     }
 
     let (groups, representatives) = group_by_reference(points, reference_key);
@@ -161,7 +175,7 @@ where
                 .collect(),
         );
     }
-    crate::sweep::try_sweep_labeled_prewarmed(label, points, prewarm, eval)
+    crate::sweep::try_sweep_labeled(label, points, eval)
 }
 
 #[cfg(test)]
@@ -175,6 +189,26 @@ mod tests {
         let (groups, reps) = group_by_reference(&points, |&(machine, _)| machine as u128);
         assert_eq!(groups, vec![0, 0, 1, 0, 1, 2]);
         assert_eq!(reps, vec![0, 2, 5], "first point of each group");
+    }
+
+    #[test]
+    fn unrecognised_planner_value_warns_instead_of_passing_silently() {
+        for (value, on) in [
+            ("off", false),
+            (" 0 ", false),
+            ("", true),
+            ("on", true),
+            ("1", true),
+        ] {
+            assert_eq!(parse_planner(value), Ok(on), "{value:?}");
+        }
+        for bad in ["false", "no", "of", "OFF"] {
+            let warning = parse_planner(bad).expect_err(bad);
+            assert!(
+                warning.contains(&format!("ignoring invalid {PLANNER_ENV}={bad:?}")),
+                "{warning}"
+            );
+        }
     }
 
     #[test]
@@ -196,7 +230,6 @@ mod tests {
             |_| {
                 ref_runs.fetch_add(1, Ordering::Relaxed);
             },
-            |_| {},
             |&(machine, knob)| machine * 100 + knob,
         )
         .unwrap();
@@ -222,7 +255,6 @@ mod tests {
             |_| {
                 ref_runs.fetch_add(1, Ordering::Relaxed);
             },
-            |_| {},
             |&p| p * 2,
         )
         .unwrap();

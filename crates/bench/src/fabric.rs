@@ -591,17 +591,11 @@ fn reap(shards: &mut [Shard]) {
 /// processes and performs the deterministic last-wins merge. See the
 /// [module docs](self) for the protocol; on any spawn failure the sweep
 /// completes on the in-process engine instead of erroring.
-///
-/// When `prewarm` is given and the persistent trace store is enabled, the
-/// parent runs it over every unresolved point *before* spawning workers —
-/// compiling each distinct workload exactly once machine-wide instead of
-/// once per shard (see [`crate::sweep::try_sweep_labeled_prewarmed`]).
 pub(crate) fn run_sharded<K, V, F>(
     label: &str,
     points: &[K],
     user_ck: Option<&Checkpoint>,
     shards: usize,
-    prewarm: Option<&(dyn Fn(&K) + Sync)>,
     eval: F,
 ) -> Result<Vec<V>, SweepError>
 where
@@ -638,16 +632,6 @@ where
 
     if todo.is_empty() {
         return assemble(label, points, &merged, Vec::new());
-    }
-
-    // ---- Parent-side trace-store pre-warm -----------------------------
-    // Only the unresolved points, only with the store on: each distinct
-    // workload is compiled (or claimed) once here, and every worker then
-    // loads the shared traces instead of compiling its own copies.
-    if let Some(prewarm) = prewarm {
-        if mesh_cyclesim::store_enabled() {
-            prewarm_points(label, &todo, prewarm);
-        }
     }
 
     // ---- Scratch: plan file, worker checkpoints, session store --------
@@ -1005,54 +989,6 @@ where
     absorb_workers(&mut worker_shards, &slabel);
     let _ = std::fs::remove_dir_all(&sweep_dir);
     assemble(label, points, &merged, failures)
-}
-
-/// Runs the pre-warm hook over every unresolved point, bounded by
-/// `MESH_BENCH_JOBS` worker threads. A panicking point is reported and
-/// skipped — its traces simply compile in whichever worker evaluates it, so
-/// pre-warming can never fail a sweep that would otherwise succeed.
-fn prewarm_points<K: Sync + fmt::Debug>(
-    label: &str,
-    todo: &[(usize, &K, u64)],
-    prewarm: &(dyn Fn(&K) + Sync),
-) {
-    let start = Instant::now();
-    let jobs = crate::sweep::jobs_from_env().min(todo.len()).max(1);
-    let next = AtomicUsize::new(0);
-    let worker = || loop {
-        let claim = next.fetch_add(1, Ordering::Relaxed);
-        if claim >= todo.len() {
-            break;
-        }
-        let (index, key, _) = todo[claim];
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prewarm(key)));
-        if outcome.is_err() {
-            eprintln!(
-                "mesh-bench: pre-warm of point #{index} {key:?} of sweep '{label}' \
-                 panicked; the point will compile in its worker instead"
-            );
-        }
-    };
-    if jobs == 1 {
-        worker();
-    } else {
-        let worker = &worker;
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(worker);
-            }
-        });
-    }
-    if mesh_obs::enabled() {
-        mesh_obs::counter("fabric.points_prewarmed").add(todo.len() as u64);
-    }
-    if std::env::var_os(crate::sweep::PROGRESS_ENV).is_some_and(|v| !v.is_empty()) {
-        eprintln!(
-            "mesh-bench {label}: pre-warmed trace store for {} point(s) in {:.1}s",
-            todo.len(),
-            start.elapsed().as_secs_f64()
-        );
-    }
 }
 
 /// Accepts one record tailed from a worker checkpoint: decode, merge

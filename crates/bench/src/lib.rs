@@ -125,14 +125,6 @@ pub fn obs_finish() {
              ({} entries, {} steps resident, {} compiles)",
             s.hits, s.misses, s.evictions, s.fallbacks, s.entries, s.resident_steps, s.compiles
         );
-        if mesh_cyclesim::store_enabled() {
-            let s = mesh_cyclesim::store_stats();
-            eprintln!(
-                "mesh-bench trace-store: {} hits, {} misses, {} publishes, {} quarantined, \
-                 {} gc-removed, {} claim-waits",
-                s.hits, s.misses, s.publishes, s.quarantined, s.gc_removed, s.claim_waits
-            );
-        }
         let s = memo::stats();
         if memo::enabled() || s.lru_hits > 0 {
             eprintln!(
@@ -707,31 +699,6 @@ pub fn run_phm_point(idle1: f64, bus_delay: u64, seed: u64) -> ComparisonPoint {
     });
     let machine = phm_machine(bus_delay);
     compare(&workload, &machine, HybridOptions::default())
-}
-
-/// Pre-warms the persistent trace store for one Figure-4/Table-1 point:
-/// compiles (or claims) every trace the point's cycle-accurate runs will
-/// need and publishes it, without running any simulation or keeping the
-/// traces in this process's memory (already-published traces are skipped
-/// outright). A no-op unless `MESH_TRACE_STORE` is configured. The sweep
-/// fabric calls this in the *parent* before spawning shard workers, so N
-/// workers load shared traces instead of compiling the same workload N
-/// times.
-pub fn prewarm_fft_point(procs: usize, cache_bytes: u64, bus_delay: u64) {
-    let workload = fft::build(&FftConfig::with_threads(procs));
-    let machine = fft_machine(procs, cache_bytes, bus_delay);
-    mesh_cyclesim::ensure_stored(&workload, &machine, mesh_cyclesim::Pacing::default());
-}
-
-/// Pre-warms the persistent trace store for one Figure-5/6 point; see
-/// [`prewarm_fft_point`].
-pub fn prewarm_phm_point(idle1: f64, bus_delay: u64, seed: u64) {
-    let workload = scenario::build(&PhmConfig {
-        seed,
-        ..PhmConfig::with_second_idle(idle1)
-    });
-    let machine = phm_machine(bus_delay);
-    mesh_cyclesim::ensure_stored(&workload, &machine, mesh_cyclesim::Pacing::default());
 }
 
 /// Selects the adversarial-schedule set for envelope validation, honouring

@@ -1,8 +1,9 @@
-//! Tier-2 persistent cache: scenario-fingerprint → result memoization.
+//! Persistent cache: scenario-fingerprint → result memoization.
 //!
-//! Where the trace store (`mesh_cyclesim::store`) amortizes *compilation*,
-//! this module amortizes whole evaluations: with `MESH_RESULT_CACHE=<dir>`
-//! set, an experiment point whose complete scenario — workload content,
+//! Where the in-process trace cache amortizes *compilation* within one
+//! process, this module amortizes whole evaluations across processes: with
+//! `MESH_RESULT_CACHE=<dir>` set, an experiment point whose complete
+//! scenario — workload content,
 //! machine timing, contention model and parameters, hybrid knobs,
 //! adversary mode — fingerprints identically to an earlier run is answered
 //! from disk in microseconds, without entering either simulator. This is

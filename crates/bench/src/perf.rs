@@ -29,11 +29,11 @@
 //! [`check_regression`] refuses to compare two files whose configurations
 //! differ. Files written before these fields existed parse with `jobs: 0`,
 //! which marks the configuration unrecorded and skips that refusal.
-//! `trace_store` and `result_cache` (0 = off, 1 = on) record whether the
-//! persistent trace store (`MESH_TRACE_STORE`) and the result memo cache
-//! (`MESH_RESULT_CACHE`) were active, since a warm store turns compile
-//! benchmarks into page-cache reads; the same refusal applies to them when
-//! the parallelism configuration is recorded. `planner` and `subeval_lru`
+//! `result_cache` (0 = off, 1 = on) records whether the result memo cache
+//! (`MESH_RESULT_CACHE`) was active, since memoized points skip simulation;
+//! the same refusal applies to it when the parallelism configuration is
+//! recorded. Keys the reader does not know are ignored, so files carrying
+//! retired configuration fields still parse. `planner` and `subeval_lru`
 //! record the split-phase evaluation knobs (`MESH_BENCH_PLANNER`,
 //! `MESH_SUBEVAL_LRU`) as 0 = unrecorded / 1 = on / 2 = off, refusing
 //! comparison only when both files record a value and they differ.
@@ -68,9 +68,6 @@ pub struct BenchFile {
     /// Fabric shard count (`MESH_BENCH_SHARDS`); 0 means the run was
     /// in-process (or predates the field, when `jobs` is also 0).
     pub shards: usize,
-    /// 1 when the persistent trace store (`MESH_TRACE_STORE`) was active,
-    /// 0 when off or unrecorded (files predating the field).
-    pub trace_store: usize,
     /// 1 when the result memo cache (`MESH_RESULT_CACHE`) was active,
     /// 0 when off or unrecorded (files predating the field).
     pub result_cache: usize,
@@ -101,7 +98,6 @@ impl BenchFile {
         out.push_str(&format!("  \"quick\": {},\n", self.quick));
         out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
         out.push_str(&format!("  \"shards\": {},\n", self.shards));
-        out.push_str(&format!("  \"trace_store\": {},\n", self.trace_store));
         out.push_str(&format!("  \"result_cache\": {},\n", self.result_cache));
         out.push_str(&format!("  \"planner\": {},\n", self.planner));
         out.push_str(&format!("  \"subeval_lru\": {},\n", self.subeval_lru));
@@ -177,7 +173,6 @@ impl BenchFile {
         }
         let jobs = usize_field(text, "jobs")?;
         let shards = usize_field(text, "shards")?;
-        let trace_store = usize_field(text, "trace_store")?;
         let result_cache = usize_field(text, "result_cache")?;
         let planner = usize_field(text, "planner")?;
         let subeval_lru = usize_field(text, "subeval_lru")?;
@@ -210,7 +205,6 @@ impl BenchFile {
             quick,
             jobs,
             shards,
-            trace_store,
             result_cache,
             planner,
             subeval_lru,
@@ -298,9 +292,9 @@ pub fn time_median_batched_ns<I, O>(
 /// differing `jobs` or `shards` is itself an error: medians from a sharded
 /// run and an in-process run (or from different worker counts) must never
 /// be compared silently. The same guard covers the cache configuration —
-/// a run against a warm trace store or result cache measures page-cache
-/// reads where a cold run measures compiles, so differing `trace_store` or
-/// `result_cache` flags also refuse the comparison. Files predating the
+/// a run against a warm result cache replays points where a cold run
+/// simulates them, so a differing `result_cache` flag also refuses the
+/// comparison. Files predating the
 /// fields (`jobs == 0`) skip this guard, so committed baselines stay
 /// usable.
 ///
@@ -328,14 +322,6 @@ pub fn check_regression(
                 "configuration mismatch: current ran with shards={} but baseline with shards={} \
                  (0 = in-process) — medians are not comparable",
                 current.shards, baseline.shards
-            ));
-        }
-        if current.trace_store != baseline.trace_store {
-            mismatches.push(format!(
-                "configuration mismatch: current ran with trace_store={} but baseline with \
-                 trace_store={} (1 = persistent store active) — a warm store turns compiles \
-                 into reads, so medians are not comparable",
-                current.trace_store, baseline.trace_store
             ));
         }
         if current.result_cache != baseline.result_cache {
@@ -409,7 +395,6 @@ mod tests {
             quick: true,
             jobs: 4,
             shards: 0,
-            trace_store: 0,
             result_cache: 0,
             planner: 1,
             subeval_lru: 1,
@@ -484,14 +469,22 @@ mod tests {
             .to_json()
             .replace("  \"jobs\": 4,\n", "")
             .replace("  \"shards\": 0,\n", "")
-            .replace("  \"trace_store\": 0,\n", "")
             .replace("  \"result_cache\": 0,\n", "")
             .replace("  \"planner\": 1,\n", "")
             .replace("  \"subeval_lru\": 1,\n", "");
         let parsed = BenchFile::from_json(&text).expect("pre-fabric file parses");
         assert_eq!((parsed.jobs, parsed.shards), (0, 0));
-        assert_eq!((parsed.trace_store, parsed.result_cache), (0, 0));
+        assert_eq!(parsed.result_cache, 0);
         assert_eq!((parsed.planner, parsed.subeval_lru), (0, 0));
+        // Files written while the persistent trace store existed carry a
+        // `trace_store` key; it still parses and is ignored.
+        for flag in [0, 1] {
+            let text = sample_file().to_json().replace(
+                "  \"result_cache\"",
+                &format!("  \"trace_store\": {flag},\n  \"result_cache\""),
+            );
+            assert_eq!(BenchFile::from_json(&text), Ok(sample_file()), "{text}");
+        }
     }
 
     #[test]
@@ -517,21 +510,14 @@ mod tests {
 
     #[test]
     fn cache_config_mismatch_refuses_comparison() {
-        // A run against a warm trace store is not comparable with a cold
+        // A run against a warm result cache is not comparable with a cold
         // baseline even with identical parallelism.
         let baseline = sample_file();
         let mut current = sample_file();
-        current.trace_store = 1;
-        let err = check_regression(&current, &baseline, "cyclesim/", 2.0).unwrap_err();
-        assert_eq!(err.len(), 1);
-        assert!(err[0].contains("trace_store=1"), "{err:?}");
-        // Same for the result memo cache; both differing reports both.
-        let mut current = sample_file();
-        current.trace_store = 1;
         current.result_cache = 1;
         let err = check_regression(&current, &baseline, "cyclesim/", 2.0).unwrap_err();
-        assert_eq!(err.len(), 2);
-        assert!(err[1].contains("result_cache=1"), "{err:?}");
+        assert_eq!(err.len(), 1);
+        assert!(err[0].contains("result_cache=1"), "{err:?}");
         // Baselines that predate the fields (jobs unrecorded) skip the
         // guard entirely, like the jobs/shards rule.
         let mut old = sample_file();

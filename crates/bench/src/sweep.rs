@@ -844,50 +844,7 @@ where
     }
     let checkpoint = checkpoint_from_env()?;
     if let Some(shards) = crate::fabric::shards_from_env() {
-        return crate::fabric::run_sharded(label, points, checkpoint.as_ref(), shards, None, eval);
-    }
-    SweepEngine::<K, V>::from_env().try_run_resumable(label, points, checkpoint.as_ref(), eval)
-}
-
-/// [`try_sweep_labeled`] with a trace-store pre-warm hook.
-///
-/// `prewarm` compiles (or claims) everything a point's evaluation will need
-/// from the persistent trace store (`MESH_TRACE_STORE`), without running any
-/// simulation — typically a thin wrapper over
-/// [`mesh_cyclesim::ensure_stored`], which also skips already-published
-/// traces instead of loading them into the parent.
-/// It is invoked only on the **fabric parent** (before worker shards are
-/// spawned), only for points not already resolved by cache or checkpoint,
-/// and only when the trace store is enabled; everywhere else this function
-/// behaves exactly like [`try_sweep_labeled`]. Pre-warming in the parent is
-/// what makes compilation once-per-machine rather than once-per-shard: the
-/// N workers then load shared traces instead of racing to compile the same
-/// workloads N times.
-pub fn try_sweep_labeled_prewarmed<K, V, F, P>(
-    label: &str,
-    points: &[K],
-    prewarm: P,
-    eval: F,
-) -> Result<Vec<V>, SweepError>
-where
-    K: Hash + Eq + Clone + Sync + fmt::Debug,
-    V: Clone + Send + Checkpointable,
-    F: Fn(&K) -> V + Sync,
-    P: Fn(&K) + Sync,
-{
-    if let Some(cfg) = crate::fabric::worker_config() {
-        return crate::fabric::worker_sweep(&cfg, label, points, eval);
-    }
-    let checkpoint = checkpoint_from_env()?;
-    if let Some(shards) = crate::fabric::shards_from_env() {
-        return crate::fabric::run_sharded(
-            label,
-            points,
-            checkpoint.as_ref(),
-            shards,
-            Some(&prewarm),
-            eval,
-        );
+        return crate::fabric::run_sharded(label, points, checkpoint.as_ref(), shards, eval);
     }
     SweepEngine::<K, V>::from_env().try_run_resumable(label, points, checkpoint.as_ref(), eval)
 }

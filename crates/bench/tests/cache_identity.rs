@@ -1,12 +1,12 @@
 //! End-to-end identity checks for the caching tiers: a comparison point
-//! must produce the same simulated numbers with the trace store off, cold,
-//! and warm; a result-memo replay must reproduce the populating point
-//! *exactly* (recorded wall clocks included); a planner-driven sweep's
-//! stdout must be byte-identical across {planner off, planner on, sub-memo
-//! cold, sub-memo warm, sharded}; distinct hybrid knob settings must
-//! never collide within a sub-evaluation fingerprint domain; and the
-//! annotation-profile key must cover exactly the inputs a profile depends
-//! on.
+//! must produce the same simulated numbers with the result cache off and
+//! populating; a result-memo replay (from disk or from the in-process LRU)
+//! must reproduce the populating point *exactly* (recorded wall clocks
+//! included); a planner-driven sweep's stdout must be byte-identical
+//! across {planner off, planner on, sub-memo cold, sub-memo warm, sharded};
+//! distinct hybrid knob settings must never collide within a sub-evaluation
+//! fingerprint domain; and the annotation-profile key must cover exactly
+//! the inputs a profile depends on.
 //!
 //! The in-process leg test mutates process-global cache configuration, so
 //! its legs run in sequence inside one test function; the stdout legs spawn
@@ -49,55 +49,18 @@ fn point() -> ComparisonPoint {
 #[test]
 fn results_identical_across_cache_configurations() {
     let unique = format!("mesh-cache-identity-{}", std::process::id());
-    let store_dir = std::env::temp_dir().join(format!("{unique}-store"));
     let memo_dir = std::env::temp_dir().join(format!("{unique}-memo"));
-    let _ = std::fs::remove_dir_all(&store_dir);
     let _ = std::fs::remove_dir_all(&memo_dir);
 
-    // Leg 1: no store, no memo — the plain in-process baseline. The
-    // sub-evaluation LRU is cleared so this process actually simulates.
-    mesh_cyclesim::set_store(None, None);
+    // Leg 1: no memo — the plain in-process baseline. The sub-evaluation
+    // LRU is cleared so this process actually simulates.
     memo::set_result_cache(None);
     mesh_cyclesim::trace::clear_cache();
     memo::clear_subeval_lru();
     let baseline = point();
     assert!(!baseline.replayed, "cold compare is not a replay");
 
-    // Leg 2: cold store — first process to see the workload compiles and
-    // publishes.
-    mesh_cyclesim::set_store(Some(&store_dir), None);
-    mesh_cyclesim::trace::clear_cache();
-    memo::clear_subeval_lru();
-    let before = mesh_cyclesim::store_stats();
-    let cold = point();
-    let after_cold = mesh_cyclesim::store_stats();
-    assert!(
-        after_cold.publishes > before.publishes,
-        "cold run must publish traces: {before:?} -> {after_cold:?}"
-    );
-    assert_eq!(
-        deterministic_fields(&cold),
-        deterministic_fields(&baseline),
-        "cold-store run diverged from the storeless baseline"
-    );
-
-    // Leg 3: warm store — a fresh process (simulated by dropping the
-    // in-memory caches) loads the published traces instead of compiling.
-    mesh_cyclesim::trace::clear_cache();
-    memo::clear_subeval_lru();
-    let warm = point();
-    let after_warm = mesh_cyclesim::store_stats();
-    assert!(
-        after_warm.hits > after_cold.hits,
-        "warm run must load from the store: {after_cold:?} -> {after_warm:?}"
-    );
-    assert_eq!(
-        deterministic_fields(&warm),
-        deterministic_fields(&baseline),
-        "warm-store run diverged from the storeless baseline"
-    );
-
-    // Leg 4: result memo — the populating run computes and stores its
+    // Leg 2: result memo — the populating run computes and stores its
     // sub-evaluations, the replay must be the recorded point verbatim, wall
     // clocks included.
     memo::set_result_cache(Some(&memo_dir));
@@ -121,10 +84,10 @@ fn results_identical_across_cache_configurations() {
     assert_eq!(
         deterministic_fields(&populate),
         deterministic_fields(&baseline),
-        "memoized run diverged from the storeless baseline"
+        "memoized run diverged from the uncached baseline"
     );
 
-    // Leg 5: in-process LRU — with the LRU left warm, the point is served
+    // Leg 3: in-process LRU — with the LRU left warm, the point is served
     // without touching disk.
     let lru_before = memo::stats().lru_hits;
     let lru = point();
@@ -136,8 +99,6 @@ fn results_identical_across_cache_configurations() {
     assert_eq!(lru, populate, "LRU replay must be the recorded point");
 
     memo::set_result_cache(None);
-    mesh_cyclesim::set_store(None, None);
-    let _ = std::fs::remove_dir_all(&store_dir);
     let _ = std::fs::remove_dir_all(&memo_dir);
 }
 
@@ -303,7 +264,6 @@ const DEMO_EXE: &str = env!("CARGO_BIN_EXE_subeval_demo");
 /// Cache/planner/fabric variables that must not leak into the spawned legs.
 const SCRUB: &[&str] = &[
     "MESH_RESULT_CACHE",
-    "MESH_TRACE_STORE",
     "MESH_SUBEVAL_LRU",
     "MESH_BENCH_PLANNER",
     "MESH_BENCH_SHARDS",

@@ -36,31 +36,25 @@ fn arb_file() -> impl Strategy<Value = BenchFile> {
         arb_token(16),
         any::<bool>(),
         (0usize..64, 0usize..64),
-        (0usize..2, 0usize..2),
+        0usize..2,
         (0usize..3, 0usize..3),
         prop::collection::vec((arb_token(32), arb_median()), 0..8),
     )
         .prop_map(
-            |(
-                git_sha,
-                quick,
-                (jobs, shards),
-                (trace_store, result_cache),
-                (planner, subeval_lru),
-                benchmarks,
-            )| BenchFile {
-                git_sha,
-                quick,
-                jobs,
-                shards,
-                trace_store,
-                result_cache,
-                planner,
-                subeval_lru,
-                benchmarks: benchmarks
-                    .into_iter()
-                    .map(|(name, median_ns)| BenchRecord { name, median_ns })
-                    .collect(),
+            |(git_sha, quick, (jobs, shards), result_cache, (planner, subeval_lru), benchmarks)| {
+                BenchFile {
+                    git_sha,
+                    quick,
+                    jobs,
+                    shards,
+                    result_cache,
+                    planner,
+                    subeval_lru,
+                    benchmarks: benchmarks
+                        .into_iter()
+                        .map(|(name, median_ns)| BenchRecord { name, median_ns })
+                        .collect(),
+                }
             },
         )
 }
@@ -94,7 +88,6 @@ fn every_prefix_of_a_valid_file_is_handled() {
         quick: true,
         jobs: 8,
         shards: 2,
-        trace_store: 1,
         result_cache: 0,
         planner: 1,
         subeval_lru: 2,
@@ -124,7 +117,6 @@ fn malformed_fields_are_errors_not_panics() {
         quick: false,
         jobs: 4,
         shards: 0,
-        trace_store: 0,
         result_cache: 1,
         planner: 1,
         subeval_lru: 1,
@@ -167,7 +159,6 @@ fn quick_flag_survives_a_confusing_sha() {
             quick,
             jobs: 1,
             shards: 0,
-            trace_store: 0,
             result_cache: 0,
             planner: 0,
             subeval_lru: 0,

@@ -145,7 +145,6 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
         |_| {
             mesh_bench::iss_reference(&workload, &machine_b);
         },
-        |_| {},
         |m| {
             compare(
                 &workload,

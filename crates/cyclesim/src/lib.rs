@@ -16,11 +16,7 @@
 //! simulation run once at compile time — in parallel, de-duplicated by a
 //! cross-sweep content-keyed cache — and the engines merge pre-resolved
 //! events. The on-the-fly cursor path remains available behind
-//! [`TraceMode::OnTheFly`] and produces identical reports. Setting
-//! `MESH_TRACE_STORE=<dir>` adds a persistent cross-process tier (the
-//! [`store`] module): compiled traces are published to a content-addressed
-//! on-disk store so the compile cost is paid once per *machine*, not once
-//! per process.
+//! [`TraceMode::OnTheFly`] and produces identical reports.
 //!
 //! The simulator consumes the same [`Workload`](mesh_workloads::Workload)
 //! and [`MachineConfig`](mesh_arch::MachineConfig) the hybrid setup uses, so
@@ -33,7 +29,6 @@
 mod cursor;
 pub mod ring;
 pub mod sim;
-pub mod store;
 pub mod trace;
 
 pub use cursor::{compute_cycles, Pacing};
@@ -41,7 +36,4 @@ pub use sim::{
     simulate, simulate_with_limit, simulate_with_options, CycleReport, CycleSimError,
     ProcCycleStats, SimOptions,
 };
-pub use store::{set_store, store_enabled, store_stats, TraceStoreStats};
-pub use trace::{
-    cache_stats, ensure_stored, prewarm, workload_fingerprint, TraceCacheStats, TraceMode,
-};
+pub use trace::{cache_stats, prewarm, workload_fingerprint, TraceCacheStats, TraceMode};

@@ -54,7 +54,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 /// Environment variable selecting the default feed for
 /// [`SimOptions::default`](crate::SimOptions): set to `off`, `0` or
 /// `cursor` to disable trace compilation process-wide (the on-the-fly
-/// cursor path). Read once per process.
+/// cursor path); `on`, `1` or `compiled` (or unset) keep it. Any other
+/// value warns on stderr and keeps the compiled feed. Read once per
+/// process.
 pub const TRACE_ENV: &str = "MESH_CYCLESIM_TRACE";
 
 /// Environment variable capping one task's compiled trace, in steps
@@ -99,9 +101,25 @@ impl TraceMode {
     pub fn from_env() -> TraceMode {
         static MODE: OnceLock<TraceMode> = OnceLock::new();
         *MODE.get_or_init(|| match std::env::var(TRACE_ENV) {
-            Ok(v) if matches!(v.trim(), "off" | "0" | "cursor") => TraceMode::OnTheFly,
-            _ => TraceMode::Compiled,
+            Ok(v) => parse_trace_mode(&v).unwrap_or_else(|warning| {
+                eprintln!("{warning}");
+                TraceMode::Compiled
+            }),
+            Err(_) => TraceMode::Compiled,
         })
+    }
+}
+
+/// Parses a [`TRACE_ENV`] value; the error is the warning to print before
+/// falling back to [`TraceMode::Compiled`].
+fn parse_trace_mode(value: &str) -> Result<TraceMode, String> {
+    match value.trim() {
+        "off" | "0" | "cursor" => Ok(TraceMode::OnTheFly),
+        "" | "on" | "1" | "compiled" => Ok(TraceMode::Compiled),
+        _ => Err(format!(
+            "mesh-cyclesim: ignoring invalid {TRACE_ENV}={value:?} \
+             (want off|0|cursor or on|1|compiled; using compiled)"
+        )),
     }
 }
 
@@ -199,7 +217,7 @@ impl<'w> CursorFeed<'w> {
 }
 
 /// One task's compiled trace: the full step sequence, chunked.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) struct TaskTrace {
     chunks: Vec<Box<[TraceStep]>>,
     steps: usize,
@@ -208,32 +226,6 @@ pub(crate) struct TaskTrace {
 impl TaskTrace {
     pub(crate) fn steps(&self) -> usize {
         self.steps
-    }
-
-    /// Rebuilds a trace from a flat step sequence — the persistent store's
-    /// load path. Chunking matches [`compile`], so a loaded trace is
-    /// field-identical (including [`PartialEq`]) to a fresh compile.
-    pub(crate) fn from_steps(steps: Vec<TraceStep>) -> TaskTrace {
-        let count = steps.len();
-        let mut chunks: Vec<Box<[TraceStep]>> = Vec::with_capacity(count.div_ceil(CHUNK_STEPS));
-        let mut iter = steps.into_iter();
-        loop {
-            let chunk: Vec<TraceStep> = iter.by_ref().take(CHUNK_STEPS).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            chunks.push(chunk.into_boxed_slice());
-        }
-        TaskTrace {
-            chunks,
-            steps: count,
-        }
-    }
-
-    /// All steps in order, across chunk boundaries — the persistent store's
-    /// serialization path.
-    pub(crate) fn iter_steps(&self) -> impl Iterator<Item = &TraceStep> {
-        self.chunks.iter().flat_map(|c| c.iter())
     }
 }
 
@@ -530,7 +522,7 @@ pub(crate) fn compiled_for(
     let max_steps = env_steps(MAX_STEPS_ENV, DEFAULT_MAX_STEPS);
     let compiled = {
         let _span = mesh_obs::span("cyclesim.compile_ns");
-        compile_parallel(&missing, &keys, workload, machine, pacing, max_steps)
+        compile_parallel(&missing, workload, machine, pacing, max_steps)
     };
 
     let budget = env_steps(CACHE_STEPS_ENV, DEFAULT_CACHE_STEPS);
@@ -583,36 +575,31 @@ fn flush_cache_obs(hits: u64, misses: u64, fallbacks: u64, evictions: u64) {
 }
 
 /// Actual trace compiles performed by [`compiled_for`] since process start
-/// (store loads and in-memory hits don't count). Mirrored into the
-/// `cyclesim.trace.compiles` obs counter: a store-warm sweep reads zero.
+/// (in-memory hits don't count). Mirrored into the
+/// `cyclesim.trace.compiles` obs counter.
 static COMPILES: AtomicU64 = AtomicU64::new(0);
 
 /// Resolves the given task indices (in-memory misses), spreading distinct
 /// tasks over scoped worker threads claiming from a shared atomic index.
-/// Each task goes through the persistent store when one is configured —
-/// load if published, else claim + compile + publish ([`crate::store`]).
 fn compile_parallel(
     missing: &[usize],
-    keys: &[u128],
     workload: &Workload,
     machine: &MachineConfig,
     pacing: Pacing,
     max_steps: usize,
 ) -> Vec<Option<Arc<TaskTrace>>> {
     let compile_one = |i: usize| {
-        crate::store::get_or_compile(keys[i], max_steps, &|| {
-            COMPILES.fetch_add(1, Ordering::Relaxed);
-            if mesh_obs::enabled() {
-                mesh_obs::counter("cyclesim.trace.compiles").inc();
-            }
-            compile(
-                &workload.tasks[i].segments,
-                machine.procs[i],
-                derived_pacing(pacing, i),
-                max_steps,
-            )
-            .map(Arc::new)
-        })
+        COMPILES.fetch_add(1, Ordering::Relaxed);
+        if mesh_obs::enabled() {
+            mesh_obs::counter("cyclesim.trace.compiles").inc();
+        }
+        compile(
+            &workload.tasks[i].segments,
+            machine.procs[i],
+            derived_pacing(pacing, i),
+            max_steps,
+        )
+        .map(Arc::new)
     };
     let jobs = jobs_from_env().min(missing.len());
     if jobs <= 1 {
@@ -663,8 +650,8 @@ pub struct TraceCacheStats {
     /// Lookups (or fresh compiles) that resolved to a too-large verdict,
     /// sending the engines to the on-the-fly cursor fallback.
     pub fallbacks: u64,
-    /// Actual compiles performed. Always ≤ `misses`: with the persistent
-    /// store warm, misses resolve by loading and this stays at zero.
+    /// Actual compiles performed. Always ≤ `misses`: duplicate keys within
+    /// one workload compile once.
     pub compiles: u64,
 }
 
@@ -717,12 +704,9 @@ pub fn workload_fingerprint(workload: &Workload, machine: &MachineConfig, pacing
     h.finish128()
 }
 
-/// Resolves every task trace of the workload — in-memory cache, persistent
-/// store, or fresh compile (published to the store when one is configured)
-/// — without running a simulation. The sweep fabric's parent calls this
-/// before spawning shard workers so each distinct workload is compiled once
-/// machine-wide instead of once per worker; perfsuite uses it to price
-/// cold-compile vs warm-load.
+/// Resolves every task trace of the workload into the cross-sweep cache —
+/// a cache hit or a fresh compile — without running a simulation. Used to
+/// price compile cost apart from the simulation that consumes the traces.
 ///
 /// A workload/machine pair the simulator would reject (more tasks than
 /// processors) is skipped silently — the real run reports the error.
@@ -731,43 +715,6 @@ pub fn prewarm(workload: &Workload, machine: &MachineConfig, pacing: Pacing) {
         return;
     }
     let _ = compiled_for(workload, machine, pacing);
-}
-
-/// Ensures every task trace of the workload is published in the persistent
-/// store **without** retaining any of them in this process's memory:
-/// already-published traces are left untouched (worker processes read them
-/// directly), absent ones are compiled in parallel and published. This is
-/// what a fabric parent wants before spawning shards — [`prewarm`] would
-/// additionally load every published trace into the parent's own cache,
-/// memory and time its workers cannot benefit from. A no-op without a
-/// configured store or for workload/machine pairings the simulator rejects.
-pub fn ensure_stored(workload: &Workload, machine: &MachineConfig, pacing: Pacing) {
-    if !crate::store::store_enabled() || workload.tasks.len() > machine.procs.len() {
-        return;
-    }
-    let n = workload.tasks.len();
-    let keys: Vec<u128> = (0..n)
-        .map(|i| {
-            trace_key(
-                &workload.tasks[i].segments,
-                machine.procs[i],
-                derived_pacing(pacing, i),
-            )
-        })
-        .collect();
-    let mut missing: Vec<usize> = Vec::new();
-    for i in 0..n {
-        if !crate::store::is_published(keys[i]) && !missing.iter().any(|&j| keys[j] == keys[i]) {
-            missing.push(i);
-        }
-    }
-    if missing.is_empty() {
-        return;
-    }
-    let max_steps = env_steps(MAX_STEPS_ENV, DEFAULT_MAX_STEPS);
-    // Results deliberately dropped: get_or_compile published them, which is
-    // all a pre-warming parent needs.
-    let _ = compile_parallel(&missing, &keys, workload, machine, pacing, max_steps);
 }
 
 /// Compiles every task of the workload from scratch — bypassing the
@@ -943,6 +890,23 @@ mod tests {
         // Re-inserting an existing key replaces it without double counting.
         cache.insert(2, trace(10), 100);
         assert_eq!(cache.resident_steps, 60);
+    }
+
+    #[test]
+    fn unrecognised_trace_mode_warns_instead_of_passing_silently() {
+        for off in ["off", "0", " cursor "] {
+            assert_eq!(parse_trace_mode(off), Ok(TraceMode::OnTheFly), "{off}");
+        }
+        for on in ["", "on", "1", "compiled"] {
+            assert_eq!(parse_trace_mode(on), Ok(TraceMode::Compiled), "{on}");
+        }
+        for bad in ["false", "no", "cursur", "OFF"] {
+            let warning = parse_trace_mode(bad).expect_err(bad);
+            assert!(
+                warning.contains(&format!("ignoring invalid {TRACE_ENV}={bad:?}")),
+                "{warning}"
+            );
+        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Sharded sweeps run each worker in its own process, so worker-side
 //! counters, gauges and histograms have to cross a process boundary to show
 //! up in the merged `MESH_OBS_OUT` report. This module gives [`Snapshot`] a
-//! versioned, checksummed binary encoding in the style of the persistent
-//! trace store (`MTRS`): a fixed header carrying magic, version, payload
-//! length and an FNV-1a checksum, followed by a length-prefixed payload.
+//! versioned, checksummed binary encoding: a fixed header carrying magic,
+//! version, payload length and an FNV-1a checksum, followed by a
+//! length-prefixed payload.
 //!
 //! Decoding is paranoid by construction: every read is bounds-checked, a
 //! version mismatch is reported as [`DecodeError::WrongVersion`] (so old and
@@ -15,8 +15,8 @@
 //! can never panic the reader or yield a wrong snapshot: the checksum covers
 //! the whole payload, so bit flips surface as errors, not silent skew.
 //!
-//! Files are published with the store's tmp + rename idiom so a reader (the
-//! fabric parent) never observes a half-written snapshot.
+//! Files are published with the tmp + rename idiom so a reader (the fabric
+//! parent) never observes a half-written snapshot.
 
 use std::fmt;
 use std::fs;

@@ -4,7 +4,7 @@
 #   ./scripts/chaos_smoke.sh
 #
 # Extends scripts/fault_smoke.sh (in-process crash isolation) to the fabric
-# layer (crates/bench/src/fabric.rs, docs/ROBUSTNESS.md). Seven checks:
+# layer (crates/bench/src/fabric.rs, docs/ROBUSTNESS.md). Six checks:
 #
 #   1. Determinism: a sharded fig4 run (MESH_BENCH_SHARDS=3) is
 #      byte-identical to the single-process golden run.
@@ -24,17 +24,12 @@
 #   5. Degradation: with MESH_FABRIC_EXE pointing nowhere, spawning fails
 #      and the sweep completes on the in-process engine, byte-identical,
 #      exit 0.
-#   6. Trace store: a sharded fig4 run with MESH_TRACE_STORE populates the
-#      store and stays byte-identical; a published .trace file is then
-#      truncated (the torn write a crash mid-publish would leave if rename
-#      were not atomic) and the warm rerun — under another SIGKILL storm —
-#      quarantines it, recompiles, and is still byte-identical.
-#   7. Telemetry merge under fire: a sharded fig4 run with MESH_OBS_OUT,
+#   6. Telemetry merge under fire: a sharded fig4 run with MESH_OBS_OUT,
 #      under the same SIGKILL storm, produces one merged metrics.json
 #      whose sweep.points_done and cyclesim.sim.runs equal the
 #      single-process run's (docs/OBSERVABILITY.md).
 #
-# With CHAOS_ARTIFACTS=<dir> set, the merged snapshot from check 7 and the
+# With CHAOS_ARTIFACTS=<dir> set, the merged snapshot from check 6 and the
 # salvaged flight record from check 4 are copied there for CI upload.
 #
 # The deterministic (non-racy) versions of these properties are pinned by
@@ -67,7 +62,7 @@ fail() {
 MESH_BENCH_SHARDS=3 "$FIG4" > "$WORK/fig4.sharded.txt" 2>/dev/null
 cmp -s "$WORK/fig4.golden.txt" "$WORK/fig4.sharded.txt" \
     || fail "sharded fig4 output differs from the single-process run"
-echo "chaos_smoke: [1/7] sharded fig4 byte-identical (3 shards)"
+echo "chaos_smoke: [1/6] sharded fig4 byte-identical (3 shards)"
 
 # --- 2. Sharded fig4 under a random worker-SIGKILL storm ------------------
 # The killer loop SIGKILLs a random direct child of the sweep parent every
@@ -93,7 +88,7 @@ set -e
 cmp -s "$WORK/fig4.golden.txt" "$WORK/fig4.chaos.txt" \
     || fail "fig4 output under SIGKILL storm differs from the golden run"
 restarts="$(grep -c 'retrying on a fresh worker' "$WORK/fig4.chaos.err" || true)"
-echo "chaos_smoke: [2/7] sharded fig4 survived the SIGKILL storm byte-identical (${restarts} struck point(s) retried)"
+echo "chaos_smoke: [2/6] sharded fig4 survived the SIGKILL storm byte-identical (${restarts} struck point(s) retried)"
 
 # --- 3. Injected hang, killed by the heartbeat timeout --------------------
 mkdir -p "$WORK/chaos-markers"
@@ -108,7 +103,7 @@ grep -q "no heartbeat" "$WORK/worker.hang.err" \
     || fail "timeout kill was not reported on stderr"
 cmp -s "$WORK/worker.golden.txt" "$WORK/worker.hang.txt" \
     || fail "output after a timed-out point differs from the golden run"
-echo "chaos_smoke: [3/7] hung point killed by MESH_BENCH_TIMEOUT and recovered byte-identical"
+echo "chaos_smoke: [3/6] hung point killed by MESH_BENCH_TIMEOUT and recovered byte-identical"
 
 # --- 4. Permanently crashing point is poisoned, with coordinates ----------
 set +e
@@ -128,7 +123,7 @@ rec="$(sed -n 's/.*\[flight record: \([^]]*\)\].*/\1/p' "$WORK/worker.poison.err
 [[ -f "$rec" ]] || fail "salvaged flight record $rec does not exist"
 grep -q '"kind":"point"' "$rec" \
     || fail "salvaged flight record $rec does not name the fatal point"
-echo "chaos_smoke: [4/7] crash-every-time point poisoned after its strike budget, flight record salvaged (exit $status)"
+echo "chaos_smoke: [4/6] crash-every-time point poisoned after its strike budget, flight record salvaged (exit $status)"
 
 # --- 5. Spawn failure degrades to the in-process engine -------------------
 MESH_BENCH_SHARDS=3 MESH_FABRIC_EXE="$WORK/no-such-exe" \
@@ -137,45 +132,9 @@ grep -q "falling back to the in-process engine" "$WORK/fig4.fallback.err" \
     || fail "spawn failure was not reported as a fallback"
 cmp -s "$WORK/fig4.golden.txt" "$WORK/fig4.fallback.txt" \
     || fail "in-process fallback output differs from the golden run"
-echo "chaos_smoke: [5/7] spawn failure degraded gracefully to the in-process engine"
+echo "chaos_smoke: [5/6] spawn failure degraded gracefully to the in-process engine"
 
-# --- 6. Persistent trace store: torn file quarantined, output identical ---
-STORE="$WORK/trace-store"
-MESH_BENCH_SHARDS=3 MESH_TRACE_STORE="$STORE" \
-    "$FIG4" > "$WORK/fig4.store-cold.txt" 2>/dev/null
-cmp -s "$WORK/fig4.golden.txt" "$WORK/fig4.store-cold.txt" \
-    || fail "cold trace-store fig4 output differs from the golden run"
-mapfile -t traces < <(ls "$STORE"/*.trace 2>/dev/null)
-(( ${#traces[@]} > 0 )) || fail "cold run published no .trace files into $STORE"
-# Tear one published trace in half: exactly what a non-atomic publish
-# interrupted by SIGKILL would leave behind. The warm run must detect it,
-# rename it aside and recompile that workload.
-torn="${traces[RANDOM % ${#traces[@]}]}"
-size="$(stat -c %s "$torn")"
-truncate -s "$((size / 2))" "$torn"
-set +e
-MESH_BENCH_SHARDS=3 MESH_BENCH_RETRIES=10 MESH_TRACE_STORE="$STORE" \
-    "$FIG4" > "$WORK/fig4.store-warm.txt" 2> "$WORK/fig4.store-warm.err" &
-pid=$!
-for _ in $(seq 1 40); do
-    sleep 0.05
-    mapfile -t kids < <(pgrep -P "$pid" 2>/dev/null)
-    if (( ${#kids[@]} > 0 )); then
-        kill -9 "${kids[RANDOM % ${#kids[@]}]}" 2>/dev/null
-    fi
-    kill -0 "$pid" 2>/dev/null || break
-done
-wait "$pid"
-status=$?
-set -e
-[[ $status -eq 0 ]] || fail "warm trace-store fig4 exited $status (stderr: $(cat "$WORK/fig4.store-warm.err"))"
-cmp -s "$WORK/fig4.golden.txt" "$WORK/fig4.store-warm.txt" \
-    || fail "warm trace-store fig4 output differs from the golden run"
-ls "$STORE"/*.quarantined >/dev/null 2>&1 \
-    || fail "the torn .trace file was not quarantined"
-echo "chaos_smoke: [6/7] torn store file quarantined; warm sharded run byte-identical under SIGKILL storm"
-
-# --- 7. Telemetry merge under the SIGKILL storm ---------------------------
+# --- 6. Telemetry merge under the SIGKILL storm ---------------------------
 # The merged multi-process snapshot must equal the single-process run's on
 # the work-accounting counters even while workers are being murdered and
 # restarted: cumulative snapshots ride the point records, so a partial
@@ -211,7 +170,7 @@ for key in '"sweep.points_done"' '"cyclesim.sim.runs"'; do
 done
 grep -q '"shards"' "$WORK/obs-sharded/manifest.json" \
     || fail "merged manifest carries no per-shard provenance"
-echo "chaos_smoke: [7/7] merged telemetry snapshot equals the single-process run under the SIGKILL storm"
+echo "chaos_smoke: [6/6] merged telemetry snapshot equals the single-process run under the SIGKILL storm"
 
 # Optional artifact export for CI: merged snapshot + a salvaged flight
 # record, preserved past this script's temp-dir cleanup.

@@ -156,16 +156,10 @@ fn bench_cyclesim(
         .iter()
         .any(|(suffix, ..)| suite.wants(&format!("{name}_{suffix}")));
     if any_sim {
-        // Warm the trace cache so the `_skip`/`_tick` medians below price
-        // consumption only; `_compile` prices the compile side separately.
-        // The modes are explicit so the suite measures the same thing
-        // regardless of any MESH_CYCLESIM_TRACE setting in the caller's
-        // environment.
-        let warmup = SimOptions {
-            trace: TraceMode::Compiled,
-            ..SimOptions::default()
-        };
-        simulate_with_options(workload, machine, warmup).expect("cyclesim warmup");
+        // Warm the trace cache (the default feed is compiled) so the
+        // `_skip`/`_tick` medians below price consumption only; `_compile`
+        // prices the compile side separately.
+        simulate_with_options(workload, machine, SimOptions::default()).expect("cyclesim warmup");
     }
     for (suffix, reference_ticker, trace) in variants {
         let full = format!("{name}_{suffix}");
@@ -474,7 +468,6 @@ fn main() {
     // store/ section temporarily redirects it, is what the artifact
     // records: it is what every *other* benchmark ran under.
     let env_result_cache = mesh_bench::memo::enabled();
-    let env_subeval_lru = mesh_bench::memo::subeval_lru_capacity() > 0;
     let mut suite = Suite {
         filter: args.filter.clone(),
         records: Vec::new(),
@@ -569,12 +562,6 @@ fn main() {
         jobs: mesh_bench::sweep::jobs_from_env(),
         shards: mesh_bench::fabric::shards_from_env().unwrap_or(0),
         result_cache: usize::from(env_result_cache),
-        planner: if mesh_bench::eval::planner_enabled() {
-            1
-        } else {
-            2
-        },
-        subeval_lru: if env_subeval_lru { 1 } else { 2 },
         benchmarks: suite.records,
     };
 

@@ -4,10 +4,11 @@
 //! through the exact planner entry point the real ablation binaries use
 //! ([`mesh_bench::eval::sweep_with_references`] feeding
 //! [`mesh_bench::compare`]), printing a table with wall-clock columns. The
-//! `cache_identity` integration test spawns this binary under every cache /
-//! planner / sharding configuration and asserts the stdout bytes never
-//! change: cached legs replay their *recorded* wall clocks, so even the
-//! timing columns are reproduced exactly.
+//! `cache_identity` integration test spawns this binary cold, memo-warm and
+//! sharded and asserts the stdout bytes never change: cached legs replay
+//! their *recorded* wall clocks, so even the timing columns are reproduced
+//! exactly. A cold sharded run measures its own wall clocks; every other
+//! column must still match.
 
 use mesh_annotate::AnnotationPolicy;
 use mesh_bench::sweep::FBits;

@@ -9,72 +9,63 @@
 //! reference while every other point of its group blocks on the
 //! single-flight gate.
 //!
-//! [`sweep_with_references`] fixes the dispatch order. It walks the grid up
-//! front, groups points by a caller-supplied **reference key** (the shared
-//! sub-evaluation's fingerprint, e.g. [`crate::iss_reference_fp`]), then:
+//! [`sweep_with_references`] is the sweep entry point for such grids (the
+//! other, [`crate::sweep::try_sweep_labeled`], runs independent points).
+//! It fixes the dispatch order: the grid is grouped up front by a
+//! caller-supplied **reference key** (the shared sub-evaluation's
+//! fingerprint, e.g. [`crate::iss_reference_fp`]), then:
 //!
-//! 1. **Reference phase** — one representative per distinct group runs the
-//!    reference, in parallel on the in-process engine. Distinct references
-//!    use every core; nothing blocks.
-//! 2. **Evaluation phase** — the full grid dispatches through the ordinary
-//!    sweep entry points; every point finds its group's reference already
-//!    in the sub-evaluation LRU (or the persistent result cache) and pays
-//!    only the cheap hybrid/analytical legs.
+//! 1. **Reference phase** — one representative per shared group runs the
+//!    reference, in parallel on threads of this process. Distinct
+//!    references use every core; nothing blocks.
+//! 2. **Evaluation phase** — the full grid runs through the same dispatch
+//!    as [`crate::sweep::try_sweep_labeled`]; every point finds its group's
+//!    reference already in the sub-evaluation LRU (or the persistent result
+//!    cache) and pays only the cheap hybrid/analytical legs.
 //!
-//! Under the multi-process fabric (`MESH_BENCH_SHARDS`), the planner
-//! additionally registers **co-location hints**: points sharing a reference
-//! are assigned to the same shard in the plan file, so n workers never
-//! recompute one reference n-ways. With the persistent result cache on, the
-//! reference phase still runs in the parent and workers replay from disk;
-//! without it, the phase is skipped (a parent-computed reference could not
-//! reach the workers) and co-location alone provides once-per-group
-//! evaluation inside each worker's own LRU.
+//! Under the multi-process fabric (`MESH_BENCH_SHARDS`), the groups also
+//! travel to the fabric as **co-location hints**: points sharing a
+//! reference are assigned to the same shard, so n workers never recompute
+//! one reference n ways. With the persistent result cache on, the reference
+//! phase still runs in the parent and workers replay from disk; without it,
+//! the phase is skipped (a parent-computed reference could not reach the
+//! workers) and co-location alone provides once-per-group evaluation inside
+//! each worker's own LRU.
 //!
-//! `MESH_BENCH_PLANNER=off` (or `0`) disables the planner; the sweep then
-//! behaves exactly like [`crate::sweep::try_sweep_labeled`].
-//! Output is byte-identical either way — the planner changes only *when*
-//! sub-evaluations run, never what they produce.
+//! Output is byte-identical to [`crate::sweep::try_sweep_labeled`] on the
+//! same grid — the planner changes only *when* sub-evaluations run, never
+//! what they produce.
+//!
+//! ```
+//! use mesh_bench::eval::sweep_with_references;
+//! use std::sync::atomic::{AtomicU64, Ordering};
+//!
+//! // Six (machine, knob) points over two machines: one reference each.
+//! let points: Vec<(u64, u64)> = (0..2).flat_map(|m| (0..3).map(move |k| (m, k))).collect();
+//! let references = AtomicU64::new(0);
+//! let values = sweep_with_references(
+//!     "doc-planned",
+//!     &points,
+//!     |&(machine, _)| u128::from(machine),
+//!     |_| {
+//!         references.fetch_add(1, Ordering::Relaxed);
+//!     },
+//!     |&(machine, knob)| machine * 10 + knob,
+//! )
+//! .unwrap();
+//! assert_eq!(values, vec![0, 1, 2, 10, 11, 12]);
+//! assert_eq!(references.load(Ordering::Relaxed), 2);
+//! ```
 
-use crate::checkpoint::{stable_key_hash, Checkpointable};
-use crate::sweep::{SweepEngine, SweepError};
-use crate::{fabric, memo};
+use crate::checkpoint::Checkpointable;
+use crate::memo;
+use crate::sweep::{self, References, Settings, SweepError};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 
-/// Environment variable disabling the split-phase planner: `off` or `0`
-/// routes [`sweep_with_references`] straight to the ordinary sweep entry
-/// points; `on` or `1` (or unset) keeps the planner on. Any other value
-/// warns on stderr and keeps it on.
-pub const PLANNER_ENV: &str = "MESH_BENCH_PLANNER";
-
-/// Whether the split-phase planner is active (default: yes; see
-/// [`PLANNER_ENV`]).
-pub fn planner_enabled() -> bool {
-    match std::env::var(PLANNER_ENV) {
-        Ok(value) => parse_planner(&value).unwrap_or_else(|warning| {
-            eprintln!("{warning}");
-            true
-        }),
-        Err(_) => true,
-    }
-}
-
-/// Parses a [`PLANNER_ENV`] value into "planner on?"; the error is the
-/// warning to print before falling back to the default (on).
-fn parse_planner(value: &str) -> Result<bool, String> {
-    match value.trim() {
-        "off" | "0" => Ok(false),
-        "" | "on" | "1" => Ok(true),
-        _ => Err(format!(
-            "mesh-bench: ignoring invalid {PLANNER_ENV}={value:?} \
-             (want off|0 or on|1; keeping the planner on)"
-        )),
-    }
-}
-
-/// Groups `points` by reference key: returns (group index per point, number
-/// of groups, representative point index per group). Groups are numbered in
+/// Groups `points` by reference key: returns (group index per point,
+/// representative point index per group). Groups are numbered in
 /// first-occurrence order, so the assignment is deterministic.
 fn group_by_reference<K>(
     points: &[K],
@@ -94,16 +85,6 @@ fn group_by_reference<K>(
         })
         .collect();
     (groups, representatives)
-}
-
-/// Clears the fabric's co-location hints when the sweep finishes (or
-/// unwinds), so a later un-planned sweep is not steered by stale hints.
-struct HintsGuard;
-
-impl Drop for HintsGuard {
-    fn drop(&mut self) {
-        fabric::clear_plan_hints();
-    }
 }
 
 /// Split-phase sweep: dispatches the distinct shared references of a grid
@@ -138,23 +119,35 @@ where
     R: Fn(&K) + Sync,
     G: Fn(&K) -> u128,
 {
-    // Workers get their assignment from the plan file; the parent already
-    // planned for them. Disabled planner: plain dispatch.
-    if fabric::worker_config().is_some() || !planner_enabled() {
-        return crate::sweep::try_sweep_labeled(label, points, eval);
-    }
+    let references = References {
+        key: &reference_key,
+        run: &reference_run,
+    };
+    sweep::dispatch(label, points, Some(references), eval)
+}
 
-    let (groups, representatives) = group_by_reference(points, reference_key);
-    let fabric_active = fabric::shards_from_env().is_some();
-
-    // Reference phase. Under the fabric without a persistent result cache,
-    // a parent-side reference cannot reach the worker processes — skip the
-    // phase and let co-location dedupe inside each worker instead.
-    if representatives.len() < points.len() && (!fabric_active || memo::enabled()) {
-        let reps: Vec<K> = representatives.iter().map(|&i| points[i].clone()).collect();
+/// The reference phase of a planned grid, run by the sweep dispatch in the
+/// parent process: groups `points` by reference key and runs one
+/// representative per shared group on the in-process runner. Under the
+/// fabric (`sharded`) without a persistent result cache the phase is
+/// skipped, because a reference computed here could not reach the workers.
+/// Returns each point's group, the fabric's co-location hint.
+pub(crate) fn reference_phase<K>(
+    label: &str,
+    points: &[K],
+    references: &References<'_, K>,
+    sharded: bool,
+    settings: &Settings,
+) -> Vec<u64>
+where
+    K: Hash + Sync + fmt::Debug,
+{
+    let (groups, representatives) = group_by_reference(points, references.key);
+    if representatives.len() < points.len() && (!sharded || memo::enabled()) {
+        let reps: Vec<&K> = representatives.iter().map(|&i| &points[i]).collect();
         let refs_label = format!("{label}:refs");
-        let outcome = SweepEngine::<K, ()>::from_env().try_run_labeled(&refs_label, &reps, |key| {
-            reference_run(key);
+        let outcome = sweep::run_points(&refs_label, &reps, None, settings, |key| {
+            (references.run)(key);
         });
         if let Err(e) = outcome {
             // Not fatal: the evaluation phase re-runs the reference under
@@ -162,20 +155,7 @@ where
             eprintln!("mesh-bench: reference phase of sweep '{label}' incomplete ({e})");
         }
     }
-
-    // Evaluation phase, with co-location hints registered so a sharded run
-    // keeps each reference group on one worker.
-    let _guard = HintsGuard;
-    if fabric_active {
-        fabric::set_plan_hints(
-            points
-                .iter()
-                .zip(&groups)
-                .map(|(key, &group)| (stable_key_hash(key), group))
-                .collect(),
-        );
-    }
-    crate::sweep::try_sweep_labeled(label, points, eval)
+    groups
 }
 
 #[cfg(test)]
@@ -189,26 +169,6 @@ mod tests {
         let (groups, reps) = group_by_reference(&points, |&(machine, _)| machine as u128);
         assert_eq!(groups, vec![0, 0, 1, 0, 1, 2]);
         assert_eq!(reps, vec![0, 2, 5], "first point of each group");
-    }
-
-    #[test]
-    fn unrecognised_planner_value_warns_instead_of_passing_silently() {
-        for (value, on) in [
-            ("off", false),
-            (" 0 ", false),
-            ("", true),
-            ("on", true),
-            ("1", true),
-        ] {
-            assert_eq!(parse_planner(value), Ok(on), "{value:?}");
-        }
-        for bad in ["false", "no", "of", "OFF"] {
-            let warning = parse_planner(bad).expect_err(bad);
-            assert!(
-                warning.contains(&format!("ignoring invalid {PLANNER_ENV}={bad:?}")),
-                "{warning}"
-            );
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # The sweep fabric: supervised multi-process sharded sweeps
 //!
-//! [`crate::sweep`] parallelizes a grid with `std::thread::scope` inside one
+//! [`crate::sweep`] runs a grid on `std::thread::scope` threads inside one
 //! process, and its `catch_unwind` retry layer contains *panics* — but a
 //! grid point that dies by signal (SIGSEGV in native code, an OOM kill), or
 //! that livelocks inside a model evaluation, still takes the whole process
@@ -8,13 +8,17 @@
 //! into **supervised worker OS processes**:
 //!
 //! * **Opt-in sharding.** With [`SHARDS_ENV`] (`MESH_BENCH_SHARDS=n`) set,
-//!   the fallible sweep entry points ([`crate::sweep::try_sweep_labeled`])
-//!   shard the grid's unresolved points round-robin across `n` workers. Each
-//!   worker is a **re-exec of the current binary** (same executable, same
-//!   argv) with [`WORKER_SHARD_ENV`] set; the worker entrypoint inside
-//!   `try_sweep_labeled` recognizes the variable, evaluates only its
-//!   assigned points, and exits — it never reaches the binary's printing
-//!   code.
+//!   both sweep entry points ([`crate::sweep::try_sweep_labeled`] and
+//!   [`crate::eval::sweep_with_references`]) shard the grid's unresolved
+//!   points across `n` workers: round-robin, or — for a planned grid — one
+//!   shard per reference group (`group % n`), so a shared reference is
+//!   computed by one worker only. Each worker is a **re-exec of the
+//!   current binary** (same executable, same argv) with
+//!   [`WORKER_SHARD_ENV`] set; the sweep dispatch recognizes the variable,
+//!   evaluates only the worker's assigned points, and exits — the worker
+//!   never reaches the binary's printing code. Deduplication, checkpoint
+//!   prefill and the final input-order assembly are the in-process
+//!   runner's own steps, shared.
 //! * **Checkpoint records as the transport.** Each worker appends finished
 //!   points to its own [`Checkpoint`] file ([`WORKER_OUT_ENV`]) with the
 //!   same lossless encoding used for crash/resume. The parent tails these
@@ -43,7 +47,7 @@
 //! * **Graceful degradation.** If spawning a worker fails — a sandbox that
 //!   forbids `fork`/`exec`, a missing executable — the fabric drains
 //!   whatever the workers already produced and finishes the sweep on the
-//!   in-process engine, with a warning instead of an error.
+//!   in-process runner, with a warning instead of an error.
 //! * **Cross-process telemetry.** With observability on, each worker
 //!   embeds its cumulative [`mesh_obs`] snapshot (wire-encoded, see
 //!   [`mesh_obs::wire`]) in the *same atomic append* as every point record,
@@ -63,7 +67,7 @@
 //!   [idle] ----------> [running] <------------------------------.
 //!      ^  \               |  |___________________________________|
 //!      |   \ spawn err    | exit(0) & all planned points done
-//!      |    '----------> fallback to in-process engine
+//!      |    '----------> fallback to in-process runner
 //!      |                  |
 //!      |                  | death (signal/panic/nonzero) or timeout kill
 //!      |                  v
@@ -77,7 +81,7 @@
 //!
 //! | Variable | Effect |
 //! |---|---|
-//! | `MESH_BENCH_SHARDS` | worker process count; unset/0 keeps the in-process engine |
+//! | `MESH_BENCH_SHARDS` | worker process count; unset/0 keeps the in-process runner |
 //! | `MESH_BENCH_TIMEOUT` | per-point wall-clock seconds before a silent worker is killed |
 //! | `MESH_BENCH_RETRIES` | strike budget per point (shared with the in-process retry layer) |
 //! | `MESH_BENCH_CHECKPOINT` | resume file; also the session store workers read prior sweeps from |
@@ -91,24 +95,34 @@
 //! MESH_BENCH_SHARDS=4 MESH_BENCH_TIMEOUT=30 \
 //!     cargo run -p mesh-bench --bin fig4 --release
 //! ```
+//!
+//! A binary needs no fabric-specific code: the same call runs on threads
+//! by default and on worker processes under `MESH_BENCH_SHARDS`, with the
+//! same result.
+//!
+//! ```
+//! use mesh_bench::sweep::try_sweep_labeled;
+//!
+//! let grid: Vec<u64> = (1..=6).collect();
+//! let values = try_sweep_labeled("doc-fabric", &grid, |&n| n * 100).unwrap();
+//! assert_eq!(values, vec![100, 200, 300, 400, 500, 600]);
+//! ```
 
 use crate::checkpoint::{sanitize, split_record, stable_key_hash, Checkpoint, Checkpointable};
-use crate::sweep::{
-    fail_point_for, retries_from_env, PointFailure, SweepEngine, SweepError, FAIL_POINT_ENV,
-};
+use crate::sweep::{self, PointFailure, Settings, SweepError, Todo, FAIL_POINT_ENV};
 use mesh_core::Backoff;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
-use std::io::{IsTerminal as _, Read as _, Seek as _};
+use std::io::{Read as _, Seek as _};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Environment variable selecting the worker-process count (the fabric's
-/// opt-in). Unset, empty, `0` or unparseable keeps the in-process engine.
+/// opt-in). Unset, empty, `0` or unparseable keeps the in-process runner.
 pub const SHARDS_ENV: &str = "MESH_BENCH_SHARDS";
 
 /// Environment variable bounding the wall-clock seconds a worker may go
@@ -308,8 +322,8 @@ pub(crate) fn worker_sweep<K, V, F>(
     eval: F,
 ) -> Result<Vec<V>, SweepError>
 where
-    K: Hash + Eq + Clone + fmt::Debug,
-    V: Checkpointable + Clone,
+    K: Hash + fmt::Debug,
+    V: Checkpointable,
     F: Fn(&K) -> V,
 {
     if sanitize(label) != cfg.label {
@@ -383,13 +397,14 @@ where
             let _ = mesh_obs::flightrec::write_file(&flightrec_path);
         }
     };
-    // First occurrence of every distinct key, by stable hash — the same
-    // dedupe rule the parent used to build the plan.
-    let mut by_hash: HashMap<u64, (usize, &K)> = HashMap::new();
-    for (index, key) in points.iter().enumerate() {
-        by_hash.entry(stable_key_hash(key)).or_insert((index, key));
-    }
-    let fail_index = fail_point_for(label);
+    // First occurrence of every distinct key, by stable hash — the parent's
+    // own dedupe step, so the worker resolves exactly the planned keys.
+    let (_, firsts) = sweep::prefill::<K, V>(label, points, None);
+    let by_hash: HashMap<u64, (usize, &K)> = firsts
+        .into_iter()
+        .map(|(index, key, hash)| (hash, (index, key)))
+        .collect();
+    let fail_index = sweep::injected_index(sweep::fail_point_from_env().as_ref(), label);
     for hash in mine {
         if cfg.skip.contains(&hash) || out.contains(label, hash) {
             continue;
@@ -479,43 +494,6 @@ fn read_plan(path: &Path, shard: usize) -> std::io::Result<Vec<u64>> {
 /// directories of successive sharded sweeps (including repeated labels).
 static SWEEP_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-/// Process-global co-location hints for the next sharded sweep: stable
-/// point-key hash → reference-group index. Points sharing a group land on
-/// one shard, so a sub-evaluation they share (an ISS reference) is computed
-/// once per *sweep* rather than once per *shard*. Registered by the
-/// [`crate::eval`] planner just before dispatch and cleared when it's done;
-/// unhinted points keep the round-robin assignment.
-fn plan_hints() -> &'static Mutex<HashMap<u64, u64>> {
-    static CELL: OnceLock<Mutex<HashMap<u64, u64>>> = OnceLock::new();
-    CELL.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Replaces the co-location hints consulted by the next [`run_sharded`].
-pub(crate) fn set_plan_hints(hints: HashMap<u64, u64>) {
-    *plan_hints().lock().expect("plan hints poisoned") = hints;
-}
-
-/// Clears the co-location hints (restores pure round-robin assignment).
-pub(crate) fn clear_plan_hints() {
-    plan_hints().lock().expect("plan hints poisoned").clear();
-}
-
-/// The shard each `todo` entry is assigned to: the co-location hint's group
-/// (modulo the shard count) when one is registered, round-robin otherwise.
-/// Both the plan file and the supervision state are derived from this one
-/// vector, so parent and workers always agree.
-fn shard_assignment(hashes: &[u64], shards: usize) -> Vec<usize> {
-    let hints = plan_hints().lock().expect("plan hints poisoned");
-    hashes
-        .iter()
-        .enumerate()
-        .map(|(j, hash)| match hints.get(hash) {
-            Some(&group) => (group % shards as u64) as usize,
-            None => j % shards,
-        })
-        .collect()
-}
-
 /// One supervised worker shard: its assignment, its child process and the
 /// incremental state of tailing its checkpoint.
 struct Shard {
@@ -544,6 +522,26 @@ struct Shard {
     /// When the shard's assignment first became complete while its worker
     /// was still running — starts the [`EXIT_GRACE`] clock.
     done_since: Option<Instant>,
+}
+
+impl Shard {
+    /// When the shard may respawn after its `attempt`-th consecutive
+    /// failure: capped exponential backoff with per-shard jitter.
+    fn backoff(&self, attempt: u32) -> Instant {
+        Instant::now()
+            + Backoff::exponential(RESTART_BACKOFF_BASE, RESTART_BACKOFF_CAP)
+                .with_seed(self.index as u64)
+                .delay(attempt)
+    }
+
+    /// Counts a worker death and schedules the respawn.
+    fn schedule_restart(&mut self, obs_on: bool) {
+        self.restarts += 1;
+        if obs_on {
+            mesh_obs::counter("fabric.workers_restarted").inc();
+        }
+        self.backoff_until = Some(self.backoff(self.restarts));
+    }
 }
 
 /// Lowercase-hex encodes arbitrary bytes for embedding in a single-line
@@ -590,48 +588,41 @@ fn reap(shards: &mut [Shard]) {
 /// The parent entrypoint: shards `points` across `shards` supervised worker
 /// processes and performs the deterministic last-wins merge. See the
 /// [module docs](self) for the protocol; on any spawn failure the sweep
-/// completes on the in-process engine instead of erroring.
+/// completes on the in-process runner instead of erroring.
+///
+/// `groups`, when given, holds each point's reference group from the
+/// [`crate::eval`] planner: a group's points all land on shard
+/// `group % shards`, so a sub-evaluation they share (an ISS reference) is
+/// computed once per *sweep* rather than once per *shard*. Without groups
+/// the points are dealt round-robin.
 pub(crate) fn run_sharded<K, V, F>(
     label: &str,
     points: &[K],
     user_ck: Option<&Checkpoint>,
     shards: usize,
+    groups: Option<&[u64]>,
+    settings: &Settings,
     eval: F,
 ) -> Result<Vec<V>, SweepError>
 where
-    K: Hash + Eq + Clone + Sync + fmt::Debug,
+    K: Hash + Sync + fmt::Debug,
     V: Checkpointable + Clone + Send,
     F: Fn(&K) -> V + Sync,
 {
     let slabel = sanitize(label);
     let obs_on = mesh_obs::enabled();
 
-    // ---- Prefill and dedupe -------------------------------------------
     // `merged` maps key hash -> finished value; everything resolvable from
     // the user checkpoint starts there, and worker records land there too.
-    let mut merged: HashMap<u64, V> = HashMap::new();
-    let mut todo: Vec<(usize, &K, u64)> = Vec::new();
-    let mut claimed: HashSet<u64> = HashSet::new();
-    for (index, key) in points.iter().enumerate() {
-        let hash = stable_key_hash(key);
-        if !claimed.insert(hash) || merged.contains_key(&hash) {
-            continue;
-        }
-        if let Some(ck) = user_ck {
-            if let Some(value) = ck.lookup::<V>(label, hash) {
-                merged.insert(hash, value);
-                continue;
-            }
-        }
-        todo.push((index, key, hash));
-    }
+    let (mut merged, todo) = sweep::prefill::<K, V>(label, points, user_ck);
+    let unique = merged.len() + todo.len();
     if obs_on {
         mesh_obs::gauge("sweep.points_total").set(points.len() as u64);
         mesh_obs::gauge("fabric.shards").set(shards as u64);
     }
 
     if todo.is_empty() {
-        return assemble(label, points, &merged, Vec::new());
+        return sweep::assemble(label, points, &merged, Vec::new());
     }
 
     // ---- Scratch: plan file, worker checkpoints, session store --------
@@ -642,10 +633,17 @@ where
     let session: &Checkpoint;
     let session_path: PathBuf;
     let plan_path = sweep_dir.join("plan.txt");
-    let assignment = shard_assignment(
-        &todo.iter().map(|&(_, _, hash)| hash).collect::<Vec<u64>>(),
-        shards,
-    );
+    // The shard of each `todo` entry. Both the plan file and the
+    // supervision state derive from this one vector, so parent and workers
+    // always agree.
+    let assignment: Vec<usize> = todo
+        .iter()
+        .enumerate()
+        .map(|(j, &(index, _, _))| match groups {
+            Some(groups) => (groups[index] % shards as u64) as usize,
+            None => j % shards,
+        })
+        .collect();
     {
         let prepared: std::io::Result<()> = (|| {
             std::fs::create_dir_all(&sweep_dir)?;
@@ -662,7 +660,7 @@ where
                  falling back to the in-process engine",
                 sweep_dir.display()
             );
-            return fallback(label, points, user_ck, merged, eval);
+            return fallback(label, points, user_ck, settings, merged, eval);
         }
     }
     match user_ck {
@@ -683,7 +681,7 @@ where
                          falling back to the in-process engine",
                         session_path.display()
                     );
-                    return fallback(label, points, user_ck, merged, eval);
+                    return fallback(label, points, user_ck, settings, merged, eval);
                 }
             }
         }
@@ -714,13 +712,10 @@ where
             done_since: None,
         })
         .collect();
-    let max_attempts = retries_from_env() + 1;
+    let max_attempts = settings.retries + 1;
     let timeout = timeout_from_env();
-    let progress = std::env::var_os(crate::sweep::PROGRESS_ENV).is_some_and(|v| !v.is_empty())
-        || std::io::stderr().is_terminal();
     let sweep_start = Instant::now();
     let mut strikes: HashMap<u64, u32> = HashMap::new();
-    let mut last_reason: HashMap<u64, String> = HashMap::new();
     let mut poisoned: HashSet<u64> = HashSet::new();
     let mut failures: Vec<PointFailure> = Vec::new();
     let mut reported = merged.len();
@@ -833,17 +828,9 @@ where
                                 );
                                 reap(&mut worker_shards);
                                 absorb_workers(&mut worker_shards, &slabel);
-                                return fallback(label, points, user_ck, merged, eval);
+                                return fallback(label, points, user_ck, settings, merged, eval);
                             }
-                            shard.backoff_until = Some(
-                                Instant::now()
-                                    + Backoff::exponential(
-                                        RESTART_BACKOFF_BASE,
-                                        RESTART_BACKOFF_CAP,
-                                    )
-                                    .with_seed(shard.index as u64)
-                                    .delay(shard.spawn_failures),
-                            );
+                            shard.backoff_until = Some(shard.backoff(shard.spawn_failures));
                         }
                     }
                 }
@@ -857,7 +844,7 @@ where
                         );
                         reap(&mut worker_shards);
                         absorb_workers(&mut worker_shards, &slabel);
-                        return fallback(label, points, user_ck, merged, eval);
+                        return fallback(label, points, user_ck, settings, merged, eval);
                     }
                     // A clean exit with points still pending means the
                     // worker believed it was done (it skipped them) or died
@@ -878,21 +865,11 @@ where
                         flight,
                         max_attempts,
                         &mut strikes,
-                        &mut last_reason,
                         &mut poisoned,
                         &mut failures,
                         obs_on,
                     );
-                    shard.restarts += 1;
-                    if obs_on {
-                        mesh_obs::counter("fabric.workers_restarted").inc();
-                    }
-                    shard.backoff_until = Some(
-                        Instant::now()
-                            + Backoff::exponential(RESTART_BACKOFF_BASE, RESTART_BACKOFF_CAP)
-                                .with_seed(shard.index as u64)
-                                .delay(shard.restarts),
-                    );
+                    shard.schedule_restart(obs_on);
                 }
                 // Worker running: enforce the heartbeat timeout.
                 Some(Ok(None)) => {
@@ -936,25 +913,12 @@ where
                                     flight,
                                     max_attempts,
                                     &mut strikes,
-                                    &mut last_reason,
                                     &mut poisoned,
                                     &mut failures,
                                     obs_on,
                                 );
                             }
-                            shard.restarts += 1;
-                            if obs_on {
-                                mesh_obs::counter("fabric.workers_restarted").inc();
-                            }
-                            shard.backoff_until = Some(
-                                Instant::now()
-                                    + Backoff::exponential(
-                                        RESTART_BACKOFF_BASE,
-                                        RESTART_BACKOFF_CAP,
-                                    )
-                                    .with_seed(shard.index as u64)
-                                    .delay(shard.restarts),
-                            );
+                            shard.schedule_restart(obs_on);
                         }
                     }
                 }
@@ -971,13 +935,12 @@ where
         if obs_on {
             mesh_obs::gauge("sweep.points_done").set((merged.len().min(points.len())) as u64);
         }
-        if progress && merged.len() != reported {
+        if settings.progress && merged.len() != reported {
             reported = merged.len();
             let elapsed = sweep_start.elapsed().as_secs_f64();
             eprintln!(
-                "mesh-bench {label}: {reported}/{} unique points \
-                 (fabric: {shards} shards, {elapsed:.1}s elapsed)",
-                claimed.len()
+                "mesh-bench {label}: {reported}/{unique} unique points \
+                 (fabric: {shards} shards, {elapsed:.1}s elapsed)"
             );
         }
         if all_finished {
@@ -988,7 +951,7 @@ where
     reap(&mut worker_shards);
     absorb_workers(&mut worker_shards, &slabel);
     let _ = std::fs::remove_dir_all(&sweep_dir);
-    assemble(label, points, &merged, failures)
+    sweep::assemble(label, points, &merged, failures)
 }
 
 /// Accepts one record tailed from a worker checkpoint: decode, merge
@@ -998,7 +961,7 @@ fn accept_record<V: Checkpointable>(
     slabel: &str,
     hash: u64,
     encoded: &str,
-    todo: &[(usize, &impl fmt::Debug, u64)],
+    todo: &Todo<'_, impl fmt::Debug>,
     merged: &mut HashMap<u64, V>,
     session: &Checkpoint,
     obs_on: bool,
@@ -1103,14 +1066,12 @@ fn strike<K: fmt::Debug>(
     flight_record: Option<String>,
     max_attempts: u32,
     strikes: &mut HashMap<u64, u32>,
-    last_reason: &mut HashMap<u64, String>,
     poisoned: &mut HashSet<u64>,
     failures: &mut Vec<PointFailure>,
     obs_on: bool,
 ) {
     let count = strikes.entry(hash).or_insert(0);
     *count += 1;
-    last_reason.insert(hash, reason.clone());
     let &(index, key, _) = point;
     if *count >= max_attempts {
         poisoned.insert(hash);
@@ -1223,18 +1184,19 @@ fn drain_records(shard: &mut Shard, slabel: &str) -> Vec<(u64, String)> {
     records
 }
 
-/// Finishes the sweep on the in-process engine, reusing everything the
+/// Finishes the sweep on the in-process runner, reusing everything the
 /// workers already produced — the graceful-degradation path for
 /// environments where process spawning is unavailable.
 fn fallback<K, V, F>(
     label: &str,
     points: &[K],
     user_ck: Option<&Checkpoint>,
+    settings: &Settings,
     merged: HashMap<u64, V>,
     eval: F,
 ) -> Result<Vec<V>, SweepError>
 where
-    K: Hash + Eq + Clone + Sync + fmt::Debug,
+    K: Hash + Sync + fmt::Debug,
     V: Checkpointable + Clone + Send,
     F: Fn(&K) -> V + Sync,
 {
@@ -1242,54 +1204,16 @@ where
         mesh_obs::counter("fabric.fallbacks").inc();
     }
     // A Mutex (rather than a shared map) keeps `V: Sync` out of the sweep
-    // entry points' bounds; the engine evaluates each unique key once, so
+    // entry points' bounds; the runner evaluates each unique key once, so
     // `remove` hands the worker's value over without cloning.
-    let merged = std::sync::Mutex::new(merged);
-    let engine = SweepEngine::<K, V>::from_env();
-    engine.try_run_resumable(label, points, user_ck, |key| {
+    let merged = Mutex::new(merged);
+    sweep::run_points(label, points, user_ck, settings, |key| {
         let salvaged = merged
             .lock()
             .expect("fabric fallback map poisoned")
             .remove(&stable_key_hash(key));
         salvaged.unwrap_or_else(|| eval(key))
     })
-}
-
-/// Reassembles the input-ordered result vector from the merged map — the
-/// deterministic final step shared by the complete and the prefilled-only
-/// paths.
-fn assemble<K, V>(
-    label: &str,
-    points: &[K],
-    merged: &HashMap<u64, V>,
-    mut failures: Vec<PointFailure>,
-) -> Result<Vec<V>, SweepError>
-where
-    K: Hash + fmt::Debug,
-    V: Clone,
-{
-    if !failures.is_empty() {
-        failures.sort_by_key(|f| f.index);
-        let completed = points
-            .iter()
-            .filter(|key| merged.contains_key(&stable_key_hash(key)))
-            .count();
-        return Err(SweepError::Points {
-            label: label.to_string(),
-            total: points.len(),
-            completed,
-            failures,
-        });
-    }
-    Ok(points
-        .iter()
-        .map(|key| {
-            merged
-                .get(&stable_key_hash(key))
-                .cloned()
-                .expect("fabric merged every non-poisoned point")
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -1323,37 +1247,6 @@ mod tests {
         std::fs::write(&path, "not a plan\n1 zzzz\n2 00000000000000ff\n").unwrap();
         assert_eq!(read_plan(&path, 2).unwrap(), vec![0xff]);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn assemble_orders_results_and_reports_failures() {
-        let points = vec![3u64, 1, 3, 2];
-        let mut merged = HashMap::new();
-        for &p in &points {
-            merged.insert(stable_key_hash(&p), p * 10);
-        }
-        let out = assemble("t", &points, &merged, Vec::new()).unwrap();
-        assert_eq!(out, vec![30, 10, 30, 20], "input order incl. duplicates");
-
-        let failures = vec![PointFailure {
-            label: "t".into(),
-            index: 1,
-            coordinates: "1".into(),
-            payload: "poisoned: worker died".into(),
-            attempts: 2,
-            flight_record: None,
-        }];
-        merged.remove(&stable_key_hash(&1u64));
-        let err = assemble("t", &points, &merged, failures).unwrap_err();
-        match err {
-            SweepError::Points {
-                total, completed, ..
-            } => {
-                assert_eq!(total, 4);
-                assert_eq!(completed, 3, "both duplicates of 3, plus 2");
-            }
-            other => panic!("expected Points, got {other:?}"),
-        }
     }
 
     #[test]

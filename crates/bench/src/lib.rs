@@ -701,6 +701,45 @@ pub fn run_phm_point(idle1: f64, bus_delay: u64, seed: u64) -> ComparisonPoint {
     compare(&workload, &machine, HybridOptions::default())
 }
 
+/// Environment variable selecting the adversarial-schedule set
+/// (`full`, `quick` or `off`; see [`adversarial_arbitrations`]).
+const ADVERSARY_ENV: &str = "MESH_ADVERSARY";
+
+/// The adversarial-schedule set [`ADVERSARY_ENV`] selects.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Adversary {
+    Full,
+    Quick,
+    Off,
+}
+
+/// Parses an [`ADVERSARY_ENV`] value (empty means the default, `full`); the
+/// error is the warning to print before falling back to `full`.
+fn parse_adversary(value: &str) -> Result<Adversary, String> {
+    match value.trim() {
+        "" | "full" => Ok(Adversary::Full),
+        "quick" => Ok(Adversary::Quick),
+        "off" => Ok(Adversary::Off),
+        _ => Err(format!(
+            "mesh-bench: ignoring invalid {ADVERSARY_ENV}={value:?} \
+             (want full|quick|off; using full)"
+        )),
+    }
+}
+
+/// The process's adversarial-schedule set, read from [`ADVERSARY_ENV`]
+/// once.
+fn adversary() -> Adversary {
+    static MODE: std::sync::OnceLock<Adversary> = std::sync::OnceLock::new();
+    *MODE.get_or_init(|| match std::env::var(ADVERSARY_ENV) {
+        Ok(value) => parse_adversary(&value).unwrap_or_else(|warning| {
+            eprintln!("{warning}");
+            Adversary::Full
+        }),
+        Err(_) => Adversary::Full,
+    })
+}
+
 /// Selects the adversarial-schedule set for envelope validation, honouring
 /// the `MESH_ADVERSARY` environment knob:
 ///
@@ -709,16 +748,17 @@ pub fn run_phm_point(idle1: f64, bus_delay: u64, seed: u64) -> ComparisonPoint {
 /// * `quick` — fixed and reverse priority only;
 /// * `off` — no adversarial schedules (validation is skipped).
 ///
+/// Any other value warns on stderr and selects `full`.
+///
 /// Each is a deterministic work-conserving bus arbitration of the
 /// cycle-accurate simulator chosen to starve some processor; the hybrid
 /// kernel's worst-case [`Envelope`](mesh_core::Envelope) must dominate the
 /// queuing of all of them.
 pub fn adversarial_arbitrations(n_procs: usize) -> Vec<Arbitration> {
-    let mode = std::env::var("MESH_ADVERSARY").unwrap_or_default();
-    match mode.as_str() {
-        "off" => Vec::new(),
-        "quick" => vec![Arbitration::FixedPriority, Arbitration::ReversePriority],
-        _ => {
+    match adversary() {
+        Adversary::Off => Vec::new(),
+        Adversary::Quick => vec![Arbitration::FixedPriority, Arbitration::ReversePriority],
+        Adversary::Full => {
             let mut all = vec![Arbitration::FixedPriority, Arbitration::ReversePriority];
             all.extend((0..n_procs).map(Arbitration::VictimLast));
             all
@@ -732,9 +772,9 @@ pub fn adversarial_arbitrations(n_procs: usize) -> Vec<Arbitration> {
 /// must dominate. Returns zero when `MESH_ADVERSARY=off` empties the set.
 ///
 /// The maximum is memoized per scenario in the in-process sub-evaluation
-/// LRU and — with `MESH_RESULT_CACHE` set — on disk; the raw
-/// `MESH_ADVERSARY` value is part of the key, so changing the schedule set
-/// never serves a stale maximum.
+/// LRU and — with `MESH_RESULT_CACHE` set — on disk; the selected schedule
+/// set is part of the key, so changing `MESH_ADVERSARY` never serves a
+/// stale maximum.
 ///
 /// # Panics
 ///
@@ -759,9 +799,14 @@ pub fn adversarial_bus_queuing_max(workload: &Workload, machine: &MachineConfig)
 ///
 /// Panics if the workload is invalid for the machine.
 pub fn adversarial_max_fp(workload: &Workload, machine: &MachineConfig) -> u128 {
-    let mode = std::env::var("MESH_ADVERSARY").unwrap_or_default();
+    adversarial_fp(workload, machine, adversary())
+}
+
+/// [`adversarial_max_fp`] under an explicit schedule set: the parsed mode,
+/// not the raw variable, is keyed, so unset and `full` share one entry.
+fn adversarial_fp(workload: &Workload, machine: &MachineConfig, mode: Adversary) -> u128 {
     scenario_fp("adversarial-max", workload, machine)
-        .text(&mode)
+        .word(mode as u64)
         .finish()
 }
 
@@ -964,6 +1009,37 @@ mod tests {
         assert!((p.mesh_error() - 10.0).abs() < 1e-9);
         assert!((p.analytical_error() - 70.0).abs() < 1e-9);
         assert!((p.speedup() - 100.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn invalid_adversary_mode_warns_instead_of_running_the_full_set() {
+        assert_eq!(parse_adversary(""), Ok(Adversary::Full));
+        assert_eq!(parse_adversary("full"), Ok(Adversary::Full));
+        assert_eq!(parse_adversary(" quick "), Ok(Adversary::Quick));
+        assert_eq!(parse_adversary("off"), Ok(Adversary::Off));
+        for bad in ["qick", "none", "OFF", "1"] {
+            let warning = parse_adversary(bad).expect_err(bad);
+            assert!(
+                warning.contains(&format!("ignoring invalid {ADVERSARY_ENV}={bad:?}")),
+                "{warning}"
+            );
+        }
+    }
+
+    #[test]
+    fn unset_and_full_adversary_share_one_memo_entry() {
+        let workload = mesh_workloads::uniform::build(
+            &mesh_workloads::uniform::UniformConfig::with_threads(2),
+        );
+        let machine = fft_machine(2, 8 * 1024, FFT_BUS_DELAY);
+        let fp = |value: &str| {
+            let mode = parse_adversary(value).expect("valid mode");
+            adversarial_fp(&workload, &machine, mode)
+        };
+        assert_eq!(fp(""), fp("full"));
+        assert_ne!(fp("full"), fp("quick"));
+        assert_ne!(fp("full"), fp("off"));
+        assert_ne!(fp("quick"), fp("off"));
     }
 
     #[test]

@@ -44,13 +44,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// (created if absent). Unset or empty disables the cache.
 pub const RESULT_CACHE_ENV: &str = "MESH_RESULT_CACHE";
 
-/// Environment variable sizing the in-process sub-evaluation LRU (entry
-/// count, split over shards). `0` disables the tier; unset uses
-/// [`DEFAULT_SUBEVAL_LRU`]; a malformed value warns on stderr and uses the
-/// default too.
-pub const SUBEVAL_LRU_ENV: &str = "MESH_SUBEVAL_LRU";
-
-/// Default capacity (entries) of the in-process sub-evaluation LRU.
+/// Default capacity (entries, split over shards) of the in-process
+/// sub-evaluation LRU.
 pub const DEFAULT_SUBEVAL_LRU: usize = 4096;
 
 /// Bumped whenever the meaning of a memoized value changes (new estimator
@@ -219,10 +214,7 @@ pub fn enabled() -> bool {
 
 const LRU_SHARD_COUNT: usize = 16;
 
-/// Sentinel meaning "capacity not resolved yet" in [`LRU_CAPACITY`].
-const LRU_UNRESOLVED: usize = usize::MAX;
-
-static LRU_CAPACITY: AtomicUsize = AtomicUsize::new(LRU_UNRESOLVED);
+static LRU_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_SUBEVAL_LRU);
 
 struct LruShard {
     /// fp → (last-touch stamp, encoded value).
@@ -242,45 +234,17 @@ fn lru_shards() -> &'static [Mutex<LruShard>; LRU_SHARD_COUNT] {
     })
 }
 
-fn lru_capacity() -> usize {
-    let cap = LRU_CAPACITY.load(Ordering::Relaxed);
-    if cap != LRU_UNRESOLVED {
-        return cap;
-    }
-    let resolved = match std::env::var(SUBEVAL_LRU_ENV) {
-        Ok(value) if !value.is_empty() => parse_lru_capacity(&value).unwrap_or_else(|warning| {
-            eprintln!("{warning}");
-            DEFAULT_SUBEVAL_LRU
-        }),
-        _ => DEFAULT_SUBEVAL_LRU,
-    }
-    .min(LRU_UNRESOLVED - 1);
-    LRU_CAPACITY.store(resolved, Ordering::Relaxed);
-    resolved
-}
-
-/// Parses a [`SUBEVAL_LRU_ENV`] value; the error is the warning to print
-/// before falling back to [`DEFAULT_SUBEVAL_LRU`].
-fn parse_lru_capacity(value: &str) -> Result<usize, String> {
-    value.trim().parse::<usize>().map_err(|_| {
-        format!(
-            "mesh-bench: ignoring invalid {SUBEVAL_LRU_ENV}={value:?} \
-             (want a non-negative integer; using {DEFAULT_SUBEVAL_LRU})"
-        )
-    })
-}
-
 /// Sets the in-process sub-evaluation LRU capacity (entries; `0` disables
-/// the tier), overriding [`SUBEVAL_LRU_ENV`]. Used by perfsuite's sweep
-/// section and tests.
+/// the tier; [`DEFAULT_SUBEVAL_LRU`] at process start). Used by perfsuite's
+/// sweep section to measure with the tier off.
 pub fn set_subeval_lru_capacity(entries: usize) {
-    LRU_CAPACITY.store(entries.min(LRU_UNRESOLVED - 1), Ordering::Relaxed);
+    LRU_CAPACITY.store(entries, Ordering::Relaxed);
 }
 
 /// The in-process sub-evaluation LRU's current capacity in entries (`0` =
-/// tier disabled), resolving [`SUBEVAL_LRU_ENV`] on first use.
+/// tier disabled).
 pub fn subeval_lru_capacity() -> usize {
-    lru_capacity()
+    LRU_CAPACITY.load(Ordering::Relaxed)
 }
 
 /// Drops every entry of the in-process sub-evaluation LRU (capacity is
@@ -299,7 +263,7 @@ fn lru_shard_index(fp: u128) -> usize {
 }
 
 fn lru_get<V: Checkpointable>(fp: u128) -> Option<V> {
-    if lru_capacity() == 0 {
+    if subeval_lru_capacity() == 0 {
         return None;
     }
     let mut shard = lru_shards()[lru_shard_index(fp)]
@@ -319,7 +283,7 @@ fn lru_get<V: Checkpointable>(fp: u128) -> Option<V> {
 }
 
 fn lru_put(fp: u128, encoded: String) {
-    let capacity = lru_capacity();
+    let capacity = subeval_lru_capacity();
     if capacity == 0 {
         return;
     }
@@ -487,31 +451,13 @@ fn flightrec_replay(fp: u128, lru: bool) {
 }
 
 /// Returns the memoized value for `fp`, or computes it with `f` and
-/// publishes the result. With the cache disabled this is exactly `f()`.
-/// The encoding round-trips losslessly ([`Checkpointable`] floats travel as
-/// bit patterns), so a cache hit is byte-identical to a fresh computation.
-pub fn memoize<V: Checkpointable>(fp: u128, f: impl FnOnce() -> V) -> V {
-    let Some(dir) = dir() else {
-        return f();
-    };
-    {
-        let _span = mesh_obs::span("bench.result_cache.lookup_ns");
-        if let Some(v) = read_entry::<V>(&dir, fp) {
-            bump(&HITS, "bench.result_cache.hits");
-            flightrec_replay(fp, false);
-            return v;
-        }
-    }
-    bump(&MISSES, "bench.result_cache.misses");
-    let value = f();
-    write_entry(&dir, fp, &value.encode());
-    value
-}
-
-/// Like [`memoize`], but layered over the in-process sub-evaluation LRU
-/// (always on unless [`SUBEVAL_LRU_ENV`] is `0`) *and* the persistent tier
-/// (when enabled), and reporting provenance: the second element is `true`
-/// when the value was served from either cache rather than computed.
+/// publishes the result, reporting provenance: the second element is `true`
+/// when the value was served from a cache rather than computed. Two tiers
+/// are consulted in order: the in-process sub-evaluation LRU (on unless
+/// [`set_subeval_lru_capacity`] turned it off) and the persistent directory
+/// (when enabled). With both off this is exactly `(f(), false)`. The
+/// encoding round-trips losslessly ([`Checkpointable`] floats travel as bit
+/// patterns), so a cache hit is byte-identical to a fresh computation.
 ///
 /// Concurrent callers of one fingerprint are single-flighted — losers block
 /// on the winner's computation and then read it from the cache — so a
@@ -566,8 +512,9 @@ mod tests {
         dir
     }
 
-    /// memoize() against an explicit directory, bypassing the process-global
-    /// configuration (tests run in parallel within one process).
+    /// The persistent tier of [`memoize_flagged`] against an explicit
+    /// directory, bypassing the process-global configuration (tests run in
+    /// parallel within one process).
     fn memoize_in<V: Checkpointable>(dir: &Path, fp: u128, f: impl FnOnce() -> V) -> V {
         if let Some(v) = read_entry::<V>(dir, fp) {
             HITS.fetch_add(1, Ordering::Relaxed);
@@ -611,19 +558,6 @@ mod tests {
             ScenarioFp::new("x").words(&[1, 2]).words(&[]).finish(),
             ScenarioFp::new("x").words(&[1]).words(&[2]).finish()
         );
-    }
-
-    #[test]
-    fn malformed_lru_capacity_warns_instead_of_passing_silently() {
-        assert_eq!(parse_lru_capacity("256"), Ok(256));
-        assert_eq!(parse_lru_capacity(" 0 "), Ok(0));
-        for bad in ["4k", "-1", "1e3", "lots"] {
-            let warning = parse_lru_capacity(bad).expect_err(bad);
-            assert!(
-                warning.contains(&format!("ignoring invalid {SUBEVAL_LRU_ENV}={bad:?}")),
-                "{warning}"
-            );
-        }
     }
 
     #[test]

@@ -33,10 +33,8 @@
 //! (`MESH_RESULT_CACHE`) was active, since memoized points skip simulation;
 //! the same refusal applies to it when the parallelism configuration is
 //! recorded. Keys the reader does not know are ignored, so files carrying
-//! retired configuration fields still parse. `planner` and `subeval_lru`
-//! record the split-phase evaluation knobs (`MESH_BENCH_PLANNER`,
-//! `MESH_SUBEVAL_LRU`) as 0 = unrecorded / 1 = on / 2 = off, refusing
-//! comparison only when both files record a value and they differ.
+//! retired configuration fields (`trace_store`, `planner`, `subeval_lru`)
+//! still parse.
 //!
 //! Benchmark names contain only `[A-Za-z0-9_/.-]`, so no string escaping is
 //! needed; [`BenchFile::from_json`] rejects anything else.
@@ -71,12 +69,6 @@ pub struct BenchFile {
     /// 1 when the result memo cache (`MESH_RESULT_CACHE`) was active,
     /// 0 when off or unrecorded (files predating the field).
     pub result_cache: usize,
-    /// Split-phase planner state (`MESH_BENCH_PLANNER`): 1 = on, 2 = off,
-    /// 0 = unrecorded (files predating the field).
-    pub planner: usize,
-    /// Sub-evaluation LRU state (`MESH_SUBEVAL_LRU`): 1 = on, 2 = disabled,
-    /// 0 = unrecorded (files predating the field).
-    pub subeval_lru: usize,
     /// The measurements, in execution order.
     pub benchmarks: Vec<BenchRecord>,
 }
@@ -99,8 +91,6 @@ impl BenchFile {
         out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
         out.push_str(&format!("  \"shards\": {},\n", self.shards));
         out.push_str(&format!("  \"result_cache\": {},\n", self.result_cache));
-        out.push_str(&format!("  \"planner\": {},\n", self.planner));
-        out.push_str(&format!("  \"subeval_lru\": {},\n", self.subeval_lru));
         out.push_str("  \"benchmarks\": [\n");
         for (i, b) in self.benchmarks.iter().enumerate() {
             let comma = if i + 1 == self.benchmarks.len() {
@@ -174,8 +164,6 @@ impl BenchFile {
         let jobs = usize_field(text, "jobs")?;
         let shards = usize_field(text, "shards")?;
         let result_cache = usize_field(text, "result_cache")?;
-        let planner = usize_field(text, "planner")?;
-        let subeval_lru = usize_field(text, "subeval_lru")?;
         let mut benchmarks = Vec::new();
         let body = &text[text.find("\"benchmarks\"").ok_or("missing benchmarks")?..];
         let mut rest = body;
@@ -206,8 +194,6 @@ impl BenchFile {
             jobs,
             shards,
             result_cache,
-            planner,
-            subeval_lru,
             benchmarks,
         })
     }
@@ -332,27 +318,6 @@ pub fn check_regression(
                 current.result_cache, baseline.result_cache
             ));
         }
-        // The split-phase knobs use 0 = unrecorded individually, so a new
-        // current against a committed pre-planner baseline still compares.
-        if current.planner != 0 && baseline.planner != 0 && current.planner != baseline.planner {
-            mismatches.push(format!(
-                "configuration mismatch: current ran with planner={} but baseline with \
-                 planner={} (1 = on, 2 = off) — reference-phase scheduling changes sweep \
-                 medians, so they are not comparable",
-                current.planner, baseline.planner
-            ));
-        }
-        if current.subeval_lru != 0
-            && baseline.subeval_lru != 0
-            && current.subeval_lru != baseline.subeval_lru
-        {
-            mismatches.push(format!(
-                "configuration mismatch: current ran with subeval_lru={} but baseline with \
-                 subeval_lru={} (1 = on, 2 = disabled) — a warm sub-evaluation LRU skips \
-                 simulations, so medians are not comparable",
-                current.subeval_lru, baseline.subeval_lru
-            ));
-        }
         if !mismatches.is_empty() {
             return Err(mismatches);
         }
@@ -396,8 +361,6 @@ mod tests {
             jobs: 4,
             shards: 0,
             result_cache: 0,
-            planner: 1,
-            subeval_lru: 1,
             benchmarks: vec![
                 BenchRecord {
                     name: "cyclesim/smoke_fft_skip".to_string(),
@@ -469,43 +432,23 @@ mod tests {
             .to_json()
             .replace("  \"jobs\": 4,\n", "")
             .replace("  \"shards\": 0,\n", "")
-            .replace("  \"result_cache\": 0,\n", "")
-            .replace("  \"planner\": 1,\n", "")
-            .replace("  \"subeval_lru\": 1,\n", "");
+            .replace("  \"result_cache\": 0,\n", "");
         let parsed = BenchFile::from_json(&text).expect("pre-fabric file parses");
         assert_eq!((parsed.jobs, parsed.shards), (0, 0));
         assert_eq!(parsed.result_cache, 0);
-        assert_eq!((parsed.planner, parsed.subeval_lru), (0, 0));
-        // Files written while the persistent trace store existed carry a
-        // `trace_store` key; it still parses and is ignored.
-        for flag in [0, 1] {
-            let text = sample_file().to_json().replace(
-                "  \"result_cache\"",
-                &format!("  \"trace_store\": {flag},\n  \"result_cache\""),
-            );
-            assert_eq!(BenchFile::from_json(&text), Ok(sample_file()), "{text}");
+        // Files written while the persistent trace store, the split-phase
+        // planner switch and the sub-evaluation LRU knob existed carry
+        // `trace_store`, `planner` and `subeval_lru` keys; they still parse
+        // and the keys are ignored.
+        for key in ["trace_store", "planner", "subeval_lru"] {
+            for flag in [0, 1, 2] {
+                let text = sample_file().to_json().replace(
+                    "  \"benchmarks\"",
+                    &format!("  \"{key}\": {flag},\n  \"benchmarks\""),
+                );
+                assert_eq!(BenchFile::from_json(&text), Ok(sample_file()), "{text}");
+            }
         }
-    }
-
-    #[test]
-    fn split_phase_config_mismatch_refuses_comparison() {
-        let baseline = sample_file();
-        let mut current = sample_file();
-        current.planner = 2;
-        let err = check_regression(&current, &baseline, "cyclesim/", 2.0).unwrap_err();
-        assert_eq!(err.len(), 1);
-        assert!(err[0].contains("planner=2"), "{err:?}");
-        let mut current = sample_file();
-        current.subeval_lru = 2;
-        let err = check_regression(&current, &baseline, "cyclesim/", 2.0).unwrap_err();
-        assert!(err[0].contains("subeval_lru=2"), "{err:?}");
-        // A baseline that predates the split-phase fields (planner
-        // unrecorded) compares fine even when the rest of the
-        // configuration is recorded.
-        let mut old = sample_file();
-        old.planner = 0;
-        old.subeval_lru = 0;
-        assert_eq!(check_regression(&current, &old, "cyclesim/", 2.0), Ok(1));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # Parallel design-space sweep engine
+//! # Design-space sweeps
 //!
 //! Every experiment binary in this crate walks a grid of scenario points
 //! (processor counts, bus delays, idle fractions, annotation policies, ...)
@@ -7,28 +7,31 @@
 //! layer embarrassingly parallel, and on multi-core hosts the dominant
 //! wall-clock cost of regenerating the paper's figures.
 //!
-//! This module provides the shared sweep engine the binaries route through:
+//! Two public functions run a grid:
 //!
-//! * **Parallel, pure `std`.** Points are distributed over
-//!   [`std::thread::scope`] workers that work-steal from a shared atomic
-//!   index — no external dependencies, no unsafe code.
-//! * **Deterministic ordering.** Results land in a slot per input index, so
-//!   the returned `Vec` is in input order and a binary's stdout is
-//!   byte-identical whatever the worker count. `MESH_BENCH_JOBS=1` restores
-//!   strictly serial evaluation (same thread, same order) for timing-faithful
-//!   runs.
-//! * **Memoization.** Each [`SweepEngine`] carries a hash-keyed in-memory
-//!   cache; repeated scenario keys — across sweep calls or within one grid —
-//!   are evaluated once. Ablation grids that revisit a baseline point get it
-//!   for free.
-//! * **Crash isolation.** Each point is evaluated inside
+//! * [`try_sweep_labeled`] — a grid of independent points;
+//! * [`crate::eval::sweep_with_references`] — a grid whose points share
+//!   expensive reference sub-evaluations, which it runs first.
+//!
+//! Both go through one dispatch. Inside a [`crate::fabric`] worker process
+//! it evaluates the worker's shard; with `MESH_BENCH_SHARDS` set it runs the
+//! grid on supervised worker processes; otherwise it runs the grid on
+//! threads of this process. Every path shares these properties:
+//!
+//! * **Deterministic ordering.** Results come back in input order, so a
+//!   binary's stdout is byte-identical whatever the thread or shard count.
+//!   `MESH_BENCH_JOBS=1` restores strictly serial evaluation (same thread,
+//!   same order) for timing-faithful runs. Threads work-steal from a shared
+//!   atomic index ([`std::thread::scope`]; pure `std`, no unsafe code).
+//! * **Deduplication.** Points with equal keys are evaluated once per grid.
+//!   Floating-point parameters are not `Hash`; wrap them in [`FBits`].
+//! * **Crash isolation.** In process, each point is evaluated inside
 //!   [`std::panic::catch_unwind`] with a bounded retry ([`RETRIES_ENV`]) and
 //!   linear backoff. A panicking point never takes down the sweep: every
 //!   other point still completes, and the failure is reported as a
-//!   [`PointFailure`] carrying the point's grid coordinates and the panic
-//!   payload. The infallible [`SweepEngine::run`] /
-//!   [`SweepEngine::run_labeled`] entry points re-panic with that full
-//!   context instead of the generic "a scoped thread panicked" join failure.
+//!   [`PointFailure`] in [`SweepError::Points`], carrying the point's grid
+//!   coordinates and the panic payload. The fabric does the same for points
+//!   that kill their worker process.
 //! * **Checkpoint/resume.** With [`CHECKPOINT_ENV`] set to a file path,
 //!   every finished point is appended (and flushed) to an on-disk
 //!   [`Checkpoint`]; a re-run after a crash or kill reloads the finished
@@ -50,6 +53,8 @@
 //! | `MESH_BENCH_FAIL_POINT` | inject a panic at `index` or `label:index` |
 //! | `MESH_BENCH_SHARDS` | run on the multi-process [`crate::fabric`] instead |
 //!
+//! The knobs are read once per sweep.
+//!
 //! ```bash
 //! MESH_BENCH_JOBS=8 cargo run -p mesh-bench --bin fig6 --release
 //! MESH_BENCH_JOBS=1 cargo run -p mesh-bench --bin table1 --release  # serial
@@ -59,27 +64,16 @@
 //! ## Example
 //!
 //! ```
-//! use mesh_bench::sweep::SweepEngine;
+//! use mesh_bench::sweep::{try_sweep_labeled, FBits};
 //!
-//! let engine = SweepEngine::with_jobs(4);
-//! let squares = engine.run(&[1u64, 2, 3, 4], |&n| n * n);
+//! let squares = try_sweep_labeled("squares", &[1u64, 2, 3, 4], |&n| n * n).unwrap();
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //!
-//! // Repeated keys hit the engine's cache instead of re-evaluating.
-//! let again = engine.run(&[4u64, 3], |&n| n * n);
-//! assert_eq!(again, vec![16, 9]);
-//! assert_eq!(engine.cache_hits(), 2);
-//! ```
-//!
-//! Floating-point sweep parameters are not `Hash`/`Eq`; wrap them in
-//! [`FBits`] to key them by bit pattern:
-//!
-//! ```
-//! use mesh_bench::sweep::{FBits, SweepEngine};
-//!
-//! let engine = SweepEngine::with_jobs(2);
-//! let doubled = engine.run(&[FBits::new(0.5), FBits::new(1.25)], |m| m.get() * 2.0);
-//! assert_eq!(doubled, vec![1.0, 2.5]);
+//! // Float parameters are keyed by bit pattern; a repeated key is
+//! // evaluated once and returned at every position it occupies.
+//! let grid = [FBits::new(0.5), FBits::new(1.25), FBits::new(0.5)];
+//! let doubled = try_sweep_labeled("doubled", &grid, |m| m.get() * 2.0).unwrap();
+//! assert_eq!(doubled, vec![1.0, 2.5, 1.0]);
 //! ```
 
 use std::collections::{HashMap, HashSet};
@@ -153,7 +147,7 @@ fn default_jobs() -> usize {
 
 /// Returns the per-point retry budget: [`RETRIES_ENV`] if set to a
 /// non-negative integer, otherwise 1.
-pub fn retries_from_env() -> u32 {
+fn retries_from_env() -> u32 {
     match std::env::var(RETRIES_ENV) {
         Ok(value) => match value.trim().parse::<u32>() {
             Ok(n) => n,
@@ -168,19 +162,12 @@ pub fn retries_from_env() -> u32 {
     }
 }
 
-/// The input index [`FAIL_POINT_ENV`] targets in the sweep named `label`,
-/// if any — shared by the in-process engine and fabric workers, so fault
-/// injection behaves identically whether or not the sweep is sharded.
-pub(crate) fn fail_point_for(label: &str) -> Option<usize> {
-    match fail_point_from_env() {
-        Some((None, index)) => Some(index),
-        Some((Some(l), index)) if l == label => Some(index),
-        _ => None,
-    }
-}
+/// A parsed [`FAIL_POINT_ENV`]: the targeted sweep label (`None` = every
+/// sweep) and the input index.
+pub(crate) type FailPoint = (Option<String>, usize);
 
 /// Parses [`FAIL_POINT_ENV`]: `index` or `label:index`.
-fn fail_point_from_env() -> Option<(Option<String>, usize)> {
+pub(crate) fn fail_point_from_env() -> Option<FailPoint> {
     let value = std::env::var(FAIL_POINT_ENV).ok()?;
     let value = value.trim();
     if value.is_empty() {
@@ -198,12 +185,23 @@ fn fail_point_from_env() -> Option<(Option<String>, usize)> {
     parsed
 }
 
+/// The input index `fail_point` targets in the sweep named `label`, if any —
+/// shared by the in-process runner and fabric workers, so fault injection
+/// behaves identically whether or not the sweep is sharded.
+pub(crate) fn injected_index(fail_point: Option<&FailPoint>, label: &str) -> Option<usize> {
+    match fail_point {
+        Some((None, index)) => Some(*index),
+        Some((Some(l), index)) if l == label => Some(*index),
+        _ => None,
+    }
+}
+
 /// Opens the checkpoint named by [`CHECKPOINT_ENV`], if any.
 ///
 /// Returns `Ok(None)` when the variable is unset or empty; a set-but-unusable
 /// path is a hard [`SweepError::Checkpoint`] — silently dropping resumability
 /// the user asked for would be worse than failing.
-pub fn checkpoint_from_env() -> Result<Option<Checkpoint>, SweepError> {
+fn checkpoint_from_env() -> Result<Option<Checkpoint>, SweepError> {
     match std::env::var_os(CHECKPOINT_ENV) {
         Some(p) if !p.is_empty() => {
             let path = PathBuf::from(&p);
@@ -218,9 +216,40 @@ pub fn checkpoint_from_env() -> Result<Option<Checkpoint>, SweepError> {
     }
 }
 
+/// How a sweep runs: read from the environment once per sweep and shared by
+/// the in-process runner and the [`crate::fabric`] supervisor.
+pub(crate) struct Settings {
+    /// Worker threads of the in-process runner ([`JOBS_ENV`]).
+    pub(crate) jobs: usize,
+    /// Extra attempts per failing point ([`RETRIES_ENV`]); the fabric
+    /// poisons a point after `retries + 1` worker deaths.
+    pub(crate) retries: u32,
+    /// Base delay between in-process attempts; attempt `n` waits about
+    /// `n * backoff`.
+    pub(crate) backoff: Duration,
+    /// The injected failure ([`FAIL_POINT_ENV`]), if any.
+    pub(crate) fail_point: Option<FailPoint>,
+    /// Whether to report progress on stderr ([`PROGRESS_ENV`], or stderr is
+    /// a terminal).
+    pub(crate) progress: bool,
+}
+
+impl Settings {
+    fn from_env() -> Settings {
+        Settings {
+            jobs: jobs_from_env(),
+            retries: retries_from_env(),
+            backoff: Duration::from_millis(25),
+            fail_point: fail_point_from_env(),
+            progress: std::env::var_os(PROGRESS_ENV).is_some_and(|v| !v.is_empty())
+                || std::io::stderr().is_terminal(),
+        }
+    }
+}
+
 /// An `f64` sweep parameter keyed by its bit pattern, so grids over
-/// floating-point knobs (idle fractions, minimum timeslices, ...) can use
-/// the engine's [`Hash`]-keyed cache.
+/// floating-point knobs (idle fractions, minimum timeslices, ...) can be
+/// hashed for deduplication and checkpoint records.
 ///
 /// Equality is bitwise: `-0.0 != 0.0` and `NaN == NaN` as keys, which is
 /// exactly what a memoization key wants.
@@ -297,7 +326,7 @@ pub enum SweepError {
         label: String,
         /// Total points in the grid.
         total: usize,
-        /// Points that produced a value (directly or via cache/checkpoint).
+        /// Points that produced a value (directly or via checkpoint).
         completed: usize,
         /// The failed points, in input order.
         failures: Vec<PointFailure>,
@@ -343,345 +372,278 @@ impl fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// Checkpoint-prefill callback: returns the stored value for a key, if any.
-type LookupFn<'a, K, V> = &'a dyn Fn(&K) -> Option<V>;
-
-/// Checkpoint-append callback, invoked from worker threads as points finish.
-type RecordFn<'a, K, V> = &'a (dyn Fn(&K, &V) + Sync);
-
-/// A parallel, memoizing, crash-isolating design-space sweep runner.
+/// Crash-isolated, resumable sweep of a grid of independent points — the
+/// entry point the experiment binaries use.
 ///
-/// One engine holds one result cache; binaries that run several grids over
-/// the same point type share the engine so overlapping points are evaluated
-/// once. See the [module docs](self) for the full contract and examples.
-pub struct SweepEngine<K, V> {
-    jobs: usize,
-    progress: bool,
-    retries: u32,
-    backoff: Duration,
-    fail_point: Option<(Option<String>, usize)>,
-    cache: Mutex<HashMap<K, V>>,
-    hits: AtomicUsize,
-}
-
-impl<K, V> SweepEngine<K, V>
+/// Configuration comes from the environment (see the [module docs](self));
+/// if [`CHECKPOINT_ENV`] names a file, finished points are persisted there
+/// and a re-run resumes from it. On failure, every healthy point has still
+/// been evaluated (and checkpointed), and the error lists each failed
+/// point's grid coordinates. `eval` must be a pure function of the point:
+/// a key identifies its result.
+///
+/// With [`crate::fabric::SHARDS_ENV`] (`MESH_BENCH_SHARDS`) set, the sweep
+/// runs on the multi-process [`crate::fabric`] — supervised worker processes
+/// with heartbeats, timeouts and poison-point recovery — with output
+/// byte-identical to the in-process path at any shard count. Inside a fabric
+/// worker process this same function *is* the worker entrypoint: it
+/// evaluates the worker's assigned shard and exits.
+///
+/// # Examples
+///
+/// ```
+/// use mesh_bench::sweep::{try_sweep_labeled, SweepError};
+///
+/// let cubes = try_sweep_labeled("cubes", &[1u64, 2, 3], |&n| n * n * n).unwrap();
+/// assert_eq!(cubes, vec![1, 8, 27]);
+///
+/// // A point that panics on every attempt is reported with its
+/// // coordinates; the other points still complete.
+/// let err = try_sweep_labeled("fragile", &[1u64, 2, 3], |&n| {
+///     assert!(n != 2, "bad point");
+///     n
+/// })
+/// .unwrap_err();
+/// match err {
+///     SweepError::Points { completed, failures, .. } => {
+///         assert_eq!(completed, 2);
+///         assert_eq!(failures[0].coordinates, "2");
+///     }
+///     other => panic!("unexpected {other}"),
+/// }
+/// ```
+pub fn try_sweep_labeled<K, V, F>(label: &str, points: &[K], eval: F) -> Result<Vec<V>, SweepError>
 where
     K: Hash + Eq + Clone + Sync + fmt::Debug,
-    V: Clone + Send,
+    V: Clone + Send + Checkpointable,
+    F: Fn(&K) -> V + Sync,
 {
-    /// Creates an engine configured from the environment: worker count from
-    /// [`jobs_from_env`], retry budget from [`retries_from_env`], fault
-    /// injection from [`FAIL_POINT_ENV`].
-    pub fn from_env() -> SweepEngine<K, V> {
-        let mut engine = SweepEngine::with_jobs(jobs_from_env());
-        engine.retries = retries_from_env();
-        engine.fail_point = fail_point_from_env();
-        engine
-    }
+    dispatch(label, points, None, eval)
+}
 
-    /// Creates an engine with an explicit worker count (`jobs >= 1`), one
-    /// retry per failed point and no fault injection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs` is zero.
-    pub fn with_jobs(jobs: usize) -> SweepEngine<K, V> {
-        assert!(jobs >= 1, "sweep needs at least one worker");
-        SweepEngine {
-            jobs,
-            progress: std::env::var_os(PROGRESS_ENV).is_some_and(|v| !v.is_empty())
-                || std::io::stderr().is_terminal(),
-            retries: 1,
-            backoff: Duration::from_millis(25),
-            fail_point: None,
-            cache: Mutex::new(HashMap::new()),
-            hits: AtomicUsize::new(0),
+/// The shared-reference plan of a grid run through
+/// [`crate::eval::sweep_with_references`].
+pub(crate) struct References<'a, K> {
+    /// The fingerprint of the reference a point shares; points with equal
+    /// fingerprints form one group.
+    pub(crate) key: &'a dyn Fn(&K) -> u128,
+    /// Computes (and thereby caches) one point's reference.
+    pub(crate) run: &'a (dyn Fn(&K) + Sync),
+}
+
+/// The one dispatch behind both public entry points: a fabric worker
+/// evaluates its shard; otherwise the settings are read once, a planned grid
+/// runs its reference phase, and the grid runs on the fabric (with the
+/// reference groups as co-location hints) or on the in-process runner.
+pub(crate) fn dispatch<K, V, F>(
+    label: &str,
+    points: &[K],
+    references: Option<References<'_, K>>,
+    eval: F,
+) -> Result<Vec<V>, SweepError>
+where
+    K: Hash + Sync + fmt::Debug,
+    V: Clone + Send + Checkpointable,
+    F: Fn(&K) -> V + Sync,
+{
+    if let Some(cfg) = crate::fabric::worker_config() {
+        // The parent already planned this worker's assignment.
+        return crate::fabric::worker_sweep(&cfg, label, points, eval);
+    }
+    let settings = Settings::from_env();
+    let shards = crate::fabric::shards_from_env();
+    let groups = references.map(|refs| {
+        crate::eval::reference_phase(label, points, &refs, shards.is_some(), &settings)
+    });
+    let checkpoint = checkpoint_from_env()?;
+    match shards {
+        Some(shards) => crate::fabric::run_sharded(
+            label,
+            points,
+            checkpoint.as_ref(),
+            shards,
+            groups.as_deref(),
+            &settings,
+            eval,
+        ),
+        None => run_points(label, points, checkpoint.as_ref(), &settings, eval),
+    }
+}
+
+/// The first occurrence of every distinct key still to evaluate, as
+/// (input index, key, [`stable_key_hash`]).
+pub(crate) type Todo<'a, K> = Vec<(usize, &'a K, u64)>;
+
+/// Dedupes `points` by [`stable_key_hash`] and resolves every key that
+/// `checkpoint` already holds. Returns the resolved values by key hash and
+/// the points still to evaluate — the first step of both the in-process
+/// runner and the fabric supervisor.
+pub(crate) fn prefill<'a, K: Hash, V: Checkpointable>(
+    label: &str,
+    points: &'a [K],
+    checkpoint: Option<&Checkpoint>,
+) -> (HashMap<u64, V>, Todo<'a, K>) {
+    let mut done = HashMap::new();
+    let mut todo = Vec::new();
+    let mut seen = HashSet::new();
+    for (index, key) in points.iter().enumerate() {
+        let hash = stable_key_hash(key);
+        if !seen.insert(hash) {
+            continue;
         }
-    }
-
-    /// Sets how many times a panicking point is re-attempted (builder
-    /// style). Zero disables retries.
-    #[must_use]
-    pub fn with_retries(mut self, retries: u32) -> SweepEngine<K, V> {
-        self.retries = retries;
-        self
-    }
-
-    /// Sets the base backoff slept between attempts; attempt `n` waits
-    /// `n * backoff` (builder style).
-    #[must_use]
-    pub fn with_backoff(mut self, backoff: Duration) -> SweepEngine<K, V> {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Injects a deterministic panic at the given input index of every
-    /// sweep this engine runs (builder style) — the programmatic form of
-    /// [`FAIL_POINT_ENV`], for tests.
-    #[must_use]
-    pub fn with_fail_point(mut self, index: usize) -> SweepEngine<K, V> {
-        self.fail_point = Some((None, index));
-        self
-    }
-
-    /// The number of worker threads the engine will use.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// The number of points served from the cache so far (including
-    /// duplicate keys within a single [`run`](Self::run) call).
-    pub fn cache_hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Evaluates `eval` on every point, in parallel, returning results in
-    /// input order.
-    ///
-    /// Cached points are returned without re-evaluation; duplicate keys
-    /// within `points` are evaluated once. `eval` must be a pure function
-    /// of the point — the engine assumes a key identifies its result.
-    ///
-    /// # Panics
-    ///
-    /// If a point fails every attempt, panics with a message naming the
-    /// point's coordinates and the original panic payload (the fallible
-    /// alternative is [`try_run_labeled`](Self::try_run_labeled)).
-    pub fn run<F>(&self, points: &[K], eval: F) -> Vec<V>
-    where
-        F: Fn(&K) -> V + Sync,
-    {
-        self.run_labeled("sweep", points, eval)
-    }
-
-    /// [`run`](Self::run) with a label used in progress reports.
-    ///
-    /// # Panics
-    ///
-    /// See [`run`](Self::run).
-    pub fn run_labeled<F>(&self, label: &str, points: &[K], eval: F) -> Vec<V>
-    where
-        F: Fn(&K) -> V + Sync,
-    {
-        match self.try_run_labeled(label, points, eval) {
-            Ok(values) => values,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Crash-isolated sweep: every point that panics (after the retry
-    /// budget) becomes a [`PointFailure`] in the returned error while all
-    /// other points still complete and populate the cache.
-    pub fn try_run_labeled<F>(
-        &self,
-        label: &str,
-        points: &[K],
-        eval: F,
-    ) -> Result<Vec<V>, SweepError>
-    where
-        F: Fn(&K) -> V + Sync,
-    {
-        self.run_core(label, points, eval, None, None)
-    }
-
-    /// [`try_run_labeled`](Self::try_run_labeled) with on-disk
-    /// checkpointing: points present in `checkpoint` are not re-evaluated,
-    /// and every newly finished point is appended to it immediately.
-    ///
-    /// Because [`Checkpointable`] encodings are lossless, a resumed sweep
-    /// returns values identical to an uninterrupted one.
-    pub fn try_run_resumable<F>(
-        &self,
-        label: &str,
-        points: &[K],
-        checkpoint: Option<&Checkpoint>,
-        eval: F,
-    ) -> Result<Vec<V>, SweepError>
-    where
-        F: Fn(&K) -> V + Sync,
-        V: Checkpointable,
-    {
-        match checkpoint {
-            None => self.run_core(label, points, eval, None, None),
-            Some(ck) => {
-                let lookup = |key: &K| ck.lookup::<V>(label, stable_key_hash(key));
-                let record = |key: &K, value: &V| {
-                    if let Err(e) = ck.record(label, stable_key_hash(key), value) {
-                        eprintln!(
-                            "mesh-bench: checkpoint write to {} failed: {e}",
-                            ck.path().display()
-                        );
-                    }
-                };
-                self.run_core(label, points, eval, Some(&lookup), Some(&record))
+        // Finished by a previous (possibly killed) run: resume from the
+        // checkpoint record instead of re-evaluating.
+        match checkpoint.and_then(|ck| ck.lookup::<V>(label, hash)) {
+            Some(value) => {
+                done.insert(hash, value);
             }
+            None => todo.push((index, key, hash)),
         }
     }
+    (done, todo)
+}
 
-    /// The shared core: cache/checkpoint prefill, crash-isolated parallel
-    /// evaluation, failure collection, cache writeback.
-    fn run_core<F>(
-        &self,
-        label: &str,
-        points: &[K],
-        eval: F,
-        lookup: Option<LookupFn<'_, K, V>>,
-        record: Option<RecordFn<'_, K, V>>,
-    ) -> Result<Vec<V>, SweepError>
-    where
-        F: Fn(&K) -> V + Sync,
-    {
-        // Split points into cache/checkpoint hits and first-occurrence
-        // misses, keeping every input index so results can be reassembled in
-        // order.
-        let mut slots: Vec<Option<V>> = Vec::with_capacity(points.len());
-        let mut todo: Vec<(usize, &K)> = Vec::new();
-        {
-            let mut cache = self.cache.lock().expect("sweep cache poisoned");
-            let mut claimed: HashSet<&K> = HashSet::new();
-            for key in points {
-                if let Some(value) = cache.get(key) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    slots.push(Some(value.clone()));
-                } else if let Some(value) = lookup.and_then(|f| f(key)) {
-                    // Finished by a previous (possibly killed) run: resume
-                    // from the checkpoint record instead of re-evaluating.
-                    cache.insert(key.clone(), value.clone());
-                    slots.push(Some(value));
-                } else if !claimed.insert(key) {
-                    // Duplicate of an uncached point: evaluated once by its
-                    // first occurrence, filled from the cache afterwards.
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    slots.push(None);
-                } else {
-                    slots.push(None);
-                    todo.push((slots.len() - 1, key));
-                }
+/// Reassembles the input-ordered result vector from the finished values by
+/// key hash — or, when any point failed, the [`SweepError::Points`] report
+/// (failures in input order). The last step of both the in-process runner
+/// and the fabric supervisor.
+pub(crate) fn assemble<K, V>(
+    label: &str,
+    points: &[K],
+    done: &HashMap<u64, V>,
+    mut failures: Vec<PointFailure>,
+) -> Result<Vec<V>, SweepError>
+where
+    K: Hash,
+    V: Clone,
+{
+    if !failures.is_empty() {
+        failures.sort_by_key(|f| f.index);
+        let completed = points
+            .iter()
+            .filter(|key| done.contains_key(&stable_key_hash(key)))
+            .count();
+        return Err(SweepError::Points {
+            label: label.to_string(),
+            total: points.len(),
+            completed,
+            failures,
+        });
+    }
+    Ok(points
+        .iter()
+        .map(|key| {
+            done.get(&stable_key_hash(key))
+                .cloned()
+                .expect("every non-failed point finished")
+        })
+        .collect())
+}
+
+/// Runs a grid on `settings.jobs` threads of this process: [`prefill`],
+/// crash-isolated parallel evaluation of the remaining points (each
+/// appended to `checkpoint` as it finishes), then [`assemble`].
+pub(crate) fn run_points<K, V, F>(
+    label: &str,
+    points: &[K],
+    checkpoint: Option<&Checkpoint>,
+    settings: &Settings,
+    eval: F,
+) -> Result<Vec<V>, SweepError>
+where
+    K: Hash + Sync + fmt::Debug,
+    V: Clone + Send + Checkpointable,
+    F: Fn(&K) -> V + Sync,
+{
+    let (mut done, todo) = prefill(label, points, checkpoint);
+    let obs_on = mesh_obs::enabled();
+    if obs_on {
+        mesh_obs::gauge("sweep.points_total").set(points.len() as u64);
+        mesh_obs::gauge("sweep.points_done").set((points.len() - todo.len()) as u64);
+    }
+    let mut failures: Vec<PointFailure> = Vec::new();
+    if !todo.is_empty() {
+        let total = todo.len();
+        let prefilled = points.len() - total;
+        let sweep_start = std::time::Instant::now();
+        let done_count = AtomicUsize::new(0);
+        let next = AtomicUsize::new(0);
+        let results: Vec<Mutex<Option<Result<V, PointFailure>>>> =
+            todo.iter().map(|_| Mutex::new(None)).collect();
+        let workers = settings.jobs.min(total);
+        let fail_index = injected_index(settings.fail_point.as_ref(), label);
+        let worker = || loop {
+            let claim = next.fetch_add(1, Ordering::Relaxed);
+            if claim >= total {
+                break;
             }
-        }
-
-        let obs_on = mesh_obs::enabled();
-        if obs_on {
-            mesh_obs::gauge("sweep.points_total").set(points.len() as u64);
-            mesh_obs::gauge("sweep.points_done").set((points.len() - todo.len()) as u64);
-        }
-        let mut failures: Vec<PointFailure> = Vec::new();
-        if !todo.is_empty() {
-            let total = todo.len();
-            let prefilled = points.len() - total;
-            let sweep_start = std::time::Instant::now();
-            let done = AtomicUsize::new(0);
-            let next = AtomicUsize::new(0);
-            let results: Vec<Mutex<Option<Result<V, PointFailure>>>> =
-                todo.iter().map(|_| Mutex::new(None)).collect();
-            let workers = self.jobs.min(total);
-            let progress = self.progress;
-            let retries = self.retries;
-            let backoff = self.backoff;
-            let fail_index = match &self.fail_point {
-                Some((None, i)) => Some(*i),
-                Some((Some(l), i)) if l == label => Some(*i),
-                _ => None,
+            let (index, key, hash) = todo[claim];
+            let outcome = {
+                let _point_span = obs_on
+                    .then(|| mesh_obs::span_labeled("sweep.point_ns", format!("{label}[{index}]")));
+                eval_isolated(
+                    label,
+                    index,
+                    key,
+                    &eval,
+                    settings.retries,
+                    settings.backoff,
+                    fail_index == Some(index),
+                )
             };
-            let worker = || loop {
-                let claim = next.fetch_add(1, Ordering::Relaxed);
-                if claim >= total {
-                    break;
-                }
-                let (index, key) = todo[claim];
-                let outcome = {
-                    let _point_span = obs_on.then(|| {
-                        mesh_obs::span_labeled("sweep.point_ns", format!("{label}[{index}]"))
-                    });
-                    eval_isolated(
-                        label,
-                        index,
-                        key,
-                        &eval,
-                        retries,
-                        backoff,
-                        fail_index == Some(index),
-                    )
-                };
-                if let (Ok(value), Some(record)) = (&outcome, record) {
-                    // Persist before reporting progress: a kill right after
-                    // this line loses at most the in-flight points.
-                    record(key, value);
-                }
-                *results[claim].lock().expect("sweep slot poisoned") = Some(outcome);
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if obs_on {
-                    mesh_obs::gauge("sweep.points_done").set((prefilled + finished) as u64);
-                }
-                if progress && workers > 1 {
-                    let elapsed = sweep_start.elapsed().as_secs_f64();
-                    let eta = elapsed / finished as f64 * (total - finished) as f64;
+            if let (Ok(value), Some(ck)) = (&outcome, checkpoint) {
+                // Persist before reporting progress: a kill right after
+                // this line loses at most the in-flight points.
+                if let Err(e) = ck.record(label, hash, value) {
                     eprintln!(
-                        "mesh-bench {label}: {finished}/{total} points \
-                         ({elapsed:.1}s elapsed, eta {eta:.1}s)"
+                        "mesh-bench: checkpoint write to {} failed: {e}",
+                        ck.path().display()
                     );
                 }
-            };
-            if workers == 1 {
-                // Serial: same thread, same order, no pool overhead.
-                worker();
-            } else {
-                let worker = &worker;
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(worker);
-                    }
-                });
             }
-
-            let mut cache = self.cache.lock().expect("sweep cache poisoned");
-            for ((index, key), result) in todo.iter().zip(results) {
-                match result
-                    .into_inner()
-                    .expect("sweep slot poisoned")
-                    .expect("sweep worker completed every claimed point")
-                {
-                    Ok(value) => {
-                        slots[*index] = Some(value.clone());
-                        cache.insert((*key).clone(), value);
-                    }
-                    Err(failure) => failures.push(failure),
+            *results[claim].lock().expect("sweep slot poisoned") = Some(outcome);
+            let finished = done_count.fetch_add(1, Ordering::Relaxed) + 1;
+            if obs_on {
+                mesh_obs::gauge("sweep.points_done").set((prefilled + finished) as u64);
+            }
+            if settings.progress && workers > 1 {
+                let elapsed = sweep_start.elapsed().as_secs_f64();
+                let eta = elapsed / finished as f64 * (total - finished) as f64;
+                eprintln!(
+                    "mesh-bench {label}: {finished}/{total} points \
+                     ({elapsed:.1}s elapsed, eta {eta:.1}s)"
+                );
+            }
+        };
+        if workers == 1 {
+            // Serial: same thread, same order, no pool overhead.
+            worker();
+        } else {
+            let worker = &worker;
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(worker);
                 }
-            }
-        }
-
-        let cache = self.cache.lock().expect("sweep cache poisoned");
-        if !failures.is_empty() {
-            failures.sort_by_key(|f| f.index);
-            let completed = points
-                .iter()
-                .zip(&slots)
-                .filter(|(key, slot)| slot.is_some() || cache.contains_key(key))
-                .count();
-            return Err(SweepError::Points {
-                label: label.to_string(),
-                total: points.len(),
-                completed,
-                failures,
             });
         }
-
-        // Fill duplicate-of-miss slots from the now-populated cache, then
-        // unwrap in input order.
-        Ok(points
-            .iter()
-            .zip(slots)
-            .map(|(key, slot)| {
-                slot.unwrap_or_else(|| cache.get(key).expect("evaluated point").clone())
-            })
-            .collect())
+        for (&(_, _, hash), result) in todo.iter().zip(results) {
+            match result
+                .into_inner()
+                .expect("sweep slot poisoned")
+                .expect("sweep worker completed every claimed point")
+            {
+                Ok(value) => {
+                    done.insert(hash, value);
+                }
+                Err(failure) => failures.push(failure),
+            }
+        }
     }
+    assemble(label, points, &done, failures)
 }
 
 /// Evaluates one point inside `catch_unwind`, retrying with linear backoff
-/// plus deterministic jitter up to the budget. A free function so workers
-/// don't have to capture the whole engine (whose cache would demand
-/// `K: Send`).
+/// plus deterministic jitter up to the budget.
 ///
 /// The jitter ([`mesh_core::Backoff`]) is seeded by the sweep label and the
 /// point's input index, so each point's retry schedule is deterministic
@@ -786,83 +748,22 @@ fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Sweeps `points` with a fresh engine configured from the environment —
-/// the one-call entry point for binaries that run a single grid.
-///
-/// Results are in input order and byte-identical to a serial run; see
-/// [`SweepEngine::run`].
-///
-/// # Examples
-///
-/// ```
-/// let cubes = mesh_bench::sweep::sweep(&[1u64, 2, 3], |&n| n * n * n);
-/// assert_eq!(cubes, vec![1, 8, 27]);
-/// ```
-pub fn sweep<K, V, F>(points: &[K], eval: F) -> Vec<V>
-where
-    K: Hash + Eq + Clone + Sync + fmt::Debug,
-    V: Clone + Send,
-    F: Fn(&K) -> V + Sync,
-{
-    SweepEngine::<K, V>::from_env().run(points, eval)
-}
-
-/// [`sweep`] with a label used in progress reports.
-pub fn sweep_labeled<K, V, F>(label: &str, points: &[K], eval: F) -> Vec<V>
-where
-    K: Hash + Eq + Clone + Sync + fmt::Debug,
-    V: Clone + Send,
-    F: Fn(&K) -> V + Sync,
-{
-    SweepEngine::<K, V>::from_env().run_labeled(label, points, eval)
-}
-
-/// Crash-isolated, resumable sweep — the entry point the experiment
-/// binaries use.
-///
-/// Engine configuration comes from the environment (see the [module
-/// docs](self)); if [`CHECKPOINT_ENV`] names a file, finished points are
-/// persisted there and a re-run resumes from it. On failure, every healthy
-/// point has still been evaluated (and checkpointed), and the error lists
-/// each failed point's grid coordinates.
-///
-/// With [`crate::fabric::SHARDS_ENV`] (`MESH_BENCH_SHARDS`) set, the sweep
-/// runs on the multi-process [`crate::fabric`] instead of the in-process
-/// engine — supervised worker processes with heartbeats, timeouts and
-/// poison-point recovery — with output byte-identical to the in-process
-/// path at any shard count. Inside a fabric worker process this same
-/// function *is* the worker entrypoint: it evaluates the worker's assigned
-/// shard and exits.
-pub fn try_sweep_labeled<K, V, F>(label: &str, points: &[K], eval: F) -> Result<Vec<V>, SweepError>
-where
-    K: Hash + Eq + Clone + Sync + fmt::Debug,
-    V: Clone + Send + Checkpointable,
-    F: Fn(&K) -> V + Sync,
-{
-    if let Some(cfg) = crate::fabric::worker_config() {
-        return crate::fabric::worker_sweep(&cfg, label, points, eval);
-    }
-    let checkpoint = checkpoint_from_env()?;
-    if let Some(shards) = crate::fabric::shards_from_env() {
-        return crate::fabric::run_sharded(label, points, checkpoint.as_ref(), shards, eval);
-    }
-    SweepEngine::<K, V>::from_env().try_run_resumable(label, points, checkpoint.as_ref(), eval)
-}
-
-/// [`try_sweep_labeled`] with the default label.
-pub fn try_sweep<K, V, F>(points: &[K], eval: F) -> Result<Vec<V>, SweepError>
-where
-    K: Hash + Eq + Clone + Sync + fmt::Debug,
-    V: Clone + Send + Checkpointable,
-    F: Fn(&K) -> V + Sync,
-{
-    try_sweep_labeled("sweep", points, eval)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    /// Settings with `jobs` threads, no retries, a 1 ms backoff, no fault
+    /// injection and no progress output.
+    fn settings(jobs: usize) -> Settings {
+        Settings {
+            jobs,
+            retries: 0,
+            backoff: Duration::from_millis(1),
+            fail_point: None,
+            progress: false,
+        }
+    }
 
     #[test]
     fn parallel_results_match_serial_order() {
@@ -885,41 +786,21 @@ mod tests {
             }
             acc
         };
-        let serial = SweepEngine::with_jobs(1).run(&points, eval);
-        let parallel = SweepEngine::with_jobs(4).run(&points, eval);
+        let serial = run_points("order", &points, None, &settings(1), eval).unwrap();
+        let parallel = run_points("order", &points, None, &settings(4), eval).unwrap();
         assert_eq!(serial, parallel);
     }
 
     #[test]
-    fn cache_returns_hit_for_repeated_scenario_key() {
-        let engine: SweepEngine<(u64, u64), u64> = SweepEngine::with_jobs(2);
-        let evals = AtomicU64::new(0);
-        let eval = |&(a, b): &(u64, u64)| {
-            evals.fetch_add(1, Ordering::Relaxed);
-            a * 1000 + b
-        };
-        let first = engine.run(&[(1, 2), (3, 4)], eval);
-        assert_eq!(first, vec![1002, 3004]);
-        assert_eq!(engine.cache_hits(), 0);
-
-        // A second grid revisits (3, 4): it must come from the cache.
-        let second = engine.run(&[(3, 4), (5, 6)], eval);
-        assert_eq!(second, vec![3004, 5006]);
-        assert_eq!(engine.cache_hits(), 1);
-        assert_eq!(evals.load(Ordering::Relaxed), 3, "(3, 4) evaluated once");
-    }
-
-    #[test]
     fn duplicate_keys_within_one_grid_evaluate_once() {
-        let engine: SweepEngine<u64, u64> = SweepEngine::with_jobs(3);
         let evals = AtomicU64::new(0);
-        let results = engine.run(&[7, 7, 8, 7, 8], |&k| {
+        let results = run_points("dupes", &[7u64, 7, 8, 7, 8], None, &settings(3), |&k| {
             evals.fetch_add(1, Ordering::Relaxed);
             k * 2
-        });
+        })
+        .unwrap();
         assert_eq!(results, vec![14, 14, 16, 14, 16]);
         assert_eq!(evals.load(Ordering::Relaxed), 2);
-        assert_eq!(engine.cache_hits(), 3);
     }
 
     #[test]
@@ -927,114 +808,85 @@ mod tests {
         assert_eq!(FBits::new(1.5).get(), 1.5);
         assert_eq!(FBits::new(0.0), FBits::from(0.0));
         assert_ne!(FBits::new(0.0), FBits::new(-0.0));
-        let engine: SweepEngine<FBits, u64> = SweepEngine::with_jobs(2);
-        let out = engine.run(&[FBits::new(0.25), FBits::new(0.5)], |m| m.get().to_bits());
+        let grid = [FBits::new(0.25), FBits::new(0.5)];
+        let out = run_points("fbits", &grid, None, &settings(2), |m| m.get().to_bits()).unwrap();
         assert_eq!(out, vec![0.25f64.to_bits(), 0.5f64.to_bits()]);
     }
 
     #[test]
     fn empty_sweep_is_fine() {
-        let engine: SweepEngine<u64, u64> = SweepEngine::with_jobs(4);
-        let out: Vec<u64> = engine.run(&[], |&k| k);
+        let out: Vec<u64> = run_points("empty", &[] as &[u64], None, &settings(4), |&k| k).unwrap();
         assert!(out.is_empty());
     }
 
     #[test]
     fn single_worker_uses_calling_thread() {
-        let engine: SweepEngine<u64, u64> = SweepEngine::with_jobs(1);
         let caller = std::thread::current().id();
-        let out = engine.run(&[1, 2, 3], |&k| {
+        let out = run_points("serial", &[1u64, 2, 3], None, &settings(1), |&k| {
             assert_eq!(std::thread::current().id(), caller);
             k + 10
-        });
+        })
+        .unwrap();
         assert_eq!(out, vec![11, 12, 13]);
     }
 
     #[test]
     fn panicking_point_is_isolated_and_named() {
-        let engine: SweepEngine<u64, u64> = SweepEngine::with_jobs(3).with_retries(0);
-        let err = engine
-            .try_run_labeled("grid", &[10, 20, 30, 40], |&k| {
-                if k == 30 {
-                    panic!("bad point {k}");
-                }
-                k + 1
-            })
-            .unwrap_err();
+        let grid = [(1u64, 10u64), (2, 20), (3, 30), (4, 40)];
+        let err = run_points("grid", &grid, None, &settings(3), |&(a, b)| {
+            if a == 3 {
+                panic!("bad point {b}");
+            }
+            b + 1
+        })
+        .unwrap_err();
+        let message = err.to_string();
+        for part in ["sweep 'grid'", "(3, 30)", "bad point 30"] {
+            assert!(message.contains(part), "{part:?} missing: {message}");
+        }
         match err {
             SweepError::Points {
-                label,
                 total,
                 completed,
                 failures,
+                ..
             } => {
-                assert_eq!(label, "grid");
                 assert_eq!(total, 4);
                 assert_eq!(completed, 3, "every healthy point still evaluated");
                 assert_eq!(failures.len(), 1);
                 assert_eq!(failures[0].index, 2);
-                assert_eq!(failures[0].coordinates, "30");
-                assert!(failures[0].payload.contains("bad point 30"));
+                assert_eq!(failures[0].coordinates, "(3, 30)");
                 assert_eq!(failures[0].attempts, 1);
             }
             other => panic!("expected point failure, got {other:?}"),
         }
-        // The healthy points made it into the cache.
-        assert_eq!(
-            engine.run(&[10u64, 20, 40], |_| unreachable!()),
-            [11, 21, 41]
-        );
-    }
-
-    #[test]
-    fn run_labeled_propagates_panic_message_with_coordinates() {
-        let engine: SweepEngine<(u64, u64), u64> = SweepEngine::with_jobs(2).with_retries(0);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            engine.run_labeled("fig-test", &[(1, 2), (3, 4)], |&(a, _)| {
-                if a == 3 {
-                    panic!("exploded");
-                }
-                a
-            })
-        }))
-        .unwrap_err();
-        let message = payload_text(caught.as_ref());
-        assert!(message.contains("fig-test"), "names the sweep: {message}");
-        assert!(
-            message.contains("(3, 4)"),
-            "names the coordinates: {message}"
-        );
-        assert!(
-            message.contains("exploded"),
-            "carries the payload: {message}"
-        );
     }
 
     #[test]
     fn retry_recovers_a_flaky_point() {
-        let engine: SweepEngine<u64, u64> = SweepEngine::with_jobs(1)
-            .with_retries(2)
-            .with_backoff(Duration::from_millis(1));
         let attempts = AtomicU64::new(0);
-        let out = engine
-            .try_run_labeled("flaky", &[5], |&k| {
-                if attempts.fetch_add(1, Ordering::Relaxed) < 2 {
-                    panic!("transient");
-                }
-                k * 2
-            })
-            .unwrap();
+        let retrying = Settings {
+            retries: 2,
+            ..settings(1)
+        };
+        let out = run_points("flaky", &[5u64], None, &retrying, |&k| {
+            if attempts.fetch_add(1, Ordering::Relaxed) < 2 {
+                panic!("transient");
+            }
+            k * 2
+        })
+        .unwrap();
         assert_eq!(out, vec![10]);
         assert_eq!(attempts.load(Ordering::Relaxed), 3);
     }
 
     #[test]
     fn injected_fail_point_reports_its_coordinates() {
-        let engine: SweepEngine<u64, u64> =
-            SweepEngine::with_jobs(2).with_retries(0).with_fail_point(1);
-        let err = engine
-            .try_run_labeled("inject", &[100, 200, 300], |&k| k)
-            .unwrap_err();
+        let injecting = Settings {
+            fail_point: Some((None, 1)),
+            ..settings(2)
+        };
+        let err = run_points("inject", &[100u64, 200, 300], None, &injecting, |&k| k).unwrap_err();
         match err {
             SweepError::Points {
                 completed,
@@ -1046,6 +898,43 @@ mod tests {
                 assert!(failures[0].payload.contains(FAIL_POINT_ENV));
             }
             other => panic!("expected point failure, got {other:?}"),
+        }
+        // A labeled fail point leaves other sweeps alone.
+        let elsewhere = Settings {
+            fail_point: Some((Some("other".to_string()), 1)),
+            ..settings(2)
+        };
+        assert!(run_points("inject", &[100u64, 200], None, &elsewhere, |&k| k).is_ok());
+    }
+
+    #[test]
+    fn assemble_orders_results_and_reports_failures() {
+        let points = vec![3u64, 1, 3, 2];
+        let mut done = HashMap::new();
+        for &p in &points {
+            done.insert(stable_key_hash(&p), p * 10);
+        }
+        let out = assemble("t", &points, &done, Vec::new()).unwrap();
+        assert_eq!(out, vec![30, 10, 30, 20], "input order incl. duplicates");
+
+        let failures = vec![PointFailure {
+            label: "t".into(),
+            index: 1,
+            coordinates: "1".into(),
+            payload: "poisoned: worker died".into(),
+            attempts: 2,
+            flight_record: None,
+        }];
+        done.remove(&stable_key_hash(&1u64));
+        let err = assemble("t", &points, &done, failures).unwrap_err();
+        match err {
+            SweepError::Points {
+                total, completed, ..
+            } => {
+                assert_eq!(total, 4);
+                assert_eq!(completed, 3, "both duplicates of 3, plus 2");
+            }
+            other => panic!("expected Points, got {other:?}"),
         }
     }
 
@@ -1067,19 +956,17 @@ mod tests {
         let eval = |&k: &u64| (k as f64) * 1.5 + 0.1;
 
         // Uninterrupted reference run, no checkpoint.
-        let reference: Vec<f64> = SweepEngine::with_jobs(2)
-            .try_run_labeled("resume", &points, eval)
-            .unwrap();
+        let reference: Vec<f64> = run_points("resume", &points, None, &settings(2), eval).unwrap();
 
         // First run "crashes" at point 5 (retries exhausted); the other
         // points are on disk.
         {
             let ck = Checkpoint::open(&path).unwrap();
-            let engine: SweepEngine<u64, f64> =
-                SweepEngine::with_jobs(2).with_retries(0).with_fail_point(5);
-            let err = engine
-                .try_run_resumable("resume", &points, Some(&ck), eval)
-                .unwrap_err();
+            let crashing = Settings {
+                fail_point: Some((None, 5)),
+                ..settings(2)
+            };
+            let err = run_points("resume", &points, Some(&ck), &crashing, eval).unwrap_err();
             assert!(matches!(err, SweepError::Points { completed: 7, .. }));
         }
 
@@ -1087,13 +974,11 @@ mod tests {
         let evals = AtomicU64::new(0);
         let ck = Checkpoint::open(&path).unwrap();
         assert_eq!(ck.loaded(), 7);
-        let engine: SweepEngine<u64, f64> = SweepEngine::with_jobs(2);
-        let resumed = engine
-            .try_run_resumable("resume", &points, Some(&ck), |k| {
-                evals.fetch_add(1, Ordering::Relaxed);
-                eval(k)
-            })
-            .unwrap();
+        let resumed = run_points("resume", &points, Some(&ck), &settings(2), |k| {
+            evals.fetch_add(1, Ordering::Relaxed);
+            eval(k)
+        })
+        .unwrap();
         assert_eq!(evals.load(Ordering::Relaxed), 1, "only point 5 re-ran");
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&resumed), bits(&reference), "byte-identical resume");
@@ -1105,21 +990,17 @@ mod tests {
         let path = temp_checkpoint("labels");
         let _ = std::fs::remove_file(&path);
         let ck = Checkpoint::open(&path).unwrap();
-        let engine: SweepEngine<u64, u64> = SweepEngine::with_jobs(1);
-        let a = engine
-            .try_run_resumable("grid-a", &[1, 2], Some(&ck), |&k| k * 10)
-            .unwrap();
+        let a = run_points("grid-a", &[1u64, 2], Some(&ck), &settings(1), |&k| k * 10).unwrap();
         assert_eq!(a, vec![10, 20]);
 
         // Same keys under another label must not hit grid-a's records.
-        let engine: SweepEngine<u64, u64> = SweepEngine::with_jobs(1);
+        let ck = Checkpoint::open(&path).unwrap();
         let evals = AtomicU64::new(0);
-        let b = engine
-            .try_run_resumable("grid-b", &[1, 2], Some(&ck), |&k| {
-                evals.fetch_add(1, Ordering::Relaxed);
-                k * 100
-            })
-            .unwrap();
+        let b = run_points("grid-b", &[1u64, 2], Some(&ck), &settings(1), |&k| {
+            evals.fetch_add(1, Ordering::Relaxed);
+            k * 100
+        })
+        .unwrap();
         assert_eq!(b, vec![100, 200]);
         assert_eq!(evals.load(Ordering::Relaxed), 2);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();

@@ -3,8 +3,9 @@
 //! populating; a result-memo replay (from disk or from the in-process LRU)
 //! must reproduce the populating point *exactly* (recorded wall clocks
 //! included); a planner-driven sweep's stdout must be byte-identical
-//! across {planner off, planner on, sub-memo cold, sub-memo warm, sharded};
-//! distinct hybrid knob settings must never collide within a sub-evaluation
+//! across {sub-memo cold, sub-memo warm, sharded over a warm memo}, and a
+//! cold sharded run must agree on every simulated column; distinct hybrid
+//! knob settings must never collide within a sub-evaluation
 //! fingerprint domain; and the annotation-profile key must cover exactly
 //! the inputs a profile depends on.
 //!
@@ -261,11 +262,9 @@ fn annotation_profile_fingerprint_covers_its_inputs() {
 
 const DEMO_EXE: &str = env!("CARGO_BIN_EXE_subeval_demo");
 
-/// Cache/planner/fabric variables that must not leak into the spawned legs.
+/// Cache/fabric variables that must not leak into the spawned legs.
 const SCRUB: &[&str] = &[
     "MESH_RESULT_CACHE",
-    "MESH_SUBEVAL_LRU",
-    "MESH_BENCH_PLANNER",
     "MESH_BENCH_SHARDS",
     "MESH_BENCH_CHECKPOINT",
     "MESH_BENCH_PROGRESS",
@@ -287,13 +286,26 @@ fn demo_stdout(envs: &[(&str, String)]) -> String {
     String::from_utf8(out.stdout).expect("subeval_demo stdout is UTF-8")
 }
 
+/// The demo's stdout without its two wall-clock columns (`hybrid_us`,
+/// `iss_us`): every line minus its last two whitespace-separated fields.
+fn simulated_columns(stdout: &str) -> Vec<String> {
+    stdout
+        .lines()
+        .map(|line| {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            fields[..fields.len().saturating_sub(2)].join(" ")
+        })
+        .collect()
+}
+
 /// The tentpole invariant, end to end: the same sweep's stdout — wall-clock
-/// columns included — is byte-identical whether the planner is on or off,
-/// whether the sub-evaluation memo is cold or warm, and whether the sweep
-/// runs in-process or sharded across worker processes. The first (cold) leg
-/// records the timings; every warm leg replays them exactly.
+/// columns included — is byte-identical whether the sub-evaluation memo is
+/// cold or warm, and whether the sweep runs in-process or sharded across
+/// worker processes. The first (cold) leg records the timings; every warm
+/// leg replays them exactly, and a cold sharded leg agrees on every
+/// simulated column.
 #[test]
-fn sweep_stdout_byte_identical_across_planner_memo_and_sharding() {
+fn sweep_stdout_byte_identical_across_memo_and_sharding() {
     let memo_dir = std::env::temp_dir().join(format!(
         "mesh-cache-identity-stdout-{}-memo",
         std::process::id()
@@ -301,28 +313,30 @@ fn sweep_stdout_byte_identical_across_planner_memo_and_sharding() {
     let _ = std::fs::remove_dir_all(&memo_dir);
     let memo_env = ("MESH_RESULT_CACHE", memo_dir.display().to_string());
 
-    // Leg 1: sub-memo cold, planner on — populates the shared cache.
+    // Leg 1: sub-memo cold — populates the shared cache.
     let cold = demo_stdout(std::slice::from_ref(&memo_env));
-
-    // Leg 2: planner off, memo warm.
-    let planner_off = demo_stdout(&[memo_env.clone(), ("MESH_BENCH_PLANNER", "off".into())]);
-    assert_eq!(planner_off, cold, "planner off diverged");
-
-    // Leg 3: planner on, memo warm.
-    let warm = demo_stdout(std::slice::from_ref(&memo_env));
-    assert_eq!(warm, cold, "memo-warm replay diverged");
-
-    // Leg 4: sharded across two worker processes, memo warm.
-    let sharded = demo_stdout(&[memo_env.clone(), ("MESH_BENCH_SHARDS", "2".into())]);
-    assert_eq!(sharded, cold, "sharded run diverged");
-
-    // Leg 5: fresh cache directory, planner on, sharded — a cold multi-
-    // process run must still agree on every simulated field (wall columns
-    // are recorded by whichever process computes them first, so the full
-    // byte comparison only applies to the shared-cache legs above).
     assert!(
         cold.contains("min_ts"),
         "demo printed its table header: {cold}"
+    );
+
+    // Leg 2: memo warm.
+    let warm = demo_stdout(std::slice::from_ref(&memo_env));
+    assert_eq!(warm, cold, "memo-warm replay diverged");
+
+    // Leg 3: sharded across two worker processes, memo warm.
+    let sharded = demo_stdout(&[memo_env.clone(), ("MESH_BENCH_SHARDS", "2".into())]);
+    assert_eq!(sharded, cold, "sharded run diverged");
+
+    // Leg 4: sharded with no result cache. The reference phase is skipped
+    // and the planner's reference groups co-locate the grid on one worker,
+    // which computes everything afresh: its own wall clocks, but every
+    // simulated column must match the cold in-process leg.
+    let sharded_cold = demo_stdout(&[("MESH_BENCH_SHARDS", "2".into())]);
+    assert_eq!(
+        simulated_columns(&sharded_cold),
+        simulated_columns(&cold),
+        "cold sharded run diverged on a simulated column"
     );
 
     let _ = std::fs::remove_dir_all(&memo_dir);

@@ -37,24 +37,19 @@ fn arb_file() -> impl Strategy<Value = BenchFile> {
         any::<bool>(),
         (0usize..64, 0usize..64),
         0usize..2,
-        (0usize..3, 0usize..3),
         prop::collection::vec((arb_token(32), arb_median()), 0..8),
     )
         .prop_map(
-            |(git_sha, quick, (jobs, shards), result_cache, (planner, subeval_lru), benchmarks)| {
-                BenchFile {
-                    git_sha,
-                    quick,
-                    jobs,
-                    shards,
-                    result_cache,
-                    planner,
-                    subeval_lru,
-                    benchmarks: benchmarks
-                        .into_iter()
-                        .map(|(name, median_ns)| BenchRecord { name, median_ns })
-                        .collect(),
-                }
+            |(git_sha, quick, (jobs, shards), result_cache, benchmarks)| BenchFile {
+                git_sha,
+                quick,
+                jobs,
+                shards,
+                result_cache,
+                benchmarks: benchmarks
+                    .into_iter()
+                    .map(|(name, median_ns)| BenchRecord { name, median_ns })
+                    .collect(),
             },
         )
 }
@@ -89,8 +84,6 @@ fn every_prefix_of_a_valid_file_is_handled() {
         jobs: 8,
         shards: 2,
         result_cache: 0,
-        planner: 1,
-        subeval_lru: 2,
         benchmarks: vec![
             BenchRecord {
                 name: "cyclesim/fig4_p8_8KB_skip".to_string(),
@@ -118,8 +111,6 @@ fn malformed_fields_are_errors_not_panics() {
         jobs: 4,
         shards: 0,
         result_cache: 1,
-        planner: 1,
-        subeval_lru: 1,
         benchmarks: vec![BenchRecord {
             name: "cyclesim/x".to_string(),
             median_ns: 10.0,
@@ -160,8 +151,6 @@ fn quick_flag_survives_a_confusing_sha() {
             jobs: 1,
             shards: 0,
             result_cache: 0,
-            planner: 0,
-            subeval_lru: 0,
             benchmarks: Vec::new(),
         };
         let parsed = BenchFile::from_json(&file.to_json()).expect("parse");

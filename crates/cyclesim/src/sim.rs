@@ -84,8 +84,7 @@ impl Default for SimOptions {
             pacing: Pacing::default(),
             cycle_limit: u64::MAX,
             reference_ticker: false,
-            // Compiled unless MESH_CYCLESIM_TRACE opts the process out.
-            trace: TraceMode::from_env(),
+            trace: TraceMode::Compiled,
         }
     }
 }

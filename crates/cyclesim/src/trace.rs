@@ -31,10 +31,10 @@
 //!   (they vary cache size and processor count, not the programs) compile
 //!   each distinct trace exactly once per process.
 //!
-//! Memory stays bounded: a single task's trace is capped at
-//! [`MAX_STEPS_ENV`] steps (beyond it the engines fall back to the
-//! on-the-fly cursor and the cap is negative-cached), and the cache evicts
-//! oldest-first beyond the [`CACHE_STEPS_ENV`] resident-step budget.
+//! Memory stays bounded: a single task's trace is capped at 4 Mi steps
+//! (≈ 128 MiB; beyond it the engines fall back to the on-the-fly cursor and
+//! the cap is negative-cached), and the cache evicts oldest-first beyond a
+//! resident budget of 8 Mi steps (≈ 256 MiB) across all entries.
 //!
 //! Exactness is proven the same way the event-skipping engine's is:
 //! `tests/differential.rs` pins trace-fed runs of both engines to
@@ -51,30 +51,18 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Environment variable selecting the default feed for
-/// [`SimOptions::default`](crate::SimOptions): set to `off`, `0` or
-/// `cursor` to disable trace compilation process-wide (the on-the-fly
-/// cursor path); `on`, `1` or `compiled` (or unset) keep it. Any other
-/// value warns on stderr and keeps the compiled feed. Read once per
-/// process.
-pub const TRACE_ENV: &str = "MESH_CYCLESIM_TRACE";
-
-/// Environment variable capping one task's compiled trace, in steps
-/// (default 4,194,304 ≈ 128 MiB). Tasks beyond the cap fall back to the
-/// on-the-fly cursor; the verdict is negative-cached so the compile cost is
-/// paid once.
-pub const MAX_STEPS_ENV: &str = "MESH_TRACE_MAX_STEPS";
-
-/// Environment variable bounding the cross-sweep cache's resident steps
-/// across all entries (default 8,388,608 ≈ 256 MiB). Oldest entries are
-/// evicted first when an insert would exceed the budget.
-pub const CACHE_STEPS_ENV: &str = "MESH_TRACE_CACHE_STEPS";
-
 /// Worker-count variable shared with `mesh_bench::sweep` (this crate cannot
 /// depend on the bench harness, so the name is duplicated by convention).
 const JOBS_ENV: &str = "MESH_BENCH_JOBS";
 
+/// Cap on one task's compiled trace, in steps (≈ 128 MiB). Tasks beyond the
+/// cap fall back to the on-the-fly cursor; the verdict is negative-cached so
+/// the compile cost is paid once.
 const DEFAULT_MAX_STEPS: usize = 4 << 20;
+
+/// Resident-step budget of the cross-sweep cache across all entries
+/// (≈ 256 MiB). Oldest entries are evicted first when an insert would
+/// exceed it.
 const DEFAULT_CACHE_STEPS: usize = 8 << 20;
 
 /// Steps per storage chunk: large enough that chunk-boundary checks vanish
@@ -93,34 +81,6 @@ pub enum TraceMode {
     /// during the run — the original path, kept as the differential
     /// reference for the compiled feed.
     OnTheFly,
-}
-
-impl TraceMode {
-    /// The process-wide default mode: [`TraceMode::Compiled`] unless
-    /// [`TRACE_ENV`] disables it. Read once and cached.
-    pub fn from_env() -> TraceMode {
-        static MODE: OnceLock<TraceMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var(TRACE_ENV) {
-            Ok(v) => parse_trace_mode(&v).unwrap_or_else(|warning| {
-                eprintln!("{warning}");
-                TraceMode::Compiled
-            }),
-            Err(_) => TraceMode::Compiled,
-        })
-    }
-}
-
-/// Parses a [`TRACE_ENV`] value; the error is the warning to print before
-/// falling back to [`TraceMode::Compiled`].
-fn parse_trace_mode(value: &str) -> Result<TraceMode, String> {
-    match value.trim() {
-        "off" | "0" | "cursor" => Ok(TraceMode::OnTheFly),
-        "" | "on" | "1" | "compiled" => Ok(TraceMode::Compiled),
-        _ => Err(format!(
-            "mesh-cyclesim: ignoring invalid {TRACE_ENV}={value:?} \
-             (want off|0|cursor or on|1|compiled; using compiled)"
-        )),
-    }
 }
 
 /// The shared-state event a macro-step runs into — what the processor does
@@ -433,19 +393,6 @@ fn global() -> MutexGuard<'static, TraceCache> {
         .expect("trace cache poisoned")
 }
 
-fn env_steps(var: &str, default: usize) -> usize {
-    match std::env::var(var) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("mesh-cyclesim: ignoring invalid {var}={v:?} (want a positive integer)");
-                default
-            }
-        },
-        Err(_) => default,
-    }
-}
-
 /// Compile worker count: `MESH_BENCH_JOBS` if set to a positive integer,
 /// else available parallelism — the sweep engine's convention.
 fn jobs_from_env() -> usize {
@@ -519,13 +466,11 @@ pub(crate) fn compiled_for(
         return out;
     }
 
-    let max_steps = env_steps(MAX_STEPS_ENV, DEFAULT_MAX_STEPS);
     let compiled = {
         let _span = mesh_obs::span("cyclesim.compile_ns");
-        compile_parallel(&missing, workload, machine, pacing, max_steps)
+        compile_parallel(&missing, workload, machine, pacing)
     };
 
-    let budget = env_steps(CACHE_STEPS_ENV, DEFAULT_CACHE_STEPS);
     let mut cache = global();
     let evictions_before = cache.evictions;
     for (&i, trace) in missing.iter().zip(&compiled) {
@@ -537,7 +482,7 @@ pub(crate) fn compiled_for(
                 CacheEntry::TooLarge
             }
         };
-        cache.insert(keys[i], entry, budget);
+        cache.insert(keys[i], entry, DEFAULT_CACHE_STEPS);
         if mesh_obs::enabled() {
             // Fold freshly-compiled trace keys into the run manifest's
             // workload fingerprint (XOR fold: order-independent across
@@ -581,12 +526,12 @@ static COMPILES: AtomicU64 = AtomicU64::new(0);
 
 /// Resolves the given task indices (in-memory misses), spreading distinct
 /// tasks over scoped worker threads claiming from a shared atomic index.
+/// Tasks past [`DEFAULT_MAX_STEPS`] resolve to `None`.
 fn compile_parallel(
     missing: &[usize],
     workload: &Workload,
     machine: &MachineConfig,
     pacing: Pacing,
-    max_steps: usize,
 ) -> Vec<Option<Arc<TaskTrace>>> {
     let compile_one = |i: usize| {
         COMPILES.fetch_add(1, Ordering::Relaxed);
@@ -597,7 +542,7 @@ fn compile_parallel(
             &workload.tasks[i].segments,
             machine.procs[i],
             derived_pacing(pacing, i),
-            max_steps,
+            DEFAULT_MAX_STEPS,
         )
         .map(Arc::new)
     };
@@ -890,23 +835,6 @@ mod tests {
         // Re-inserting an existing key replaces it without double counting.
         cache.insert(2, trace(10), 100);
         assert_eq!(cache.resident_steps, 60);
-    }
-
-    #[test]
-    fn unrecognised_trace_mode_warns_instead_of_passing_silently() {
-        for off in ["off", "0", " cursor "] {
-            assert_eq!(parse_trace_mode(off), Ok(TraceMode::OnTheFly), "{off}");
-        }
-        for on in ["", "on", "1", "compiled"] {
-            assert_eq!(parse_trace_mode(on), Ok(TraceMode::Compiled), "{on}");
-        }
-        for bad in ["false", "no", "cursur", "OFF"] {
-            let warning = parse_trace_mode(bad).expect_err(bad);
-            assert!(
-                warning.contains(&format!("ignoring invalid {TRACE_ENV}={bad:?}")),
-                "{warning}"
-            );
-        }
     }
 
     #[test]

@@ -34,9 +34,11 @@
 //! destroying precisely the unbalance the experiments study.
 //!
 //! [`assemble`] packages the whole thing: workload + machine + contention
-//! model → a ready-to-run [`SystemBuilder`]. [`ProfiledWorkload`] does the
-//! same from precomputed profiles, and also yields the per-task totals alone
-//! for whole-program estimators that need no kernel system.
+//! model → a ready-to-run [`SystemBuilder`]; [`assemble_with_io`] adds a
+//! second model for the machine's I/O device. Both profile, then call the
+//! [`ProfiledWorkload`] method of the same name, which folds precomputed
+//! profiles and also yields the per-task totals alone for whole-program
+//! estimators that need no kernel system.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -489,16 +491,10 @@ pub fn assemble<M>(
 where
     M: ContentionModel + 'static,
 {
-    if machine.io.is_some() {
-        return Err(no_io_model());
-    }
-    assemble_inner(workload, machine, Box::new(model), None, policy)
-}
-
-fn no_io_model() -> AssembleError {
-    AssembleError::IoConfiguration(
-        "machine has an I/O device; use assemble_with_io to supply its model".to_string(),
-    )
+    check_io(machine, false)?;
+    profile_then(workload, machine, |profiled| {
+        profiled.assemble(model, policy)
+    })
 }
 
 /// As [`assemble`], for machines with a shared I/O device: `bus_model` and
@@ -520,18 +516,24 @@ where
     M1: ContentionModel + 'static,
     M2: ContentionModel + 'static,
 {
-    if machine.io.is_none() {
-        return Err(AssembleError::IoConfiguration(
+    check_io(machine, true)?;
+    profile_then(workload, machine, |profiled| {
+        profiled.assemble_with_io(bus_model, io_model, policy)
+    })
+}
+
+/// Checks that the machine has an I/O device exactly when the caller
+/// supplies a model for one.
+fn check_io(machine: &MachineConfig, io_model: bool) -> Result<(), AssembleError> {
+    match (machine.io.is_some(), io_model) {
+        (true, false) => Err(AssembleError::IoConfiguration(
+            "machine has an I/O device; use assemble_with_io to supply its model".to_string(),
+        )),
+        (false, true) => Err(AssembleError::IoConfiguration(
             "machine has no I/O device".to_string(),
-        ));
+        )),
+        _ => Ok(()),
     }
-    assemble_inner(
-        workload,
-        machine,
-        Box::new(bus_model),
-        Some(Box::new(io_model)),
-        policy,
-    )
 }
 
 /// Checks that the workload can run on the machine: it fits, validates,
@@ -558,13 +560,13 @@ fn check_pairing(workload: &Workload, machine: &MachineConfig) -> Result<(), Ass
     Ok(())
 }
 
-fn assemble_inner(
+/// Runs the cache pass of every task on its processor's cache, then hands
+/// the profiled workload to `then`.
+fn profile_then<R>(
     workload: &Workload,
     machine: &MachineConfig,
-    bus_model: Box<dyn ContentionModel>,
-    io_model: Option<Box<dyn ContentionModel>>,
-    policy: AnnotationPolicy,
-) -> Result<HybridSetup, AssembleError> {
+    then: impl FnOnce(&ProfiledWorkload<'_>) -> Result<R, AssembleError>,
+) -> Result<R, AssembleError> {
     check_pairing(workload, machine)?;
     let profiles: Vec<Vec<SegmentProfile>> = workload
         .tasks
@@ -572,12 +574,11 @@ fn assemble_inner(
         .zip(&machine.procs)
         .map(|(task, proc)| profile_task(task, proc.cache))
         .collect();
-    let profiled = ProfiledWorkload {
+    then(&ProfiledWorkload {
         workload,
         machine,
         profiles: &profiles,
-    };
-    Ok(profiled.build(bus_model, io_model, policy))
+    })
 }
 
 /// A workload paired with its machine and precomputed cache profiles — one
@@ -702,7 +703,7 @@ impl<'a> ProfiledWorkload<'a> {
     /// # Errors
     ///
     /// Returns [`AssembleError::IoConfiguration`] if the machine has an I/O
-    /// device (use [`assemble_with_io`]).
+    /// device (use [`assemble_with_io`](ProfiledWorkload::assemble_with_io)).
     pub fn assemble<M>(
         &self,
         model: M,
@@ -711,10 +712,29 @@ impl<'a> ProfiledWorkload<'a> {
     where
         M: ContentionModel + 'static,
     {
-        if self.machine.io.is_some() {
-            return Err(no_io_model());
-        }
+        check_io(self.machine, false)?;
         Ok(self.build(Box::new(model), None, policy))
+    }
+
+    /// As [`assemble_with_io`], folding the precomputed profiles instead of
+    /// running the cache pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AssembleError::IoConfiguration`] if the machine has no I/O
+    /// device.
+    pub fn assemble_with_io<M1, M2>(
+        &self,
+        bus_model: M1,
+        io_model: M2,
+        policy: AnnotationPolicy,
+    ) -> Result<HybridSetup, AssembleError>
+    where
+        M1: ContentionModel + 'static,
+        M2: ContentionModel + 'static,
+    {
+        check_io(self.machine, true)?;
+        Ok(self.build(Box::new(bus_model), Some(Box::new(io_model)), policy))
     }
 
     fn build(

@@ -15,9 +15,9 @@
 //! cargo run -p mesh-bench --bin multi_resource --release
 //! ```
 
-use mesh_annotate::{assemble_with_io, AnnotationPolicy};
+use mesh_annotate::AnnotationPolicy;
 use mesh_arch::IoConfig;
-use mesh_bench::phm_machine;
+use mesh_bench::{compare_resources, phm_machine, ResourcePoint};
 use mesh_metrics::{abs_percent_error, Table};
 use mesh_models::{ChenLinBus, Md1Queue};
 use mesh_workloads::scenario::{build, PhmConfig};
@@ -51,41 +51,35 @@ fn main() {
     let results = mesh_bench::or_exit(
         "multi_resource",
         mesh_bench::sweep::try_sweep_labeled("multi_resource", &io_delays, |&io_delay| {
+            // One memoized evaluation per I/O delay; every delay folds the
+            // scenario's one annotation profile.
             let machine = phm_machine(8).with_io(IoConfig::new(io_delay));
-            let iss = mesh_cyclesim::simulate(&workload, &machine).expect("iss");
-            let setup = assemble_with_io(
+            compare_resources(
                 &workload,
                 &machine,
                 ChenLinBus::new(),
                 Md1Queue::new(),
                 AnnotationPolicy::PerSegment,
             )
-            .expect("assemble");
-            let work = setup.work_total() as f64;
-            let bus = setup.bus;
-            let io = setup.io.expect("io resource");
-            let outcome = setup.builder.build().expect("build").run().expect("run");
-            let report = outcome.report;
-
-            let pct = |q: f64| 100.0 * q / work;
-            (
-                pct(report.shared[bus.index()].queuing.as_cycles()),
-                pct(iss.bus_queuing_total() as f64),
-                pct(report.shared[io.index()].queuing.as_cycles()),
-                pct(iss.io_queuing_total() as f64),
-            )
         }),
     );
-    for (io_delay, (mesh_bus, iss_bus, mesh_io, iss_io)) in io_delays.into_iter().zip(results) {
-        let mesh_total = mesh_bus + mesh_io;
-        let iss_total = iss_bus + iss_io;
+    for (io_delay, point) in io_delays.into_iter().zip(results) {
+        let ResourcePoint {
+            mesh_bus_pct,
+            iss_bus_pct,
+            mesh_io_pct,
+            iss_io_pct,
+        } = point;
         table.row(vec![
             io_delay.to_string(),
-            format!("{mesh_bus:.4}"),
-            format!("{iss_bus:.4}"),
-            format!("{mesh_io:.4}"),
-            format!("{iss_io:.4}"),
-            format!("{:.1}", abs_percent_error(mesh_total, iss_total)),
+            format!("{mesh_bus_pct:.4}"),
+            format!("{iss_bus_pct:.4}"),
+            format!("{mesh_io_pct:.4}"),
+            format!("{iss_io_pct:.4}"),
+            format!(
+                "{:.1}",
+                abs_percent_error(mesh_bus_pct + mesh_io_pct, iss_bus_pct + iss_io_pct)
+            ),
         ]);
     }
     println!("{table}");

@@ -222,22 +222,34 @@ pub fn shards_from_env() -> Option<usize> {
     }
 }
 
-/// Returns the per-point heartbeat timeout from [`TIMEOUT_ENV`], if any.
+/// Returns the per-point heartbeat timeout from [`TIMEOUT_ENV`], if any:
+/// none when unset or empty; an invalid value warns on stderr and leaves
+/// the timeout off too.
 pub fn timeout_from_env() -> Option<Duration> {
-    let value = std::env::var(TIMEOUT_ENV).ok()?;
-    let value = value.trim();
-    if value.is_empty() {
-        return None;
-    }
-    match value.parse::<f64>() {
-        Ok(secs) if secs > 0.0 && secs.is_finite() => Some(Duration::from_secs_f64(secs)),
-        Ok(_) => None,
-        Err(_) => {
-            eprintln!(
-                "mesh-bench: ignoring invalid {TIMEOUT_ENV}={value:?} (want seconds, e.g. 30 or 0.5)"
-            );
+    timeout_from(std::env::var(TIMEOUT_ENV).ok().as_deref())
+}
+
+/// [`timeout_from_env`] for a given [`TIMEOUT_ENV`] value (`None` = unset).
+fn timeout_from(value: Option<&str>) -> Option<Duration> {
+    let value = value.filter(|v| !v.trim().is_empty())?;
+    match parse_timeout(value) {
+        Ok(timeout) => Some(timeout),
+        Err(warning) => {
+            eprintln!("{warning}");
             None
         }
+    }
+}
+
+/// Parses a [`TIMEOUT_ENV`] value: positive, finite seconds. The error is
+/// the warning to print before running without a timeout.
+fn parse_timeout(value: &str) -> Result<Duration, String> {
+    match value.trim().parse::<f64>() {
+        Ok(secs) if secs > 0.0 && secs.is_finite() => Ok(Duration::from_secs_f64(secs)),
+        _ => Err(format!(
+            "mesh-bench: ignoring invalid {TIMEOUT_ENV}={value:?} \
+             (want positive seconds, e.g. 30 or 0.5; no timeout)"
+        )),
     }
 }
 
@@ -1251,18 +1263,29 @@ mod tests {
 
     #[test]
     fn env_parsers_reject_nonsense() {
-        // These touch process-global env; use distinct names via the public
-        // parsers only where safe. timeout parsing is pure given a string,
-        // so exercise the numeric paths through a scoped set/remove.
-        std::env::set_var(TIMEOUT_ENV, "0.25");
-        assert_eq!(timeout_from_env(), Some(Duration::from_millis(250)));
-        std::env::set_var(TIMEOUT_ENV, "0");
-        assert_eq!(timeout_from_env(), None);
-        std::env::set_var(TIMEOUT_ENV, "-3");
-        assert_eq!(timeout_from_env(), None);
-        std::env::set_var(TIMEOUT_ENV, "soon");
-        assert_eq!(timeout_from_env(), None);
-        std::env::remove_var(TIMEOUT_ENV);
-        assert_eq!(timeout_from_env(), None);
+        assert_eq!(timeout_from(Some("0.25")), Some(Duration::from_millis(250)));
+        for off in [
+            None,
+            Some(""),
+            Some(" "),
+            Some("0"),
+            Some("-3"),
+            Some("soon"),
+        ] {
+            assert_eq!(timeout_from(off), None, "{off:?}");
+        }
+    }
+
+    #[test]
+    fn invalid_timeout_warns_instead_of_silently_disabling_it() {
+        assert_eq!(parse_timeout("0.25"), Ok(Duration::from_millis(250)));
+        assert_eq!(parse_timeout(" 30 "), Ok(Duration::from_secs(30)));
+        for bad in ["0", "-30", "inf", "NaN", "abc", "30s"] {
+            let warning = parse_timeout(bad).expect_err(bad);
+            assert!(
+                warning.contains(&format!("ignoring invalid {TIMEOUT_ENV}={bad:?}")),
+                "{warning}"
+            );
+        }
     }
 }

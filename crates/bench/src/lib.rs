@@ -33,7 +33,10 @@ use mesh_arch::{Arbitration, BusConfig, CacheConfig, MachineConfig, ProcConfig};
 use mesh_core::model::ContentionModel;
 use mesh_cyclesim::CycleReport;
 use mesh_metrics::abs_percent_error;
-use mesh_models::{AnalyticalEstimator, ChenLinBus, ThreadProfile};
+use mesh_models::{
+    AnalyticalEstimator, ChenLinBus, FairShare, Md1Queue, Mm1Queue, MvaBus, PriorityBus,
+    PriorityNoc, RoundRobinBus, ScaledModel, TableModel, ThreadProfile,
+};
 use mesh_workloads::fft::{self, FftConfig};
 use mesh_workloads::scenario::{self, PhmConfig};
 use mesh_workloads::Workload;
@@ -238,12 +241,21 @@ impl Default for HybridOptions {
 ///
 /// Panics if the workload is invalid for the machine.
 pub fn scenario_fp(domain: &str, workload: &Workload, machine: &MachineConfig) -> memo::ScenarioFp {
+    scenario_fp_of(domain, workload_fp(workload, machine), machine)
+}
+
+/// The trace layer's fingerprint of `workload` on `machine` — the one pass
+/// over every segment a point's memo keys need. Evaluations with several
+/// legs compute it once and derive each leg's key from it with
+/// [`scenario_fp_of`].
+fn workload_fp(workload: &Workload, machine: &MachineConfig) -> u128 {
+    mesh_cyclesim::workload_fingerprint(workload, machine, mesh_cyclesim::Pacing::default())
+}
+
+/// [`scenario_fp`] from an already computed [`workload_fp`].
+fn scenario_fp_of(domain: &str, workload_fp: u128, machine: &MachineConfig) -> memo::ScenarioFp {
     memo::ScenarioFp::new(domain)
-        .wide(mesh_cyclesim::workload_fingerprint(
-            workload,
-            machine,
-            mesh_cyclesim::Pacing::default(),
-        ))
+        .wide(workload_fp)
         .words(&machine.digest_words())
 }
 
@@ -362,6 +374,31 @@ pub fn assemble_memoized<M: ContentionModel + 'static>(
         .expect("hybrid assembly failed")
 }
 
+/// As [`mesh_annotate::assemble_with_io`], folding the scenario's memoized
+/// annotation profile like [`assemble_memoized`]: the I/O delay is not part
+/// of the profile key, so a sweep over it makes one cache pass.
+///
+/// # Panics
+///
+/// Panics if the workload is invalid for the machine or the machine has no
+/// I/O device.
+pub fn assemble_with_io_memoized<M1, M2>(
+    workload: &Workload,
+    machine: &MachineConfig,
+    bus_model: M1,
+    io_model: M2,
+    policy: AnnotationPolicy,
+) -> HybridSetup
+where
+    M1: ContentionModel + 'static,
+    M2: ContentionModel + 'static,
+{
+    let profiles = annotation_profiles(workload, machine);
+    ProfiledWorkload::new(workload, machine, &profiles)
+        .and_then(|profiled| profiled.assemble_with_io(bus_model, io_model, policy))
+        .expect("hybrid assembly failed")
+}
+
 /// The memoized product of the cycle-accurate reference sub-evaluation: the
 /// ground-truth queuing percentage plus the recorded wall clock and
 /// simulated-cycle count.
@@ -448,7 +485,11 @@ impl crate::checkpoint::Checkpointable for HybridLeg {
 ///
 /// Panics if the workload is invalid for the machine.
 pub fn iss_reference_fp(workload: &Workload, machine: &MachineConfig) -> u128 {
-    scenario_fp("subeval-iss", workload, machine).finish()
+    iss_key(workload_fp(workload, machine), machine)
+}
+
+fn iss_key(workload_fp: u128, machine: &MachineConfig) -> u128 {
+    scenario_fp_of("subeval-iss", workload_fp, machine).finish()
 }
 
 /// Runs (or replays) the cycle-accurate reference for a workload/machine
@@ -461,11 +502,10 @@ pub fn iss_reference_fp(workload: &Workload, machine: &MachineConfig) -> u128 {
 ///
 /// Panics if the workload is invalid for the machine.
 pub fn iss_reference(workload: &Workload, machine: &MachineConfig) -> IssRef {
-    iss_reference_flagged(workload, machine).0
+    iss_reference_keyed(iss_reference_fp(workload, machine), workload, machine).0
 }
 
-fn iss_reference_flagged(workload: &Workload, machine: &MachineConfig) -> (IssRef, bool) {
-    let fp = iss_reference_fp(workload, machine);
+fn iss_reference_keyed(fp: u128, workload: &Workload, machine: &MachineConfig) -> (IssRef, bool) {
     let (iss, shared) = memo::memoize_flagged(fp, || {
         let iss: CycleReport =
             mesh_cyclesim::simulate(workload, machine).expect("cycle-accurate simulation failed");
@@ -494,23 +534,25 @@ pub fn hybrid_subeval_fp(
     machine: &MachineConfig,
     options: HybridOptions,
 ) -> u128 {
-    let model = ChenLinBus::new();
+    hybrid_key(workload_fp(workload, machine), machine, options)
+}
+
+fn hybrid_key(workload_fp: u128, machine: &MachineConfig, options: HybridOptions) -> u128 {
     let [ptag, parg] = policy_words(options.policy);
-    scenario_fp("subeval-hybrid", workload, machine)
+    scenario_fp_of("subeval-hybrid", workload_fp, machine)
         .word(ptag)
         .word(parg)
         .word(options.min_timeslice.to_bits())
-        .text(model.name())
-        .words(&model.digest_words())
+        .model(&ChenLinBus::new())
         .finish()
 }
 
-fn hybrid_leg_flagged(
+fn hybrid_leg_keyed(
+    fp: u128,
     workload: &Workload,
     machine: &MachineConfig,
     options: HybridOptions,
 ) -> (HybridLeg, bool) {
-    let fp = hybrid_subeval_fp(workload, machine, options);
     let (leg, shared) = memo::memoize_flagged(fp, || {
         let setup = assemble_memoized(workload, machine, ChenLinBus::new(), options.policy);
         let work_cycles = setup.work_total();
@@ -544,19 +586,25 @@ fn hybrid_leg_flagged(
     (leg, shared)
 }
 
-fn analytical_leg(workload: &Workload, machine: &MachineConfig, policy: AnnotationPolicy) -> f64 {
-    let model = ChenLinBus::new();
+fn analytical_key(workload_fp: u128, machine: &MachineConfig, policy: AnnotationPolicy) -> u128 {
     let [ptag, parg] = policy_words(policy);
     // The whole-program estimator ignores the minimum timeslice, so it is
     // *not* part of this key — but the annotation policy is: regions
     // accumulate operations before cycle conversion, so with non-unit
     // processor powers the rounded work totals can differ per policy.
-    let fp = scenario_fp("subeval-analytical", workload, machine)
+    scenario_fp_of("subeval-analytical", workload_fp, machine)
         .word(ptag)
         .word(parg)
-        .text(model.name())
-        .words(&model.digest_words())
-        .finish();
+        .model(&ChenLinBus::new())
+        .finish()
+}
+
+fn analytical_leg(
+    fp: u128,
+    workload: &Workload,
+    machine: &MachineConfig,
+    policy: AnnotationPolicy,
+) -> f64 {
     let (pct, shared) = memo::memoize_flagged(fp, || {
         // Totals folded from the scenario's memoized annotation profile; no
         // kernel system is built.
@@ -585,13 +633,36 @@ fn analytical_leg(workload: &Workload, machine: &MachineConfig, policy: Annotati
     pct
 }
 
+/// The memo keys of [`compare`]'s three legs, all derived from one
+/// [`workload_fp`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct CompareKeys {
+    iss: u128,
+    hybrid: u128,
+    analytical: u128,
+}
+
+fn compare_keys(
+    workload: &Workload,
+    machine: &MachineConfig,
+    options: HybridOptions,
+) -> CompareKeys {
+    let workload_fp = workload_fp(workload, machine);
+    CompareKeys {
+        iss: iss_key(workload_fp, machine),
+        hybrid: hybrid_key(workload_fp, machine, options),
+        analytical: analytical_key(workload_fp, machine, options.policy),
+    }
+}
+
 /// Runs all three estimators on a workload/machine pair as independently
 /// memoized **sub-evaluations** — cycle-accurate reference, hybrid run, and
 /// whole-program analytical estimate — each cached in the in-process
 /// sub-evaluation LRU and (with `MESH_RESULT_CACHE` set) the persistent
 /// result cache under its own fingerprint domain. A sweep that varies only
 /// hybrid knobs therefore runs the expensive reference **once per distinct
-/// (workload, machine)** instead of once per point.
+/// (workload, machine)** instead of once per point. The three keys share
+/// one pass over the workload's segments.
 ///
 /// Cached legs replay their *recorded* wall-clock times, so replayed output
 /// is byte-identical to the run that populated the cache; the returned
@@ -607,9 +678,10 @@ pub fn compare(
     machine: &MachineConfig,
     options: HybridOptions,
 ) -> ComparisonPoint {
-    let (iss, iss_shared) = iss_reference_flagged(workload, machine);
-    let (hybrid, hybrid_shared) = hybrid_leg_flagged(workload, machine, options);
-    let analytical_pct = analytical_leg(workload, machine, options.policy);
+    let keys = compare_keys(workload, machine, options);
+    let (iss, iss_shared) = iss_reference_keyed(keys.iss, workload, machine);
+    let (hybrid, hybrid_shared) = hybrid_leg_keyed(keys.hybrid, workload, machine, options);
+    let analytical_pct = analytical_leg(keys.analytical, workload, machine, options.policy);
 
     ComparisonPoint {
         iss_pct: iss.pct,
@@ -780,7 +852,10 @@ pub fn adversarial_arbitrations(n_procs: usize) -> Vec<Arbitration> {
 ///
 /// Panics if the workload is invalid for the machine.
 pub fn adversarial_bus_queuing_max(workload: &Workload, machine: &MachineConfig) -> u64 {
-    let fp = adversarial_max_fp(workload, machine);
+    adversarial_max_keyed(adversarial_max_fp(workload, machine), workload, machine)
+}
+
+fn adversarial_max_keyed(fp: u128, workload: &Workload, machine: &MachineConfig) -> u64 {
     let (max, shared) = memo::memoize_flagged(fp, || {
         adversarial_bus_queuing_max_uncached(workload, machine)
     });
@@ -799,13 +874,13 @@ pub fn adversarial_bus_queuing_max(workload: &Workload, machine: &MachineConfig)
 ///
 /// Panics if the workload is invalid for the machine.
 pub fn adversarial_max_fp(workload: &Workload, machine: &MachineConfig) -> u128 {
-    adversarial_fp(workload, machine, adversary())
+    adversarial_key(workload_fp(workload, machine), machine, adversary())
 }
 
 /// [`adversarial_max_fp`] under an explicit schedule set: the parsed mode,
 /// not the raw variable, is keyed, so unset and `full` share one entry.
-fn adversarial_fp(workload: &Workload, machine: &MachineConfig, mode: Adversary) -> u128 {
-    scenario_fp("adversarial-max", workload, machine)
+fn adversarial_key(workload_fp: u128, machine: &MachineConfig, mode: Adversary) -> u128 {
+    scenario_fp_of("adversarial-max", workload_fp, machine)
         .word(mode as u64)
         .finish()
 }
@@ -873,12 +948,28 @@ impl crate::checkpoint::Checkpointable for EnvelopePoint {
     }
 }
 
-/// The memoizable product of one hybrid envelope run: the work-cycle
-/// denominator plus the kernel's full [`Report`](mesh_core::Report),
-/// round-tripped losslessly through the report's record encoding.
-struct HybridRun {
-    work_cycles: u64,
-    report: mesh_core::Report,
+/// The product of one memoized hybrid run with annotations at barriers (see
+/// [`hybrid_run`]): the work-cycle denominator plus the kernel's full
+/// [`Report`](mesh_core::Report), round-tripped losslessly through the
+/// report's record encoding.
+#[derive(Clone, Debug)]
+pub struct HybridRun {
+    /// Contention-free work cycles (the percentage denominator).
+    pub work_cycles: u64,
+    /// The kernel's report of the run.
+    pub report: mesh_core::Report,
+}
+
+impl HybridRun {
+    /// `cycles` as a percentage of the run's work cycles (zero for a
+    /// workload without work).
+    pub fn percent(&self, cycles: f64) -> f64 {
+        if self.work_cycles == 0 {
+            0.0
+        } else {
+            100.0 * cycles / self.work_cycles as f64
+        }
+    }
 }
 
 impl crate::checkpoint::Checkpointable for HybridRun {
@@ -895,28 +986,81 @@ impl crate::checkpoint::Checkpointable for HybridRun {
     }
 }
 
-fn hybrid_envelope_run<M: ContentionModel + 'static>(
+/// The memo key of [`hybrid_run`]: the scenario plus the model's name and
+/// [`digest_words`](ContentionModel::digest_words) and the priority
+/// assignment.
+///
+/// # Panics
+///
+/// Panics if the workload is invalid for the machine.
+pub fn hybrid_run_fp(
+    workload: &Workload,
+    machine: &MachineConfig,
+    model: &dyn ContentionModel,
+    priorities: &[u32],
+) -> u128 {
+    hybrid_run_key(workload_fp(workload, machine), machine, model, priorities)
+}
+
+fn hybrid_run_key(
+    workload_fp: u128,
+    machine: &MachineConfig,
+    model: &dyn ContentionModel,
+    priorities: &[u32],
+) -> u128 {
+    let priorities: Vec<u64> = priorities.iter().map(|&p| u64::from(p)).collect();
+    scenario_fp_of("envelope-hybrid", workload_fp, machine)
+        .model(model)
+        .words(&priorities)
+        .finish()
+}
+
+/// Runs (or replays) the workload through the hybrid kernel with `model` on
+/// the shared bus and annotations at barriers, memoized under
+/// [`hybrid_run_fp`] in the in-process sub-evaluation LRU and — with
+/// `MESH_RESULT_CACHE` set — the persistent result cache. `priorities`
+/// assigns arbitration priorities to the logical threads in task order, as
+/// in [`run_envelope_point`].
+///
+/// # Panics
+///
+/// Panics if the workload is invalid for the machine.
+pub fn hybrid_run<M: ContentionModel + 'static>(
     workload: &Workload,
     machine: &MachineConfig,
     model: M,
     priorities: &[u32],
 ) -> HybridRun {
-    let mut setup = assemble_memoized(workload, machine, model, AnnotationPolicy::AtBarriers);
-    for (&thread, &priority) in setup.threads.iter().zip(priorities) {
-        setup.builder.set_priority(thread, priority);
-    }
-    let work_cycles = setup.work_total();
-    let report = setup
-        .builder
-        .build()
-        .expect("hybrid build failed")
-        .run()
-        .expect("hybrid run failed")
-        .report;
-    HybridRun {
-        work_cycles,
-        report,
-    }
+    let fp = hybrid_run_fp(workload, machine, &model, priorities);
+    hybrid_run_keyed(fp, workload, machine, model, priorities)
+}
+
+fn hybrid_run_keyed<M: ContentionModel + 'static>(
+    fp: u128,
+    workload: &Workload,
+    machine: &MachineConfig,
+    model: M,
+    priorities: &[u32],
+) -> HybridRun {
+    let (run, _) = memo::memoize_flagged(fp, || {
+        let mut setup = assemble_memoized(workload, machine, model, AnnotationPolicy::AtBarriers);
+        for (&thread, &priority) in setup.threads.iter().zip(priorities) {
+            setup.builder.set_priority(thread, priority);
+        }
+        let work_cycles = setup.work_total();
+        let report = setup
+            .builder
+            .build()
+            .expect("hybrid build failed")
+            .run()
+            .expect("hybrid run failed")
+            .report;
+        HybridRun {
+            work_cycles,
+            report,
+        }
+    });
+    run
 }
 
 /// Runs one envelope-validation point: the workload through the hybrid
@@ -927,12 +1071,10 @@ fn hybrid_envelope_run<M: ContentionModel + 'static>(
 /// task order (higher = more important, consumed by priority-class models);
 /// pass an empty slice to leave every thread at the default priority.
 ///
-/// With `MESH_RESULT_CACHE` set, the hybrid leg is memoized under the
-/// scenario plus the model's name,
-/// [`digest_words`](ContentionModel::digest_words) and the priority
-/// assignment; the adversarial leg is memoized separately (see
-/// [`adversarial_bus_queuing_max`]), so changing `MESH_ADVERSARY` reuses
-/// the hybrid result.
+/// The hybrid leg is [`hybrid_run`]; the adversarial leg is memoized
+/// separately (see [`adversarial_bus_queuing_max`]), so changing
+/// `MESH_ADVERSARY` reuses the hybrid result. Both keys share one pass over
+/// the workload's segments.
 ///
 /// # Panics
 ///
@@ -943,36 +1085,155 @@ pub fn run_envelope_point<M: ContentionModel + 'static>(
     model: M,
     priorities: &[u32],
 ) -> EnvelopePoint {
-    // Read identity off the model before it moves into the closure.
-    let fp = scenario_fp("envelope-hybrid", workload, machine)
-        .text(model.name())
-        .words(&model.digest_words())
-        .words(
-            &priorities
-                .iter()
-                .map(|&p| u64::from(p))
-                .collect::<Vec<u64>>(),
-        )
-        .finish();
-    let (run, _) = memo::memoize_flagged(fp, || {
-        hybrid_envelope_run(workload, machine, model, priorities)
-    });
-    let work_cycles = run.work_cycles;
-    let report = run.report;
-    let adversarial = adversarial_bus_queuing_max(workload, machine);
-    let pct = |cycles: f64| {
-        if work_cycles == 0 {
-            0.0
-        } else {
-            100.0 * cycles / work_cycles as f64
-        }
-    };
+    let workload_fp = workload_fp(workload, machine);
+    let fp = hybrid_run_key(workload_fp, machine, &model, priorities);
+    let run = hybrid_run_keyed(fp, workload, machine, model, priorities);
+    let fp = adversarial_key(workload_fp, machine, adversary());
+    let adversarial = adversarial_max_keyed(fp, workload, machine);
     EnvelopePoint {
-        mean_pct: pct(report.envelope.mean.as_cycles()),
-        worst_pct: pct(report.envelope.worst.as_cycles()),
-        adversarial_pct: pct(adversarial as f64),
-        work_cycles,
+        mean_pct: run.percent(run.report.envelope.mean.as_cycles()),
+        worst_pct: run.percent(run.report.envelope.worst.as_cycles()),
+        adversarial_pct: run.percent(adversarial as f64),
+        work_cycles: run.work_cycles,
     }
+}
+
+/// Per-resource queuing of one multi-resource point (see
+/// [`compare_resources`]): bus and I/O-device queuing as percentages of the
+/// hybrid's work cycles, predicted by the hybrid kernel and measured by the
+/// cycle-accurate reference.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ResourcePoint {
+    /// Hybrid bus queuing.
+    pub mesh_bus_pct: f64,
+    /// Reference bus queuing.
+    pub iss_bus_pct: f64,
+    /// Hybrid I/O-device queuing.
+    pub mesh_io_pct: f64,
+    /// Reference I/O-device queuing.
+    pub iss_io_pct: f64,
+}
+
+impl crate::checkpoint::Checkpointable for ResourcePoint {
+    fn encode(&self) -> String {
+        (
+            self.mesh_bus_pct,
+            self.iss_bus_pct,
+            self.mesh_io_pct,
+            self.iss_io_pct,
+        )
+            .encode()
+    }
+
+    fn decode(s: &str) -> Option<ResourcePoint> {
+        let (mesh_bus_pct, iss_bus_pct, mesh_io_pct, iss_io_pct) =
+            <(f64, f64, f64, f64)>::decode(s)?;
+        Some(ResourcePoint {
+            mesh_bus_pct,
+            iss_bus_pct,
+            mesh_io_pct,
+            iss_io_pct,
+        })
+    }
+}
+
+/// The memo key of [`compare_resources`]: the scenario — every segment's
+/// I/O operations and the machine's I/O device included — plus both models'
+/// identities and the annotation policy.
+///
+/// # Panics
+///
+/// Panics if the workload is invalid for the machine.
+pub fn resource_point_fp(
+    workload: &Workload,
+    machine: &MachineConfig,
+    bus_model: &dyn ContentionModel,
+    io_model: &dyn ContentionModel,
+    policy: AnnotationPolicy,
+) -> u128 {
+    let [ptag, parg] = policy_words(policy);
+    scenario_fp("multi-resource", workload, machine)
+        .word(ptag)
+        .word(parg)
+        .model(bus_model)
+        .model(io_model)
+        .finish()
+}
+
+/// Runs (or replays) one multi-resource point: the cycle-accurate reference
+/// and the hybrid kernel with `bus_model` on the bus and `io_model` on the
+/// I/O device, compared per resource. Memoized under [`resource_point_fp`]
+/// like the other evaluations; the hybrid leg folds the scenario's memoized
+/// annotation profile (see [`assemble_with_io_memoized`]).
+///
+/// # Panics
+///
+/// Panics if the workload is invalid for the machine or the machine has no
+/// I/O device.
+pub fn compare_resources<M1, M2>(
+    workload: &Workload,
+    machine: &MachineConfig,
+    bus_model: M1,
+    io_model: M2,
+    policy: AnnotationPolicy,
+) -> ResourcePoint
+where
+    M1: ContentionModel + 'static,
+    M2: ContentionModel + 'static,
+{
+    let fp = resource_point_fp(workload, machine, &bus_model, &io_model, policy);
+    let (point, _) = memo::memoize_flagged(fp, || {
+        let iss =
+            mesh_cyclesim::simulate(workload, machine).expect("cycle-accurate simulation failed");
+        let setup = assemble_with_io_memoized(workload, machine, bus_model, io_model, policy);
+        let work = setup.work_total() as f64;
+        let bus = setup.bus;
+        let io = setup.io.expect("machine has an I/O device");
+        let report = setup
+            .builder
+            .build()
+            .expect("hybrid build failed")
+            .run()
+            .expect("hybrid run failed")
+            .report;
+        let pct = |queuing: f64| 100.0 * queuing / work;
+        ResourcePoint {
+            mesh_bus_pct: pct(report.shared[bus.index()].queuing.as_cycles()),
+            iss_bus_pct: pct(iss.bus_queuing_total() as f64),
+            mesh_io_pct: pct(report.shared[io.index()].queuing.as_cycles()),
+            iss_io_pct: pct(iss.io_queuing_total() as f64),
+        }
+    });
+    point
+}
+
+/// The interchangeable contention models of the `ablation_models` table
+/// (paper §2), in row order, each with its row label.
+pub fn ablation_models() -> Vec<(&'static str, Box<dyn ContentionModel>)> {
+    // A table measured to mimic M/D/1 at a few breakpoints.
+    let measured = TableModel::new(vec![(0.25, 0.17), (0.50, 0.50), (0.75, 1.50), (0.95, 3.00)])
+        .expect("valid table");
+    vec![
+        (
+            "chen-lin (M/D/1 + blocking bound)",
+            Box::new(ChenLinBus::new()),
+        ),
+        ("m/d/1", Box::new(Md1Queue::new())),
+        ("m/m/1", Box::new(Mm1Queue::new())),
+        ("round-robin (linear)", Box::new(RoundRobinBus::new())),
+        ("mva (finite population)", Box::new(MvaBus::new())),
+        ("priority (equal priorities)", Box::new(PriorityBus::new())),
+        ("measured table", Box::new(measured)),
+        (
+            "chen-lin x0.9 (calibrated)",
+            Box::new(ScaledModel::new(ChenLinBus::new(), 0.9)),
+        ),
+        (
+            "priority-noc (1 hop, equal classes)",
+            Box::new(PriorityNoc::new(1)),
+        ),
+        ("fair-share (processor sharing)", Box::new(FairShare::new())),
+    ]
 }
 
 /// The processor counts of the Figure 4 sweep.
@@ -1034,12 +1295,74 @@ mod tests {
         let machine = fft_machine(2, 8 * 1024, FFT_BUS_DELAY);
         let fp = |value: &str| {
             let mode = parse_adversary(value).expect("valid mode");
-            adversarial_fp(&workload, &machine, mode)
+            adversarial_key(workload_fp(&workload, &machine), &machine, mode)
         };
         assert_eq!(fp(""), fp("full"));
         assert_ne!(fp("full"), fp("quick"));
         assert_ne!(fp("full"), fp("off"));
         assert_ne!(fp("quick"), fp("off"));
+    }
+
+    #[test]
+    fn compare_derives_every_leg_key_from_one_fingerprint() {
+        let workload = scenario::build(&PhmConfig::with_second_idle(0.45));
+        let machine = phm_machine(8);
+        let model = ChenLinBus::new();
+        for (policy, min_timeslice) in [
+            (AnnotationPolicy::PerSegment, 0.0),
+            (AnnotationPolicy::AtBarriers, 250.0),
+            (AnnotationPolicy::EverySegments(3), 1000.0),
+        ] {
+            let options = HybridOptions {
+                policy,
+                min_timeslice,
+            };
+            let keys = compare_keys(&workload, &machine, options);
+            let [ptag, parg] = policy_words(policy);
+            let analytical = scenario_fp("subeval-analytical", &workload, &machine)
+                .word(ptag)
+                .word(parg)
+                .text(model.name())
+                .words(&model.digest_words())
+                .finish();
+            assert_eq!(keys.iss, iss_reference_fp(&workload, &machine));
+            assert_eq!(keys.hybrid, hybrid_subeval_fp(&workload, &machine, options));
+            assert_eq!(keys.analytical, analytical, "{policy:?}");
+        }
+    }
+
+    /// A persistent result cache written by an earlier build keeps
+    /// replaying only while every key stays bit-identical; these are one
+    /// small scenario's keys as earlier builds computed them.
+    #[test]
+    fn memo_keys_stay_pinned() {
+        let workload = fft::build(&FftConfig {
+            points: 1024,
+            threads: 2,
+            ..FftConfig::default()
+        });
+        let machine = fft_machine(2, 8 * 1024, 4);
+        let options = HybridOptions {
+            policy: AnnotationPolicy::EverySegments(3),
+            min_timeslice: 250.0,
+        };
+        let keys = compare_keys(&workload, &machine, options);
+        assert_eq!(keys.iss, 0x7f08057cf81c2ade843e2edac064f83c);
+        assert_eq!(keys.hybrid, 0x779444ff4c9fc6d84971b6a47132d344);
+        assert_eq!(keys.analytical, 0x5d0925784b22bd41672e19ea8622b88b);
+        let workload_fp = workload_fp(&workload, &machine);
+        assert_eq!(
+            hybrid_run_key(workload_fp, &machine, &ChenLinBus::new(), &[2, 1]),
+            0xa9e4109289bd8569a349de226819e1e4
+        );
+        assert_eq!(
+            adversarial_key(workload_fp, &machine, Adversary::Full),
+            0x7f998b8d63d9f3b23b302ce41f99d041
+        );
+        assert_eq!(
+            annotation_profile_fp(&workload, &machine),
+            0xe182223b3ce433aaa3844e009be4d29d
+        );
     }
 
     #[test]

@@ -33,6 +33,7 @@
 //! under a megabyte, so there is no GC tier — wipe the directory to reset.
 
 use crate::checkpoint::Checkpointable;
+use mesh_core::model::ContentionModel;
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
@@ -139,6 +140,14 @@ impl ScenarioFp {
             self = self.byte(b);
         }
         self
+    }
+
+    /// Folds in a contention model's identity: its
+    /// [`name`](ContentionModel::name), then its
+    /// [`digest_words`](ContentionModel::digest_words).
+    #[must_use]
+    pub fn model(self, model: &dyn ContentionModel) -> ScenarioFp {
+        self.text(model.name()).words(&model.digest_words())
     }
 
     /// The finished 128-bit fingerprint.

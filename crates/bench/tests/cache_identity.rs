@@ -6,18 +6,25 @@
 //! across {sub-memo cold, sub-memo warm, sharded over a warm memo}, and a
 //! cold sharded run must agree on every simulated column; distinct hybrid
 //! knob settings must never collide within a sub-evaluation
-//! fingerprint domain; and the annotation-profile key must cover exactly
-//! the inputs a profile depends on.
+//! fingerprint domain; the annotation-profile key must cover exactly
+//! the inputs a profile depends on; the `multi_resource` binary must print
+//! the same bytes with and without a cache and replay a warm one without
+//! simulating; and the keys of its points and of the `ablation_models`
+//! rows must separate every input that changes them.
 //!
 //! The in-process leg test mutates process-global cache configuration, so
 //! its legs run in sequence inside one test function; the stdout legs spawn
-//! the `subeval_demo` binary, so each gets a pristine process.
+//! the `subeval_demo` and `multi_resource` binaries, so each gets a
+//! pristine process.
 
 use mesh_annotate::AnnotationPolicy;
 use mesh_arch::{Arbitration, BusConfig, CacheConfig, IoConfig, MachineConfig, ProcConfig};
 use mesh_bench::{
-    annotation_profile_fp, compare, fft_machine, memo, ComparisonPoint, HybridOptions,
+    ablation_models, annotation_profile_fp, compare, fft_machine, hybrid_run_fp, memo,
+    resource_point_fp, ComparisonPoint, HybridOptions, FFT_BUS_DELAY,
 };
+use mesh_core::model::ContentionModel;
+use mesh_models::{ChenLinBus, Md1Queue, Mm1Queue};
 use mesh_workloads::fft::{self, FftConfig};
 use mesh_workloads::{MemPattern, Segment, SegmentKind, TaskProgram, Workload};
 use proptest::prelude::*;
@@ -261,6 +268,7 @@ fn annotation_profile_fingerprint_covers_its_inputs() {
 }
 
 const DEMO_EXE: &str = env!("CARGO_BIN_EXE_subeval_demo");
+const MULTI_RESOURCE_EXE: &str = env!("CARGO_BIN_EXE_multi_resource");
 
 /// Cache/fabric variables that must not leak into the spawned legs.
 const SCRUB: &[&str] = &[
@@ -273,17 +281,36 @@ const SCRUB: &[&str] = &[
     "MESH_OBS_TRACE",
 ];
 
-fn demo_stdout(envs: &[(&str, String)]) -> String {
-    let mut cmd = Command::new(DEMO_EXE);
+fn bin_stdout(exe: &str, envs: &[(&str, String)]) -> String {
+    let mut cmd = Command::new(exe);
     for var in SCRUB {
         cmd.env_remove(var);
     }
     for (key, value) in envs {
         cmd.env(key, value);
     }
-    let out = cmd.output().expect("spawning subeval_demo must work");
-    assert!(out.status.success(), "subeval_demo failed: {out:?}");
-    String::from_utf8(out.stdout).expect("subeval_demo stdout is UTF-8")
+    let out = cmd.output().expect("spawning the binary must work");
+    assert!(out.status.success(), "{exe} failed: {out:?}");
+    String::from_utf8(out.stdout).expect("stdout is UTF-8")
+}
+
+fn demo_stdout(envs: &[(&str, String)]) -> String {
+    bin_stdout(DEMO_EXE, envs)
+}
+
+/// A counter's value in a `metrics.txt` snapshot; counters that were never
+/// bumped are not listed and read as zero.
+fn counter(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|line| {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            match fields[..] {
+                ["counter", n, "=", value] if n == name => value.parse().ok(),
+                _ => None,
+            }
+        })
+        .unwrap_or(0)
 }
 
 /// The demo's stdout without its two wall-clock columns (`hybrid_us`,
@@ -340,6 +367,143 @@ fn sweep_stdout_byte_identical_across_memo_and_sharding() {
     );
 
     let _ = std::fs::remove_dir_all(&memo_dir);
+}
+
+/// `multi_resource` end to end: its stdout is byte-identical with no
+/// cache, while populating one, warm, and sharded over the warm cache. The
+/// populating run makes one cache pass for its four I/O delays, and the
+/// warm run replays every point without a simulation or a kernel run.
+#[test]
+fn multi_resource_replays_a_warm_cache_byte_identically() {
+    let base = std::env::temp_dir().join(format!(
+        "mesh-cache-identity-multi-resource-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&base);
+    let memo_env = ("MESH_RESULT_CACHE", base.join("memo").display().to_string());
+    let (cold_obs, warm_obs) = (base.join("cold-obs"), base.join("warm-obs"));
+    let metrics = |dir: &std::path::Path| {
+        std::fs::read_to_string(dir.join("metrics.txt")).expect("the run wrote its metrics")
+    };
+
+    let uncached = bin_stdout(MULTI_RESOURCE_EXE, &[]);
+    assert!(uncached.contains("io q% ISS"), "table header: {uncached}");
+    let populating = bin_stdout(
+        MULTI_RESOURCE_EXE,
+        &[
+            memo_env.clone(),
+            ("MESH_OBS_OUT", cold_obs.display().to_string()),
+        ],
+    );
+    assert_eq!(populating, uncached, "populating run diverged");
+    let cold_metrics = metrics(&cold_obs);
+    assert_eq!(
+        counter(&cold_metrics, "cyclesim.sim.runs"),
+        4,
+        "{cold_metrics}"
+    );
+    assert_eq!(
+        counter(&cold_metrics, "bench.subeval.annotation_shared"),
+        3,
+        "the four I/O delays share one annotation profile:\n{cold_metrics}"
+    );
+    let warm = bin_stdout(
+        MULTI_RESOURCE_EXE,
+        &[
+            memo_env.clone(),
+            ("MESH_OBS_OUT", warm_obs.display().to_string()),
+        ],
+    );
+    assert_eq!(warm, uncached, "warm replay diverged");
+    let sharded = bin_stdout(
+        MULTI_RESOURCE_EXE,
+        &[memo_env, ("MESH_BENCH_SHARDS", "2".into())],
+    );
+    assert_eq!(sharded, uncached, "sharded warm replay diverged");
+
+    let warm_metrics = metrics(&warm_obs);
+    assert!(
+        counter(&warm_metrics, "bench.result_cache.hits") >= 4,
+        "every I/O delay replays from disk:\n{warm_metrics}"
+    );
+    for name in ["cyclesim.sim.runs", "kernel.runs"] {
+        assert_eq!(counter(&warm_metrics, name), 0, "warm run counted {name}");
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// The `multi-resource` key covers what a point depends on: the I/O delay,
+/// each segment's I/O operations, either resource's model (bus and I/O
+/// models are not interchangeable in the key) and the annotation policy.
+#[test]
+fn resource_point_fingerprint_covers_its_inputs() {
+    let w = profile_workload();
+    let machine = |io_delay| profile_machine().with_io(IoConfig::new(io_delay));
+    let m = machine(8);
+    let (chen_lin, md1, mm1) = (ChenLinBus::new(), Md1Queue::new(), Mm1Queue::new());
+    let fp = |w: &Workload,
+              m: &MachineConfig,
+              bus: &dyn ContentionModel,
+              io: &dyn ContentionModel,
+              policy| resource_point_fp(w, m, bus, io, policy);
+    let policy = AnnotationPolicy::PerSegment;
+    let base = fp(&w, &m, &chen_lin, &md1, policy);
+    assert_eq!(base, fp(&w.clone(), &m.clone(), &chen_lin, &md1, policy));
+
+    let mut seen = HashSet::from([base]);
+    for io_delay in [4, 16, 32] {
+        assert!(
+            seen.insert(fp(&w, &machine(io_delay), &chen_lin, &md1, policy)),
+            "I/O delay {io_delay} left the key unchanged"
+        );
+    }
+    for t in 0..w.tasks.len() {
+        for s in 0..w.tasks[t].segments.len() {
+            let mut edited = w.clone();
+            edited.tasks[t].segments[s].io_ops += 1;
+            assert!(
+                seen.insert(fp(&edited, &m, &chen_lin, &md1, policy)),
+                "task {t} segment {s} io_ops left the key unchanged"
+            );
+        }
+    }
+    let models: [(&str, &dyn ContentionModel, &dyn ContentionModel); 3] = [
+        ("I/O model md1 -> mm1", &chen_lin, &mm1),
+        ("bus model chen-lin -> mm1", &mm1, &md1),
+        ("models swapped", &md1, &chen_lin),
+    ];
+    for (name, bus, io) in models {
+        assert!(seen.insert(fp(&w, &m, bus, io, policy)), "{name}");
+    }
+    for policy in [
+        AnnotationPolicy::AtBarriers,
+        AnnotationPolicy::EverySegments(2),
+        AnnotationPolicy::EverySegments(3),
+    ] {
+        assert!(
+            seen.insert(fp(&w, &m, &chen_lin, &md1, policy)),
+            "{policy:?} left the key unchanged"
+        );
+    }
+    assert!(
+        !seen.contains(&mesh_bench::iss_reference_fp(&w, &m)),
+        "the multi-resource domain collided with the reference domain"
+    );
+}
+
+/// Every row of `ablation_models` replays its own hybrid run: the ten
+/// models give ten distinct keys on the binary's scenario.
+#[test]
+fn ablation_models_have_distinct_hybrid_run_keys() {
+    let workload = fft::build(&FftConfig::with_threads(8));
+    let machine = fft_machine(8, 512 * 1024, FFT_BUS_DELAY);
+    let models = ablation_models();
+    assert_eq!(models.len(), 10);
+    let keys: HashSet<u128> = models
+        .iter()
+        .map(|(_, model)| hybrid_run_fp(&workload, &machine, model.as_ref(), &[]))
+        .collect();
+    assert_eq!(keys.len(), models.len(), "two ablation models share a key");
 }
 
 proptest! {

@@ -133,10 +133,7 @@ fn ring() -> &'static Ring {
 
 fn enabled_from_env() -> bool {
     match std::env::var(FLIGHTREC_ENV) {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "" | "0" | "off" | "false" | "no"
-        ),
+        Ok(v) => !crate::is_off(&v),
         Err(_) => false,
     }
 }

@@ -87,18 +87,58 @@ pub const OUT_ENV: &str = "MESH_OBS_OUT";
 /// the files on every point.
 pub const FLUSH_ENV: &str = "MESH_OBS_FLUSH_SECS";
 
-/// The periodic-flush cadence from [`FLUSH_ENV`] (default one second;
-/// unparsable or negative values fall back to the default).
+/// The default periodic-flush cadence, one second.
+const DEFAULT_FLUSH: std::time::Duration = std::time::Duration::from_secs(1);
+
+/// The periodic-flush cadence from [`FLUSH_ENV`]: one second when unset or
+/// empty; an invalid value warns on stderr and uses the default too.
 #[must_use]
 pub fn flush_cadence() -> std::time::Duration {
-    let default = std::time::Duration::from_secs(1);
-    match std::env::var(FLUSH_ENV) {
-        Ok(v) => match v.trim().parse::<f64>() {
-            Ok(secs) if secs >= 0.0 && secs.is_finite() => std::time::Duration::from_secs_f64(secs),
-            _ => default,
-        },
-        Err(_) => default,
+    flush_cadence_from(std::env::var(FLUSH_ENV).ok().as_deref())
+}
+
+/// [`flush_cadence`] for a given [`FLUSH_ENV`] value (`None` = unset).
+fn flush_cadence_from(value: Option<&str>) -> std::time::Duration {
+    match value {
+        Some(value) if !value.trim().is_empty() => {
+            parse_flush_secs(value).unwrap_or_else(|warning| {
+                eprintln!("{warning}");
+                DEFAULT_FLUSH
+            })
+        }
+        _ => DEFAULT_FLUSH,
     }
+}
+
+/// Parses a [`FLUSH_ENV`] value: finite, non-negative seconds. The error is
+/// the warning to print before using the default.
+fn parse_flush_secs(value: &str) -> Result<std::time::Duration, String> {
+    match value.trim().parse::<f64>() {
+        Ok(secs) if secs >= 0.0 && secs.is_finite() => Ok(std::time::Duration::from_secs_f64(secs)),
+        _ => Err(format!(
+            "mesh-obs: ignoring invalid {FLUSH_ENV}={value:?} \
+             (want non-negative seconds, e.g. 1 or 0.5; using 1)"
+        )),
+    }
+}
+
+/// The values that switch an on/off knob off, matched after trimming and
+/// ASCII-lowercasing.
+const OFF_VALUES: [&str; 5] = ["", "0", "off", "false", "no"];
+
+/// Whether a knob value means "off": empty, `0`, `off`, `false` or `no`,
+/// after trimming and in any case. This is how [`OBS_ENV`] and
+/// `MESH_OBS_FLIGHTREC` read "off".
+///
+/// # Examples
+///
+/// ```
+/// assert!(mesh_obs::is_off(" OFF "));
+/// assert!(mesh_obs::is_off("no"));
+/// assert!(!mesh_obs::is_off("1"));
+/// ```
+pub fn is_off(value: &str) -> bool {
+    OFF_VALUES.contains(&value.trim().to_ascii_lowercase().as_str())
 }
 
 fn env_nonempty(name: &str) -> bool {
@@ -107,10 +147,7 @@ fn env_nonempty(name: &str) -> bool {
 
 fn enabled_from_env() -> bool {
     match std::env::var(OBS_ENV) {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "" | "0" | "off" | "false" | "no"
-        ),
+        Ok(v) => !is_off(&v),
         Err(_) => env_nonempty(TRACE_ENV) || env_nonempty(OUT_ENV),
     }
 }
@@ -805,6 +842,24 @@ mod tests {
     pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
         static GATE: Mutex<()> = Mutex::new(());
         GATE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    #[test]
+    fn invalid_flush_cadence_warns_instead_of_using_the_default_silently() {
+        use std::time::Duration;
+        assert_eq!(flush_cadence_from(Some("0.5")), Duration::from_millis(500));
+        for fallback in [None, Some(""), Some(" "), Some("500ms"), Some("-1")] {
+            assert_eq!(flush_cadence_from(fallback), DEFAULT_FLUSH, "{fallback:?}");
+        }
+        assert_eq!(parse_flush_secs("0"), Ok(Duration::ZERO));
+        assert_eq!(parse_flush_secs(" 2.5 "), Ok(Duration::from_millis(2500)));
+        for bad in ["500ms", "-1", "inf", "NaN", "soon"] {
+            let warning = parse_flush_secs(bad).expect_err(bad);
+            assert!(
+                warning.contains(&format!("ignoring invalid {FLUSH_ENV}={bad:?}")),
+                "{warning}"
+            );
+        }
     }
 
     #[test]

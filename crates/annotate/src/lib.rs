@@ -17,7 +17,13 @@
 //!    not on the annotation policy, the minimum timeslice, the contention
 //!    model, the bus delay or the processor's power — so callers evaluating
 //!    many of those settings on one scenario can compute it once (see
-//!    [`ProfiledWorkload`]).
+//!    [`ProfiledWorkload`]). The cycle-accurate simulator's trace compile
+//!    walks the same references through the same cache and counts the same
+//!    profile as it goes, so a caller that has already compiled a
+//!    scenario's traces can read the profile from them
+//!    ([`mesh_cyclesim::resident_profiles`]) and skip this walk;
+//!    `mesh-bench` does, and calls [`profile_task`] only when a trace is not
+//!    resident.
 //! 2. **Fold** — walks the segments with their profile, grouping them
 //!    into annotation regions according to an [`AnnotationPolicy`], and
 //!    resolves each region into the annotation tuple the kernel consumes:
@@ -50,6 +56,7 @@ use mesh_core::{
     ThreadId, VecProgram,
 };
 use mesh_cyclesim::compute_cycles;
+pub use mesh_cyclesim::SegmentProfile;
 use mesh_workloads::{SegmentKind, TaskProgram, Workload};
 use std::fmt;
 
@@ -108,16 +115,6 @@ impl TaskStats {
             self.misses as f64 / self.work_cycles as f64
         }
     }
-}
-
-/// One segment's outcome in its processor's private cache: how many of its
-/// references hit and how many missed (a miss is a shared-bus access).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SegmentProfile {
-    /// References served by the cache.
-    pub hits: u64,
-    /// References that missed.
-    pub misses: u64,
 }
 
 /// The cache pass of annotation: runs the task's reference streams, in

@@ -6,9 +6,10 @@ use mesh_annotate::{
     annotate_task, annotate_task_with_io, assemble, profile_task, AnnotationPolicy, AssembleError,
     ProfiledWorkload, SegmentProfile,
 };
-use mesh_arch::{BusConfig, CacheConfig, MachineConfig, ProcConfig};
+use mesh_arch::{BusConfig, CacheConfig, IoConfig, MachineConfig, ProcConfig};
 use mesh_core::model::NoContention;
 use mesh_core::{SharedId, SyncId};
+use mesh_cyclesim::Pacing;
 use mesh_workloads::{MemPattern, Segment, TaskProgram, Workload};
 use proptest::prelude::*;
 
@@ -44,6 +45,72 @@ fn build_task(segs: &[SegSpec]) -> TaskProgram {
         }
     }
     task
+}
+
+/// One segment of a mixed task: ((ops, strided refs, stride), (random
+/// refs, I/O operations, barrier at its end, idle cycles after it)).
+type MixedSpec = ((u64, u64, u64), (u64, u64, bool, u64));
+
+fn arb_mixed_segments() -> impl Strategy<Value = Vec<MixedSpec>> {
+    // Zero reference counts are likely on purpose: work segments without
+    // references must come out as (0, 0) on both sides.
+    let refs = || prop_oneof![Just(0u64), 1u64..80];
+    let stride = (0usize..5).prop_map(|i| [8u64, 32, 96, 1024, 4096][i]);
+    prop::collection::vec(
+        (
+            (0u64..400, refs(), stride),
+            (
+                refs(),
+                prop_oneof![Just(0u64), 1u64..4],
+                any::<bool>(),
+                prop_oneof![Just(0u64), 1u64..40],
+            ),
+        ),
+        1..10,
+    )
+}
+
+/// A task mixing strided and random references, reference-free work, I/O,
+/// arrivals at `barrier` and idle gaps.
+fn build_mixed_task(segs: &[MixedSpec], barrier: usize) -> TaskProgram {
+    let mut task = TaskProgram::new("mixed");
+    for (si, &((ops, strided, stride), (random, io, arrive, idle))) in segs.iter().enumerate() {
+        let mut seg = Segment::work(ops).with_io(io);
+        if strided > 0 {
+            // Three overlapping regions, so later segments reuse lines.
+            seg = seg.with_pattern(MemPattern::Strided {
+                base: (si as u64 % 3) * 16 * 1024,
+                stride,
+                count: strided,
+            });
+        }
+        if random > 0 {
+            seg = seg.with_pattern(MemPattern::Random {
+                base: 1 << 20,
+                span: 64 * 1024,
+                count: random,
+                seed: si as u64,
+            });
+        }
+        if arrive {
+            seg = seg.with_barrier(barrier);
+        }
+        task.push(seg);
+        if idle > 0 {
+            task.push(Segment::idle(idle));
+        }
+    }
+    task
+}
+
+/// Direct-mapped, 2-way and 4-way caches of 1 KB to 512 KB.
+fn arb_cache() -> impl Strategy<Value = CacheConfig> {
+    (0usize..3, 0u32..10)
+        .prop_map(|(ways, k)| CacheConfig::new(1024 << k, 32, [1, 2, 4][ways]).unwrap())
+}
+
+fn arb_pacing() -> impl Strategy<Value = Pacing> {
+    prop_oneof![Just(Pacing::Even), any::<u64>().prop_map(Pacing::Poisson)]
 }
 
 fn proc() -> ProcConfig {
@@ -232,5 +299,39 @@ proptest! {
                 prop_assert!(count > 0.0);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The trace compile counts exactly the profile annotation computes:
+    /// once a workload's traces are compiled, the counts they carry equal
+    /// `profile_task` segment by segment, for every task on its own cache,
+    /// under either pacing.
+    #[test]
+    fn compiled_traces_count_the_annotation_profile(
+        tasks in prop::collection::vec((arb_mixed_segments(), arb_cache()), 1..4),
+        pacing in arb_pacing(),
+    ) {
+        let mut w = Workload::new();
+        let mut procs = Vec::new();
+        for (segs, cache) in &tasks {
+            let barrier = w.add_barrier(1);
+            w.add_task(build_mixed_task(segs, barrier));
+            procs.push(ProcConfig::new(*cache));
+        }
+        prop_assert!(w.validate().is_ok());
+        let machine = MachineConfig::new(procs, BusConfig::new(4)).with_io(IoConfig::new(8));
+        mesh_cyclesim::prewarm(&w, &machine, pacing);
+        let compiled = mesh_cyclesim::resident_profiles(&w, &machine, pacing)
+            .expect("compiled traces are resident");
+        let walked: Vec<Vec<SegmentProfile>> = w
+            .tasks
+            .iter()
+            .zip(&machine.procs)
+            .map(|(task, proc)| profile_task(task, proc.cache))
+            .collect();
+        prop_assert_eq!(compiled, walked);
     }
 }

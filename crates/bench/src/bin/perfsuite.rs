@@ -32,13 +32,16 @@
 //!
 //! `--filter SUBSTR` runs only the benchmarks whose name contains SUBSTR —
 //! the skipped ones are neither timed nor recorded, so a filtered file is
-//! a partial artifact (`--check` still works: only benchmarks present in
-//! both files are compared).
+//! a partial artifact (`--check` then gates only the prefixes the filter
+//! measured, and only the benchmarks it measured under them).
 //!
-//! `--check FILE` exits nonzero if any `cyclesim/`, `obs/`, `store/` or
-//! `sweep/` benchmark present in both runs regressed by more than `--factor` times
-//! (default 2x; `--max-regression` is an alias), and refuses outright when
-//! the two files recorded different parallelism or cache configurations.
+//! `--check FILE` exits nonzero if any `kernel/`, `model/`, `cyclesim/`,
+//! `obs/`, `store/` or `sweep/` benchmark regressed by more than `--factor`
+//! times (default 2x; `--max-regression` is an alias). It never passes
+//! vacuously: a gated prefix with no benchmark in both files fails, and so
+//! does a baseline benchmark an unfiltered run did not measure. It refuses
+//! outright when the two files recorded different parallelism or cache
+//! configurations.
 //! After a run the suite prints a speedup summary — tick/skip per workload,
 //! trace-vs-cursor, and the compile cost — so BENCH deltas are readable
 //! without hand-diffing JSON. See `docs/PERFORMANCE.md`.
@@ -625,12 +628,13 @@ fn main() {
                  parallelism-configuration compatibility not checked"
             );
         }
-        // The obs/ and store/ prefixes gate the instrumentation overhead
-        // and the result cache the same way (a no-op against
-        // baselines that predate those sections, since only benchmarks
-        // present in both files are compared).
-        for prefix in ["cyclesim/", "obs/", "store/", "sweep/"] {
-            match check_regression(&file, &baseline, prefix, args.max_regression) {
+        let partial = args.filter.is_some();
+        for prefix in ["kernel/", "model/", "cyclesim/", "obs/", "store/", "sweep/"] {
+            if partial && !file.benchmarks.iter().any(|b| b.name.starts_with(prefix)) {
+                println!("perf check skipped: the filter measured no {prefix} benchmark");
+                continue;
+            }
+            match check_regression(&file, &baseline, prefix, args.max_regression, partial) {
                 Ok(checked) => {
                     println!(
                         "perf check OK: {checked} {prefix} benchmarks within {:.1}x of {} ({})",

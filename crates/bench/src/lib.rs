@@ -334,9 +334,20 @@ pub fn annotation_profile_fp(workload: &Workload, machine: &MachineConfig) -> u1
 /// Computes (or replays) the scenario's annotation profile, memoized under
 /// [`annotation_profile_fp`] like the other sub-evaluations. Callers request
 /// it inside their own leg's memo closure, so a replayed leg never asks.
+///
+/// A computed profile is read from the scenario's compiled traces when the
+/// cycle-accurate leg has left them all resident (their compile walked the
+/// same caches and counted the same hits and misses), and made with
+/// [`profile_task`] otherwise.
 fn annotation_profiles(workload: &Workload, machine: &MachineConfig) -> Vec<Vec<SegmentProfile>> {
     let fp = annotation_profile_fp(workload, machine);
     let (profiles, shared) = memo::memoize_flagged(fp, || {
+        if let Some(profiles) =
+            mesh_cyclesim::resident_profiles(workload, machine, mesh_cyclesim::Pacing::default())
+        {
+            bump_subeval("bench.subeval.annotation_from_trace");
+            return Profiles(profiles);
+        }
         Profiles(
             workload
                 .tasks

@@ -270,9 +270,14 @@ pub fn time_median_batched_ns<I, O>(
     times[times.len() / 2]
 }
 
-/// Compares `current` against `baseline` for every benchmark whose name
-/// starts with `prefix` and exists in both files; a benchmark regresses when
-/// its median exceeds `factor` times the baseline median.
+/// Compares `current` against `baseline` for every baseline benchmark whose
+/// name starts with `prefix`; a benchmark regresses when its median exceeds
+/// `factor` times the baseline median.
+///
+/// The gate never passes vacuously: comparing no benchmark under `prefix`
+/// is an error, and so is a baseline benchmark the current run did not
+/// measure — unless `partial` says the current run is a `--filter`ed
+/// partial artifact, which may skip benchmarks.
 ///
 /// When both files record their parallelism configuration (`jobs != 0`),
 /// differing `jobs` or `shards` is itself an error: medians from a sharded
@@ -286,13 +291,15 @@ pub fn time_median_batched_ns<I, O>(
 ///
 /// # Errors
 ///
-/// Returns one message per regressed benchmark, or one per configuration
-/// mismatch (in which case no medians are compared at all).
+/// Returns one message per regressed or unmeasured benchmark plus one if
+/// nothing was compared, or one per configuration mismatch (in which case
+/// no medians are compared at all).
 pub fn check_regression(
     current: &BenchFile,
     baseline: &BenchFile,
     prefix: &str,
     factor: f64,
+    partial: bool,
 ) -> Result<usize, Vec<String>> {
     if current.jobs != 0 && baseline.jobs != 0 {
         let mut mismatches = Vec::new();
@@ -330,6 +337,12 @@ pub fn check_regression(
         .filter(|b| b.name.starts_with(prefix))
     {
         let Some(now) = current.median_of(&base.name) else {
+            if !partial {
+                failures.push(format!(
+                    "{}: in the baseline but not measured by this run",
+                    base.name
+                ));
+            }
             continue;
         };
         checked += 1;
@@ -342,6 +355,11 @@ pub fn check_regression(
                 now / base.median_ns
             ));
         }
+    }
+    if checked == 0 {
+        failures.push(format!(
+            "no {prefix} benchmark is in both files: the gate would compare nothing"
+        ));
     }
     if failures.is_empty() {
         Ok(checked)
@@ -396,13 +414,52 @@ mod tests {
         let mut current = sample_file();
         current.benchmarks[0].median_ns = 10_000.0; // 8x the cyclesim baseline
         current.benchmarks[1].median_ns = 10_000.0; // kernel: not checked
-        let err = check_regression(&current, &baseline, "cyclesim/", 2.0).unwrap_err();
+        let err = check_regression(&current, &baseline, "cyclesim/", 2.0, false).unwrap_err();
         assert_eq!(err.len(), 1);
         assert!(err[0].contains("cyclesim/smoke_fft_skip"));
         // Within the allowance, the same prefix passes and reports coverage.
         current.benchmarks[0].median_ns = 2000.0;
         assert_eq!(
-            check_regression(&current, &baseline, "cyclesim/", 2.0),
+            check_regression(&current, &baseline, "cyclesim/", 2.0, false),
+            Ok(1)
+        );
+    }
+
+    #[test]
+    fn comparing_nothing_fails_the_gate() {
+        let baseline = sample_file();
+        let current = sample_file();
+        // A prefix the baseline has no benchmark under compares nothing.
+        let err = check_regression(&current, &baseline, "sweep/", 2.0, false).unwrap_err();
+        assert_eq!(err.len(), 1);
+        assert!(err[0].contains("no sweep/ benchmark"), "{err:?}");
+        // So does a prefix only the current run measures, partial or not.
+        let mut current = sample_file();
+        current.benchmarks.push(BenchRecord {
+            name: "sweep/grid_cold".to_string(),
+            median_ns: 1.0,
+        });
+        for partial in [false, true] {
+            let err = check_regression(&current, &baseline, "sweep/", 2.0, partial).unwrap_err();
+            assert!(err[0].contains("compare nothing"), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn unmeasured_baseline_benchmarks_fail_a_full_run() {
+        let mut baseline = sample_file();
+        baseline.benchmarks.push(BenchRecord {
+            name: "kernel/fig6_phm".to_string(),
+            median_ns: 50.0,
+        });
+        let current = sample_file();
+        let err = check_regression(&current, &baseline, "kernel/", 2.0, false).unwrap_err();
+        assert_eq!(err.len(), 1);
+        assert!(err[0].contains("kernel/fig6_phm"), "{err:?}");
+        // A filtered run is a partial artifact: the benchmark it measured
+        // is compared, the one it skipped is not an error.
+        assert_eq!(
+            check_regression(&current, &baseline, "kernel/", 2.0, true),
             Ok(1)
         );
     }
@@ -414,19 +471,22 @@ mod tests {
         // error even with identical medians.
         let mut current = sample_file();
         current.shards = 3;
-        let err = check_regression(&current, &baseline, "cyclesim/", 2.0).unwrap_err();
+        let err = check_regression(&current, &baseline, "cyclesim/", 2.0, false).unwrap_err();
         assert_eq!(err.len(), 1);
         assert!(err[0].contains("shards=3"), "{err:?}");
         // Differing jobs too.
         let mut current = sample_file();
         current.jobs = 16;
-        let err = check_regression(&current, &baseline, "cyclesim/", 2.0).unwrap_err();
+        let err = check_regression(&current, &baseline, "cyclesim/", 2.0, false).unwrap_err();
         assert!(err[0].contains("jobs=16"), "{err:?}");
         // An old baseline with unrecorded configuration is still usable.
         let mut old = sample_file();
         old.jobs = 0;
         old.shards = 0;
-        assert_eq!(check_regression(&current, &old, "cyclesim/", 2.0), Ok(1));
+        assert_eq!(
+            check_regression(&current, &old, "cyclesim/", 2.0, false),
+            Ok(1)
+        );
         // And an old file parses with the sentinel zeros.
         let text = sample_file()
             .to_json()
@@ -458,14 +518,17 @@ mod tests {
         let baseline = sample_file();
         let mut current = sample_file();
         current.result_cache = 1;
-        let err = check_regression(&current, &baseline, "cyclesim/", 2.0).unwrap_err();
+        let err = check_regression(&current, &baseline, "cyclesim/", 2.0, false).unwrap_err();
         assert_eq!(err.len(), 1);
         assert!(err[0].contains("result_cache=1"), "{err:?}");
         // Baselines that predate the fields (jobs unrecorded) skip the
         // guard entirely, like the jobs/shards rule.
         let mut old = sample_file();
         old.jobs = 0;
-        assert_eq!(check_regression(&current, &old, "cyclesim/", 2.0), Ok(1));
+        assert_eq!(
+            check_regression(&current, &old, "cyclesim/", 2.0, false),
+            Ok(1)
+        );
     }
 
     #[test]

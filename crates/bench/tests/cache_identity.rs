@@ -9,8 +9,9 @@
 //! fingerprint domain; the annotation-profile key must cover exactly
 //! the inputs a profile depends on; the `multi_resource` binary must print
 //! the same bytes with and without a cache and replay a warm one without
-//! simulating; and the keys of its points and of the `ablation_models`
-//! rows must separate every input that changes them.
+//! simulating, and compile each distinct trace once at any worker count;
+//! and the keys of its points and of the `ablation_models` rows must
+//! separate every input that changes them.
 //!
 //! The in-process leg test mutates process-global cache configuration, so
 //! its legs run in sequence inside one test function; the stdout legs spawn
@@ -429,6 +430,43 @@ fn multi_resource_replays_a_warm_cache_byte_identically() {
     for name in ["cyclesim.sim.runs", "kernel.runs"] {
         assert_eq!(counter(&warm_metrics, name), 0, "warm run counted {name}");
     }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A cold `multi_resource` run compiles each distinct trace once at any
+/// worker count: its four I/O delays share the two tasks' traces, and a
+/// point that finds a trace being compiled by another worker waits for it
+/// instead of compiling it again. The worker count leaves stdout alone.
+#[test]
+fn multi_resource_compiles_each_trace_once_at_any_job_count() {
+    let base = std::env::temp_dir().join(format!(
+        "mesh-cache-identity-multi-resource-jobs-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&base);
+    let run = |jobs: &str| {
+        let obs = base.join(format!("jobs-{jobs}"));
+        let stdout = bin_stdout(
+            MULTI_RESOURCE_EXE,
+            &[
+                ("MESH_BENCH_JOBS", jobs.to_string()),
+                ("MESH_OBS_OUT", obs.display().to_string()),
+            ],
+        );
+        let metrics =
+            std::fs::read_to_string(obs.join("metrics.txt")).expect("the run wrote its metrics");
+        (stdout, metrics)
+    };
+    let (serial, serial_metrics) = run("1");
+    let (parallel, parallel_metrics) = run("2");
+    assert_eq!(parallel, serial, "the worker count changed stdout");
+    let compiles = |metrics: &str| counter(metrics, "cyclesim.trace.compiles");
+    assert_eq!(compiles(&serial_metrics), 2, "{serial_metrics}");
+    assert_eq!(
+        compiles(&parallel_metrics),
+        compiles(&serial_metrics),
+        "concurrent points compiled a shared trace twice:\n{parallel_metrics}"
+    );
     let _ = std::fs::remove_dir_all(&base);
 }
 

@@ -2,8 +2,10 @@
 //! an ablation-style sweep varying only hybrid knobs invokes
 //! `mesh_cyclesim::simulate` **exactly once** per distinct (workload,
 //! machine), with every other point sharing the memoized reference — and
-//! runs the annotation cache pass exactly once per scenario, with every
-//! hybrid and analytical leg folding the shared profile.
+//! computes the annotation profile exactly once per scenario, with every
+//! hybrid and analytical leg folding the shared profile. That one profile is
+//! read from the traces the reference compiled, not from a second cache
+//! walk; a scenario no simulation has touched still walks its caches.
 //!
 //! This is the only test in this file on purpose — it reads process-global
 //! counters, and a sibling test running `compare` in parallel would race
@@ -39,10 +41,12 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
         })
         .collect();
     let annotation_shared = || obs::counter("bench.subeval.annotation_shared").value();
+    let from_trace = || obs::counter("bench.subeval.annotation_from_trace").value();
 
     let runs_before = obs::counter("cyclesim.sim.runs").value();
     let shared_before = obs::counter("bench.subeval.reference_shared").value();
     let annotation_before = annotation_shared();
+    let from_trace_before = from_trace();
 
     let points: Vec<_> = knobs
         .iter()
@@ -70,6 +74,13 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
         annotation_shared() - annotation_before,
         requests - 1,
         "the cache pass runs once per scenario across policies and timeslices"
+    );
+    // The reference leg runs first and compiles the scenario's traces, so
+    // the one profile the grid computes is read from them.
+    assert_eq!(
+        from_trace() - from_trace_before,
+        1,
+        "the grid's profile comes from the resident traces, not a second walk"
     );
     // The profile is not a timed leg, so the replay flag still reports the
     // ISS and hybrid legs only.
@@ -163,4 +174,23 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
         1,
         "planner dispatch still runs cyclesim once per scenario"
     );
+
+    // A scenario no simulation has touched has no resident traces: its
+    // profile falls back to the cache walk and matches a fresh annotation.
+    // Once the reference has compiled the traces, the profile read from
+    // them folds to the same totals.
+    memo::clear_subeval_lru();
+    let untouched = fft_machine(2, 32 * 1024, 4);
+    let policy = AnnotationPolicy::PerSegment;
+    let from_trace_before = from_trace();
+    let walked = assemble_memoized(&workload, &untouched, Mm1Queue::new(), policy);
+    assert_eq!(from_trace(), from_trace_before, "no trace was resident");
+    let fresh =
+        mesh_annotate::assemble(&workload, &untouched, Mm1Queue::new(), policy).expect("assembles");
+    assert_eq!(walked.tasks, fresh.tasks);
+    mesh_bench::iss_reference(&workload, &untouched);
+    memo::clear_subeval_lru();
+    let read = assemble_memoized(&workload, &untouched, Mm1Queue::new(), policy);
+    assert_eq!(from_trace() - from_trace_before, 1);
+    assert_eq!(read.tasks, walked.tasks);
 }

@@ -125,6 +125,12 @@ impl<'w> TaskCursor<'w> {
             }
         }
     }
+
+    /// Index of the segment the last [`next_item`](TaskCursor::next_item)
+    /// came from.
+    pub(crate) fn segment(&self) -> usize {
+        self.seg_idx - 1
+    }
 }
 
 impl<'w> SegmentCursor<'w> {

@@ -36,4 +36,7 @@ pub use sim::{
     simulate, simulate_with_limit, simulate_with_options, CycleReport, CycleSimError,
     ProcCycleStats, SimOptions,
 };
-pub use trace::{cache_stats, prewarm, workload_fingerprint, TraceCacheStats, TraceMode};
+pub use trace::{
+    cache_stats, prewarm, resident_profiles, workload_fingerprint, SegmentProfile, TraceCacheStats,
+    TraceMode,
+};

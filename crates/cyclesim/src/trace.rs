@@ -29,7 +29,16 @@
 //!   ([`mesh_arch::ProcConfig::digest_words`]) and the derived pacing seed.
 //!   fig4/fig5-style grids that revisit the same per-processor streams
 //!   (they vary cache size and processor count, not the programs) compile
-//!   each distinct trace exactly once per process.
+//!   each distinct trace exactly once per process;
+//! * the cache is **single-flight** per key: a caller that finds its key
+//!   being compiled by another waits for that compile and counts a hit, so
+//!   concurrent sweep points sharing a trace compile it once. A compile
+//!   that unwinds clears its in-flight marker on the way out, and a waiter
+//!   that then finds no entry compiles the trace itself;
+//! * every trace also carries its task's **per-segment hit and miss
+//!   counts**, counted during the same cache walk.
+//!   [`resident_profiles`] hands them out, so annotation (`mesh-annotate`'s
+//!   profile) needs no second walk for a task whose trace is resident.
 //!
 //! Memory stays bounded: a single task's trace is capped at 4 Mi steps
 //! (≈ 128 MiB; beyond it the engines fall back to the on-the-fly cursor and
@@ -45,11 +54,10 @@
 use crate::cursor::{derived_pacing, Item, Pacing, TaskCursor};
 use mesh_arch::{Cache, MachineConfig, ProcConfig};
 use mesh_workloads::{Segment, Workload};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Worker-count variable shared with `mesh_bench::sweep` (this crate cannot
 /// depend on the bench harness, so the name is duplicated by convention).
@@ -115,6 +123,16 @@ pub(crate) struct TraceStep {
     pub(crate) event: StepEvent,
 }
 
+/// One segment's outcome in its processor's private cache: how many of its
+/// references hit and how many missed (a miss is a shared-bus access).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SegmentProfile {
+    /// References served by the cache.
+    pub hits: u64,
+    /// References that missed.
+    pub misses: u64,
+}
+
 /// An on-the-fly step producer: walks the segment cursor and the private
 /// cache, fusing compute chunks and hits exactly like the trace compiler.
 /// This is both the engines' `OnTheFly` feed and the compiler's input — one
@@ -123,6 +141,8 @@ pub(crate) struct CursorFeed<'w> {
     pub(crate) cursor: TaskCursor<'w>,
     pub(crate) cache: Cache,
     pub(crate) hit_cycles: u64,
+    /// Hits and misses so far, index-aligned with the segments.
+    pub(crate) profile: Vec<SegmentProfile>,
 }
 
 impl<'w> CursorFeed<'w> {
@@ -131,6 +151,7 @@ impl<'w> CursorFeed<'w> {
             cursor: TaskCursor::new(segments, proc, pacing),
             cache: Cache::new(proc.cache),
             hit_cycles: proc.hit_cycles,
+            profile: vec![SegmentProfile::default(); segments.len()],
         }
     }
 
@@ -155,9 +176,12 @@ impl<'w> CursorFeed<'w> {
                     continue;
                 }
                 Some(Item::Ref(addr)) => {
+                    let counts = &mut self.profile[self.cursor.segment()];
                     if self.cache.access(addr).is_miss() {
+                        counts.misses += 1;
                         StepEvent::Miss
                     } else {
+                        counts.hits += 1;
                         hits += 1;
                         busy += self.hit_cycles;
                         continue;
@@ -176,11 +200,13 @@ impl<'w> CursorFeed<'w> {
     }
 }
 
-/// One task's compiled trace: the full step sequence, chunked.
+/// One task's compiled trace: the full step sequence, chunked, plus each
+/// segment's hits and misses from the compile's cache walk.
 #[derive(Debug)]
 pub(crate) struct TaskTrace {
     chunks: Vec<Box<[TraceStep]>>,
     steps: usize,
+    profile: Vec<SegmentProfile>,
 }
 
 impl TaskTrace {
@@ -262,7 +288,11 @@ pub(crate) fn compile(
         // (at least) one extra engine event before super-step fusion.
         mesh_obs::counter("cyclesim.trace.fused_idle_spans").add(fused_idle);
     }
-    Some(TaskTrace { chunks, steps })
+    Some(TaskTrace {
+        chunks,
+        steps,
+        profile: feed.profile,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -324,6 +354,18 @@ fn trace_key(segments: &[Segment], proc: ProcConfig, pacing: Pacing) -> u128 {
     h.finish128()
 }
 
+/// Every task's [`trace_key`] on the processor it is pinned to, under its
+/// derived pacing. The caller checks that the workload fits the machine.
+fn task_keys(workload: &Workload, machine: &MachineConfig, pacing: Pacing) -> Vec<u128> {
+    workload
+        .tasks
+        .iter()
+        .zip(&machine.procs)
+        .enumerate()
+        .map(|(i, (task, &proc))| trace_key(&task.segments, proc, derived_pacing(pacing, i)))
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
 // The process-wide cross-sweep cache.
 // ---------------------------------------------------------------------------
@@ -346,6 +388,9 @@ impl CacheEntry {
 #[derive(Default)]
 struct TraceCache {
     map: HashMap<u128, CacheEntry>,
+    /// Keys some caller is compiling right now; other callers wait on
+    /// [`Shared::compiled`] instead of compiling them again.
+    in_flight: HashSet<u128>,
     /// Insertion order, for oldest-first eviction.
     order: VecDeque<u128>,
     resident_steps: usize,
@@ -385,12 +430,42 @@ impl TraceCache {
     }
 }
 
+/// The cache and the condition its waiters sleep on.
+struct Shared {
+    cache: Mutex<TraceCache>,
+    /// Notified whenever a caller clears its in-flight markers.
+    compiled: Condvar,
+}
+
+fn shared() -> &'static Shared {
+    static SHARED: OnceLock<Shared> = OnceLock::new();
+    SHARED.get_or_init(|| Shared {
+        cache: Mutex::new(TraceCache::default()),
+        compiled: Condvar::new(),
+    })
+}
+
 fn global() -> MutexGuard<'static, TraceCache> {
-    static CACHE: OnceLock<Mutex<TraceCache>> = OnceLock::new();
-    CACHE
-        .get_or_init(|| Mutex::new(TraceCache::default()))
-        .lock()
-        .expect("trace cache poisoned")
+    shared().cache.lock().expect("trace cache poisoned")
+}
+
+/// One caller's claim on the keys it compiles. Dropping it — after the
+/// compiled entries are inserted, or while unwinding from a panicking
+/// compile — clears the in-flight markers and wakes every waiter, so no
+/// waiter sleeps on a compile that is gone.
+struct InFlight(Vec<u128>);
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        let shared = shared();
+        // Never panic here: this may run during an unwind.
+        let mut cache = shared.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        for key in &self.0 {
+            cache.in_flight.remove(key);
+        }
+        drop(cache);
+        shared.compiled.notify_all();
+    }
 }
 
 /// Compile worker count: `MESH_BENCH_JOBS` if set to a positive integer,
@@ -414,96 +489,106 @@ fn default_jobs() -> usize {
 /// Returns the compiled trace of every task (index-aligned), consulting and
 /// populating the cross-sweep cache; `None` marks a task past the step cap
 /// (the engines fall back to its on-the-fly cursor). Distinct uncached keys
-/// compile in parallel.
+/// compile in parallel. A key another caller is compiling is not compiled
+/// again: this call waits for that compile and counts a hit, or compiles
+/// the key itself if the other compile left no entry (it unwound, or its
+/// entry was already evicted).
 pub(crate) fn compiled_for(
     workload: &Workload,
     machine: &MachineConfig,
     pacing: Pacing,
 ) -> Vec<Option<Arc<TaskTrace>>> {
-    let n = workload.tasks.len();
-    let keys: Vec<u128> = (0..n)
-        .map(|i| {
-            trace_key(
-                &workload.tasks[i].segments,
-                machine.procs[i],
-                derived_pacing(pacing, i),
-            )
-        })
-        .collect();
-    let mut out: Vec<Option<Arc<TaskTrace>>> = (0..n).map(|_| None).collect();
-    // First task index per distinct key still to compile.
-    let mut missing: Vec<usize> = Vec::new();
+    let keys = task_keys(workload, machine, pacing);
+    let mut out: Vec<Option<Arc<TaskTrace>>> = keys.iter().map(|_| None).collect();
     // Per-call deltas mirrored into the mesh-obs registry after the lock
     // drops, so the observability flush never holds the cache mutex.
     let (mut d_hits, mut d_misses, mut d_fallbacks, mut d_evictions) = (0u64, 0u64, 0u64, 0u64);
-    {
-        let mut cache = global();
-        for i in 0..n {
-            match cache.map.get(&keys[i]) {
-                Some(CacheEntry::Compiled(t)) => {
-                    out[i] = Some(Arc::clone(t));
-                    cache.hits += 1;
-                    d_hits += 1;
-                }
-                Some(CacheEntry::TooLarge) => {
-                    cache.hits += 1;
-                    cache.fallbacks += 1;
-                    d_hits += 1;
-                    d_fallbacks += 1;
-                }
-                None => {
-                    cache.misses += 1;
-                    d_misses += 1;
-                    if !missing.iter().any(|&j| keys[j] == keys[i]) {
-                        missing.push(i);
+    // Tasks still to resolve: every task at first, then those whose key was
+    // in flight elsewhere, looked up again once that compile is done.
+    let mut pending: Vec<usize> = (0..keys.len()).collect();
+    while !pending.is_empty() {
+        // The first task per distinct key this call compiles, and the tasks
+        // whose key another caller is compiling.
+        let (mut missing, mut waiting) = (Vec::new(), Vec::new());
+        {
+            let mut cache = global();
+            for &i in &pending {
+                match cache.map.get(&keys[i]) {
+                    Some(CacheEntry::Compiled(t)) => {
+                        out[i] = Some(Arc::clone(t));
+                        cache.hits += 1;
+                        d_hits += 1;
+                    }
+                    Some(CacheEntry::TooLarge) => {
+                        cache.hits += 1;
+                        cache.fallbacks += 1;
+                        d_hits += 1;
+                        d_fallbacks += 1;
+                    }
+                    None => {
+                        let ours = missing.iter().any(|&j| keys[j] == keys[i]);
+                        if !ours && !cache.in_flight.insert(keys[i]) {
+                            waiting.push(i);
+                            continue;
+                        }
+                        if !ours {
+                            missing.push(i);
+                        }
+                        cache.misses += 1;
+                        d_misses += 1;
                     }
                 }
             }
         }
-    }
-    if missing.is_empty() {
-        flush_cache_obs(d_hits, d_misses, d_fallbacks, d_evictions);
-        return out;
-    }
 
-    let compiled = {
-        let _span = mesh_obs::span("cyclesim.compile_ns");
-        compile_parallel(&missing, workload, machine, pacing)
-    };
-
-    let mut cache = global();
-    let evictions_before = cache.evictions;
-    for (&i, trace) in missing.iter().zip(&compiled) {
-        let entry = match trace {
-            Some(t) => CacheEntry::Compiled(Arc::clone(t)),
-            None => {
-                cache.fallbacks += 1;
-                d_fallbacks += 1;
-                CacheEntry::TooLarge
+        if !missing.is_empty() {
+            let claim = InFlight(missing.iter().map(|&i| keys[i]).collect());
+            let compiled = {
+                let _span = mesh_obs::span("cyclesim.compile_ns");
+                compile_parallel(&missing, workload, machine, pacing)
+            };
+            let mut cache = global();
+            let evictions_before = cache.evictions;
+            for (&i, trace) in missing.iter().zip(&compiled) {
+                let entry = match trace {
+                    Some(t) => CacheEntry::Compiled(Arc::clone(t)),
+                    None => {
+                        cache.fallbacks += 1;
+                        d_fallbacks += 1;
+                        CacheEntry::TooLarge
+                    }
+                };
+                cache.insert(keys[i], entry, DEFAULT_CACHE_STEPS);
+                if mesh_obs::enabled() {
+                    // Fold freshly-compiled trace keys into the run
+                    // manifest's workload fingerprint (XOR fold:
+                    // order-independent across parallel sweep workers).
+                    mesh_obs::merge_fingerprint((keys[i] as u64) ^ ((keys[i] >> 64) as u64));
+                }
             }
-        };
-        cache.insert(keys[i], entry, DEFAULT_CACHE_STEPS);
-        if mesh_obs::enabled() {
-            // Fold freshly-compiled trace keys into the run manifest's
-            // workload fingerprint (XOR fold: order-independent across
-            // parallel sweep workers).
-            mesh_obs::merge_fingerprint((keys[i] as u64) ^ ((keys[i] >> 64) as u64));
+            d_evictions += cache.evictions - evictions_before;
+            drop(cache);
+            drop(claim);
+            // Fill this call's slots from the fresh compiles directly (an
+            // insert may already have been evicted; the Arcs stay valid).
+            for &i in &pending {
+                if let Some(k) = missing.iter().position(|&j| keys[j] == keys[i]) {
+                    out[i] = compiled[k].clone();
+                }
+            }
         }
+
+        if !waiting.is_empty() {
+            let _cache = shared()
+                .compiled
+                .wait_while(global(), |cache| {
+                    waiting.iter().any(|&i| cache.in_flight.contains(&keys[i]))
+                })
+                .expect("trace cache poisoned");
+        }
+        pending = waiting;
     }
-    d_evictions += cache.evictions - evictions_before;
-    drop(cache);
     flush_cache_obs(d_hits, d_misses, d_fallbacks, d_evictions);
-    // Fill the remaining slots from the fresh compiles directly (an insert
-    // may already have been evicted; the Arcs stay valid regardless).
-    for i in 0..n {
-        if out[i].is_some() {
-            continue;
-        }
-        if let Some(k) = missing.iter().position(|&j| keys[j] == keys[i]) {
-            out[i] = compiled[k].clone();
-        }
-        // else: the key was negative-cached (TooLarge) before this call.
-    }
     out
 }
 
@@ -586,9 +671,12 @@ pub struct TraceCacheStats {
     pub entries: usize,
     /// Total steps held by resident traces.
     pub resident_steps: usize,
-    /// Per-task lookups served from the cache since process start.
+    /// Per-task lookups served from the cache since process start,
+    /// including lookups that waited for another caller's compile of the
+    /// same key.
     pub hits: u64,
-    /// Per-task lookups that required a compile since process start.
+    /// Per-task lookups that required a compile by this caller since
+    /// process start.
     pub misses: u64,
     /// Entries evicted oldest-first to stay within the resident budget.
     pub evictions: u64,
@@ -596,7 +684,9 @@ pub struct TraceCacheStats {
     /// sending the engines to the on-the-fly cursor fallback.
     pub fallbacks: u64,
     /// Actual compiles performed. Always ≤ `misses`: duplicate keys within
-    /// one workload compile once.
+    /// one workload compile once, and concurrent callers wait for a key in
+    /// flight instead of compiling it again, so without evictions (or a
+    /// compile that unwound) it equals the number of distinct keys.
     pub compiles: u64,
 }
 
@@ -614,8 +704,9 @@ pub fn cache_stats() -> TraceCacheStats {
     }
 }
 
-/// Drops every cached trace (the hit/miss counters are kept). Intended for
-/// benchmarks that need cold-compile timings.
+/// Drops every cached trace (the hit/miss counters and the markers of
+/// compiles in flight are kept). Intended for benchmarks that need
+/// cold-compile timings.
 pub fn clear_cache() {
     let mut cache = global();
     cache.map.clear();
@@ -639,12 +730,8 @@ pub fn workload_fingerprint(workload: &Workload, machine: &MachineConfig, pacing
         "workload does not fit the machine"
     );
     let mut h = Fnv128::default();
-    for i in 0..workload.tasks.len() {
-        h.write_u128(trace_key(
-            &workload.tasks[i].segments,
-            machine.procs[i],
-            derived_pacing(pacing, i),
-        ));
+    for key in task_keys(workload, machine, pacing) {
+        h.write_u128(key);
     }
     h.finish128()
 }
@@ -660,6 +747,36 @@ pub fn prewarm(workload: &Workload, machine: &MachineConfig, pacing: Pacing) {
         return;
     }
     let _ = compiled_for(workload, machine, pacing);
+}
+
+/// Every task's per-segment hit and miss counts (index-aligned with the
+/// tasks, then with each task's segments), read from the compiled traces
+/// in the cross-sweep cache — or `None` unless every task's trace is
+/// resident. A lookup only: it never compiles and moves none of the cache's
+/// counters.
+///
+/// The counts come from the same cache walk that resolved the trace's hit
+/// and miss events, so they equal a fresh walk of each task's references,
+/// in order, through one private cache of its processor's geometry.
+pub fn resident_profiles(
+    workload: &Workload,
+    machine: &MachineConfig,
+    pacing: Pacing,
+) -> Option<Vec<Vec<SegmentProfile>>> {
+    if workload.tasks.len() > machine.procs.len() {
+        return None;
+    }
+    let keys = task_keys(workload, machine, pacing);
+    let traces: Vec<Arc<TaskTrace>> = {
+        let cache = global();
+        keys.iter()
+            .map(|key| match cache.map.get(key) {
+                Some(CacheEntry::Compiled(trace)) => Some(Arc::clone(trace)),
+                _ => None,
+            })
+            .collect::<Option<_>>()?
+    };
+    Some(traces.iter().map(|t| t.profile.clone()).collect())
 }
 
 /// Compiles every task of the workload from scratch — bypassing the
@@ -813,12 +930,116 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_callers_share_one_compile() {
+        // A fresh workload large enough that the first compile is still
+        // running when the other threads look the key up.
+        let mut w = Workload::new();
+        w.add_task(
+            TaskProgram::new("t").with_segment(Segment::work(3_141_593).with_pattern(
+                MemPattern::Random {
+                    base: 0x5EED_0000,
+                    span: 64 * 1024,
+                    count: 200_000,
+                    seed: 0xF117,
+                },
+            )),
+        );
+        let machine = MachineConfig::homogeneous(1, proc(1024), BusConfig::new(4));
+        let release = std::sync::Barrier::new(8);
+        let traces: Vec<Arc<TaskTrace>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        release.wait();
+                        compiled_for(&w, &machine, Pacing::Poisson(0xC0FFEE))
+                            .pop()
+                            .flatten()
+                            .expect("fits the step cap")
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for trace in &traces[1..] {
+            assert!(
+                Arc::ptr_eq(&traces[0], trace),
+                "every caller shares one compile"
+            );
+        }
+    }
+
+    #[test]
+    fn waiter_compiles_a_key_whose_compile_unwound() {
+        // A claim dropped without an entry, as when its compile panics, must
+        // wake the waiter, which then compiles the key itself.
+        let mut w = Workload::new();
+        w.add_task(TaskProgram::new("t").with_segment(Segment::work(424_243)));
+        let machine = MachineConfig::homogeneous(1, proc(1024), BusConfig::new(4));
+        let key = task_keys(&w, &machine, Pacing::Even)[0];
+        assert!(global().in_flight.insert(key));
+        let claim = InFlight(vec![key]);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| compiled_for(&w, &machine, Pacing::Even));
+            // Either order must work: the pause only makes it likely that
+            // the waiter is already asleep on the marker when it clears.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(claim);
+            assert!(waiter.join().unwrap()[0].is_some());
+        });
+        assert!(!global().in_flight.contains(&key));
+    }
+
+    #[test]
+    fn resident_profiles_read_the_compile_counts() {
+        let segments = vec![
+            Segment::work(100).with_pattern(MemPattern::Strided {
+                base: 0x7A11_0000,
+                stride: 8,
+                count: 16,
+            }),
+            Segment::idle(9),
+            Segment::work(7),
+            Segment::work(50).with_pattern(MemPattern::Strided {
+                base: 0x7A11_0000,
+                stride: 2048,
+                count: 3,
+            }),
+        ];
+        let mut w = Workload::new();
+        w.add_task(
+            segments
+                .into_iter()
+                .fold(TaskProgram::new("t"), TaskProgram::with_segment),
+        );
+        let machine = MachineConfig::homogeneous(1, proc(1024), BusConfig::new(4));
+        // A lookup never compiles: the traces stay absent until a prewarm.
+        assert_eq!(resident_profiles(&w, &machine, Pacing::Even), None);
+        assert_eq!(resident_profiles(&w, &machine, Pacing::Even), None);
+        prewarm(&w, &machine, Pacing::Even);
+        let counts = |hits, misses| SegmentProfile { hits, misses };
+        assert_eq!(
+            resident_profiles(&w, &machine, Pacing::Even),
+            Some(vec![vec![
+                // 16 refs over 4 lines: 4 misses, 12 hits.
+                counts(12, 4),
+                counts(0, 0),
+                counts(0, 0),
+                // Line 0 is still cached; 2048 and 4096 map onto its set.
+                counts(1, 2),
+            ]])
+        );
+        // Another pacing is another key: not resident.
+        assert_eq!(resident_profiles(&w, &machine, Pacing::Poisson(3)), None);
+    }
+
+    #[test]
     fn eviction_respects_budget() {
         let mut cache = TraceCache::default();
         let trace = |steps: usize| {
             CacheEntry::Compiled(Arc::new(TaskTrace {
                 chunks: Vec::new(),
                 steps,
+                profile: Vec::new(),
             }))
         };
         cache.insert(1, trace(60), 100);

@@ -11,10 +11,8 @@
 //! the *maximum* queuing any adversarial ISS schedule produced; the final
 //! column checks that the envelope dominates the observation.
 //!
-//! Knobs: `MESH_NOC_HOPS` (route length, default 2), `MESH_NOC_OVERLAP`
-//! (fraction of competing traffic sharing each hop, default 1.0),
-//! `MESH_ADVERSARY` (`full`/`quick`/`off` adversarial-schedule set). A
-//! value that does not parse warns on stderr and uses the default.
+//! The multi-hop row routes over 2 hops with every hop fully shared
+//! (overlap 1.0), and every point runs the full adversarial schedule set.
 //!
 //! ```bash
 //! cargo run -p mesh-bench --bin noc_sweep --release
@@ -27,46 +25,12 @@ use mesh_workloads::uniform::{build, UniformConfig};
 
 const PROC_SWEEP: [usize; 3] = [2, 4, 8];
 
-const HOPS_ENV: &str = "MESH_NOC_HOPS";
-const DEFAULT_HOPS: u32 = 2;
-const OVERLAP_ENV: &str = "MESH_NOC_OVERLAP";
-const DEFAULT_OVERLAP: f64 = 1.0;
+/// Route length of the multi-hop NoC row.
+const HOPS: u32 = 2;
+/// Fraction of competing traffic sharing each hop of the multi-hop row.
+const OVERLAP: f64 = 1.0;
 
-/// Parses a finite number for knob `name`; the error is the warning to
-/// print before using `default`.
-fn parse_number(name: &str, value: &str, default: f64) -> Result<f64, String> {
-    value
-        .trim()
-        .parse::<f64>()
-        .ok()
-        .filter(|v| v.is_finite())
-        .ok_or_else(|| format!("mesh-bench: ignoring invalid {name}={value:?} (using {default})"))
-}
-
-/// Parses a [`HOPS_ENV`] value: a route length, at least one hop.
-fn parse_hops(value: &str) -> Result<u32, String> {
-    parse_number(HOPS_ENV, value, f64::from(DEFAULT_HOPS)).map(|hops| hops.max(1.0) as u32)
-}
-
-/// Parses an [`OVERLAP_ENV`] value: the fraction of competing traffic
-/// sharing each hop, clamped to `[0, 1]`.
-fn parse_overlap(value: &str) -> Result<f64, String> {
-    parse_number(OVERLAP_ENV, value, DEFAULT_OVERLAP).map(|w| w.clamp(0.0, 1.0))
-}
-
-/// Reads knob `name` once through `parse`; unset or empty gives `default`,
-/// and an invalid value warns on stderr and gives `default` too.
-fn knob<T>(name: &str, default: T, parse: fn(&str) -> Result<T, String>) -> T {
-    match std::env::var(name) {
-        Ok(value) if !value.trim().is_empty() => parse(&value).unwrap_or_else(|warning| {
-            eprintln!("{warning}");
-            default
-        }),
-        _ => default,
-    }
-}
-
-fn run_point(model_key: &str, procs: usize, hops: u32, overlap: f64) -> EnvelopePoint {
+fn run_point(model_key: &str, procs: usize) -> EnvelopePoint {
     let workload = build(&UniformConfig::with_threads(procs));
     // Small caches so the steady sweep keeps missing (as in
     // validation_uniform): contention is the object of study here.
@@ -78,7 +42,7 @@ fn run_point(model_key: &str, procs: usize, hops: u32, overlap: f64) -> Envelope
         "noc-multihop" => run_envelope_point(
             &workload,
             &machine,
-            PriorityNoc::new(hops).with_overlap(overlap),
+            PriorityNoc::new(HOPS).with_overlap(OVERLAP),
             &priorities,
         ),
         "fair-share" => run_envelope_point(&workload, &machine, FairShare::new(), &priorities),
@@ -87,20 +51,18 @@ fn run_point(model_key: &str, procs: usize, hops: u32, overlap: f64) -> Envelope
 }
 
 fn main() {
-    let hops = knob(HOPS_ENV, DEFAULT_HOPS, parse_hops);
-    let overlap = knob(OVERLAP_ENV, DEFAULT_OVERLAP, parse_overlap);
     println!("NoC sweep — priority-class NoC and fair-shared throughput models");
     println!(
         "uniform workload, 8KB caches, bus delay = {FFT_BUS_DELAY} cycles, \
          priority classes descending from thread 0"
     );
-    println!("multi-hop row: hops = {hops}, overlap = {overlap}\n");
+    println!("multi-hop row: hops = {HOPS}, overlap = {OVERLAP}\n");
 
     let models: [(&str, String); 3] = [
         ("noc-1hop", "priority-noc (1 hop)".to_string()),
         (
             "noc-multihop",
-            format!("priority-noc ({hops} hops, w={overlap})"),
+            format!("priority-noc ({HOPS} hops, w={OVERLAP})"),
         ),
         ("fair-share", "fair-share".to_string()),
     ];
@@ -126,7 +88,7 @@ fn main() {
                 let machine = fft_machine(procs, 8 * 1024, FFT_BUS_DELAY);
                 mesh_bench::adversarial_bus_queuing_max(&workload, &machine);
             },
-            |&(key, procs)| run_point(key, procs, hops, overlap),
+            |&(key, procs)| run_point(key, procs),
         ),
     );
 
@@ -178,38 +140,5 @@ fn main() {
     mesh_bench::obs_finish();
     if !all_hold {
         std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn invalid_hop_count_warns_instead_of_using_the_default_silently() {
-        assert_eq!(parse_hops("3"), Ok(3));
-        assert_eq!(parse_hops(" 0 "), Ok(1), "at least one hop");
-        assert_eq!(parse_hops("2.7"), Ok(2));
-        for bad in ["two", "", "inf", "3hops"] {
-            let warning = parse_hops(bad).expect_err(bad);
-            assert!(
-                warning.contains(&format!("ignoring invalid {HOPS_ENV}={bad:?}")),
-                "{warning}"
-            );
-        }
-    }
-
-    #[test]
-    fn invalid_overlap_warns_instead_of_using_the_default_silently() {
-        assert_eq!(parse_overlap("0.5"), Ok(0.5));
-        assert_eq!(parse_overlap("2"), Ok(1.0), "clamped to [0, 1]");
-        assert_eq!(parse_overlap("-1"), Ok(0.0));
-        for bad in ["half", "", "NaN", "50%"] {
-            let warning = parse_overlap(bad).expect_err(bad);
-            assert!(
-                warning.contains(&format!("ignoring invalid {OVERLAP_ENV}={bad:?}")),
-                "{warning}"
-            );
-        }
     }
 }

@@ -39,9 +39,9 @@
 //! `obs/`, `store/` or `sweep/` benchmark regressed by more than `--factor`
 //! times (default 2x; `--max-regression` is an alias). It never passes
 //! vacuously: a gated prefix with no benchmark in both files fails, and so
-//! does a baseline benchmark an unfiltered run did not measure. It refuses
-//! outright when the two files recorded different parallelism or cache
-//! configurations.
+//! does a benchmark that only one file has, when the run is unfiltered. It
+//! refuses outright when the two files recorded different parallelism or
+//! cache configurations.
 //! After a run the suite prints a speedup summary — tick/skip per workload,
 //! trace-vs-cursor, and the compile cost — so BENCH deltas are readable
 //! without hand-diffing JSON. See `docs/PERFORMANCE.md`.
@@ -362,12 +362,7 @@ fn bench_store(suite: &mut Suite, samples: usize) {
     suite.record("store/memo_hit", median);
 
     // Back to whatever the environment configured, then drop the tempdir.
-    match std::env::var_os(mesh_bench::memo::RESULT_CACHE_ENV) {
-        Some(dir) if !dir.is_empty() => {
-            mesh_bench::memo::set_result_cache(Some(std::path::Path::new(&dir)))
-        }
-        _ => mesh_bench::memo::set_result_cache(None),
-    }
+    mesh_bench::memo::set_result_cache(mesh_bench::config().result_cache.as_deref());
     let _ = std::fs::remove_dir_all(&memo_dir);
 }
 
@@ -453,12 +448,7 @@ fn bench_sweep(suite: &mut Suite, samples: usize) {
     // Back to whatever the environment configured, then drop the tempdir.
     mesh_bench::memo::set_subeval_lru_capacity(cap_before);
     mesh_bench::memo::clear_subeval_lru();
-    match std::env::var_os(mesh_bench::memo::RESULT_CACHE_ENV) {
-        Some(dir) if !dir.is_empty() => {
-            mesh_bench::memo::set_result_cache(Some(std::path::Path::new(&dir)))
-        }
-        _ => mesh_bench::memo::set_result_cache(None),
-    }
+    mesh_bench::memo::set_result_cache(mesh_bench::config().result_cache.as_deref());
     let _ = std::fs::remove_dir_all(&memo_dir);
 }
 
@@ -467,10 +457,10 @@ fn main() {
     let sha = git_sha();
     let mode = if args.quick { "quick" } else { "full" };
     println!("perfsuite ({mode}) at {sha}\n");
-    // The environment-driven cache configuration, captured before the
-    // store/ section temporarily redirects it, is what the artifact
-    // records: it is what every *other* benchmark ran under.
-    let env_result_cache = mesh_bench::memo::enabled();
+    // Read before the first section, so the cyclesim timings compile traces
+    // on MESH_BENCH_JOBS threads. The artifact records this configuration,
+    // which every section except store/ and sweep/ runs under.
+    let config = mesh_bench::config();
     let mut suite = Suite {
         filter: args.filter.clone(),
         records: Vec::new(),
@@ -562,9 +552,9 @@ fn main() {
         // Recorded so the perf gate can refuse to compare medians across
         // different parallelism or cache configurations (threads, fabric
         // shards, result memo cache).
-        jobs: mesh_bench::sweep::jobs_from_env(),
-        shards: mesh_bench::fabric::shards_from_env().unwrap_or(0),
-        result_cache: usize::from(env_result_cache),
+        jobs: config.jobs,
+        shards: config.shards.unwrap_or(0),
+        result_cache: usize::from(config.result_cache.is_some()),
         benchmarks: suite.records,
     };
 
@@ -622,12 +612,6 @@ fn main() {
             eprintln!("error: malformed baseline {baseline_path}: {e}");
             std::process::exit(1);
         });
-        if baseline.jobs == 0 {
-            println!(
-                "note: baseline {baseline_path} predates jobs/shards recording; \
-                 parallelism-configuration compatibility not checked"
-            );
-        }
         let partial = args.filter.is_some();
         for prefix in ["kernel/", "model/", "cyclesim/", "obs/", "store/", "sweep/"] {
             if partial && !file.benchmarks.iter().any(|b| b.name.starts_with(prefix)) {

@@ -49,42 +49,9 @@ use std::time::Duration;
 /// (`MESH_BENCH_CHECKPOINT_SYNC=1`): every appended checkpoint record is
 /// synced to stable storage before the evaluation of the next point begins.
 /// Off by default — flush-on-append already survives any process kill; the
-/// knob additionally covers kernel panics and power loss. `1`, `on`, `true`
-/// and `yes` turn it on, and `mesh-obs`'s off values (see
-/// [`mesh_obs::is_off`]) keep it off, both trimmed and in any case; anything
-/// else warns on stderr and keeps it off.
+/// knob additionally covers kernel panics and power loss. An on/off switch
+/// (see [`mod@crate::config`]).
 pub const SYNC_ENV: &str = "MESH_BENCH_CHECKPOINT_SYNC";
-
-/// Parses a [`SYNC_ENV`] value; the error is the warning to print before
-/// keeping the flush-only default.
-fn parse_sync(value: &str) -> Result<bool, String> {
-    if mesh_obs::is_off(value) {
-        return Ok(false);
-    }
-    match value.trim().to_ascii_lowercase().as_str() {
-        "1" | "on" | "true" | "yes" => Ok(true),
-        _ => Err(format!(
-            "mesh-bench: ignoring invalid {SYNC_ENV}={value:?} \
-             (want 1|on|true|yes or 0|off|false|no; using flush-only)"
-        )),
-    }
-}
-
-/// The process's per-record fsync setting, read from [`SYNC_ENV`] once.
-fn sync_from_env() -> bool {
-    static SYNC: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *SYNC.get_or_init(|| sync_from(std::env::var(SYNC_ENV).ok().as_deref()))
-}
-
-/// [`sync_from_env`] for a given [`SYNC_ENV`] value (`None` = unset).
-fn sync_from(value: Option<&str>) -> bool {
-    value.is_some_and(|value| {
-        parse_sync(value).unwrap_or_else(|warning| {
-            eprintln!("{warning}");
-            false
-        })
-    })
-}
 
 /// A value that can round-trip through a single checkpoint line.
 ///
@@ -237,7 +204,7 @@ impl Checkpoint {
     /// `(label, key-hash)` pair was recorded more than once (a retried point
     /// after a worker restart). Per-record fsync follows [`SYNC_ENV`].
     pub fn open(path: &Path) -> std::io::Result<Checkpoint> {
-        Checkpoint::open_with_sync(path, sync_from_env())
+        Checkpoint::open_with_sync(path, crate::config().checkpoint_sync)
     }
 
     /// [`open`](Checkpoint::open) with the fsync behavior given explicitly
@@ -506,36 +473,6 @@ mod tests {
         );
         assert_eq!(ck.lookup::<f64>("grid", 8), Some(8.0));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sync_knob_off_values_keep_flush_only() {
-        for off in ["", "0", "off", "OFF", " False ", " 0", "no", "No"] {
-            assert_eq!(parse_sync(off), Ok(false), "{off:?}");
-        }
-    }
-
-    #[test]
-    fn sync_knob_on_values_fsync() {
-        for on in ["1", "on", "ON", " true ", "yes", "Yes"] {
-            assert_eq!(parse_sync(on), Ok(true), "{on:?}");
-        }
-    }
-
-    #[test]
-    fn sync_knob_invalid_values_warn() {
-        for bad in ["2", "y", "enable", "fsync", "-1"] {
-            let warning = parse_sync(bad).expect_err(bad);
-            assert!(
-                warning.contains(&format!("ignoring invalid {SYNC_ENV}={bad:?}")),
-                "{warning}"
-            );
-        }
-        // Unset, off and invalid all keep the flush-only default.
-        for flush_only in [None, Some(""), Some("no"), Some("fsync")] {
-            assert!(!sync_from(flush_only), "{flush_only:?}");
-        }
-        assert!(sync_from(Some(" Yes ")));
     }
 
     #[test]

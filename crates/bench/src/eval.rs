@@ -58,8 +58,9 @@
 //! ```
 
 use crate::checkpoint::Checkpointable;
+use crate::config::RunConfig;
 use crate::memo;
-use crate::sweep::{self, References, Settings, SweepError};
+use crate::sweep::{self, References, SweepError};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
@@ -129,24 +130,23 @@ where
 /// The reference phase of a planned grid, run by the sweep dispatch in the
 /// parent process: groups `points` by reference key and runs one
 /// representative per shared group on the in-process runner. Under the
-/// fabric (`sharded`) without a persistent result cache the phase is
+/// fabric (`config.shards`) without a persistent result cache the phase is
 /// skipped, because a reference computed here could not reach the workers.
 /// Returns each point's group, the fabric's co-location hint.
 pub(crate) fn reference_phase<K>(
     label: &str,
     points: &[K],
     references: &References<'_, K>,
-    sharded: bool,
-    settings: &Settings,
+    config: &RunConfig,
 ) -> Vec<u64>
 where
     K: Hash + Sync + fmt::Debug,
 {
     let (groups, representatives) = group_by_reference(points, references.key);
-    if representatives.len() < points.len() && (!sharded || memo::enabled()) {
+    if representatives.len() < points.len() && (config.shards.is_none() || memo::enabled()) {
         let reps: Vec<&K> = representatives.iter().map(|&i| &points[i]).collect();
         let refs_label = format!("{label}:refs");
-        let outcome = sweep::run_points(&refs_label, &reps, None, settings, |key| {
+        let outcome = sweep::run_points(&refs_label, &reps, None, config, |key| {
             (references.run)(key);
         });
         if let Err(e) = outcome {

@@ -87,8 +87,10 @@
 //! | `MESH_BENCH_CHECKPOINT` | resume file; also the session store workers read prior sweeps from |
 //! | `MESH_FABRIC_EXE` | override the re-exec'd executable (tests; default `current_exe`) |
 //!
-//! The `MESH_WORKER_*` variables are the parent→worker contract and are set
-//! by the fabric itself; they are documented on their constants below.
+//! They are read once per process, in [`crate::config()`], where a
+//! malformed value is an error (exit status 2). The `MESH_WORKER_*`
+//! variables are the parent→worker contract and are set by the fabric
+//! itself; they are documented on their constants below.
 //!
 //! ```bash
 //! # 4 supervised worker processes, hung points killed after 30 s:
@@ -109,12 +111,13 @@
 //! ```
 
 use crate::checkpoint::{sanitize, split_record, stable_key_hash, Checkpoint, Checkpointable};
-use crate::sweep::{self, PointFailure, Settings, SweepError, Todo, FAIL_POINT_ENV};
+use crate::config::{RunConfig, WorkerConfig};
+use crate::sweep::{self, PointFailure, SweepError, Todo, FAIL_POINT_ENV};
 use mesh_core::Backoff;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
-use std::io::{Read as _, Seek as _};
+use std::io::{IsTerminal as _, Read as _, Seek as _};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -122,15 +125,15 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Environment variable selecting the worker-process count (the fabric's
-/// opt-in). Unset, empty, `0` or unparseable keeps the in-process runner.
+/// opt-in). Unset, empty or `0` keeps the in-process runner.
 pub const SHARDS_ENV: &str = "MESH_BENCH_SHARDS";
 
 /// Environment variable bounding the wall-clock seconds a worker may go
 /// without flushing a finished-point record while points remain (fractions
 /// allowed). On expiry the worker is killed, the in-flight point is struck,
-/// and the worker restarts from its checkpoint. Unset or `0` disables the
-/// timeout. Only effective in fabric mode — an in-process sweep cannot kill
-/// a hung evaluation thread.
+/// and the worker restarts from its checkpoint. Unset or empty disables the
+/// timeout; any other value must be positive seconds. Only effective in
+/// fabric mode — an in-process sweep cannot kill a hung evaluation thread.
 pub const TIMEOUT_ENV: &str = "MESH_BENCH_TIMEOUT";
 
 /// Environment variable overriding the executable the fabric re-execs as a
@@ -139,7 +142,8 @@ pub const TIMEOUT_ENV: &str = "MESH_BENCH_TIMEOUT";
 pub const EXE_ENV: &str = "MESH_FABRIC_EXE";
 
 /// Parent→worker: `shard/shards` (e.g. `2/4`). Its presence is what turns a
-/// process into a worker — the sweep entry points check it first.
+/// process into a worker — the sweep entry points check it first. A
+/// malformed worker environment exits with status 2, never runs as a parent.
 pub const WORKER_SHARD_ENV: &str = "MESH_WORKER_SHARD";
 
 /// Parent→worker: the (sanitized) label of the sweep the worker shards.
@@ -191,131 +195,18 @@ const MAX_SPAWN_FAILURES: u32 = 3;
 /// rather than defended against.
 const OBS_RECORD_LABEL: &str = "__mesh-obs__";
 
+/// How often a worker rewrites its standalone telemetry files (snapshot
+/// sidecar and flight record) between points. The snapshot embedded in
+/// every checkpoint record is not throttled: it rides the record's write.
+const FLUSH_CADENCE: Duration = Duration::from_secs(1);
+
 /// Grace period a worker whose assignment is complete gets to flush its
 /// final telemetry snapshot and timeline and exit on its own before the
 /// parent kills it.
 const EXIT_GRACE: Duration = Duration::from_secs(2);
 
-/// Returns the configured shard count: `Some(n >= 1)` when [`SHARDS_ENV`]
-/// asks for the fabric, `None` to stay on the in-process engine.
-///
-/// # Examples
-///
-/// ```
-/// // Unset in the test environment: the in-process engine is the default.
-/// assert_eq!(mesh_bench::fabric::shards_from_env(), None);
-/// ```
-pub fn shards_from_env() -> Option<usize> {
-    let value = std::env::var(SHARDS_ENV).ok()?;
-    let value = value.trim();
-    if value.is_empty() || value == "0" {
-        return None;
-    }
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            eprintln!(
-                "mesh-bench: ignoring invalid {SHARDS_ENV}={value:?} (want a positive integer)"
-            );
-            None
-        }
-    }
-}
-
-/// Returns the per-point heartbeat timeout from [`TIMEOUT_ENV`], if any:
-/// none when unset or empty; an invalid value warns on stderr and leaves
-/// the timeout off too.
-pub fn timeout_from_env() -> Option<Duration> {
-    timeout_from(std::env::var(TIMEOUT_ENV).ok().as_deref())
-}
-
-/// [`timeout_from_env`] for a given [`TIMEOUT_ENV`] value (`None` = unset).
-fn timeout_from(value: Option<&str>) -> Option<Duration> {
-    let value = value.filter(|v| !v.trim().is_empty())?;
-    match parse_timeout(value) {
-        Ok(timeout) => Some(timeout),
-        Err(warning) => {
-            eprintln!("{warning}");
-            None
-        }
-    }
-}
-
-/// Parses a [`TIMEOUT_ENV`] value: positive, finite seconds. The error is
-/// the warning to print before running without a timeout.
-fn parse_timeout(value: &str) -> Result<Duration, String> {
-    match value.trim().parse::<f64>() {
-        Ok(secs) if secs > 0.0 && secs.is_finite() => Ok(Duration::from_secs_f64(secs)),
-        _ => Err(format!(
-            "mesh-bench: ignoring invalid {TIMEOUT_ENV}={value:?} \
-             (want positive seconds, e.g. 30 or 0.5; no timeout)"
-        )),
-    }
-}
-
-/// The worker-side contract parsed from the `MESH_WORKER_*` environment; a
-/// process with this configuration is a fabric worker, not a parent.
-#[derive(Debug)]
-pub struct WorkerConfig {
-    /// This worker's shard index in `0..shards`.
-    pub shard: usize,
-    /// Total shard count of the sweep.
-    pub shards: usize,
-    label: String,
-    out: PathBuf,
-    resume: Option<PathBuf>,
-    plan: PathBuf,
-    skip: HashSet<u64>,
-}
-
-/// Detects worker mode: `Some` iff [`WORKER_SHARD_ENV`] is set. A present
-/// but malformed worker environment is a fabric bug; the process exits
-/// nonzero rather than silently running the sweep as a parent (which would
-/// corrupt the merged output with duplicated full evaluations).
-pub fn worker_config() -> Option<WorkerConfig> {
-    let shard_spec = std::env::var(WORKER_SHARD_ENV).ok()?;
-    let parsed = shard_spec
-        .split_once('/')
-        .and_then(|(s, n)| {
-            Some((
-                s.trim().parse::<usize>().ok()?,
-                n.trim().parse::<usize>().ok()?,
-            ))
-        })
-        .filter(|&(s, n)| n >= 1 && s < n);
-    let (label, out, plan) = (
-        std::env::var(WORKER_LABEL_ENV).ok(),
-        std::env::var_os(WORKER_OUT_ENV).map(PathBuf::from),
-        std::env::var_os(WORKER_PLAN_ENV).map(PathBuf::from),
-    );
-    match (parsed, label, out, plan) {
-        (Some((shard, shards)), Some(label), Some(out), Some(plan)) => Some(WorkerConfig {
-            shard,
-            shards,
-            label,
-            out,
-            resume: std::env::var_os(WORKER_RESUME_ENV).map(PathBuf::from),
-            plan,
-            skip: std::env::var(WORKER_SKIP_ENV)
-                .map(|v| {
-                    v.split(',')
-                        .filter_map(|h| u64::from_str_radix(h.trim(), 16).ok())
-                        .collect()
-                })
-                .unwrap_or_default(),
-        }),
-        _ => {
-            eprintln!(
-                "mesh-bench: malformed fabric worker environment \
-                 ({WORKER_SHARD_ENV}={shard_spec:?}); refusing to run"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
 /// The worker entrypoint, reached through the ordinary sweep entry points
-/// when [`worker_config`] detects worker mode.
+/// when the [`RunConfig`](crate::RunConfig) holds a worker contract.
 ///
 /// For the **target sweep** (label matches [`WORKER_LABEL_ENV`]) the worker
 /// evaluates its planned points in plan order, appending each to its
@@ -392,7 +283,6 @@ where
     if flightrec_on {
         mesh_obs::flightrec::install_panic_dump(flightrec_path.clone());
     }
-    let cadence = mesh_obs::flush_cadence();
     let mut last_flush = Instant::now();
     let flush_telemetry = |baseline: &mesh_obs::Snapshot| {
         if obs_on {
@@ -416,7 +306,7 @@ where
         .into_iter()
         .map(|(index, key, hash)| (hash, (index, key)))
         .collect();
-    let fail_index = sweep::injected_index(sweep::fail_point_from_env().as_ref(), label);
+    let fail_index = crate::config().injected_index(label);
     for hash in mine {
         if cfg.skip.contains(&hash) || out.contains(label, hash) {
             continue;
@@ -470,7 +360,7 @@ where
             );
             std::process::exit(1);
         }
-        if (obs_on || flightrec_on) && last_flush.elapsed() >= cadence {
+        if (obs_on || flightrec_on) && last_flush.elapsed() >= FLUSH_CADENCE {
             flush_telemetry(&obs_baseline);
             last_flush = Instant::now();
         }
@@ -613,7 +503,7 @@ pub(crate) fn run_sharded<K, V, F>(
     user_ck: Option<&Checkpoint>,
     shards: usize,
     groups: Option<&[u64]>,
-    settings: &Settings,
+    config: &RunConfig,
     eval: F,
 ) -> Result<Vec<V>, SweepError>
 where
@@ -672,7 +562,7 @@ where
                  falling back to the in-process engine",
                 sweep_dir.display()
             );
-            return fallback(label, points, user_ck, settings, merged, eval);
+            return fallback(label, points, user_ck, config, merged, eval);
         }
     }
     match user_ck {
@@ -693,7 +583,7 @@ where
                          falling back to the in-process engine",
                         session_path.display()
                     );
-                    return fallback(label, points, user_ck, settings, merged, eval);
+                    return fallback(label, points, user_ck, config, merged, eval);
                 }
             }
         }
@@ -724,8 +614,8 @@ where
             done_since: None,
         })
         .collect();
-    let max_attempts = settings.retries + 1;
-    let timeout = timeout_from_env();
+    let max_attempts = config.retries + 1;
+    let progress = config.progress || std::io::stderr().is_terminal();
     let sweep_start = Instant::now();
     let mut strikes: HashMap<u64, u32> = HashMap::new();
     let mut poisoned: HashSet<u64> = HashSet::new();
@@ -840,7 +730,7 @@ where
                                 );
                                 reap(&mut worker_shards);
                                 absorb_workers(&mut worker_shards, &slabel);
-                                return fallback(label, points, user_ck, settings, merged, eval);
+                                return fallback(label, points, user_ck, config, merged, eval);
                             }
                             shard.backoff_until = Some(shard.backoff(shard.spawn_failures));
                         }
@@ -856,7 +746,7 @@ where
                         );
                         reap(&mut worker_shards);
                         absorb_workers(&mut worker_shards, &slabel);
-                        return fallback(label, points, user_ck, settings, merged, eval);
+                        return fallback(label, points, user_ck, config, merged, eval);
                     }
                     // A clean exit with points still pending means the
                     // worker believed it was done (it skipped them) or died
@@ -885,7 +775,7 @@ where
                 }
                 // Worker running: enforce the heartbeat timeout.
                 Some(Ok(None)) => {
-                    if let Some(limit) = timeout {
+                    if let Some(limit) = config.timeout {
                         if shard.last_beat.elapsed() > limit {
                             if let Some(mut child) = shard.child.take() {
                                 let _ = child.kill();
@@ -947,7 +837,7 @@ where
         if obs_on {
             mesh_obs::gauge("sweep.points_done").set((merged.len().min(points.len())) as u64);
         }
-        if settings.progress && merged.len() != reported {
+        if progress && merged.len() != reported {
             reported = merged.len();
             let elapsed = sweep_start.elapsed().as_secs_f64();
             eprintln!(
@@ -1128,9 +1018,9 @@ fn spawn_worker(
     skip_csv: &str,
     trace_path: Option<&Path>,
 ) -> std::io::Result<Child> {
-    let exe = match std::env::var_os(EXE_ENV) {
-        Some(exe) if !exe.is_empty() => PathBuf::from(exe),
-        _ => std::env::current_exe()?,
+    let exe = match &crate::config().fabric_exe {
+        Some(exe) => exe.clone(),
+        None => std::env::current_exe()?,
     };
     let mut cmd = Command::new(exe);
     cmd.args(std::env::args_os().skip(1))
@@ -1203,7 +1093,7 @@ fn fallback<K, V, F>(
     label: &str,
     points: &[K],
     user_ck: Option<&Checkpoint>,
-    settings: &Settings,
+    config: &RunConfig,
     merged: HashMap<u64, V>,
     eval: F,
 ) -> Result<Vec<V>, SweepError>
@@ -1219,7 +1109,7 @@ where
     // entry points' bounds; the runner evaluates each unique key once, so
     // `remove` hands the worker's value over without cloning.
     let merged = Mutex::new(merged);
-    sweep::run_points(label, points, user_ck, settings, |key| {
+    sweep::run_points(label, points, user_ck, config, |key| {
         let salvaged = merged
             .lock()
             .expect("fabric fallback map poisoned")
@@ -1259,33 +1149,5 @@ mod tests {
         std::fs::write(&path, "not a plan\n1 zzzz\n2 00000000000000ff\n").unwrap();
         assert_eq!(read_plan(&path, 2).unwrap(), vec![0xff]);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn env_parsers_reject_nonsense() {
-        assert_eq!(timeout_from(Some("0.25")), Some(Duration::from_millis(250)));
-        for off in [
-            None,
-            Some(""),
-            Some(" "),
-            Some("0"),
-            Some("-3"),
-            Some("soon"),
-        ] {
-            assert_eq!(timeout_from(off), None, "{off:?}");
-        }
-    }
-
-    #[test]
-    fn invalid_timeout_warns_instead_of_silently_disabling_it() {
-        assert_eq!(parse_timeout("0.25"), Ok(Duration::from_millis(250)));
-        assert_eq!(parse_timeout(" 30 "), Ok(Duration::from_secs(30)));
-        for bad in ["0", "-30", "inf", "NaN", "abc", "30s"] {
-            let warning = parse_timeout(bad).expect_err(bad);
-            assert!(
-                warning.contains(&format!("ignoring invalid {TIMEOUT_ENV}={bad:?}")),
-                "{warning}"
-            );
-        }
     }
 }

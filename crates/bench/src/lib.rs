@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod config;
 pub mod eval;
 pub mod fabric;
 pub mod memo;
@@ -41,6 +42,8 @@ use mesh_workloads::fft::{self, FftConfig};
 use mesh_workloads::scenario::{self, PhmConfig};
 use mesh_workloads::Workload;
 use std::time::Duration;
+
+pub use config::{config, RunConfig};
 
 /// One comparison of the three estimators on one workload/machine point.
 #[derive(Clone, Debug)]
@@ -113,7 +116,7 @@ pub fn or_exit<T, E: std::fmt::Display>(context: &str, result: Result<T, E>) -> 
 /// End-of-run observability epilogue, called by every experiment binary just
 /// before it exits:
 ///
-/// * with `MESH_BENCH_PROGRESS` set, a one-line cross-sweep trace-cache
+/// * with `MESH_BENCH_PROGRESS` on, a one-line cross-sweep trace-cache
 ///   summary goes to stderr (stdout is never touched);
 /// * [`mesh_obs::finish`] writes the metrics snapshot (`MESH_OBS_OUT`) and
 ///   the Chrome-trace timeline (`MESH_OBS_TRACE`) if those were requested.
@@ -121,7 +124,7 @@ pub fn or_exit<T, E: std::fmt::Display>(context: &str, result: Result<T, E>) -> 
 /// A complete no-op when neither progress reporting nor observability is
 /// enabled.
 pub fn obs_finish() {
-    if std::env::var_os(sweep::PROGRESS_ENV).is_some_and(|v| !v.is_empty()) {
+    if config().progress {
         let s = mesh_cyclesim::cache_stats();
         eprintln!(
             "mesh-bench trace-cache: {} hits, {} misses, {} evictions, {} fallbacks \
@@ -784,80 +787,17 @@ pub fn run_phm_point(idle1: f64, bus_delay: u64, seed: u64) -> ComparisonPoint {
     compare(&workload, &machine, HybridOptions::default())
 }
 
-/// Environment variable selecting the adversarial-schedule set
-/// (`full`, `quick` or `off`; see [`adversarial_arbitrations`]).
-const ADVERSARY_ENV: &str = "MESH_ADVERSARY";
-
-/// The adversarial-schedule set [`ADVERSARY_ENV`] selects.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Adversary {
-    Full,
-    Quick,
-    Off,
-}
-
-/// Parses an [`ADVERSARY_ENV`] value (empty means the default, `full`); the
-/// error is the warning to print before falling back to `full`.
-fn parse_adversary(value: &str) -> Result<Adversary, String> {
-    match value.trim() {
-        "" | "full" => Ok(Adversary::Full),
-        "quick" => Ok(Adversary::Quick),
-        "off" => Ok(Adversary::Off),
-        _ => Err(format!(
-            "mesh-bench: ignoring invalid {ADVERSARY_ENV}={value:?} \
-             (want full|quick|off; using full)"
-        )),
-    }
-}
-
-/// The process's adversarial-schedule set, read from [`ADVERSARY_ENV`]
-/// once.
-fn adversary() -> Adversary {
-    static MODE: std::sync::OnceLock<Adversary> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var(ADVERSARY_ENV) {
-        Ok(value) => parse_adversary(&value).unwrap_or_else(|warning| {
-            eprintln!("{warning}");
-            Adversary::Full
-        }),
-        Err(_) => Adversary::Full,
-    })
-}
-
-/// Selects the adversarial-schedule set for envelope validation, honouring
-/// the `MESH_ADVERSARY` environment knob:
+/// Runs the cycle-accurate simulator under every adversarial schedule and
+/// returns the **maximum** observed bus queuing, in cycles — the
+/// adversarial ground truth a worst-case envelope must dominate.
 ///
-/// * `full` (default) — fixed priority, reverse priority, and victim-last
-///   for every processor: `2 + n` schedules;
-/// * `quick` — fixed and reverse priority only;
-/// * `off` — no adversarial schedules (validation is skipped).
-///
-/// Any other value warns on stderr and selects `full`.
-///
-/// Each is a deterministic work-conserving bus arbitration of the
-/// cycle-accurate simulator chosen to starve some processor; the hybrid
-/// kernel's worst-case [`Envelope`](mesh_core::Envelope) must dominate the
-/// queuing of all of them.
-pub fn adversarial_arbitrations(n_procs: usize) -> Vec<Arbitration> {
-    match adversary() {
-        Adversary::Off => Vec::new(),
-        Adversary::Quick => vec![Arbitration::FixedPriority, Arbitration::ReversePriority],
-        Adversary::Full => {
-            let mut all = vec![Arbitration::FixedPriority, Arbitration::ReversePriority];
-            all.extend((0..n_procs).map(Arbitration::VictimLast));
-            all
-        }
-    }
-}
-
-/// Runs the cycle-accurate simulator under every schedule of
-/// [`adversarial_arbitrations`] and returns the **maximum** observed bus
-/// queuing, in cycles — the adversarial ground truth a worst-case envelope
-/// must dominate. Returns zero when `MESH_ADVERSARY=off` empties the set.
+/// The schedules are fixed priority, reverse priority, and victim-last for
+/// every processor (`2 + n` schedules): deterministic work-conserving bus
+/// arbitrations of the cycle-accurate simulator, each chosen to starve some
+/// processor.
 ///
 /// The maximum is memoized per scenario in the in-process sub-evaluation
-/// LRU and — with `MESH_RESULT_CACHE` set — on disk; the selected schedule
-/// set is part of the key, so changing `MESH_ADVERSARY` never serves a
-/// stale maximum.
+/// LRU and — with `MESH_RESULT_CACHE` set — on disk.
 ///
 /// # Panics
 ///
@@ -885,20 +825,22 @@ fn adversarial_max_keyed(fp: u128, workload: &Workload, machine: &MachineConfig)
 ///
 /// Panics if the workload is invalid for the machine.
 pub fn adversarial_max_fp(workload: &Workload, machine: &MachineConfig) -> u128 {
-    adversarial_key(workload_fp(workload, machine), machine, adversary())
+    adversarial_key(workload_fp(workload, machine), machine)
 }
 
-/// [`adversarial_max_fp`] under an explicit schedule set: the parsed mode,
-/// not the raw variable, is keyed, so unset and `full` share one entry.
-fn adversarial_key(workload_fp: u128, machine: &MachineConfig, mode: Adversary) -> u128 {
+fn adversarial_key(workload_fp: u128, machine: &MachineConfig) -> u128 {
+    // The zero word is the one the schedule-set selector folded for its
+    // full set, kept so result caches written with the selector replay.
     scenario_fp_of("adversarial-max", workload_fp, machine)
-        .word(mode as u64)
+        .word(0)
         .finish()
 }
 
 fn adversarial_bus_queuing_max_uncached(workload: &Workload, machine: &MachineConfig) -> u64 {
-    adversarial_arbitrations(machine.procs.len())
+    let victims = (0..machine.procs.len()).map(Arbitration::VictimLast);
+    [Arbitration::FixedPriority, Arbitration::ReversePriority]
         .into_iter()
+        .chain(victims)
         .map(|arb| {
             let mut m = machine.clone();
             m.bus = m.bus.with_arbitration(arb);
@@ -919,7 +861,7 @@ pub struct EnvelopePoint {
     /// Hybrid worst-case envelope as a percentage of work cycles.
     pub worst_pct: f64,
     /// Maximum adversarial-schedule ISS queuing as a percentage of work
-    /// cycles (zero when `MESH_ADVERSARY=off`).
+    /// cycles.
     pub adversarial_pct: f64,
     /// Contention-free work cycles (the percentage denominator).
     pub work_cycles: u64,
@@ -1083,9 +1025,8 @@ fn hybrid_run_keyed<M: ContentionModel + 'static>(
 /// pass an empty slice to leave every thread at the default priority.
 ///
 /// The hybrid leg is [`hybrid_run`]; the adversarial leg is memoized
-/// separately (see [`adversarial_bus_queuing_max`]), so changing
-/// `MESH_ADVERSARY` reuses the hybrid result. Both keys share one pass over
-/// the workload's segments.
+/// separately (see [`adversarial_bus_queuing_max`]). Both keys share one
+/// pass over the workload's segments.
 ///
 /// # Panics
 ///
@@ -1099,7 +1040,7 @@ pub fn run_envelope_point<M: ContentionModel + 'static>(
     let workload_fp = workload_fp(workload, machine);
     let fp = hybrid_run_key(workload_fp, machine, &model, priorities);
     let run = hybrid_run_keyed(fp, workload, machine, model, priorities);
-    let fp = adversarial_key(workload_fp, machine, adversary());
+    let fp = adversarial_key(workload_fp, machine);
     let adversarial = adversarial_max_keyed(fp, workload, machine);
     EnvelopePoint {
         mean_pct: run.percent(run.report.envelope.mean.as_cycles()),
@@ -1284,37 +1225,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_adversary_mode_warns_instead_of_running_the_full_set() {
-        assert_eq!(parse_adversary(""), Ok(Adversary::Full));
-        assert_eq!(parse_adversary("full"), Ok(Adversary::Full));
-        assert_eq!(parse_adversary(" quick "), Ok(Adversary::Quick));
-        assert_eq!(parse_adversary("off"), Ok(Adversary::Off));
-        for bad in ["qick", "none", "OFF", "1"] {
-            let warning = parse_adversary(bad).expect_err(bad);
-            assert!(
-                warning.contains(&format!("ignoring invalid {ADVERSARY_ENV}={bad:?}")),
-                "{warning}"
-            );
-        }
-    }
-
-    #[test]
-    fn unset_and_full_adversary_share_one_memo_entry() {
-        let workload = mesh_workloads::uniform::build(
-            &mesh_workloads::uniform::UniformConfig::with_threads(2),
-        );
-        let machine = fft_machine(2, 8 * 1024, FFT_BUS_DELAY);
-        let fp = |value: &str| {
-            let mode = parse_adversary(value).expect("valid mode");
-            adversarial_key(workload_fp(&workload, &machine), &machine, mode)
-        };
-        assert_eq!(fp(""), fp("full"));
-        assert_ne!(fp("full"), fp("quick"));
-        assert_ne!(fp("full"), fp("off"));
-        assert_ne!(fp("quick"), fp("off"));
-    }
-
-    #[test]
     fn compare_derives_every_leg_key_from_one_fingerprint() {
         let workload = scenario::build(&PhmConfig::with_second_idle(0.45));
         let machine = phm_machine(8);
@@ -1367,7 +1277,7 @@ mod tests {
             0xa9e4109289bd8569a349de226819e1e4
         );
         assert_eq!(
-            adversarial_key(workload_fp, &machine, Adversary::Full),
+            adversarial_key(workload_fp, &machine),
             0x7f998b8d63d9f3b23b302ce41f99d041
         );
         assert_eq!(

@@ -4,11 +4,9 @@
 //! process, this module amortizes whole evaluations across processes: with
 //! `MESH_RESULT_CACHE=<dir>` set, an experiment point whose complete
 //! scenario — workload content,
-//! machine timing, contention model and parameters, hybrid knobs,
-//! adversary mode — fingerprints identically to an earlier run is answered
-//! from disk in microseconds, without entering either simulator. This is
-//! the memo table a future `mesh-serve` daemon answers repeated scenario
-//! queries from (see ROADMAP).
+//! machine timing, contention model and parameters, hybrid knobs —
+//! fingerprints identically to an earlier run is answered from disk in
+//! microseconds, without entering either simulator.
 //!
 //! **Keys.** A [`ScenarioFp`] is a 128-bit FNV-1a fold seeded with a format
 //! version and a domain tag (e.g. `"compare"`), extended with the trace
@@ -161,54 +159,35 @@ impl ScenarioFp {
 // ---------------------------------------------------------------------------
 
 /// `None` = unresolved; `Some(None)` = disabled; `Some(Some(dir))` = on.
-fn config_cell() -> &'static Mutex<Option<Option<PathBuf>>> {
-    static CELL: OnceLock<Mutex<Option<Option<PathBuf>>>> = OnceLock::new();
-    CELL.get_or_init(|| Mutex::new(None))
-}
+static DIR: Mutex<Option<Option<PathBuf>>> = Mutex::new(None);
 
 fn dir() -> Option<PathBuf> {
-    let mut cell = config_cell().lock().expect("memo config poisoned");
-    if cell.is_none() {
-        *cell = Some(dir_from_env());
-    }
-    cell.as_ref().expect("just resolved").clone()
+    // Read even when `set_result_cache` overrode the directory: the first
+    // read hands the job count to the trace compiles a memoized evaluation
+    // may run.
+    let configured = crate::config().result_cache.as_deref();
+    let mut cell = DIR.lock().expect("memo config poisoned");
+    cell.get_or_insert_with(|| usable(configured)).clone()
 }
 
-fn dir_from_env() -> Option<PathBuf> {
-    let dir = std::env::var_os(RESULT_CACHE_ENV)?;
-    if dir.is_empty() {
-        return None;
-    }
-    let dir = PathBuf::from(dir);
-    if let Err(e) = fs::create_dir_all(&dir) {
+/// `dir`, created if needed; `None` (with a warning) when it cannot be.
+fn usable(dir: Option<&Path>) -> Option<PathBuf> {
+    let dir = dir?;
+    if let Err(e) = fs::create_dir_all(dir) {
         eprintln!(
-            "mesh-bench: {RESULT_CACHE_ENV}={} is unusable ({e}); result cache disabled",
+            "mesh-bench: result cache {} is unusable ({e}); disabled",
             dir.display()
         );
         return None;
     }
-    Some(dir)
+    Some(dir.to_path_buf())
 }
 
 /// Points the result cache at `dir` (created if needed) for the rest of the
 /// process, overriding [`RESULT_CACHE_ENV`]; `None` disables it. Used by
 /// perfsuite's memo-hit section and tests.
 pub fn set_result_cache(dir: Option<&Path>) {
-    let resolved = match dir {
-        None => None,
-        Some(d) => {
-            if let Err(e) = fs::create_dir_all(d) {
-                eprintln!(
-                    "mesh-bench: result cache {} is unusable ({e}); disabled",
-                    d.display()
-                );
-                None
-            } else {
-                Some(d.to_path_buf())
-            }
-        }
-    };
-    *config_cell().lock().expect("memo config poisoned") = Some(resolved);
+    *DIR.lock().expect("memo config poisoned") = Some(usable(dir));
 }
 
 /// Whether result memoization is active (via [`RESULT_CACHE_ENV`] or

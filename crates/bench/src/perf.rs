@@ -28,13 +28,12 @@
 //! different parallelism configurations are not comparable;
 //! [`check_regression`] refuses to compare two files whose configurations
 //! differ. Files written before these fields existed parse with `jobs: 0`,
-//! which marks the configuration unrecorded and skips that refusal.
+//! which no run records, so the gate refuses them as baselines.
 //! `result_cache` (0 = off, 1 = on) records whether the result memo cache
 //! (`MESH_RESULT_CACHE`) was active, since memoized points skip simulation;
-//! the same refusal applies to it when the parallelism configuration is
-//! recorded. Keys the reader does not know are ignored, so files carrying
-//! retired configuration fields (`trace_store`, `planner`, `subeval_lru`)
-//! still parse.
+//! the same refusal applies to it. Keys the reader does not know are
+//! ignored, so files carrying retired configuration fields (`trace_store`,
+//! `planner`, `subeval_lru`) still parse.
 //!
 //! Benchmark names contain only `[A-Za-z0-9_/.-]`, so no string escaping is
 //! needed; [`BenchFile::from_json`] rejects anything else.
@@ -60,14 +59,13 @@ pub struct BenchFile {
     /// Whether the run used `--quick` (CI smoke) sizing.
     pub quick: bool,
     /// Sweep worker-thread count the run used (`MESH_BENCH_JOBS`
-    /// resolution); 0 in files written before the field existed, marking
-    /// the configuration unrecorded.
+    /// resolution); 0 in files written before the field existed.
     pub jobs: usize,
     /// Fabric shard count (`MESH_BENCH_SHARDS`); 0 means the run was
-    /// in-process (or predates the field, when `jobs` is also 0).
+    /// in-process.
     pub shards: usize,
-    /// 1 when the result memo cache (`MESH_RESULT_CACHE`) was active,
-    /// 0 when off or unrecorded (files predating the field).
+    /// 1 when the result memo cache (`MESH_RESULT_CACHE`) was active, 0
+    /// when off.
     pub result_cache: usize,
     /// The measurements, in execution order.
     pub benchmarks: Vec<BenchRecord>,
@@ -275,25 +273,22 @@ pub fn time_median_batched_ns<I, O>(
 /// `factor` times the baseline median.
 ///
 /// The gate never passes vacuously: comparing no benchmark under `prefix`
-/// is an error, and so is a baseline benchmark the current run did not
-/// measure — unless `partial` says the current run is a `--filter`ed
-/// partial artifact, which may skip benchmarks.
+/// is an error, and so is a benchmark only one file has — unless `partial`
+/// says the current run is a `--filter`ed partial artifact, which may skip
+/// benchmarks and so is checked on the benchmarks it measured.
 ///
-/// When both files record their parallelism configuration (`jobs != 0`),
-/// differing `jobs` or `shards` is itself an error: medians from a sharded
+/// Differing `jobs` or `shards` is itself an error: medians from a sharded
 /// run and an in-process run (or from different worker counts) must never
-/// be compared silently. The same guard covers the cache configuration —
-/// a run against a warm result cache replays points where a cold run
+/// be compared silently. The same guard covers the cache configuration — a
+/// run against a warm result cache replays points where a cold run
 /// simulates them, so a differing `result_cache` flag also refuses the
-/// comparison. Files predating the
-/// fields (`jobs == 0`) skip this guard, so committed baselines stay
-/// usable.
+/// comparison.
 ///
 /// # Errors
 ///
-/// Returns one message per regressed or unmeasured benchmark plus one if
-/// nothing was compared, or one per configuration mismatch (in which case
-/// no medians are compared at all).
+/// Returns one message per regressed benchmark and per benchmark only one
+/// file has, plus one if nothing was compared, or one per configuration
+/// mismatch (in which case no medians are compared at all).
 pub fn check_regression(
     current: &BenchFile,
     baseline: &BenchFile,
@@ -301,33 +296,31 @@ pub fn check_regression(
     factor: f64,
     partial: bool,
 ) -> Result<usize, Vec<String>> {
-    if current.jobs != 0 && baseline.jobs != 0 {
-        let mut mismatches = Vec::new();
-        if current.jobs != baseline.jobs {
-            mismatches.push(format!(
-                "configuration mismatch: current ran with jobs={} but baseline with jobs={} \
-                 — medians are not comparable",
-                current.jobs, baseline.jobs
-            ));
-        }
-        if current.shards != baseline.shards {
-            mismatches.push(format!(
-                "configuration mismatch: current ran with shards={} but baseline with shards={} \
-                 (0 = in-process) — medians are not comparable",
-                current.shards, baseline.shards
-            ));
-        }
-        if current.result_cache != baseline.result_cache {
-            mismatches.push(format!(
-                "configuration mismatch: current ran with result_cache={} but baseline with \
-                 result_cache={} (1 = memo cache active) — memoized points skip simulation, \
-                 so medians are not comparable",
-                current.result_cache, baseline.result_cache
-            ));
-        }
-        if !mismatches.is_empty() {
-            return Err(mismatches);
-        }
+    let mut mismatches = Vec::new();
+    if current.jobs != baseline.jobs {
+        mismatches.push(format!(
+            "configuration mismatch: current ran with jobs={} but baseline with jobs={} \
+             — medians are not comparable",
+            current.jobs, baseline.jobs
+        ));
+    }
+    if current.shards != baseline.shards {
+        mismatches.push(format!(
+            "configuration mismatch: current ran with shards={} but baseline with shards={} \
+             (0 = in-process) — medians are not comparable",
+            current.shards, baseline.shards
+        ));
+    }
+    if current.result_cache != baseline.result_cache {
+        mismatches.push(format!(
+            "configuration mismatch: current ran with result_cache={} but baseline with \
+             result_cache={} (1 = memo cache active) — memoized points skip simulation, \
+             so medians are not comparable",
+            current.result_cache, baseline.result_cache
+        ));
+    }
+    if !mismatches.is_empty() {
+        return Err(mismatches);
     }
     let mut checked = 0;
     let mut failures = Vec::new();
@@ -360,6 +353,19 @@ pub fn check_regression(
         failures.push(format!(
             "no {prefix} benchmark is in both files: the gate would compare nothing"
         ));
+    }
+    if !partial {
+        for now in current
+            .benchmarks
+            .iter()
+            .filter(|b| b.name.starts_with(prefix) && baseline.median_of(&b.name).is_none())
+        {
+            failures.push(format!(
+                "{}: measured by this run but not in the baseline, so ungated \
+                 (re-record the baseline)",
+                now.name
+            ));
+        }
     }
     if failures.is_empty() {
         Ok(checked)
@@ -465,6 +471,27 @@ mod tests {
     }
 
     #[test]
+    fn unbaselined_benchmarks_fail_a_full_run() {
+        let baseline = sample_file();
+        let mut current = sample_file();
+        current.benchmarks.push(BenchRecord {
+            name: "kernel/fig6_phm".to_string(),
+            median_ns: 50.0,
+        });
+        let err = check_regression(&current, &baseline, "kernel/", 2.0, false).unwrap_err();
+        assert_eq!(err.len(), 1);
+        assert!(
+            err[0].contains("kernel/fig6_phm: measured by this run"),
+            "{err:?}"
+        );
+        // A filtered run is checked on the benchmarks both files have.
+        assert_eq!(
+            check_regression(&current, &baseline, "kernel/", 2.0, true),
+            Ok(1)
+        );
+    }
+
+    #[test]
     fn config_mismatch_refuses_comparison() {
         let baseline = sample_file();
         // Differing shards (sharded current vs in-process baseline) is an
@@ -479,15 +506,12 @@ mod tests {
         current.jobs = 16;
         let err = check_regression(&current, &baseline, "cyclesim/", 2.0, false).unwrap_err();
         assert!(err[0].contains("jobs=16"), "{err:?}");
-        // An old baseline with unrecorded configuration is still usable.
+        // A baseline with unrecorded configuration is refused too.
         let mut old = sample_file();
         old.jobs = 0;
-        old.shards = 0;
-        assert_eq!(
-            check_regression(&current, &old, "cyclesim/", 2.0, false),
-            Ok(1)
-        );
-        // And an old file parses with the sentinel zeros.
+        let err = check_regression(&sample_file(), &old, "cyclesim/", 2.0, false).unwrap_err();
+        assert!(err[0].contains("baseline with jobs=0"), "{err:?}");
+        // An old file parses with the sentinel zeros.
         let text = sample_file()
             .to_json()
             .replace("  \"jobs\": 4,\n", "")
@@ -521,14 +545,6 @@ mod tests {
         let err = check_regression(&current, &baseline, "cyclesim/", 2.0, false).unwrap_err();
         assert_eq!(err.len(), 1);
         assert!(err[0].contains("result_cache=1"), "{err:?}");
-        // Baselines that predate the fields (jobs unrecorded) skip the
-        // guard entirely, like the jobs/shards rule.
-        let mut old = sample_file();
-        old.jobs = 0;
-        assert_eq!(
-            check_regression(&current, &old, "cyclesim/", 2.0, false),
-            Ok(1)
-        );
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! * [`crate::eval::sweep_with_references`] — a grid whose points share
 //!   expensive reference sub-evaluations, which it runs first.
 //!
-//! Both go through one dispatch. Inside a [`crate::fabric`] worker process
-//! it evaluates the worker's shard; with `MESH_BENCH_SHARDS` set it runs the
-//! grid on supervised worker processes; otherwise it runs the grid on
-//! threads of this process. Every path shares these properties:
+//! Both go through one dispatch, which reads the process's
+//! [`RunConfig`] first, so a misconfigured environment exits before any
+//! point runs. Inside a [`crate::fabric`] worker process it evaluates the
+//! worker's shard; with `MESH_BENCH_SHARDS` set it runs the grid on
+//! supervised worker processes; otherwise it runs the grid on threads of
+//! this process. Every path shares these properties:
 //!
 //! * **Deterministic ordering.** Results come back in input order, so a
 //!   binary's stdout is byte-identical whatever the thread or shard count.
@@ -47,13 +49,14 @@
 //! | Variable | Effect |
 //! |---|---|
 //! | `MESH_BENCH_JOBS` | worker count (default: available parallelism) |
-//! | `MESH_BENCH_PROGRESS` | force progress lines to stderr |
+//! | `MESH_BENCH_PROGRESS` | on/off: force progress lines to stderr |
 //! | `MESH_BENCH_CHECKPOINT` | checkpoint file path enabling resume |
 //! | `MESH_BENCH_RETRIES` | extra attempts per panicking point (default 1) |
 //! | `MESH_BENCH_FAIL_POINT` | inject a panic at `index` or `label:index` |
 //! | `MESH_BENCH_SHARDS` | run on the multi-process [`crate::fabric`] instead |
 //!
-//! The knobs are read once per sweep.
+//! The knobs are read once per process, in [`crate::config()`]; an unknown
+//! `MESH_*` name or a malformed value exits with status 2.
 //!
 //! ```bash
 //! MESH_BENCH_JOBS=8 cargo run -p mesh-bench --bin fig6 --release
@@ -87,15 +90,15 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 pub use crate::checkpoint::{stable_key_hash, Checkpoint, Checkpointable};
+use crate::config::RunConfig;
 
-/// Environment variable selecting the sweep worker count.
-///
-/// Unset or invalid values fall back to the host's available parallelism;
-/// `1` restores serial evaluation.
+/// Environment variable selecting the sweep worker count (a positive
+/// integer; default: the host's available parallelism). `1` restores serial
+/// evaluation.
 pub const JOBS_ENV: &str = "MESH_BENCH_JOBS";
 
 /// Environment variable forcing progress reporting to stderr even when
-/// stderr is not a terminal (set to anything non-empty).
+/// stderr is not a terminal (an on/off switch, see [`mod@crate::config`]).
 pub const PROGRESS_ENV: &str = "MESH_BENCH_PROGRESS";
 
 /// Environment variable naming the checkpoint file for resumable sweeps.
@@ -115,137 +118,9 @@ pub const RETRIES_ENV: &str = "MESH_BENCH_RETRIES";
 /// multi-sweep binary.
 pub const FAIL_POINT_ENV: &str = "MESH_BENCH_FAIL_POINT";
 
-/// Returns the sweep worker count: [`JOBS_ENV`] if set to a positive
-/// integer, otherwise the host's available parallelism.
-///
-/// # Examples
-///
-/// ```
-/// // With MESH_BENCH_JOBS unset this is the host's core count.
-/// assert!(mesh_bench::sweep::jobs_from_env() >= 1);
-/// ```
-pub fn jobs_from_env() -> usize {
-    match std::env::var(JOBS_ENV) {
-        Ok(value) => match value.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!(
-                    "mesh-bench: ignoring invalid {JOBS_ENV}={value:?} (want a positive integer)"
-                );
-                default_jobs()
-            }
-        },
-        Err(_) => default_jobs(),
-    }
-}
-
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Returns the per-point retry budget: [`RETRIES_ENV`] if set to a
-/// non-negative integer, otherwise 1.
-fn retries_from_env() -> u32 {
-    match std::env::var(RETRIES_ENV) {
-        Ok(value) => match value.trim().parse::<u32>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!(
-                    "mesh-bench: ignoring invalid {RETRIES_ENV}={value:?} (want a non-negative integer)"
-                );
-                1
-            }
-        },
-        Err(_) => 1,
-    }
-}
-
-/// A parsed [`FAIL_POINT_ENV`]: the targeted sweep label (`None` = every
-/// sweep) and the input index.
-pub(crate) type FailPoint = (Option<String>, usize);
-
-/// Parses [`FAIL_POINT_ENV`]: `index` or `label:index`.
-pub(crate) fn fail_point_from_env() -> Option<FailPoint> {
-    let value = std::env::var(FAIL_POINT_ENV).ok()?;
-    let value = value.trim();
-    if value.is_empty() {
-        return None;
-    }
-    let parsed = match value.rsplit_once(':') {
-        Some((label, idx)) => idx.parse().ok().map(|i| (Some(label.to_string()), i)),
-        None => value.parse().ok().map(|i| (None, i)),
-    };
-    if parsed.is_none() {
-        eprintln!(
-            "mesh-bench: ignoring invalid {FAIL_POINT_ENV}={value:?} (want INDEX or LABEL:INDEX)"
-        );
-    }
-    parsed
-}
-
-/// The input index `fail_point` targets in the sweep named `label`, if any —
-/// shared by the in-process runner and fabric workers, so fault injection
-/// behaves identically whether or not the sweep is sharded.
-pub(crate) fn injected_index(fail_point: Option<&FailPoint>, label: &str) -> Option<usize> {
-    match fail_point {
-        Some((None, index)) => Some(*index),
-        Some((Some(l), index)) if l == label => Some(*index),
-        _ => None,
-    }
-}
-
-/// Opens the checkpoint named by [`CHECKPOINT_ENV`], if any.
-///
-/// Returns `Ok(None)` when the variable is unset or empty; a set-but-unusable
-/// path is a hard [`SweepError::Checkpoint`] — silently dropping resumability
-/// the user asked for would be worse than failing.
-fn checkpoint_from_env() -> Result<Option<Checkpoint>, SweepError> {
-    match std::env::var_os(CHECKPOINT_ENV) {
-        Some(p) if !p.is_empty() => {
-            let path = PathBuf::from(&p);
-            Checkpoint::open(&path)
-                .map(Some)
-                .map_err(|e| SweepError::Checkpoint {
-                    path,
-                    error: e.to_string(),
-                })
-        }
-        _ => Ok(None),
-    }
-}
-
-/// How a sweep runs: read from the environment once per sweep and shared by
-/// the in-process runner and the [`crate::fabric`] supervisor.
-pub(crate) struct Settings {
-    /// Worker threads of the in-process runner ([`JOBS_ENV`]).
-    pub(crate) jobs: usize,
-    /// Extra attempts per failing point ([`RETRIES_ENV`]); the fabric
-    /// poisons a point after `retries + 1` worker deaths.
-    pub(crate) retries: u32,
-    /// Base delay between in-process attempts; attempt `n` waits about
-    /// `n * backoff`.
-    pub(crate) backoff: Duration,
-    /// The injected failure ([`FAIL_POINT_ENV`]), if any.
-    pub(crate) fail_point: Option<FailPoint>,
-    /// Whether to report progress on stderr ([`PROGRESS_ENV`], or stderr is
-    /// a terminal).
-    pub(crate) progress: bool,
-}
-
-impl Settings {
-    fn from_env() -> Settings {
-        Settings {
-            jobs: jobs_from_env(),
-            retries: retries_from_env(),
-            backoff: Duration::from_millis(25),
-            fail_point: fail_point_from_env(),
-            progress: std::env::var_os(PROGRESS_ENV).is_some_and(|v| !v.is_empty())
-                || std::io::stderr().is_terminal(),
-        }
-    }
-}
+/// Base delay between in-process attempts of a failing point; attempt `n`
+/// waits about `n * RETRY_BACKOFF`.
+const RETRY_BACKOFF: Duration = Duration::from_millis(25);
 
 /// An `f64` sweep parameter keyed by its bit pattern, so grids over
 /// floating-point knobs (idle fractions, minimum timeslices, ...) can be
@@ -432,9 +307,9 @@ pub(crate) struct References<'a, K> {
 }
 
 /// The one dispatch behind both public entry points: a fabric worker
-/// evaluates its shard; otherwise the settings are read once, a planned grid
-/// runs its reference phase, and the grid runs on the fabric (with the
-/// reference groups as co-location hints) or on the in-process runner.
+/// evaluates its shard; otherwise a planned grid runs its reference phase,
+/// and the grid runs on the fabric (with the reference groups as
+/// co-location hints) or on the in-process runner.
 pub(crate) fn dispatch<K, V, F>(
     label: &str,
     points: &[K],
@@ -446,27 +321,32 @@ where
     V: Clone + Send + Checkpointable,
     F: Fn(&K) -> V + Sync,
 {
-    if let Some(cfg) = crate::fabric::worker_config() {
+    let config = crate::config();
+    if let Some(worker) = &config.worker {
         // The parent already planned this worker's assignment.
-        return crate::fabric::worker_sweep(&cfg, label, points, eval);
+        return crate::fabric::worker_sweep(worker, label, points, eval);
     }
-    let settings = Settings::from_env();
-    let shards = crate::fabric::shards_from_env();
-    let groups = references.map(|refs| {
-        crate::eval::reference_phase(label, points, &refs, shards.is_some(), &settings)
-    });
-    let checkpoint = checkpoint_from_env()?;
-    match shards {
+    let groups = references.map(|refs| crate::eval::reference_phase(label, points, &refs, config));
+    let checkpoint = match &config.checkpoint {
+        // A set but unusable path is an error: silently dropping the
+        // resumability the user asked for would be worse than failing.
+        Some(path) => Some(Checkpoint::open(path).map_err(|e| SweepError::Checkpoint {
+            path: path.clone(),
+            error: e.to_string(),
+        })?),
+        None => None,
+    };
+    match config.shards {
         Some(shards) => crate::fabric::run_sharded(
             label,
             points,
             checkpoint.as_ref(),
             shards,
             groups.as_deref(),
-            &settings,
+            config,
             eval,
         ),
-        None => run_points(label, points, checkpoint.as_ref(), &settings, eval),
+        None => run_points(label, points, checkpoint.as_ref(), config, eval),
     }
 }
 
@@ -540,14 +420,14 @@ where
         .collect())
 }
 
-/// Runs a grid on `settings.jobs` threads of this process: [`prefill`],
+/// Runs a grid on `config.jobs` threads of this process: [`prefill`],
 /// crash-isolated parallel evaluation of the remaining points (each
 /// appended to `checkpoint` as it finishes), then [`assemble`].
 pub(crate) fn run_points<K, V, F>(
     label: &str,
     points: &[K],
     checkpoint: Option<&Checkpoint>,
-    settings: &Settings,
+    config: &RunConfig,
     eval: F,
 ) -> Result<Vec<V>, SweepError>
 where
@@ -570,8 +450,9 @@ where
         let next = AtomicUsize::new(0);
         let results: Vec<Mutex<Option<Result<V, PointFailure>>>> =
             todo.iter().map(|_| Mutex::new(None)).collect();
-        let workers = settings.jobs.min(total);
-        let fail_index = injected_index(settings.fail_point.as_ref(), label);
+        let workers = config.jobs.min(total);
+        let progress = workers > 1 && (config.progress || std::io::stderr().is_terminal());
+        let fail_index = config.injected_index(label);
         let worker = || loop {
             let claim = next.fetch_add(1, Ordering::Relaxed);
             if claim >= total {
@@ -586,8 +467,7 @@ where
                     index,
                     key,
                     &eval,
-                    settings.retries,
-                    settings.backoff,
+                    config.retries,
                     fail_index == Some(index),
                 )
             };
@@ -606,7 +486,7 @@ where
             if obs_on {
                 mesh_obs::gauge("sweep.points_done").set((prefilled + finished) as u64);
             }
-            if settings.progress && workers > 1 {
+            if progress {
                 let elapsed = sweep_start.elapsed().as_secs_f64();
                 let eta = elapsed / finished as f64 * (total - finished) as f64;
                 eprintln!(
@@ -655,7 +535,6 @@ fn eval_isolated<K, V, F>(
     key: &K,
     eval: &F,
     retries: u32,
-    backoff: Duration,
     injected: bool,
 ) -> Result<V, PointFailure>
 where
@@ -663,7 +542,7 @@ where
     F: Fn(&K) -> V + Sync,
 {
     let attempts = retries + 1;
-    let delays = mesh_core::Backoff::linear(backoff, backoff.saturating_mul(attempts))
+    let delays = mesh_core::Backoff::linear(RETRY_BACKOFF, RETRY_BACKOFF.saturating_mul(attempts))
         .with_seed(stable_key_hash(label) ^ index as u64);
     let mut payload = String::new();
     for attempt in 1..=attempts {
@@ -753,15 +632,15 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
-    /// Settings with `jobs` threads, no retries, a 1 ms backoff, no fault
-    /// injection and no progress output.
-    fn settings(jobs: usize) -> Settings {
-        Settings {
+    /// The process's configuration with `jobs` threads, no retries, no
+    /// fault injection and no forced progress output.
+    fn settings(jobs: usize) -> RunConfig {
+        RunConfig {
             jobs,
             retries: 0,
-            backoff: Duration::from_millis(1),
             fail_point: None,
             progress: false,
+            ..crate::config().clone()
         }
     }
 
@@ -865,7 +744,7 @@ mod tests {
     #[test]
     fn retry_recovers_a_flaky_point() {
         let attempts = AtomicU64::new(0);
-        let retrying = Settings {
+        let retrying = RunConfig {
             retries: 2,
             ..settings(1)
         };
@@ -882,7 +761,7 @@ mod tests {
 
     #[test]
     fn injected_fail_point_reports_its_coordinates() {
-        let injecting = Settings {
+        let injecting = RunConfig {
             fail_point: Some((None, 1)),
             ..settings(2)
         };
@@ -900,7 +779,7 @@ mod tests {
             other => panic!("expected point failure, got {other:?}"),
         }
         // A labeled fail point leaves other sweeps alone.
-        let elsewhere = Settings {
+        let elsewhere = RunConfig {
             fail_point: Some((Some("other".to_string()), 1)),
             ..settings(2)
         };
@@ -962,7 +841,7 @@ mod tests {
         // points are on disk.
         {
             let ck = Checkpoint::open(&path).unwrap();
-            let crashing = Settings {
+            let crashing = RunConfig {
                 fail_point: Some((None, 5)),
                 ..settings(2)
             };

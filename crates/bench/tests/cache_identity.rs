@@ -271,21 +271,14 @@ fn annotation_profile_fingerprint_covers_its_inputs() {
 const DEMO_EXE: &str = env!("CARGO_BIN_EXE_subeval_demo");
 const MULTI_RESOURCE_EXE: &str = env!("CARGO_BIN_EXE_multi_resource");
 
-/// Cache/fabric variables that must not leak into the spawned legs.
-const SCRUB: &[&str] = &[
-    "MESH_RESULT_CACHE",
-    "MESH_BENCH_SHARDS",
-    "MESH_BENCH_CHECKPOINT",
-    "MESH_BENCH_PROGRESS",
-    "MESH_OBS",
-    "MESH_OBS_OUT",
-    "MESH_OBS_TRACE",
-];
-
+/// Runs `exe` under `envs` with every inherited `MESH_*` variable removed,
+/// so the ambient environment can neither steer nor invalidate a leg.
 fn bin_stdout(exe: &str, envs: &[(&str, String)]) -> String {
     let mut cmd = Command::new(exe);
-    for var in SCRUB {
-        cmd.env_remove(var);
+    for (key, _) in std::env::vars_os() {
+        if key.to_string_lossy().starts_with("MESH_") {
+            cmd.env_remove(key);
+        }
     }
     for (key, value) in envs {
         cmd.env(key, value);

@@ -17,29 +17,15 @@ use std::time::{Duration, Instant};
 
 const WORKER_EXE: &str = env!("CARGO_BIN_EXE_mesh_worker");
 
-/// Chaos/fabric variables that must not leak from the ambient environment
-/// (or between the parent test process and its subjects).
-const SCRUB: &[&str] = &[
-    "MESH_BENCH_SHARDS",
-    "MESH_BENCH_TIMEOUT",
-    "MESH_BENCH_CHECKPOINT",
-    "MESH_BENCH_CHECKPOINT_SYNC",
-    "MESH_BENCH_RETRIES",
-    "MESH_BENCH_FAIL_POINT",
-    "MESH_BENCH_PROGRESS",
-    "MESH_CHAOS_ABORT",
-    "MESH_CHAOS_HANG",
-    "MESH_CHAOS_DIR",
-    "MESH_FABRIC_EXE",
-    "MESH_WORKER_DEMO_POINTS",
-    "MESH_WORKER_DEMO_DELAY_MS",
-    "MESH_OBS",
-];
-
+/// A `mesh_worker` command under `envs`, with every inherited `MESH_*`
+/// variable removed so the ambient environment can neither steer nor
+/// invalidate the subject.
 fn command(envs: &[(&str, String)]) -> Command {
     let mut cmd = Command::new(WORKER_EXE);
-    for var in SCRUB {
-        cmd.env_remove(var);
+    for (key, _) in std::env::vars_os() {
+        if key.to_string_lossy().starts_with("MESH_") {
+            cmd.env_remove(key);
+        }
     }
     for (key, value) in envs {
         cmd.env(key, value);

@@ -12,33 +12,15 @@ use std::process::{Command, Output};
 
 const WORKER_EXE: &str = env!("CARGO_BIN_EXE_mesh_worker");
 
-/// Fabric *and* observability variables that must not leak from the
-/// ambient environment into the subject processes.
-const SCRUB: &[&str] = &[
-    "MESH_BENCH_SHARDS",
-    "MESH_BENCH_TIMEOUT",
-    "MESH_BENCH_CHECKPOINT",
-    "MESH_BENCH_CHECKPOINT_SYNC",
-    "MESH_BENCH_RETRIES",
-    "MESH_BENCH_FAIL_POINT",
-    "MESH_BENCH_PROGRESS",
-    "MESH_CHAOS_ABORT",
-    "MESH_CHAOS_HANG",
-    "MESH_CHAOS_DIR",
-    "MESH_FABRIC_EXE",
-    "MESH_WORKER_DEMO_POINTS",
-    "MESH_WORKER_DEMO_DELAY_MS",
-    "MESH_OBS",
-    "MESH_OBS_TRACE",
-    "MESH_OBS_OUT",
-    "MESH_OBS_FLIGHTREC",
-    "MESH_OBS_FLUSH_SECS",
-];
-
+/// Runs `mesh_worker` under `envs`, with every inherited `MESH_*` variable
+/// removed so the ambient environment can neither steer nor invalidate the
+/// subject.
 fn run(envs: &[(&str, String)]) -> Output {
     let mut cmd = Command::new(WORKER_EXE);
-    for var in SCRUB {
-        cmd.env_remove(var);
+    for (key, _) in std::env::vars_os() {
+        if key.to_string_lossy().starts_with("MESH_") {
+            cmd.env_remove(key);
+        }
     }
     for (key, value) in envs {
         cmd.env(key, value);

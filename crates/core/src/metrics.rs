@@ -224,12 +224,11 @@ impl Report {
     }
 
     /// Serializes the complete report as one whitespace-tokenized line —
-    /// the wire format of `mesh-bench`'s result-memoization cache and the
-    /// memo table a future `mesh-serve` answers from. Lossless: every
-    /// time and access count travels as its IEEE-754 bit pattern, the wall
-    /// clock as integer nanoseconds, and incident details as hex-encoded
-    /// UTF-8, so [`Report::from_record`] reconstructs a field-identical
-    /// (`==`) report.
+    /// the wire format of `mesh-bench`'s result-memoization cache.
+    /// Lossless: every time and access count travels as its IEEE-754 bit
+    /// pattern, the wall clock as integer nanoseconds, and incident details
+    /// as hex-encoded UTF-8, so [`Report::from_record`] reconstructs a
+    /// field-identical (`==`) report.
     pub fn to_record(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(64 + 96 * self.threads.len());

@@ -22,8 +22,8 @@
 //!   never needs one giant contiguous allocation and consuming streams
 //!   through memory chunk by chunk;
 //! * compilation of a workload's tasks is parallel ([`std::thread::scope`]
-//!   workers over a shared atomic index, worker count from the sweep
-//!   engine's `MESH_BENCH_JOBS` convention);
+//!   workers over a shared atomic index, [`compile_jobs`] of them, which
+//!   `mesh-bench` sets to its sweep worker count);
 //! * compiled traces live in a process-wide **cross-sweep cache** keyed by
 //!   a stable content hash of the segments, the processor's timing digest
 //!   ([`mesh_arch::ProcConfig::digest_words`]) and the derived pacing seed.
@@ -58,10 +58,6 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-
-/// Worker-count variable shared with `mesh_bench::sweep` (this crate cannot
-/// depend on the bench harness, so the name is duplicated by convention).
-const JOBS_ENV: &str = "MESH_BENCH_JOBS";
 
 /// Cap on one task's compiled trace, in steps (≈ 128 MiB). Tasks beyond the
 /// cap fall back to the on-the-fly cursor; the verdict is negative-cached so
@@ -468,22 +464,23 @@ impl Drop for InFlight {
     }
 }
 
-/// Compile worker count: `MESH_BENCH_JOBS` if set to a positive integer,
-/// else available parallelism — the sweep engine's convention.
-fn jobs_from_env() -> usize {
-    match std::env::var(JOBS_ENV) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => default_jobs(),
-        },
-        Err(_) => default_jobs(),
-    }
+/// Compile worker count set by [`set_compile_jobs`]; 0 until then.
+static COMPILE_JOBS: AtomicUsize = AtomicUsize::new(0);
+
+/// Sets how many threads compile a workload's uncached traces. `mesh-bench`
+/// hands over its sweep worker count when it reads its run configuration;
+/// `0` restores the default, the host's available parallelism.
+pub fn set_compile_jobs(jobs: usize) {
+    COMPILE_JOBS.store(jobs, Ordering::Relaxed);
 }
 
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+/// The number of threads that compile a workload's uncached traces (see
+/// [`set_compile_jobs`]).
+pub fn compile_jobs() -> usize {
+    match COMPILE_JOBS.load(Ordering::Relaxed) {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+        jobs => jobs,
+    }
 }
 
 /// Returns the compiled trace of every task (index-aligned), consulting and
@@ -631,7 +628,7 @@ fn compile_parallel(
         )
         .map(Arc::new)
     };
-    let jobs = jobs_from_env().min(missing.len());
+    let jobs = compile_jobs().min(missing.len());
     if jobs <= 1 {
         return missing.iter().map(|&i| compile_one(i)).collect();
     }

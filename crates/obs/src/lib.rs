@@ -63,10 +63,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Environment variable switching observability on (`1`/`on`/`true`) or off
-/// (`0`/`off`/`false`/empty). Unset defaults to **off**, unless
+/// Environment variable switching observability on (`1`/`on`/`true`/`yes`)
+/// or off (`0`/`off`/`false`/`no`/empty). Unset defaults to **off**, unless
 /// [`TRACE_ENV`] or [`OUT_ENV`] asks for an exporter (an export request is
-/// an implicit opt-in). An explicit `MESH_OBS=off` wins over both.
+/// an implicit opt-in). An explicit `MESH_OBS=off` wins over both. The
+/// experiment binaries reject any other value at start-up.
 pub const OBS_ENV: &str = "MESH_OBS";
 
 /// Environment variable naming the Chrome-trace JSON output file. Setting
@@ -78,49 +79,6 @@ pub const TRACE_ENV: &str = "MESH_OBS_TRACE";
 /// Setting it implies `MESH_OBS=on` (unless explicitly off); [`finish`]
 /// writes `metrics.txt`, `metrics.json` and `manifest.json` there.
 pub const OUT_ENV: &str = "MESH_OBS_OUT";
-
-/// Environment variable setting the periodic telemetry-flush cadence for
-/// sharded workers, in (fractional) seconds. Workers rewrite their
-/// standalone per-shard snapshot/flight-recorder files at most this often
-/// (the cumulative snapshot embedded in every checkpoint record is not
-/// throttled — it rides the record's own write). Default `1.0`; `0` flushes
-/// the files on every point.
-pub const FLUSH_ENV: &str = "MESH_OBS_FLUSH_SECS";
-
-/// The default periodic-flush cadence, one second.
-const DEFAULT_FLUSH: std::time::Duration = std::time::Duration::from_secs(1);
-
-/// The periodic-flush cadence from [`FLUSH_ENV`]: one second when unset or
-/// empty; an invalid value warns on stderr and uses the default too.
-#[must_use]
-pub fn flush_cadence() -> std::time::Duration {
-    flush_cadence_from(std::env::var(FLUSH_ENV).ok().as_deref())
-}
-
-/// [`flush_cadence`] for a given [`FLUSH_ENV`] value (`None` = unset).
-fn flush_cadence_from(value: Option<&str>) -> std::time::Duration {
-    match value {
-        Some(value) if !value.trim().is_empty() => {
-            parse_flush_secs(value).unwrap_or_else(|warning| {
-                eprintln!("{warning}");
-                DEFAULT_FLUSH
-            })
-        }
-        _ => DEFAULT_FLUSH,
-    }
-}
-
-/// Parses a [`FLUSH_ENV`] value: finite, non-negative seconds. The error is
-/// the warning to print before using the default.
-fn parse_flush_secs(value: &str) -> Result<std::time::Duration, String> {
-    match value.trim().parse::<f64>() {
-        Ok(secs) if secs >= 0.0 && secs.is_finite() => Ok(std::time::Duration::from_secs_f64(secs)),
-        _ => Err(format!(
-            "mesh-obs: ignoring invalid {FLUSH_ENV}={value:?} \
-             (want non-negative seconds, e.g. 1 or 0.5; using 1)"
-        )),
-    }
-}
 
 /// The values that switch an on/off knob off, matched after trimming and
 /// ASCII-lowercasing.
@@ -842,24 +800,6 @@ mod tests {
     pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
         static GATE: Mutex<()> = Mutex::new(());
         GATE.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn invalid_flush_cadence_warns_instead_of_using_the_default_silently() {
-        use std::time::Duration;
-        assert_eq!(flush_cadence_from(Some("0.5")), Duration::from_millis(500));
-        for fallback in [None, Some(""), Some(" "), Some("500ms"), Some("-1")] {
-            assert_eq!(flush_cadence_from(fallback), DEFAULT_FLUSH, "{fallback:?}");
-        }
-        assert_eq!(parse_flush_secs("0"), Ok(Duration::ZERO));
-        assert_eq!(parse_flush_secs(" 2.5 "), Ok(Duration::from_millis(2500)));
-        for bad in ["500ms", "-1", "inf", "NaN", "soon"] {
-            let warning = parse_flush_secs(bad).expect_err(bad);
-            assert!(
-                warning.contains(&format!("ignoring invalid {FLUSH_ENV}={bad:?}")),
-                "{warning}"
-            );
-        }
     }
 
     #[test]

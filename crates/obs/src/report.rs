@@ -102,8 +102,11 @@ pub fn manifest_json() -> String {
         }
     }
     out.push_str("],\n  \"env\": {");
-    let mut knobs: Vec<(String, String)> = std::env::vars()
-        .filter(|(k, _)| k.starts_with("MESH_"))
+    // `vars_os`: a non-UTF-8 variable anywhere in the environment must not
+    // stop the manifest from being written.
+    let mut knobs: Vec<(String, String)> = std::env::vars_os()
+        .filter(|(k, _)| k.to_string_lossy().starts_with("MESH_"))
+        .map(|(k, v)| (k.to_string_lossy().into(), v.to_string_lossy().into()))
         .collect();
     knobs.sort();
     for (i, (k, v)) in knobs.iter().enumerate() {

@@ -3,7 +3,7 @@
 #
 #   ./scripts/fault_smoke.sh
 #
-# Three checks against the fig5 binary (5-point grid, fully deterministic
+# Five checks against the fig5 binary (5-point grid, fully deterministic
 # stdout — no wall-clock columns), plus one against incident_smoke:
 #
 #   1. Crash isolation: with MESH_BENCH_FAIL_POINT injecting a panic at one
@@ -23,6 +23,9 @@
 #   5. Flight record on failure: with MESH_OBS_FLIGHTREC=1, a poisoned
 #      point's failure report references a flight-recorder dump, and the
 #      referenced file exists and is a complete recorder document.
+#   6. Misconfiguration fails before any work: a misspelled knob, a
+#      malformed value and a removed knob each exit 2, name the variable on
+#      stderr, and leave no checkpoint record.
 #
 # The kernel-level fault-injection property tests live in
 # crates/faults/tests/properties.rs (`cargo test -p mesh-faults`); CI runs
@@ -63,14 +66,14 @@ grep -q "4 completed" "$WORK/crash.err" \
     || fail "sweep did not complete the other 4 points around the crash"
 [[ "$(wc -l < "$WORK/crash.ckpt")" -eq 4 ]] \
     || fail "checkpoint should hold exactly the 4 healthy points"
-echo "fault_smoke: [1/5] crash isolation ok (exit $status, 4/5 points checkpointed)"
+echo "fault_smoke: [1/6] crash isolation ok (exit $status, 4/5 points checkpointed)"
 
 # --- 2. Resume after the crash: byte-identical to the golden run ----------
 MESH_BENCH_CHECKPOINT="$WORK/crash.ckpt" \
     "$FIG5" > "$WORK/resumed.txt" 2>/dev/null
 cmp -s "$WORK/golden.txt" "$WORK/resumed.txt" \
     || fail "resumed output differs from the uninterrupted run"
-echo "fault_smoke: [2/5] crash-then-resume output byte-identical"
+echo "fault_smoke: [2/6] crash-then-resume output byte-identical"
 
 # --- 3. SIGKILL mid-run, then resume --------------------------------------
 set +e
@@ -87,7 +90,7 @@ MESH_BENCH_CHECKPOINT="$WORK/kill.ckpt" \
     "$FIG5" > "$WORK/killresumed.txt" 2>/dev/null
 cmp -s "$WORK/golden.txt" "$WORK/killresumed.txt" \
     || fail "output after SIGKILL + resume differs from the uninterrupted run"
-echo "fault_smoke: [3/5] kill-then-resume output byte-identical (${done_points} points survived the kill)"
+echo "fault_smoke: [3/6] kill-then-resume output byte-identical (${done_points} points survived the kill)"
 
 # --- 4. Kernel incidents land in the metrics snapshot ---------------------
 SMOKE=target/release/incident_smoke
@@ -108,7 +111,7 @@ grep -q "incident event(s) in the flight-recorder ring" "$WORK/incidents.out" \
     || fail "kernel incidents never reached the flight-recorder ring"
 [[ -f "$WORK/obs/flightrec-incident-smoke.json" ]] \
     || fail "incident_smoke left no flight-recorder dump next to the snapshot"
-echo "fault_smoke: [4/5] fault incidents present in the metrics snapshot and the flight-recorder ring"
+echo "fault_smoke: [4/6] fault incidents present in the metrics snapshot and the flight-recorder ring"
 
 # --- 5. Poisoned point's flight record is attached to the failure ----------
 # The injected panic exhausts a zero-retry budget; with the recorder on,
@@ -126,6 +129,20 @@ rec="$(sed -n 's/.*\[flight record: \([^]]*\)\].*/\1/p' "$WORK/flightrec.err" | 
 [[ -f "$rec" ]] || fail "referenced flight record $rec does not exist"
 grep -q '"events"' "$rec" \
     || fail "flight record $rec is not a recorder dump"
-echo "fault_smoke: [5/5] poisoned point's flight record attached to its failure report"
+echo "fault_smoke: [5/6] poisoned point's flight record attached to its failure report"
+
+# --- 6. Misconfiguration stops the run before any point ------------------
+for bad in MESH_BENCH_JOB=2 MESH_BENCH_RETRIES=-1 "MESH_TRACE_STORE=$WORK/store"; do
+    set +e
+    env MESH_BENCH_CHECKPOINT="$WORK/misconfig.ckpt" "$bad" \
+        "$FIG5" > /dev/null 2> "$WORK/misconfig.err"
+    status=$?
+    set -e
+    [[ $status -eq 2 ]] || fail "$bad exited $status, not 2"
+    grep -q "${bad%%=*}" "$WORK/misconfig.err" \
+        || fail "$bad: stderr does not name the variable"
+    [[ ! -s "$WORK/misconfig.ckpt" ]] || fail "$bad left a checkpoint record"
+done
+echo "fault_smoke: [6/6] misconfigured runs exit 2 naming the variable, before any point"
 
 echo "fault_smoke: all checks passed"

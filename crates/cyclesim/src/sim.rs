@@ -249,10 +249,10 @@ impl Feed<'_> {
     }
 }
 
-/// Flushes the run's private-cache counters into the mesh-obs registry.
-/// Hits and misses come from the per-processor statistics (identical for
-/// both feeds); evictions only exist on live cursor feeds — compiled traces
-/// pay theirs at compile time, where [`trace::compile`] accounts them.
+/// Flushes the run's private-cache counters into the mesh-obs registry,
+/// once per run whichever feed served it. Hits and misses come from the
+/// per-processor statistics (identical for both feeds); evictions from the
+/// live cache of a cursor feed, or from the compile's walk a trace recorded.
 fn flush_private_cache_obs(feeds: &[Feed<'_>], stats: &[ProcCycleStats]) {
     if !mesh_obs::enabled() {
         return;
@@ -263,7 +263,7 @@ fn flush_private_cache_obs(feeds: &[Feed<'_>], stats: &[ProcCycleStats]) {
         .iter()
         .map(|f| match f {
             Feed::Cursor(c) => c.cache.stats().evictions,
-            Feed::Trace(_) => 0,
+            Feed::Trace(reader) => reader.cache_evictions(),
         })
         .sum();
     mesh_obs::counter("cyclesim.cache.evictions").add(evictions);

@@ -18,7 +18,12 @@
 //!   the span (super-step fusion) is observationally identical to stepping
 //!   them apart, and halves the engines' event traffic on idle-heavy
 //!   workloads on top of the compute/hit fusion;
-//! * a `TaskTrace` stores the steps in fixed-size chunks, so compiling
+//! * a `TaskTrace` stores each step in 8 bytes (`PackedStep`): the busy
+//!   span and the fused hit count of a miss, I/O or finish step with no
+//!   idle gap. The rare step that does not fit — a barrier, an absorbed
+//!   idle gap, a span of 2^32 cycles or more, 2^30 hits or more — is kept
+//!   whole in the trace's table of wide steps, and its packed slot holds
+//!   the index there. Packed steps sit in fixed-size chunks, so compiling
 //!   never needs one giant contiguous allocation and consuming streams
 //!   through memory chunk by chunk;
 //! * compilation of a workload's tasks is parallel ([`std::thread::scope`]
@@ -41,9 +46,12 @@
 //!   profile) needs no second walk for a task whose trace is resident.
 //!
 //! Memory stays bounded: a single task's trace is capped at 4 Mi steps
-//! (≈ 128 MiB; beyond it the engines fall back to the on-the-fly cursor and
-//! the cap is negative-cached), and the cache evicts oldest-first beyond a
-//! resident budget of 8 Mi steps (≈ 256 MiB) across all entries.
+//! (≈ 32 MiB plus 40 bytes per wide step; beyond it the engines fall back
+//! to the on-the-fly cursor and the cap is negative-cached), and the cache
+//! evicts oldest-first beyond a resident budget of 8 Mi steps (≈ 64 MiB
+//! plus the wide steps) across all entries. A step goes wide only at a
+//! barrier, after an idle gap or on overflow, so a trace holds at most its
+//! task's segment count of wide steps plus its overflow steps.
 //!
 //! Exactness is proven the same way the event-skipping engine's is:
 //! `tests/differential.rs` pins trace-fed runs of both engines to
@@ -59,19 +67,19 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Cap on one task's compiled trace, in steps (≈ 128 MiB). Tasks beyond the
-/// cap fall back to the on-the-fly cursor; the verdict is negative-cached so
-/// the compile cost is paid once.
+/// Cap on one task's compiled trace, in steps (≈ 32 MiB of packed steps).
+/// Tasks beyond the cap fall back to the on-the-fly cursor; the verdict is
+/// negative-cached so the compile cost is paid once.
 const DEFAULT_MAX_STEPS: usize = 4 << 20;
 
 /// Resident-step budget of the cross-sweep cache across all entries
-/// (≈ 256 MiB). Oldest entries are evicted first when an insert would
-/// exceed it.
+/// (≈ 64 MiB of packed steps). Oldest entries are evicted first when an
+/// insert would exceed it.
 const DEFAULT_CACHE_STEPS: usize = 8 << 20;
 
 /// Steps per storage chunk: large enough that chunk-boundary checks vanish
 /// in the consume loop, small enough that a trace never over-allocates by
-/// more than ~256 KiB.
+/// more than 64 KiB.
 const CHUNK_STEPS: usize = 8192;
 
 /// Which feed the engines draw micro-events from.
@@ -196,18 +204,95 @@ impl<'w> CursorFeed<'w> {
     }
 }
 
-/// One task's compiled trace: the full step sequence, chunked, plus each
-/// segment's hits and misses from the compile's cache walk.
+/// A [`TraceStep`] in 8 bytes: the busy span in `busy`, and in `meta` the
+/// fused hit count above a two-bit kind. A step that does not fit — a
+/// barrier, an absorbed idle gap, a span of 2^32 cycles or more, or 2^30
+/// hits or more — is kept whole in its trace's wide table, and `busy`
+/// holds its index there.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct PackedStep {
+    busy: u32,
+    meta: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<PackedStep>() == 8);
+
+/// Low bits of [`PackedStep::meta`] holding the kind; the hits sit above.
+const KIND_BITS: u32 = 2;
+const KIND_MASK: u32 = (1 << KIND_BITS) - 1;
+const KIND_MISS: u32 = 0;
+const KIND_IO: u32 = 1;
+const KIND_FINISH: u32 = 2;
+/// The step is the wide table's entry `busy`.
+const KIND_WIDE: u32 = 3;
+
+impl PackedStep {
+    /// Packs `step`, first appending it to `wide` if it does not fit.
+    fn pack(step: TraceStep, wide: &mut Vec<TraceStep>) -> PackedStep {
+        let kind = match step.event {
+            StepEvent::Miss => Some(KIND_MISS),
+            StepEvent::Io => Some(KIND_IO),
+            StepEvent::Finish => Some(KIND_FINISH),
+            StepEvent::Barrier(_) => None,
+        };
+        let busy = u32::try_from(step.busy).ok();
+        let hits = u32::try_from(step.hits)
+            .ok()
+            .filter(|&h| h < 1 << (32 - KIND_BITS));
+        match (kind, busy, hits, step.idle) {
+            (Some(kind), Some(busy), Some(hits), 0) => PackedStep {
+                busy,
+                meta: hits << KIND_BITS | kind,
+            },
+            _ => {
+                wide.push(step);
+                PackedStep {
+                    busy: u32::try_from(wide.len() - 1).expect("wide-step index fits 32 bits"),
+                    meta: KIND_WIDE,
+                }
+            }
+        }
+    }
+
+    /// The step this packs; `wide` is its trace's wide table.
+    #[inline]
+    fn unpack(self, wide: &[TraceStep]) -> TraceStep {
+        let event = match self.meta & KIND_MASK {
+            KIND_MISS => StepEvent::Miss,
+            KIND_IO => StepEvent::Io,
+            KIND_FINISH => StepEvent::Finish,
+            _ => return wide[self.busy as usize],
+        };
+        TraceStep {
+            busy: u64::from(self.busy),
+            idle: 0,
+            hits: u64::from(self.meta >> KIND_BITS),
+            event,
+        }
+    }
+}
+
+/// One task's compiled trace: the full step sequence, packed and chunked,
+/// the steps too wide to pack, each segment's hits and misses from the
+/// compile's cache walk, and that walk's private-cache evictions.
 #[derive(Debug)]
 pub(crate) struct TaskTrace {
-    chunks: Vec<Box<[TraceStep]>>,
+    chunks: Vec<Box<[PackedStep]>>,
+    wide: Vec<TraceStep>,
     steps: usize,
     profile: Vec<SegmentProfile>,
+    cache_evictions: u64,
 }
 
 impl TaskTrace {
     pub(crate) fn steps(&self) -> usize {
         self.steps
+    }
+
+    /// Bytes of step storage: every packed step plus every wide step.
+    fn bytes(&self) -> usize {
+        self.steps * std::mem::size_of::<PackedStep>()
+            + self.wide.len() * std::mem::size_of::<TraceStep>()
     }
 }
 
@@ -231,13 +316,18 @@ impl TraceCursor {
 
     pub(crate) fn next_step(&mut self) -> TraceStep {
         let chunk = &self.trace.chunks[self.chunk];
-        let step = chunk[self.idx];
+        let packed = chunk[self.idx];
         self.idx += 1;
         if self.idx == chunk.len() {
             self.chunk += 1;
             self.idx = 0;
         }
-        step
+        packed.unpack(&self.trace.wide)
+    }
+
+    /// Private-cache evictions of the compile's walk of this task.
+    pub(crate) fn cache_evictions(&self) -> u64 {
+        self.trace.cache_evictions
     }
 }
 
@@ -251,8 +341,9 @@ pub(crate) fn compile(
     max_steps: usize,
 ) -> Option<TaskTrace> {
     let mut feed = CursorFeed::new(segments, proc, pacing);
-    let mut chunks: Vec<Box<[TraceStep]>> = Vec::new();
-    let mut current: Vec<TraceStep> = Vec::with_capacity(CHUNK_STEPS.min(max_steps.max(1)));
+    let mut chunks: Vec<Box<[PackedStep]>> = Vec::new();
+    let mut current: Vec<PackedStep> = Vec::with_capacity(CHUNK_STEPS.min(max_steps.max(1)));
+    let mut wide: Vec<TraceStep> = Vec::new();
     let mut steps: usize = 0;
     let mut fused_idle: u64 = 0;
     loop {
@@ -263,7 +354,7 @@ pub(crate) fn compile(
         if step.idle > 0 {
             fused_idle += 1;
         }
-        current.push(step);
+        current.push(PackedStep::pack(step, &mut wide));
         steps += 1;
         if current.len() == CHUNK_STEPS {
             chunks.push(std::mem::take(&mut current).into_boxed_slice());
@@ -277,17 +368,17 @@ pub(crate) fn compile(
         chunks.push(current.into_boxed_slice());
     }
     if mesh_obs::enabled() {
-        // Compiled feeds replay hit/miss verdicts without a cache, so the
-        // private cache's evictions are only observable here, at compile.
-        mesh_obs::counter("cyclesim.cache.evictions").add(feed.cache.stats().evictions);
         // Macro-steps whose span absorbed an idle gap: each would have been
         // (at least) one extra engine event before super-step fusion.
         mesh_obs::counter("cyclesim.trace.fused_idle_spans").add(fused_idle);
     }
+    wide.shrink_to_fit();
     Some(TaskTrace {
         chunks,
+        wide,
         steps,
         profile: feed.profile,
+        cache_evictions: feed.cache.stats().evictions,
     })
 }
 
@@ -379,6 +470,13 @@ impl CacheEntry {
             CacheEntry::TooLarge => 0,
         }
     }
+
+    fn bytes(&self) -> usize {
+        match self {
+            CacheEntry::Compiled(t) => t.bytes(),
+            CacheEntry::TooLarge => 0,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -390,6 +488,8 @@ struct TraceCache {
     /// Insertion order, for oldest-first eviction.
     order: VecDeque<u128>,
     resident_steps: usize,
+    /// Step storage of the resident traces ([`TaskTrace::bytes`]).
+    resident_bytes: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -405,6 +505,7 @@ impl TraceCache {
     fn insert(&mut self, key: u128, entry: CacheEntry, budget: usize) {
         if let Some(old) = self.map.remove(&key) {
             self.resident_steps -= old.steps();
+            self.resident_bytes -= old.bytes();
             self.order.retain(|k| *k != key);
         }
         let steps = entry.steps();
@@ -417,10 +518,12 @@ impl TraceCache {
             };
             if let Some(evicted) = self.map.remove(&oldest) {
                 self.resident_steps -= evicted.steps();
+                self.resident_bytes -= evicted.bytes();
                 self.evictions += 1;
             }
         }
         self.resident_steps += steps;
+        self.resident_bytes += entry.bytes();
         self.order.push_back(key);
         self.map.insert(key, entry);
     }
@@ -500,6 +603,8 @@ pub(crate) fn compiled_for(
     // Per-call deltas mirrored into the mesh-obs registry after the lock
     // drops, so the observability flush never holds the cache mutex.
     let (mut d_hits, mut d_misses, mut d_fallbacks, mut d_evictions) = (0u64, 0u64, 0u64, 0u64);
+    // The most step storage this call's inserts left resident.
+    let mut peak_bytes = 0;
     // Tasks still to resolve: every task at first, then those whose key was
     // in flight elsewhere, looked up again once that compile is done.
     let mut pending: Vec<usize> = (0..keys.len()).collect();
@@ -556,6 +661,7 @@ pub(crate) fn compiled_for(
                     }
                 };
                 cache.insert(keys[i], entry, DEFAULT_CACHE_STEPS);
+                peak_bytes = peak_bytes.max(cache.resident_bytes);
                 if mesh_obs::enabled() {
                     // Fold freshly-compiled trace keys into the run
                     // manifest's workload fingerprint (XOR fold:
@@ -585,13 +691,14 @@ pub(crate) fn compiled_for(
         }
         pending = waiting;
     }
-    flush_cache_obs(d_hits, d_misses, d_fallbacks, d_evictions);
+    flush_cache_obs(d_hits, d_misses, d_fallbacks, d_evictions, peak_bytes);
     out
 }
 
-/// Mirrors one `compiled_for` call's trace-cache deltas into the mesh-obs
-/// registry. A no-op when observability is disabled or nothing happened.
-fn flush_cache_obs(hits: u64, misses: u64, fallbacks: u64, evictions: u64) {
+/// Mirrors one `compiled_for` call's trace-cache deltas, and the most step
+/// storage its inserts left resident, into the mesh-obs registry. A no-op
+/// when observability is disabled or nothing happened.
+fn flush_cache_obs(hits: u64, misses: u64, fallbacks: u64, evictions: u64, resident_bytes: usize) {
     if !mesh_obs::enabled() || hits + misses + fallbacks + evictions == 0 {
         return;
     }
@@ -599,6 +706,7 @@ fn flush_cache_obs(hits: u64, misses: u64, fallbacks: u64, evictions: u64) {
     mesh_obs::counter("cyclesim.trace_cache.misses").add(misses);
     mesh_obs::counter("cyclesim.trace_cache.fallbacks").add(fallbacks);
     mesh_obs::counter("cyclesim.trace_cache.evictions").add(evictions);
+    mesh_obs::gauge("cyclesim.trace_cache.resident_bytes").set_max(resident_bytes as u64);
 }
 
 /// Actual trace compiles performed by [`compiled_for`] since process start
@@ -668,6 +776,10 @@ pub struct TraceCacheStats {
     pub entries: usize,
     /// Total steps held by resident traces.
     pub resident_steps: usize,
+    /// Bytes of step storage held by resident traces: 8 per packed step
+    /// plus 40 per wide step (a barrier, an absorbed idle gap, or a span or
+    /// hit count too large to pack).
+    pub resident_bytes: usize,
     /// Per-task lookups served from the cache since process start,
     /// including lookups that waited for another caller's compile of the
     /// same key.
@@ -693,6 +805,7 @@ pub fn cache_stats() -> TraceCacheStats {
     TraceCacheStats {
         entries: cache.map.len(),
         resident_steps: cache.resident_steps,
+        resident_bytes: cache.resident_bytes,
         hits: cache.hits,
         misses: cache.misses,
         evictions: cache.evictions,
@@ -709,6 +822,7 @@ pub fn clear_cache() {
     cache.map.clear();
     cache.order.clear();
     cache.resident_steps = 0;
+    cache.resident_bytes = 0;
 }
 
 /// A stable 128-bit fingerprint of everything trace compilation reads for
@@ -820,6 +934,62 @@ mod tests {
             stride: 1024,
             count: refs,
         })]
+    }
+
+    #[test]
+    fn packing_round_trips_and_widens_exactly_what_does_not_fit() {
+        use StepEvent::{Barrier, Finish, Io, Miss};
+        let step = |busy, idle, hits, event| TraceStep {
+            busy,
+            idle,
+            hits,
+            event,
+        };
+        let (max_busy, max_hits) = (u64::from(u32::MAX), (1 << 30) - 1);
+        // (step, whether it goes wide)
+        let cases = [
+            (step(7, 0, 3, Miss), false),
+            (step(max_busy, 0, 3, Miss), false),
+            (step(max_busy + 1, 0, 3, Miss), true),
+            (step(7, 0, max_hits, Miss), false),
+            (step(7, 0, max_hits + 1, Miss), true),
+            (step(7, 0, u64::MAX, Miss), true),
+            (step(7, 1, 3, Miss), true),
+            (step(7, 0, 3, Barrier(0)), true),
+            (step(7, 0, 3, Barrier(usize::MAX)), true),
+            (step(7, 0, 3, Io), false),
+            (step(7, 0, 3, Finish), false),
+            (step(max_busy, 0, max_hits, Finish), false),
+        ];
+        // One table across every case, so wide indices past 0 round-trip.
+        let mut wide = Vec::new();
+        for (step, goes_wide) in cases {
+            let before = wide.len();
+            let packed = PackedStep::pack(step, &mut wide);
+            assert_eq!(wide.len() - before, usize::from(goes_wide), "{step:?}");
+            assert_eq!(packed.unpack(&wide), step);
+        }
+        assert_eq!(wide.len(), 6);
+    }
+
+    #[test]
+    fn compiled_steps_are_packed_except_at_barriers_and_idle_gaps() {
+        let segments = vec![
+            Segment::idle(5),
+            Segment::work(40).with_pattern(MemPattern::Strided {
+                base: 0,
+                stride: 1024,
+                count: 10,
+            }),
+            Segment::idle(9),
+            Segment::work(5).with_barrier(0),
+        ];
+        let trace = compile(&segments, proc(1024), Pacing::Even, usize::MAX).unwrap();
+        // The first miss absorbed the leading idle gap, the barrier step
+        // the second; the other nine misses and the finish pack.
+        assert_eq!(trace.steps(), 12);
+        assert_eq!(trace.wide.len(), 2);
+        assert_eq!(trace.bytes(), 12 * 8 + 2 * 40);
     }
 
     fn drain(trace: &Arc<TaskTrace>) -> Vec<TraceStep> {
@@ -1032,27 +1202,43 @@ mod tests {
     #[test]
     fn eviction_respects_budget() {
         let mut cache = TraceCache::default();
+        // `steps` steps of which one is wide: 8 bytes each, plus 40.
+        let barrier = TraceStep {
+            busy: 0,
+            idle: 0,
+            hits: 0,
+            event: StepEvent::Barrier(0),
+        };
         let trace = |steps: usize| {
             CacheEntry::Compiled(Arc::new(TaskTrace {
                 chunks: Vec::new(),
+                wide: vec![barrier],
                 steps,
                 profile: Vec::new(),
+                cache_evictions: 0,
             }))
         };
+        let bytes = |steps: usize| steps * 8 + 40;
         cache.insert(1, trace(60), 100);
         cache.insert(2, trace(30), 100);
         assert_eq!(cache.resident_steps, 90);
+        assert_eq!(cache.resident_bytes, bytes(60) + bytes(30));
         // Inserting 50 evicts key 1 (oldest) but keeps key 2.
         cache.insert(3, trace(50), 100);
         assert!(!cache.map.contains_key(&1));
         assert!(cache.map.contains_key(&2));
         assert_eq!(cache.resident_steps, 80);
+        assert_eq!(cache.resident_bytes, bytes(30) + bytes(50));
         // An entry larger than the whole budget is not retained.
         cache.insert(4, trace(1000), 100);
         assert!(!cache.map.contains_key(&4));
         // Re-inserting an existing key replaces it without double counting.
         cache.insert(2, trace(10), 100);
         assert_eq!(cache.resident_steps, 60);
+        assert_eq!(cache.resident_bytes, bytes(50) + bytes(10));
+        // A negative entry holds no steps.
+        cache.insert(5, CacheEntry::TooLarge, 100);
+        assert_eq!(cache.resident_bytes, bytes(50) + bytes(10));
     }
 
     #[test]

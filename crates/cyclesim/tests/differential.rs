@@ -10,7 +10,7 @@
 //! full engine × feed matrix — {skip, tick} × {compiled trace, on-the-fly
 //! cursor} — and all four cells must be field-identical (including equal
 //! errors). The cursor-fed ticker is the unchanged original loop, so one
-//! anchor transitively proves the trace compiler, the chunked trace
+//! anchor transitively proves the trace compiler, the packed trace
 //! storage, the cross-sweep cache and both trace-consuming hot paths.
 //!
 //! `mesh-faults` injects faults into contention models and thread programs,
@@ -257,6 +257,57 @@ proptest! {
         let (skip, tick) = run_both(&w, &m, Pacing::Poisson(seed), u64::MAX);
         prop_assert!(matches!(tick, Err(CycleSimError::BarrierDeadlock { .. })));
         prop_assert_eq!(skip, tick);
+    }
+}
+
+/// Steps too wide for the compiled trace's 8-byte form — spans of 2^32
+/// cycles or more, spans that absorbed an idle gap, and barriers — replay
+/// exactly: the skip engine fed by compiled traces matches the skip engine
+/// fed by the on-the-fly cursor. Skip against skip, because the ticker
+/// would walk these spans cycle by cycle; the properties above pin skip to
+/// tick on small cases.
+#[test]
+fn wide_steps_replay_exactly() {
+    let mut w = Workload::new();
+    let (start, end) = (w.add_barrier(2), w.add_barrier(2));
+    for t in 0..2u64 {
+        let refs = |line: u64, count| MemPattern::Strided {
+            base: (t << 24) + 32 * line,
+            stride: 8,
+            count,
+        };
+        let mut task = TaskProgram::new(format!("t{t}"));
+        task.push(Segment::work(3).with_barrier(start));
+        // Four references over one 32-byte line: a miss, then three hits
+        // fused into spans of more than 2^32 cycles.
+        task.push(Segment::work(5 << 32).with_pattern(refs(0, 4)));
+        task.push(Segment::idle(3 << 32));
+        task.push(Segment::work(40).with_pattern(refs(1, 64)));
+        // A short idle gap between short spans: a step that would pack
+        // but for the gap it absorbed.
+        task.push(Segment::idle(7 + t));
+        task.push(Segment::work(20).with_pattern(refs(100, 8)));
+        task.push(Segment::work(1 << 32).with_barrier(end));
+        w.add_task(task);
+    }
+    let m = machine(2, 4, true, 1, 6, true);
+    for pacing in [Pacing::Even, Pacing::Poisson(0xB16)] {
+        let run = |trace| {
+            simulate_with_options(
+                &w,
+                &m,
+                SimOptions {
+                    pacing,
+                    trace,
+                    ..SimOptions::default()
+                },
+            )
+            .map(normalize)
+        };
+        let compiled = run(TraceMode::Compiled).unwrap();
+        assert!(compiled.total_cycles > 9 << 32, "{compiled:?}");
+        assert!(compiled.procs.iter().all(|p| p.hits > 0 && p.misses > 0));
+        assert_eq!(compiled, run(TraceMode::OnTheFly).unwrap());
     }
 }
 

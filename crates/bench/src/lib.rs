@@ -71,8 +71,11 @@ pub struct ComparisonPoint {
     /// Shared bus accesses (cache misses).
     pub misses: u64,
     /// Whether either timed leg (ISS reference or hybrid run) was replayed
-    /// from a cache, in which case `iss_wall`/`mesh_wall` are *recorded*
-    /// timings from the run that populated it, not this process's clock.
+    /// from the persistent result cache — directly, or through an
+    /// in-process LRU entry read from it — in which case
+    /// `iss_wall`/`mesh_wall` are *recorded* timings from the run that
+    /// populated it, not this process's clock. A leg shared in-process
+    /// with a point measured earlier in the same run is not a replay.
     /// Provenance only — excluded from equality, checkpoints decode its
     /// absence as `false`.
     pub replayed: bool,
@@ -344,7 +347,7 @@ pub fn annotation_profile_fp(workload: &Workload, machine: &MachineConfig) -> u1
 /// [`profile_task`] otherwise.
 fn annotation_profiles(workload: &Workload, machine: &MachineConfig) -> Vec<Vec<SegmentProfile>> {
     let fp = annotation_profile_fp(workload, machine);
-    let (profiles, shared) = memo::memoize_flagged(fp, || {
+    let (profiles, origin) = memo::memoize_flagged(fp, || {
         if let Some(profiles) =
             mesh_cyclesim::resident_profiles(workload, machine, mesh_cyclesim::Pacing::default())
         {
@@ -360,7 +363,7 @@ fn annotation_profiles(workload: &Workload, machine: &MachineConfig) -> Vec<Vec<
                 .collect(),
         )
     });
-    if shared {
+    if origin.cached() {
         bump_subeval("bench.subeval.annotation_shared");
     }
     profiles.0
@@ -519,8 +522,12 @@ pub fn iss_reference(workload: &Workload, machine: &MachineConfig) -> IssRef {
     iss_reference_keyed(iss_reference_fp(workload, machine), workload, machine).0
 }
 
-fn iss_reference_keyed(fp: u128, workload: &Workload, machine: &MachineConfig) -> (IssRef, bool) {
-    let (iss, shared) = memo::memoize_flagged(fp, || {
+fn iss_reference_keyed(
+    fp: u128,
+    workload: &Workload,
+    machine: &MachineConfig,
+) -> (IssRef, memo::Origin) {
+    let (iss, origin) = memo::memoize_flagged(fp, || {
         let iss: CycleReport =
             mesh_cyclesim::simulate(workload, machine).expect("cycle-accurate simulation failed");
         IssRef {
@@ -529,10 +536,10 @@ fn iss_reference_keyed(fp: u128, workload: &Workload, machine: &MachineConfig) -
             cycles: iss.total_cycles,
         }
     });
-    if shared {
+    if origin.cached() {
         bump_subeval("bench.subeval.reference_shared");
     }
-    (iss, shared)
+    (iss, origin)
 }
 
 /// The sub-evaluation fingerprint of the hybrid leg for a scenario and knob
@@ -566,8 +573,8 @@ fn hybrid_leg_keyed(
     workload: &Workload,
     machine: &MachineConfig,
     options: HybridOptions,
-) -> (HybridLeg, bool) {
-    let (leg, shared) = memo::memoize_flagged(fp, || {
+) -> (HybridLeg, memo::Origin) {
+    let (leg, origin) = memo::memoize_flagged(fp, || {
         let setup = assemble_memoized(workload, machine, ChenLinBus::new(), options.policy);
         let work_cycles = setup.work_total();
         let misses = setup.misses_total();
@@ -594,10 +601,10 @@ fn hybrid_leg_keyed(
             misses,
         }
     });
-    if shared {
+    if origin.cached() {
         bump_subeval("bench.subeval.hybrid_shared");
     }
-    (leg, shared)
+    (leg, origin)
 }
 
 fn analytical_key(workload_fp: u128, machine: &MachineConfig, policy: AnnotationPolicy) -> u128 {
@@ -619,7 +626,7 @@ fn analytical_leg(
     machine: &MachineConfig,
     policy: AnnotationPolicy,
 ) -> f64 {
-    let (pct, shared) = memo::memoize_flagged(fp, || {
+    let (pct, origin) = memo::memoize_flagged(fp, || {
         // Totals folded from the scenario's memoized annotation profile; no
         // kernel system is built.
         let cache_profiles = annotation_profiles(workload, machine);
@@ -641,7 +648,7 @@ fn analytical_leg(
         );
         estimator.estimate(&profiles).queuing_percent()
     });
-    if shared {
+    if origin.cached() {
         bump_subeval("bench.subeval.analytical_shared");
     }
     pct
@@ -681,7 +688,8 @@ fn compare_keys(
 /// Cached legs replay their *recorded* wall-clock times, so replayed output
 /// is byte-identical to the run that populated the cache; the returned
 /// point's [`replayed`](ComparisonPoint::replayed) flag reports whether
-/// either timed leg came from a cache (see [`note_replayed`]).
+/// either timed leg came from the persistent result cache (see
+/// [`note_replayed`]).
 ///
 /// # Panics
 ///
@@ -693,8 +701,8 @@ pub fn compare(
     options: HybridOptions,
 ) -> ComparisonPoint {
     let keys = compare_keys(workload, machine, options);
-    let (iss, iss_shared) = iss_reference_keyed(keys.iss, workload, machine);
-    let (hybrid, hybrid_shared) = hybrid_leg_keyed(keys.hybrid, workload, machine, options);
+    let (iss, iss_origin) = iss_reference_keyed(keys.iss, workload, machine);
+    let (hybrid, hybrid_origin) = hybrid_leg_keyed(keys.hybrid, workload, machine, options);
     let analytical_pct = analytical_leg(keys.analytical, workload, machine, options.policy);
 
     ComparisonPoint {
@@ -709,15 +717,15 @@ pub fn compare(
         mesh_slices: hybrid.slices,
         work_cycles: hybrid.work_cycles,
         misses: hybrid.misses,
-        replayed: iss_shared || hybrid_shared,
+        replayed: [iss_origin, hybrid_origin].contains(&memo::Origin::Persisted),
     }
 }
 
 /// Prints a stderr provenance note when any point of a finished sweep was
-/// replayed from a cache: its wall-clock and speedup columns reflect the
-/// *recorded* timings of the runs that populated the cache, not this
-/// process. Stdout is never touched, so replayed output stays byte-identical
-/// to the populating run.
+/// replayed from the persistent result cache: its wall-clock and speedup
+/// columns reflect the *recorded* timings of the runs that populated the
+/// cache, not this process. Stdout is never touched, so replayed output
+/// stays byte-identical to the populating run.
 pub fn note_replayed(label: &str, points: &[ComparisonPoint]) {
     let rows: Vec<usize> = points
         .iter()
@@ -807,10 +815,10 @@ pub fn adversarial_bus_queuing_max(workload: &Workload, machine: &MachineConfig)
 }
 
 fn adversarial_max_keyed(fp: u128, workload: &Workload, machine: &MachineConfig) -> u64 {
-    let (max, shared) = memo::memoize_flagged(fp, || {
+    let (max, origin) = memo::memoize_flagged(fp, || {
         adversarial_bus_queuing_max_uncached(workload, machine)
     });
-    if shared {
+    if origin.cached() {
         bump_subeval("bench.subeval.reference_shared");
     }
     max

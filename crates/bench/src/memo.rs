@@ -205,8 +205,9 @@ const LRU_SHARD_COUNT: usize = 16;
 static LRU_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_SUBEVAL_LRU);
 
 struct LruShard {
-    /// fp → (last-touch stamp, encoded value).
-    entries: HashMap<u128, (u64, String)>,
+    /// fp → (last-touch stamp, encoded value, whether the value was read
+    /// from the persistent tier).
+    entries: HashMap<u128, (u64, String, bool)>,
     clock: u64,
 }
 
@@ -250,7 +251,9 @@ fn lru_shard_index(fp: u128) -> usize {
     (fp as usize) % LRU_SHARD_COUNT
 }
 
-fn lru_get<V: Checkpointable>(fp: u128) -> Option<V> {
+/// The LRU's value for `fp` and whether it was read from the persistent
+/// tier.
+fn lru_get<V: Checkpointable>(fp: u128) -> Option<(V, bool)> {
     if subeval_lru_capacity() == 0 {
         return None;
     }
@@ -261,7 +264,7 @@ fn lru_get<V: Checkpointable>(fp: u128) -> Option<V> {
     let stamp = shard.clock;
     let entry = shard.entries.get_mut(&fp)?;
     entry.0 = stamp;
-    let decoded = V::decode(&entry.1);
+    let decoded = V::decode(&entry.1).map(|v| (v, entry.2));
     if decoded.is_none() {
         // A decode failure means the slot was populated under a different
         // value type; drop it rather than serving it again.
@@ -270,7 +273,7 @@ fn lru_get<V: Checkpointable>(fp: u128) -> Option<V> {
     decoded
 }
 
-fn lru_put(fp: u128, encoded: String) {
+fn lru_put(fp: u128, encoded: String, persisted: bool) {
     let capacity = subeval_lru_capacity();
     if capacity == 0 {
         return;
@@ -282,11 +285,11 @@ fn lru_put(fp: u128, encoded: String) {
     shard.clock += 1;
     let stamp = shard.clock;
     if shard.entries.len() >= per_shard && !shard.entries.contains_key(&fp) {
-        if let Some((&oldest, _)) = shard.entries.iter().min_by_key(|(_, (s, _))| *s) {
+        if let Some((&oldest, _)) = shard.entries.iter().min_by_key(|(_, (s, _, _))| *s) {
             shard.entries.remove(&oldest);
         }
     }
-    shard.entries.insert(fp, (stamp, encoded));
+    shard.entries.insert(fp, (stamp, encoded, persisted));
 }
 
 // ---------------------------------------------------------------------------
@@ -438,55 +441,81 @@ fn flightrec_replay(fp: u128, lru: bool) {
     }
 }
 
+/// Where [`memoize_flagged`] found a value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Origin {
+    /// Computed by this call.
+    Computed,
+    /// Computed earlier in this process, shared through the in-process LRU.
+    Shared,
+    /// Read from the persistent result cache, by this call or by the
+    /// earlier one whose LRU entry served it: recorded by another process.
+    Persisted,
+}
+
+impl Origin {
+    /// Whether the value was served from a cache rather than computed.
+    pub fn cached(self) -> bool {
+        self != Origin::Computed
+    }
+}
+
 /// Returns the memoized value for `fp`, or computes it with `f` and
-/// publishes the result, reporting provenance: the second element is `true`
-/// when the value was served from a cache rather than computed. Two tiers
-/// are consulted in order: the in-process sub-evaluation LRU (on unless
+/// publishes the result, reporting its [`Origin`]. Two tiers are consulted
+/// in order: the in-process sub-evaluation LRU (on unless
 /// [`set_subeval_lru_capacity`] turned it off) and the persistent directory
-/// (when enabled). With both off this is exactly `(f(), false)`. The
-/// encoding round-trips losslessly ([`Checkpointable`] floats travel as bit
-/// patterns), so a cache hit is byte-identical to a fresh computation.
+/// (when enabled). With both off this is exactly `(f(), Origin::Computed)`.
+/// The encoding round-trips losslessly ([`Checkpointable`] floats travel as
+/// bit patterns), so a cache hit is byte-identical to a fresh computation.
 ///
 /// Concurrent callers of one fingerprint are single-flighted — losers block
 /// on the winner's computation and then read it from the cache — so a
 /// parallel sweep whose points share a sub-evaluation computes it exactly
 /// once per process.
-pub fn memoize_flagged<V: Checkpointable>(fp: u128, f: impl FnOnce() -> V) -> (V, bool) {
-    if let Some(v) = lru_get::<V>(fp) {
+pub fn memoize_flagged<V: Checkpointable>(fp: u128, f: impl FnOnce() -> V) -> (V, Origin) {
+    let from_lru = |(v, persisted)| {
         bump(&LRU_HITS, "bench.subeval.lru_hits");
         flightrec_replay(fp, true);
-        return (v, true);
+        (
+            v,
+            if persisted {
+                Origin::Persisted
+            } else {
+                Origin::Shared
+            },
+        )
+    };
+    if let Some(hit) = lru_get::<V>(fp) {
+        return from_lru(hit);
     }
     let gate = inflight_gate(fp);
     let guard = gate.lock().expect("singleflight gate poisoned");
     // A loser arriving here finds the winner's freshly published value.
-    if let Some(v) = lru_get::<V>(fp) {
-        bump(&LRU_HITS, "bench.subeval.lru_hits");
-        flightrec_replay(fp, true);
+    if let Some(hit) = lru_get::<V>(fp) {
         drop(guard);
-        return (v, true);
+        return from_lru(hit);
     }
     if let Some(dir) = dir() {
         let _span = mesh_obs::span("bench.result_cache.lookup_ns");
         if let Some(v) = read_entry::<V>(&dir, fp) {
             bump(&HITS, "bench.result_cache.hits");
             flightrec_replay(fp, false);
-            lru_put(fp, v.encode());
+            lru_put(fp, v.encode(), true);
             drop(guard);
             inflight_done(fp);
-            return (v, true);
+            return (v, Origin::Persisted);
         }
     }
     bump(&MISSES, "bench.result_cache.misses");
     let value = f();
     let encoded = value.encode();
-    lru_put(fp, encoded.clone());
+    lru_put(fp, encoded.clone(), false);
     if let Some(dir) = dir() {
         write_entry(&dir, fp, &encoded);
     }
     drop(guard);
     inflight_done(fp);
-    (value, false)
+    (value, Origin::Computed)
 }
 
 #[cfg(test)]

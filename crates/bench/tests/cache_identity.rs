@@ -272,8 +272,9 @@ const DEMO_EXE: &str = env!("CARGO_BIN_EXE_subeval_demo");
 const MULTI_RESOURCE_EXE: &str = env!("CARGO_BIN_EXE_multi_resource");
 
 /// Runs `exe` under `envs` with every inherited `MESH_*` variable removed,
-/// so the ambient environment can neither steer nor invalidate a leg.
-fn bin_stdout(exe: &str, envs: &[(&str, String)]) -> String {
+/// so the ambient environment can neither steer nor invalidate a leg, and
+/// returns its stdout and stderr.
+fn bin_output(exe: &str, envs: &[(&str, String)]) -> (String, String) {
     let mut cmd = Command::new(exe);
     for (key, _) in std::env::vars_os() {
         if key.to_string_lossy().starts_with("MESH_") {
@@ -285,7 +286,14 @@ fn bin_stdout(exe: &str, envs: &[(&str, String)]) -> String {
     }
     let out = cmd.output().expect("spawning the binary must work");
     assert!(out.status.success(), "{exe} failed: {out:?}");
-    String::from_utf8(out.stdout).expect("stdout is UTF-8")
+    (
+        String::from_utf8(out.stdout).expect("stdout is UTF-8"),
+        String::from_utf8(out.stderr).expect("stderr is UTF-8"),
+    )
+}
+
+fn bin_stdout(exe: &str, envs: &[(&str, String)]) -> String {
+    bin_output(exe, envs).0
 }
 
 fn demo_stdout(envs: &[(&str, String)]) -> String {
@@ -359,6 +367,44 @@ fn sweep_stdout_byte_identical_across_memo_and_sharding() {
         simulated_columns(&cold),
         "cold sharded run diverged on a simulated column"
     );
+
+    let _ = std::fs::remove_dir_all(&memo_dir);
+}
+
+/// The stderr replay note tells a cold run from a warm one. The demo's
+/// points share one reference leg in process; that sharing is no replay, so
+/// a cold run, with no cache or with an empty cache directory, prints no
+/// note. A warm re-run reads every row's legs from the result cache and
+/// flags all five, and its stdout is the populating run's byte for byte.
+#[test]
+fn replay_note_flags_only_rows_from_the_result_cache() {
+    const NOTE: &str = "rows replayed from the result cache";
+    let memo_dir = std::env::temp_dir().join(format!(
+        "mesh-cache-identity-note-{}-memo",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&memo_dir);
+    std::fs::create_dir_all(&memo_dir).expect("create the empty cache directory");
+    let memo_env = ("MESH_RESULT_CACHE", memo_dir.display().to_string());
+
+    let (uncached, uncached_err) = bin_output(DEMO_EXE, &[]);
+    assert!(
+        !uncached_err.contains(NOTE),
+        "cold run, no cache: {uncached_err}"
+    );
+    let (cold, cold_err) = bin_output(DEMO_EXE, std::slice::from_ref(&memo_env));
+    assert!(
+        !cold_err.contains(NOTE),
+        "cold run, empty cache: {cold_err}"
+    );
+    assert_eq!(simulated_columns(&cold), simulated_columns(&uncached));
+
+    let (warm, warm_err) = bin_output(DEMO_EXE, std::slice::from_ref(&memo_env));
+    assert!(
+        warm_err.contains(&format!("subeval-demo: 5/5 {NOTE}")),
+        "warm run flags every row: {warm_err}"
+    );
+    assert_eq!(warm, cold, "warm replay diverged");
 
     let _ = std::fs::remove_dir_all(&memo_dir);
 }

@@ -28,7 +28,10 @@
 //!   idle gaps are fused into one occupancy (super-step fusion), because
 //!   none of them interacts with shared state; a granted bus/I-O service is
 //!   further fused with the winner's next span, its side effects deferred
-//!   to the fused completion. Work is O(shared-state events), not
+//!   to the fused completion. A bus miss nobody can compete with is a
+//!   **solo grant**, issued in place rather than through the grant ring,
+//!   together with its processor's following misses up to the next event
+//!   of any other processor. Work is O(shared-state events), not
 //!   O(cycles);
 //! * the **reference ticker** ([`SimOptions::reference_ticker`]) advances
 //!   the whole machine one cycle at a time, exactly like the original
@@ -284,6 +287,9 @@ struct SkipObs {
     queue_depth_max: u64,
     /// Grant-fused draws ([`SkipEngine::resolve_after_grant`]).
     grant_fusions: u64,
+    /// Bus grants issued in place, off the grant ring (a subset of
+    /// `grant_fusions`; see [`SkipEngine::grant_bus`]).
+    solo_grants: u64,
     dist_buckets: [u64; mesh_obs::HISTOGRAM_BUCKETS],
     dist_count: u64,
     dist_sum: u64,
@@ -297,6 +303,7 @@ impl SkipObs {
             cycles_skipped: 0,
             queue_depth_max: 0,
             grant_fusions: 0,
+            solo_grants: 0,
             dist_buckets: [0; mesh_obs::HISTOGRAM_BUCKETS],
             dist_count: 0,
             dist_sum: 0,
@@ -318,6 +325,7 @@ impl SkipObs {
         mesh_obs::counter("cyclesim.skip.dispatched").add(self.dispatched);
         mesh_obs::counter("cyclesim.skip.cycles_skipped").add(self.cycles_skipped);
         mesh_obs::counter("cyclesim.skip.grant_fusions").add(self.grant_fusions);
+        mesh_obs::counter("cyclesim.skip.solo_grants").add(self.solo_grants);
         mesh_obs::gauge("cyclesim.skip.queue_depth").set_max(self.queue_depth_max);
         mesh_obs::histogram("cyclesim.skip.distance").merge(
             &self.dist_buckets,
@@ -846,8 +854,12 @@ struct SkipEngine<'w> {
     events: Vec<(u64, usize)>,
     events_head: usize,
 
+    /// The run's cycle limit: no grant is issued at or past it.
+    cycle_limit: u64,
+
     // Shared bus: busy through `bus_busy_until - 1`; a new grant can happen
     // at any top-of-cycle `>= bus_busy_until`.
+    bus_delay: u64,
     bus_ring: GrantRing,
     rr_next: usize,
     bus_busy_until: u64,
@@ -997,6 +1009,98 @@ impl<'w> SkipEngine<'w> {
             then: step.event,
         }
     }
+
+    /// Live entries of the completion queue.
+    fn live_events(&self) -> u64 {
+        (self.events.len() - self.events_head) as u64
+    }
+
+    /// The first cycle at which anything other than a processor's own
+    /// steps can act on the bus, seen from a bus grant at `now` to a
+    /// processor with no entry in the completion queue: the earliest
+    /// completion of any other processor (the queue's front), the I/O
+    /// device's next grant opportunity while it has waiters (its grant
+    /// installs another completion), and the cycle limit. A waiter on the
+    /// bus ring or a full barrier (whose release may enqueue one) competes
+    /// at `now` itself.
+    fn solo_horizon(&self, now: u64) -> u64 {
+        if !self.bus_ring.is_empty() || self.full_count > 0 {
+            return now;
+        }
+        let mut horizon = self
+            .events
+            .get(self.events_head)
+            .map_or(u64::MAX, |&(d, _)| d);
+        if !self.io_ring.is_empty() {
+            horizon = horizon.min(self.io_busy_until);
+        }
+        horizon.min(self.cycle_limit)
+    }
+
+    /// Runs `p`'s miss completing at `t`. When the bus is free and `t`
+    /// lies before the [solo horizon](SkipEngine::solo_horizon), the miss
+    /// is a **solo grant**, issued in place: at the top of `t` the ticker
+    /// would find `p` the only requester on a free bus, which every
+    /// arbitration policy grants with zero queuing. Otherwise `p` queues on
+    /// the bus ring for the main loop to arbitrate. Returns the cycle of
+    /// the last grant issued (see [`SkipEngine::grant_bus`]), or `t`.
+    fn request_bus(&mut self, p: usize, t: u64, obs: &mut Option<SkipObs>) -> u64 {
+        let horizon = self.solo_horizon(t);
+        if self.bus_busy_until <= t && t < horizon {
+            if let Some(o) = obs.as_mut() {
+                o.solo_grants += 1;
+            }
+            self.grant_bus(p, t, horizon, obs)
+        } else {
+            self.bus_ring.push(p);
+            self.install(p, EvState::WaitBus { since: t });
+            t
+        }
+    }
+
+    /// Grants the free bus to `p` at `at` and fuses the transfer with `p`'s
+    /// next step ([`SkipEngine::resolve_after_grant`]). Then, while `p`'s
+    /// next completion ends in a miss strictly before `horizon`, grants
+    /// that miss too, at that completion, without a pass of the main loop:
+    /// until the horizon no other processor changes state, so each of those
+    /// grants is solo. With observability on, each chained completion
+    /// records the jump, dispatch and grant fusion the main loop would.
+    /// Returns the cycle of the last grant — the top-of-cycle at which the
+    /// main loop resumes.
+    fn grant_bus(&mut self, p: usize, mut at: u64, horizon: u64, obs: &mut Option<SkipObs>) -> u64 {
+        // Round-robin resumes after the winner; the other policies never
+        // read the cursor.
+        self.rr_next = if p + 1 == self.stats.len() { 0 } else { p + 1 };
+        loop {
+            self.stats[p].work_cycles += self.bus_delay;
+            self.bus_busy_cycles += self.bus_delay;
+            self.bus_busy_until = at + self.bus_delay;
+            let state = self.resolve_after_grant(p, self.bus_busy_until);
+            if let Some(o) = obs.as_mut() {
+                o.grant_fusions += 1;
+            }
+            match state {
+                EvState::Busy {
+                    until,
+                    then: StepEvent::Miss,
+                } if until < horizon => {
+                    // The main loop's jump from `at` would see `p`'s
+                    // completion queued beside the others.
+                    if let Some(o) = obs.as_mut() {
+                        o.record_jump(at, until);
+                        o.queue_depth_max = o.queue_depth_max.max(self.live_events() + 1);
+                        o.dispatched += 1;
+                        o.solo_grants += 1;
+                    }
+                    at = until;
+                }
+                _ => {
+                    self.install(p, state);
+                    return at;
+                }
+            }
+        }
+    }
 }
 
 /// The event-skipping engine: jumps from one interesting cycle to the next,
@@ -1019,6 +1123,8 @@ fn run_event_skip(
         states: vec![EvState::Done; n],
         events: Vec::with_capacity(64 + n),
         events_head: 0,
+        cycle_limit,
+        bus_delay: machine.bus.delay_cycles,
         bus_ring: GrantRing::with_capacity(n),
         rr_next: 0,
         bus_busy_until: 0,
@@ -1034,7 +1140,6 @@ fn run_event_skip(
         done_count: 0,
         parked_count: 0,
     };
-    let delay = machine.bus.delay_cycles;
     let mut cycle: u64 = 0;
     let mut obs = mesh_obs::enabled().then(SkipObs::new);
     let _consume_span = mesh_obs::span("cyclesim.consume_ns");
@@ -1080,30 +1185,22 @@ fn run_event_skip(
         }
 
         // Bus grant: at most one per cycle, only when the bus is free. The
-        // waiter's queuing span closes here, in closed form.
+        // waiter's queuing span closes here, in closed form. A winner left
+        // alone on the ring keeps its following misses in place up to the
+        // solo horizon, and the loop resumes at the last of those grants.
         if cycle >= e.bus_busy_until && !e.bus_ring.is_empty() {
             let chosen = match machine.bus.arbitration {
                 Arbitration::FixedPriority => e.bus_ring.grant_min(),
                 Arbitration::ReversePriority => e.bus_ring.grant_max(),
                 Arbitration::VictimLast(victim) => e.bus_ring.grant_victim_last(victim),
-                Arbitration::RoundRobin => {
-                    let p = e.bus_ring.grant_round_robin(e.rr_next);
-                    e.rr_next = (p + 1) % n;
-                    p
-                }
+                Arbitration::RoundRobin => e.bus_ring.grant_round_robin(e.rr_next),
             };
             let EvState::WaitBus { since } = e.states[chosen] else {
                 unreachable!("bus ring holds only WaitBus processors");
             };
             e.stats[chosen].queuing_cycles += cycle - since;
-            e.stats[chosen].work_cycles += delay;
-            e.bus_busy_cycles += delay;
-            e.bus_busy_until = cycle + delay;
-            let state = e.resolve_after_grant(chosen, cycle + delay);
-            e.install(chosen, state);
-            if let Some(o) = obs.as_mut() {
-                o.grant_fusions += 1;
-            }
+            let horizon = e.solo_horizon(cycle);
+            cycle = e.grant_bus(chosen, cycle, horizon, &mut obs);
         }
 
         // I/O grant, identically.
@@ -1153,8 +1250,7 @@ fn run_event_skip(
         debug_assert!(next > cycle, "event time must advance");
         if let Some(o) = obs.as_mut() {
             o.record_jump(cycle, next);
-            let live = (e.events.len() - e.events_head) as u64;
-            o.queue_depth_max = o.queue_depth_max.max(live);
+            o.queue_depth_max = o.queue_depth_max.max(e.live_events());
         }
 
         // Process every completion due at `next`, in processor-index order —
@@ -1162,9 +1258,12 @@ fn run_event_skip(
         // processor-phase order off its front. A processor's handler only
         // reinstalls that same processor, always with a deadline beyond
         // `next`, so new entries land after the due prefix and are never
-        // popped here.
+        // popped here. A solo grant may carry its processor on past `next`
+        // (see [`SkipEngine::request_bus`]); it only does so when nothing
+        // else is due before its last grant, which becomes the new top.
         // Counted directly: `install` may compact the queue mid-loop, so
         // `events_head` deltas are not a reliable dispatch count.
+        cycle = next;
         let mut dispatched_here: u64 = 0;
         while let Some(&(d, p)) = e.events.get(e.events_head) {
             if d != next {
@@ -1179,10 +1278,7 @@ fn run_event_skip(
                         e.stats[p].finished_at = next;
                         e.install(p, EvState::Done);
                     }
-                    StepEvent::Miss => {
-                        e.bus_ring.push(p);
-                        e.install(p, EvState::WaitBus { since: next });
-                    }
+                    StepEvent::Miss => cycle = e.request_bus(p, next, &mut obs),
                     StepEvent::Io => {
                         e.io_ring.push(p);
                         e.install(p, EvState::WaitIo { since: next });
@@ -1198,7 +1294,6 @@ fn run_event_skip(
         if let Some(o) = obs.as_mut() {
             o.dispatched += dispatched_here;
         }
-        cycle = next;
     }
 
     if let Some(o) = &obs {

@@ -23,6 +23,7 @@ use mesh_arch::{Arbitration, BusConfig, CacheConfig, IoConfig, MachineConfig, Pr
 use mesh_cyclesim::{
     simulate_with_options, CycleReport, CycleSimError, Pacing, SimOptions, TraceMode,
 };
+use mesh_workloads::scenario::{self, PhmConfig};
 use mesh_workloads::{MemPattern, Segment, TaskProgram, Workload};
 use proptest::prelude::*;
 
@@ -341,4 +342,75 @@ fn engines_agree_on_io_without_device() {
     let (skip, tick) = run_both(&w, &m, Pacing::Even, u64::MAX);
     assert!(matches!(tick, Err(CycleSimError::InvalidWorkload(_))));
     assert_eq!(skip, tick);
+}
+
+/// A barrier that fills at the cycle another processor's miss completes
+/// releases its party before that cycle's bus grant, and a released
+/// processor may compete for the bus at once. So a miss completing beside
+/// a full barrier is no solo grant, and its processor's following misses
+/// must not run on past the release. Processor 0 reaches a one-party
+/// barrier after `k` cycles while processor 1 streams misses; some `k`
+/// land on one of processor 1's miss completions.
+#[test]
+fn barrier_filling_beside_a_miss_releases_first() {
+    let m = machine(2, 4, false, 1, 6, false);
+    for k in 1..=60 {
+        let mut w = Workload::new();
+        let b = w.add_barrier(1);
+        let misses = |base: u64| MemPattern::Strided {
+            base,
+            stride: 32,
+            count: 40,
+        };
+        let mut t0 = TaskProgram::new("t0");
+        t0.push(Segment::work(k).with_barrier(b));
+        t0.push(Segment::work(40).with_pattern(misses(0)));
+        w.add_task(t0);
+        let mut t1 = TaskProgram::new("t1");
+        t1.push(Segment::work(400).with_pattern(misses(1 << 24)));
+        w.add_task(t1);
+        let (skip, tick) = run_both(&w, &m, Pacing::Even, u64::MAX);
+        assert_eq!(skip, tick, "barrier reached at cycle {k}");
+    }
+}
+
+/// Thousands of consecutive solo grants: a long sporadic run on the §5.2
+/// SoC, where the mostly idle second processor leaves the first alone on
+/// the bus for long stretches. The random workloads above hold at most five
+/// short segments per task and never build such chains. Every arbitration
+/// policy grants a sole requester, and a cycle limit landing inside a solo
+/// stretch is reported at the same cycle by every cell of the matrix.
+#[test]
+fn solo_runs_match_the_ticker() {
+    let w = scenario::build(&PhmConfig {
+        target_ops: 200_000,
+        ..PhmConfig::with_second_idle(0.9)
+    });
+    let cache = CacheConfig::new(8 * 1024, 32, 4).unwrap();
+    for arbitration in [
+        Arbitration::FixedPriority,
+        Arbitration::RoundRobin,
+        Arbitration::ReversePriority,
+        Arbitration::VictimLast(0),
+    ] {
+        let m = MachineConfig::new(
+            vec![
+                ProcConfig::new(cache),
+                ProcConfig::new(cache).with_power(0.8),
+            ],
+            BusConfig::new(4).with_arbitration(arbitration),
+        );
+        let (skip, tick) = run_both(&w, &m, Pacing::default(), u64::MAX);
+        let full = tick.unwrap();
+        assert!(full.procs.iter().map(|p| p.misses).sum::<u64>() > 10_000);
+        assert_eq!(skip.unwrap(), full, "{arbitration:?}");
+        let limit = full.total_cycles / 2;
+        let (skip, tick) = run_both(&w, &m, Pacing::default(), limit);
+        assert_eq!(
+            tick,
+            Err(CycleSimError::CycleLimit { limit }),
+            "{arbitration:?}"
+        );
+        assert_eq!(skip, tick, "{arbitration:?}");
+    }
 }

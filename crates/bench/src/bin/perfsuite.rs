@@ -24,11 +24,11 @@
 //! configuration afterwards, so the other benchmarks are unaffected by it.
 //!
 //! The `sweep/` section times an end-to-end ablation grid through the
-//! split-phase evaluation tiers: `sweep/grid_cold` (sub-evaluation LRU
-//! disabled — every point pays its own reference), `sweep/grid_shared`
-//! (LRU on — the grid shares one reference) and `sweep/grid_memo_warm`
-//! (persistent result cache replay). The printed cold/shared ratio is the
-//! headline reference-sharing win.
+//! split-phase evaluation tiers: `sweep/grid_cold` (the in-process memo
+//! cleared before every point — every point pays its own reference),
+//! `sweep/grid_shared` (the grid shares one reference through the memo)
+//! and `sweep/grid_memo_warm` (persistent result cache replay). The printed
+//! cold/shared ratio is the headline reference-sharing win.
 //!
 //! `--filter SUBSTR` runs only the benchmarks whose name contains SUBSTR —
 //! the skipped ones are neither timed nor recorded, so a filtered file is
@@ -37,11 +37,10 @@
 //!
 //! `--check FILE` exits nonzero if any `kernel/`, `model/`, `cyclesim/`,
 //! `obs/`, `store/` or `sweep/` benchmark regressed by more than `--factor`
-//! times (default 2x; `--max-regression` is an alias). It never passes
-//! vacuously: a gated prefix with no benchmark in both files fails, and so
-//! does a benchmark that only one file has, when the run is unfiltered. It
-//! refuses outright when the two files recorded different parallelism or
-//! cache configurations.
+//! times (default 2x). It never passes vacuously: a gated prefix with no
+//! benchmark in both files fails, and so does a benchmark that only one
+//! file has, when the run is unfiltered. It refuses outright when the two
+//! files recorded different parallelism or cache configurations.
 //! After a run the suite prints a speedup summary — tick/skip per workload,
 //! trace-vs-cursor, and the compile cost — so BENCH deltas are readable
 //! without hand-diffing JSON. See `docs/PERFORMANCE.md`.
@@ -66,7 +65,7 @@ struct Args {
     out: Option<String>,
     check: Option<String>,
     filter: Option<String>,
-    max_regression: f64,
+    factor: f64,
 }
 
 fn parse_args() -> Args {
@@ -75,7 +74,7 @@ fn parse_args() -> Args {
         out: None,
         check: None,
         filter: None,
-        max_regression: 2.0,
+        factor: 2.0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -84,13 +83,11 @@ fn parse_args() -> Args {
             "--out" => args.out = it.next(),
             "--check" => args.check = it.next(),
             "--filter" => args.filter = it.next(),
-            // `--factor` is the documented name (what the CI perf-smoke job
-            // passes); `--max-regression` is kept as a compatible alias.
-            "--factor" | "--max-regression" => {
-                args.max_regression = it
+            "--factor" => {
+                args.factor = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage(&format!("{arg} needs a number")))
+                    .unwrap_or_else(|| usage("--factor needs a number"))
             }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument {other}")),
@@ -370,11 +367,12 @@ fn bench_store(suite: &mut Suite, samples: usize) {
 /// (a min-timeslice sweep over one FFT scenario, the `ablation_minslice`
 /// shape at smoke size):
 ///
-/// * `sweep/grid_cold` — sub-evaluation LRU disabled: every grid point pays
-///   its own cycle-accurate reference (the pre-split-phase behaviour);
-/// * `sweep/grid_shared` — LRU on, cleared per sample: the whole grid
+/// * `sweep/grid_cold` — the in-process memo cleared before every point:
+///   every grid point pays its own cycle-accurate reference (the
+///   pre-split-phase behaviour);
+/// * `sweep/grid_shared` — the memo cleared per sample: the whole grid
 ///   shares one reference through the in-process tier;
-/// * `sweep/grid_memo_warm` — persistent result cache populated, LRU
+/// * `sweep/grid_memo_warm` — persistent result cache populated, memo
 ///   cleared per sample: every point replays from disk.
 ///
 /// Prints the cold/shared ratio — the headline split-phase win (the ≥ 2x
@@ -396,8 +394,13 @@ fn bench_sweep(suite: &mut Suite, samples: usize) {
     });
     let machine = fft_machine(4, 8 * 1024, FFT_BUS_DELAY);
     let grid = [0.0, 50.0, 200.0, 1_000.0, 5_000.0];
-    let run_grid = || {
+    // `isolated` clears the in-process memo before every point, so no
+    // point shares another's sub-evaluations.
+    let run_grid = |isolated: bool| {
         for ts in grid {
+            if isolated {
+                mesh_bench::memo::clear_subeval_lru();
+            }
             mesh_bench::compare(
                 &workload,
                 &machine,
@@ -409,22 +412,19 @@ fn bench_sweep(suite: &mut Suite, samples: usize) {
         }
     };
 
-    let cap_before = mesh_bench::memo::subeval_lru_capacity();
     mesh_bench::memo::set_result_cache(None);
     let mut cold = None;
     if wants_cold {
-        mesh_bench::memo::set_subeval_lru_capacity(0);
         let median = time_median_batched_ns(samples, mesh_bench::memo::clear_subeval_lru, |()| {
-            run_grid()
+            run_grid(true)
         });
         suite.record("sweep/grid_cold", median);
         cold = Some(median);
     }
     let mut shared = None;
     if wants_shared {
-        mesh_bench::memo::set_subeval_lru_capacity(cap_before.max(1));
         let median = time_median_batched_ns(samples, mesh_bench::memo::clear_subeval_lru, |()| {
-            run_grid()
+            run_grid(false)
         });
         suite.record("sweep/grid_shared", median);
         shared = Some(median);
@@ -436,17 +436,15 @@ fn bench_sweep(suite: &mut Suite, samples: usize) {
         );
     }
     if wants_memo {
-        mesh_bench::memo::set_subeval_lru_capacity(cap_before.max(1));
         mesh_bench::memo::set_result_cache(Some(&memo_dir));
-        run_grid(); // populate the persistent tier once
+        run_grid(false); // populate the persistent tier once
         let median = time_median_batched_ns(samples, mesh_bench::memo::clear_subeval_lru, |()| {
-            run_grid()
+            run_grid(false)
         });
         suite.record("sweep/grid_memo_warm", median);
     }
 
     // Back to whatever the environment configured, then drop the tempdir.
-    mesh_bench::memo::set_subeval_lru_capacity(cap_before);
     mesh_bench::memo::clear_subeval_lru();
     mesh_bench::memo::set_result_cache(mesh_bench::config().result_cache.as_deref());
     let _ = std::fs::remove_dir_all(&memo_dir);
@@ -618,11 +616,11 @@ fn main() {
                 println!("perf check skipped: the filter measured no {prefix} benchmark");
                 continue;
             }
-            match check_regression(&file, &baseline, prefix, args.max_regression, partial) {
+            match check_regression(&file, &baseline, prefix, args.factor, partial) {
                 Ok(checked) => {
                     println!(
                         "perf check OK: {checked} {prefix} benchmarks within {:.1}x of {} ({})",
-                        args.max_regression, baseline_path, baseline.git_sha
+                        args.factor, baseline_path, baseline.git_sha
                     );
                 }
                 Err(failures) => {

@@ -165,12 +165,19 @@ impl Checkpointable for mesh_core::Report {
 /// deterministic (on a given target) and more than strong enough for grid
 /// sizes measured in thousands.
 pub fn stable_key_hash<K: Hash + ?Sized>(key: &K) -> u64 {
-    let mut h = Fnv1a(0xCBF2_9CE4_8422_2325);
+    let mut h = Fnv1a::default();
     key.hash(&mut h);
-    h.0
+    h.finish()
 }
 
-struct Fnv1a(u64);
+/// 64-bit FNV-1a over every byte written to it.
+pub(crate) struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xCBF2_9CE4_8422_2325)
+    }
+}
 
 impl Hasher for Fnv1a {
     fn finish(&self) -> u64 {

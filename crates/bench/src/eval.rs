@@ -20,7 +20,7 @@
 //!    references use every core; nothing blocks.
 //! 2. **Evaluation phase** — the full grid runs through the same dispatch
 //!    as [`crate::sweep::try_sweep_labeled`]; every point finds its group's
-//!    reference already in the sub-evaluation LRU (or the persistent result
+//!    reference already in the in-process memo (or the persistent result
 //!    cache) and pays only the cheap hybrid/analytical legs.
 //!
 //! Under the multi-process fabric (`MESH_BENCH_SHARDS`), the groups also
@@ -30,7 +30,7 @@
 //! phase still runs in the parent and workers replay from disk; without it,
 //! the phase is skipped (a parent-computed reference could not reach the
 //! workers) and co-location alone provides once-per-group evaluation inside
-//! each worker's own LRU.
+//! each worker's own in-process memo.
 //!
 //! Output is byte-identical to [`crate::sweep::try_sweep_labeled`] on the
 //! same grid — the planner changes only *when* sub-evaluations run, never

@@ -72,7 +72,7 @@ pub struct ComparisonPoint {
     pub misses: u64,
     /// Whether either timed leg (ISS reference or hybrid run) was replayed
     /// from the persistent result cache — directly, or through an
-    /// in-process LRU entry read from it — in which case
+    /// in-process memo value an earlier call read from it — in which case
     /// `iss_wall`/`mesh_wall` are *recorded* timings from the run that
     /// populated it, not this process's clock. A leg shared in-process
     /// with a point measured earlier in the same run is not a replay.
@@ -510,9 +510,8 @@ fn iss_key(workload_fp: u128, machine: &MachineConfig) -> u128 {
 }
 
 /// Runs (or replays) the cycle-accurate reference for a workload/machine
-/// pair, memoized under [`iss_reference_fp`] in the in-process
-/// sub-evaluation LRU and — with `MESH_RESULT_CACHE` set — the persistent
-/// result cache. Every sweep point sharing the scenario shares one
+/// pair, memoized under [`iss_reference_fp`] in the in-process memo and —
+/// with `MESH_RESULT_CACHE` set — the persistent result cache. Every sweep point sharing the scenario shares one
 /// simulation; concurrent callers are single-flighted.
 ///
 /// # Panics
@@ -678,9 +677,9 @@ fn compare_keys(
 
 /// Runs all three estimators on a workload/machine pair as independently
 /// memoized **sub-evaluations** — cycle-accurate reference, hybrid run, and
-/// whole-program analytical estimate — each cached in the in-process
-/// sub-evaluation LRU and (with `MESH_RESULT_CACHE` set) the persistent
-/// result cache under its own fingerprint domain. A sweep that varies only
+/// whole-program analytical estimate — each cached in the in-process memo
+/// and (with `MESH_RESULT_CACHE` set) the persistent result cache under its
+/// own fingerprint domain. A sweep that varies only
 /// hybrid knobs therefore runs the expensive reference **once per distinct
 /// (workload, machine)** instead of once per point. The three keys share
 /// one pass over the workload's segments.
@@ -804,8 +803,8 @@ pub fn run_phm_point(idle1: f64, bus_delay: u64, seed: u64) -> ComparisonPoint {
 /// arbitrations of the cycle-accurate simulator, each chosen to starve some
 /// processor.
 ///
-/// The maximum is memoized per scenario in the in-process sub-evaluation
-/// LRU and — with `MESH_RESULT_CACHE` set — on disk.
+/// The maximum is memoized per scenario in the in-process memo and — with
+/// `MESH_RESULT_CACHE` set — on disk.
 ///
 /// # Panics
 ///
@@ -978,8 +977,8 @@ fn hybrid_run_key(
 
 /// Runs (or replays) the workload through the hybrid kernel with `model` on
 /// the shared bus and annotations at barriers, memoized under
-/// [`hybrid_run_fp`] in the in-process sub-evaluation LRU and — with
-/// `MESH_RESULT_CACHE` set — the persistent result cache. `priorities`
+/// [`hybrid_run_fp`] in the in-process memo and — with `MESH_RESULT_CACHE`
+/// set — the persistent result cache. `priorities`
 /// assigns arbitration priorities to the logical threads in task order, as
 /// in [`run_envelope_point`].
 ///

@@ -29,23 +29,28 @@
 //! hundred bytes; an annotation profile (`subeval-annotate`, two counts per
 //! workload segment) is a few KB. A scenario's entries therefore stay well
 //! under a megabyte, so there is no GC tier — wipe the directory to reset.
+//!
+//! **In process**, every fingerprint asked for has one [`OnceLock`] cell
+//! holding the value's encoding. The first caller fills it (from the
+//! persistent tier, or by computing), concurrent callers of the same
+//! fingerprint block on that fill and read its value, and every later
+//! caller reads it at once — so a sweep whose points share a
+//! sub-evaluation computes it once per process. A fill that panics leaves
+//! its cell empty, and the next caller, or one that was waiting, fills it.
 
-use crate::checkpoint::Checkpointable;
+use crate::checkpoint::{Checkpointable, Fnv1a};
 use mesh_core::model::ContentionModel;
 use std::collections::HashMap;
 use std::fs;
+use std::hash::Hasher as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, LazyLock, Mutex, OnceLock};
 
 /// Environment variable enabling result memoization: a directory path
 /// (created if absent). Unset or empty disables the cache.
 pub const RESULT_CACHE_ENV: &str = "MESH_RESULT_CACHE";
-
-/// Default capacity (entries, split over shards) of the in-process
-/// sub-evaluation LRU.
-pub const DEFAULT_SUBEVAL_LRU: usize = 4096;
 
 /// Bumped whenever the meaning of a memoized value changes (new estimator
 /// semantics, changed percentage definitions, …): entries written by other
@@ -197,118 +202,27 @@ pub fn enabled() -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Tier-1 in-process sub-evaluation LRU.
+// The in-process tier: one single-flight cell per fingerprint.
 // ---------------------------------------------------------------------------
 
-const LRU_SHARD_COUNT: usize = 16;
+/// A fingerprint's value in this process: its encoding, and whether it was
+/// read from the persistent tier.
+type Cell = Arc<OnceLock<(String, bool)>>;
 
-static LRU_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_SUBEVAL_LRU);
+/// Every fingerprint asked for since the last [`clear_subeval_lru`]. An
+/// empty cell is being filled, or its fill panicked.
+static CELLS: LazyLock<Mutex<HashMap<u128, Cell>>> = LazyLock::new(Mutex::default);
 
-struct LruShard {
-    /// fp → (last-touch stamp, encoded value, whether the value was read
-    /// from the persistent tier).
-    entries: HashMap<u128, (u64, String, bool)>,
-    clock: u64,
+fn cell(fp: u128) -> Cell {
+    let mut cells = CELLS.lock().expect("memo cells poisoned");
+    Arc::clone(cells.entry(fp).or_default())
 }
 
-fn lru_shards() -> &'static [Mutex<LruShard>; LRU_SHARD_COUNT] {
-    static SHARDS: OnceLock<[Mutex<LruShard>; LRU_SHARD_COUNT]> = OnceLock::new();
-    SHARDS.get_or_init(|| {
-        std::array::from_fn(|_| {
-            Mutex::new(LruShard {
-                entries: HashMap::new(),
-                clock: 0,
-            })
-        })
-    })
-}
-
-/// Sets the in-process sub-evaluation LRU capacity (entries; `0` disables
-/// the tier; [`DEFAULT_SUBEVAL_LRU`] at process start). Used by perfsuite's
-/// sweep section to measure with the tier off.
-pub fn set_subeval_lru_capacity(entries: usize) {
-    LRU_CAPACITY.store(entries, Ordering::Relaxed);
-}
-
-/// The in-process sub-evaluation LRU's current capacity in entries (`0` =
-/// tier disabled).
-pub fn subeval_lru_capacity() -> usize {
-    LRU_CAPACITY.load(Ordering::Relaxed)
-}
-
-/// Drops every entry of the in-process sub-evaluation LRU (capacity is
-/// unchanged). Used to stage cold-start measurements.
+/// Drops every value of the in-process memo. A fill in flight still
+/// returns to its callers but is not kept. Used to stage cold-start
+/// measurements.
 pub fn clear_subeval_lru() {
-    for shard in lru_shards() {
-        let mut shard = shard.lock().expect("subeval LRU poisoned");
-        shard.entries.clear();
-        shard.clock = 0;
-    }
-}
-
-fn lru_shard_index(fp: u128) -> usize {
-    // The fingerprint is already a well-mixed FNV fold; the low bits shard.
-    (fp as usize) % LRU_SHARD_COUNT
-}
-
-/// The LRU's value for `fp` and whether it was read from the persistent
-/// tier.
-fn lru_get<V: Checkpointable>(fp: u128) -> Option<(V, bool)> {
-    if subeval_lru_capacity() == 0 {
-        return None;
-    }
-    let mut shard = lru_shards()[lru_shard_index(fp)]
-        .lock()
-        .expect("subeval LRU poisoned");
-    shard.clock += 1;
-    let stamp = shard.clock;
-    let entry = shard.entries.get_mut(&fp)?;
-    entry.0 = stamp;
-    let decoded = V::decode(&entry.1).map(|v| (v, entry.2));
-    if decoded.is_none() {
-        // A decode failure means the slot was populated under a different
-        // value type; drop it rather than serving it again.
-        shard.entries.remove(&fp);
-    }
-    decoded
-}
-
-fn lru_put(fp: u128, encoded: String, persisted: bool) {
-    let capacity = subeval_lru_capacity();
-    if capacity == 0 {
-        return;
-    }
-    let per_shard = (capacity / LRU_SHARD_COUNT).max(1);
-    let mut shard = lru_shards()[lru_shard_index(fp)]
-        .lock()
-        .expect("subeval LRU poisoned");
-    shard.clock += 1;
-    let stamp = shard.clock;
-    if shard.entries.len() >= per_shard && !shard.entries.contains_key(&fp) {
-        if let Some((&oldest, _)) = shard.entries.iter().min_by_key(|(_, (s, _, _))| *s) {
-            shard.entries.remove(&oldest);
-        }
-    }
-    shard.entries.insert(fp, (stamp, encoded, persisted));
-}
-
-// ---------------------------------------------------------------------------
-// Single-flight: concurrent callers of one fingerprint compute once.
-// ---------------------------------------------------------------------------
-
-fn inflight() -> &'static Mutex<HashMap<u128, Arc<Mutex<()>>>> {
-    static CELL: OnceLock<Mutex<HashMap<u128, Arc<Mutex<()>>>>> = OnceLock::new();
-    CELL.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn inflight_gate(fp: u128) -> Arc<Mutex<()>> {
-    let mut map = inflight().lock().expect("singleflight map poisoned");
-    map.entry(fp).or_default().clone()
-}
-
-fn inflight_done(fp: u128) {
-    let mut map = inflight().lock().expect("singleflight map poisoned");
-    map.remove(&fp);
+    CELLS.lock().expect("memo cells poisoned").clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -339,8 +253,8 @@ pub struct ResultCacheStats {
     pub stores: u64,
     /// Corrupt entries renamed aside and recomputed.
     pub quarantined: u64,
-    /// Sub-evaluations answered from the in-process LRU without touching
-    /// disk.
+    /// Values served by the in-process memo: computed or read from disk
+    /// by an earlier call in this process.
     pub lru_hits: u64,
 }
 
@@ -359,13 +273,11 @@ pub fn stats() -> ResultCacheStats {
 // Entry I/O.
 // ---------------------------------------------------------------------------
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+/// The checksum in an entry's header: 64-bit FNV-1a over the value line.
+fn checksum(encoded: &str) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(encoded.as_bytes());
+    h.finish()
 }
 
 fn entry_path(dir: &Path, fp: u128) -> PathBuf {
@@ -389,7 +301,7 @@ fn read_entry<V: Checkpointable>(dir: &Path, fp: u128) -> Option<V> {
             return None;
         }
         let value = value.strip_suffix('\n').unwrap_or(value);
-        if fnv64(value.as_bytes()) != sum {
+        if checksum(value) != sum {
             return None;
         }
         V::decode(value)
@@ -412,7 +324,7 @@ fn write_entry(dir: &Path, fp: u128, encoded: &str) {
     let tmp = dir.join(format!(".tmp-{}-{fp:032x}", std::process::id()));
     let body = format!(
         "mesh-result v1 {fp:032x} {:016x}\n{encoded}\n",
-        fnv64(encoded.as_bytes())
+        checksum(encoded)
     );
     let written = (|| -> std::io::Result<()> {
         let mut f = fs::File::create(&tmp)?;
@@ -427,9 +339,9 @@ fn write_entry(dir: &Path, fp: u128, encoded: &str) {
 }
 
 /// Notes one memoized replay in the flight recorder (`a` = the low 64
-/// fingerprint bits, `b` = 1 for an LRU hit, 0 for a disk hit), so a
-/// postmortem shows which results near the failure were served from cache
-/// rather than computed.
+/// fingerprint bits, `b` = 1 and label `lru` for an in-process hit, 0 and
+/// `disk` for a disk hit), so a postmortem shows which results near the
+/// failure were served from cache rather than computed.
 fn flightrec_replay(fp: u128, lru: bool) {
     if mesh_obs::flightrec::enabled() {
         mesh_obs::flightrec::event(
@@ -446,10 +358,11 @@ fn flightrec_replay(fp: u128, lru: bool) {
 pub enum Origin {
     /// Computed by this call.
     Computed,
-    /// Computed earlier in this process, shared through the in-process LRU.
+    /// Computed earlier in this process, shared through the in-process memo.
     Shared,
     /// Read from the persistent result cache, by this call or by the
-    /// earlier one whose LRU entry served it: recorded by another process.
+    /// earlier one whose in-process cell served it: recorded by another
+    /// process.
     Persisted,
 }
 
@@ -462,60 +375,69 @@ impl Origin {
 
 /// Returns the memoized value for `fp`, or computes it with `f` and
 /// publishes the result, reporting its [`Origin`]. Two tiers are consulted
-/// in order: the in-process sub-evaluation LRU (on unless
-/// [`set_subeval_lru_capacity`] turned it off) and the persistent directory
-/// (when enabled). With both off this is exactly `(f(), Origin::Computed)`.
-/// The encoding round-trips losslessly ([`Checkpointable`] floats travel as
-/// bit patterns), so a cache hit is byte-identical to a fresh computation.
+/// in order: the in-process memo and the persistent directory (when
+/// enabled). The encoding round-trips losslessly ([`Checkpointable`] floats
+/// travel as bit patterns), so a cache hit is byte-identical to a fresh
+/// computation.
 ///
-/// Concurrent callers of one fingerprint are single-flighted — losers block
-/// on the winner's computation and then read it from the cache — so a
-/// parallel sweep whose points share a sub-evaluation computes it exactly
-/// once per process.
+/// Concurrent callers of one fingerprint are single-flighted: they block
+/// on the first caller's fill of the fingerprint's cell and read its value,
+/// so a parallel sweep whose points share a sub-evaluation computes it once
+/// per process. If `f` panics, the panic reaches this call's caller and the
+/// cell stays empty: the next caller, or one that was waiting, fills it.
+/// A cell filled with a value of another type is a miss, and is replaced.
 pub fn memoize_flagged<V: Checkpointable>(fp: u128, f: impl FnOnce() -> V) -> (V, Origin) {
-    let from_lru = |(v, persisted)| {
-        bump(&LRU_HITS, "bench.subeval.lru_hits");
-        flightrec_replay(fp, true);
-        (
-            v,
-            if persisted {
-                Origin::Persisted
-            } else {
-                Origin::Shared
-            },
-        )
+    let cell = cell(fp);
+    let mut f = Some(f);
+    let mut filled = None;
+    let (encoded, persisted) = cell.get_or_init(|| {
+        let (value, encoded, origin) = fill(fp, f.take().expect("a cell fills once"));
+        filled = Some((value, origin));
+        (encoded, origin == Origin::Persisted)
+    });
+    if let Some(filled) = filled {
+        return filled;
+    }
+    let Some(value) = V::decode(encoded) else {
+        // Filled under another value type: a miss. Drop the cell (unless
+        // another caller already replaced it) and fill a fresh one.
+        let mut cells = CELLS.lock().expect("memo cells poisoned");
+        if cells.get(&fp).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
+            cells.remove(&fp);
+        }
+        drop(cells);
+        return memoize_flagged(fp, f.expect("an unused closure"));
     };
-    if let Some(hit) = lru_get::<V>(fp) {
-        return from_lru(hit);
-    }
-    let gate = inflight_gate(fp);
-    let guard = gate.lock().expect("singleflight gate poisoned");
-    // A loser arriving here finds the winner's freshly published value.
-    if let Some(hit) = lru_get::<V>(fp) {
-        drop(guard);
-        return from_lru(hit);
-    }
+    bump(&LRU_HITS, "bench.subeval.lru_hits");
+    flightrec_replay(fp, true);
+    let origin = if *persisted {
+        Origin::Persisted
+    } else {
+        Origin::Shared
+    };
+    (value, origin)
+}
+
+/// Fills `fp`'s cell: the persistent tier's value when it holds a valid
+/// entry, else `f()`, published there. Returns the value, its encoding and
+/// its origin.
+fn fill<V: Checkpointable>(fp: u128, f: impl FnOnce() -> V) -> (V, String, Origin) {
     if let Some(dir) = dir() {
         let _span = mesh_obs::span("bench.result_cache.lookup_ns");
         if let Some(v) = read_entry::<V>(&dir, fp) {
             bump(&HITS, "bench.result_cache.hits");
             flightrec_replay(fp, false);
-            lru_put(fp, v.encode(), true);
-            drop(guard);
-            inflight_done(fp);
-            return (v, Origin::Persisted);
+            let encoded = v.encode();
+            return (v, encoded, Origin::Persisted);
         }
     }
     bump(&MISSES, "bench.result_cache.misses");
     let value = f();
     let encoded = value.encode();
-    lru_put(fp, encoded.clone(), false);
     if let Some(dir) = dir() {
         write_entry(&dir, fp, &encoded);
     }
-    drop(guard);
-    inflight_done(fp);
-    (value, Origin::Computed)
+    (value, encoded, Origin::Computed)
 }
 
 #[cfg(test)]
@@ -574,6 +496,69 @@ mod tests {
         assert_ne!(
             ScenarioFp::new("x").words(&[1, 2]).words(&[]).finish(),
             ScenarioFp::new("x").words(&[1]).words(&[2]).finish()
+        );
+    }
+
+    #[test]
+    fn checksum_is_unchanged_fnv1a() {
+        // The checksum result-cache entries have always carried for this
+        // value: entries written by earlier builds still verify.
+        let encoded = (42u64, 2.5f64, 7usize).encode();
+        assert_eq!(checksum(&encoded), 0x7EDE_8B0C_91A8_567C);
+    }
+
+    // The in-process memo is process-global: the tests below use
+    // fingerprints no other test uses.
+
+    #[test]
+    fn panicking_fill_leaves_its_fingerprint_computable() {
+        const FP: u128 = 0x51F1_0000_0000_0000_0000_0000_0000_0001;
+        let panicked = std::panic::catch_unwind(|| {
+            memoize_flagged::<u64>(FP, || panic!("the first fill unwinds"))
+        });
+        assert!(panicked.is_err());
+        assert_eq!(memoize_flagged(FP, || 7u64), (7, Origin::Computed));
+        assert_eq!(memoize_flagged(FP, || 8u64), (7, Origin::Shared));
+    }
+
+    #[test]
+    fn caller_waiting_on_a_panicking_fill_computes_the_value() {
+        const FP: u128 = 0x51F1_0000_0000_0000_0000_0000_0000_0002;
+        let holders = || CELLS.lock().unwrap().get(&FP).map_or(0, Arc::strong_count);
+        let (started, filling) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let filler = s.spawn(move || {
+                memoize_flagged::<u64>(FP, || {
+                    started.send(()).unwrap();
+                    // Unwind only once the waiter holds this cell (the map,
+                    // this call and the waiter); the pause makes it likely
+                    // that the waiter is blocked on the fill by then, but
+                    // either order must work.
+                    while holders() < 3 {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    panic!("the fill unwinds");
+                })
+            });
+            filling.recv().unwrap();
+            let waiter = s.spawn(|| memoize_flagged(FP, || 9u64));
+            assert!(filler.join().is_err());
+            assert_eq!(waiter.join().unwrap(), (9, Origin::Computed));
+        });
+    }
+
+    #[test]
+    fn value_of_another_type_is_a_miss() {
+        const FP: u128 = 0x51F1_0000_0000_0000_0000_0000_0000_0003;
+        assert_eq!(memoize_flagged(FP, || 5u64), (5, Origin::Computed));
+        assert_eq!(
+            memoize_flagged(FP, || (1u64, 2u64)),
+            ((1, 2), Origin::Computed)
+        );
+        assert_eq!(
+            memoize_flagged(FP, || (3u64, 4u64)),
+            ((1, 2), Origin::Shared)
         );
     }
 

@@ -760,6 +760,29 @@ mod tests {
     }
 
     #[test]
+    fn retry_recomputes_a_memoized_leg_that_panicked() {
+        // A fingerprint no other test uses: the memo is process-global.
+        const FP: u128 = 0x51F1_0000_0000_0000_0000_0000_0000_0004;
+        let attempts = AtomicU64::new(0);
+        let retrying = RunConfig {
+            retries: 1,
+            ..settings(1)
+        };
+        let out = run_points("memo-retry", &[3u64], None, &retrying, |&k| {
+            let (value, _) = crate::memo::memoize_flagged(FP, || {
+                if attempts.fetch_add(1, Ordering::Relaxed) == 0 {
+                    panic!("transient");
+                }
+                k * 2
+            });
+            value
+        })
+        .unwrap();
+        assert_eq!(out, vec![6]);
+        assert_eq!(attempts.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
     fn injected_fail_point_reports_its_coordinates() {
         let injecting = RunConfig {
             fail_point: Some((None, 1)),

@@ -1,6 +1,6 @@
 //! End-to-end identity checks for the caching tiers: a comparison point
 //! must produce the same simulated numbers with the result cache off and
-//! populating; a result-memo replay (from disk or from the in-process LRU)
+//! populating; a result-memo replay (from disk or from the in-process memo)
 //! must reproduce the populating point *exactly* (recorded wall clocks
 //! included); a planner-driven sweep's stdout must be byte-identical
 //! across {sub-memo cold, sub-memo warm, sharded over a warm memo}, and a
@@ -61,8 +61,8 @@ fn results_identical_across_cache_configurations() {
     let memo_dir = std::env::temp_dir().join(format!("{unique}-memo"));
     let _ = std::fs::remove_dir_all(&memo_dir);
 
-    // Leg 1: no memo — the plain in-process baseline. The sub-evaluation
-    // LRU is cleared so this process actually simulates.
+    // Leg 1: no memo — the plain in-process baseline. The in-process memo
+    // is cleared so this process actually simulates.
     memo::set_result_cache(None);
     mesh_cyclesim::trace::clear_cache();
     memo::clear_subeval_lru();
@@ -96,7 +96,7 @@ fn results_identical_across_cache_configurations() {
         "memoized run diverged from the uncached baseline"
     );
 
-    // Leg 3: in-process LRU — with the LRU left warm, the point is served
+    // Leg 3: in-process memo — with the memo left warm, the point is served
     // without touching disk.
     let lru_before = memo::stats().lru_hits;
     let lru = point();

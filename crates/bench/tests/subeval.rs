@@ -83,7 +83,7 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
         "the grid's profile comes from the resident traces, not a second walk"
     );
     // Every leg was measured in this process: sharing the reference
-    // through the in-process LRU is not a replay from the result cache.
+    // through the in-process memo is not a replay from the result cache.
     assert!(
         points.iter().all(|p| !p.replayed),
         "in-process sharing does not flag a point replayed"
@@ -92,7 +92,7 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
     assert!(points.iter().all(|p| p.iss_cycles == points[0].iss_cycles
         && p.iss_pct.to_bits() == points[0].iss_pct.to_bits()));
 
-    // Replaying the grid from the warm LRU asks for no profile at all: it is
+    // Replaying the grid from the warm memo asks for no profile at all: it is
     // requested lazily, inside the legs' memo closures.
     let annotation_before = annotation_shared();
     let replayed: Vec<_> = knobs

@@ -35,11 +35,12 @@
 //!   fig4/fig5-style grids that revisit the same per-processor streams
 //!   (they vary cache size and processor count, not the programs) compile
 //!   each distinct trace exactly once per process;
-//! * the cache is **single-flight** per key: a caller that finds its key
-//!   being compiled by another waits for that compile and counts a hit, so
+//! * the cache is **single-flight** per key: each key has one
+//!   [`OnceLock`] cell, the first caller to need it compiles into it, and a
+//!   caller that finds it being filled blocks on it and counts a hit, so
 //!   concurrent sweep points sharing a trace compile it once. A compile
-//!   that unwinds clears its in-flight marker on the way out, and a waiter
-//!   that then finds no entry compiles the trace itself;
+//!   that panics leaves the cell empty, and the next caller — or one that
+//!   was waiting — compiles the trace itself;
 //! * every trace also carries its task's **per-segment hit and miss
 //!   counts**, counted during the same cache walk.
 //!   [`resident_profiles`] hands them out, so annotation (`mesh-annotate`'s
@@ -62,10 +63,10 @@
 use crate::cursor::{derived_pacing, Item, Pacing, TaskCursor};
 use mesh_arch::{Cache, MachineConfig, ProcConfig};
 use mesh_workloads::{Segment, Workload};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock};
 
 /// Cap on one task's compiled trace, in steps (≈ 32 MiB of packed steps).
 /// Tasks beyond the cap fall back to the on-the-fly cursor; the verdict is
@@ -457,6 +458,7 @@ fn task_keys(workload: &Workload, machine: &MachineConfig, pacing: Pacing) -> Ve
 // The process-wide cross-sweep cache.
 // ---------------------------------------------------------------------------
 
+#[derive(Clone)]
 enum CacheEntry {
     Compiled(Arc<TaskTrace>),
     /// The task exceeded the step cap; don't retry the compile.
@@ -479,13 +481,16 @@ impl CacheEntry {
     }
 }
 
+/// One key's entry, filled once: by the first caller that compiles it, or
+/// by the next one if that compile panicked.
+type Cell = Arc<OnceLock<CacheEntry>>;
+
 #[derive(Default)]
 struct TraceCache {
-    map: HashMap<u128, CacheEntry>,
-    /// Keys some caller is compiling right now; other callers wait on
-    /// [`Shared::compiled`] instead of compiling them again.
-    in_flight: HashSet<u128>,
-    /// Insertion order, for oldest-first eviction.
+    /// Every key looked up and not evicted. A filled cell is resident; an
+    /// empty one is being compiled, or its compile unwound.
+    map: HashMap<u128, Cell>,
+    /// Resident keys in insertion order, for oldest-first eviction.
     order: VecDeque<u128>,
     resident_steps: usize,
     /// Step storage of the resident traces ([`TaskTrace::bytes`]).
@@ -499,11 +504,12 @@ struct TraceCache {
 }
 
 impl TraceCache {
-    /// Inserts (or replaces) an entry, evicting oldest-first until the
-    /// resident total fits `budget`. An entry larger than the whole budget
-    /// is not retained at all — the caller still gets its `Arc`.
+    /// Makes `entry` the resident entry of `key` (replacing its cell),
+    /// evicting oldest-first until the resident total fits `budget`. An
+    /// entry larger than the whole budget is not retained at all — the
+    /// caller still gets its `Arc`.
     fn insert(&mut self, key: u128, entry: CacheEntry, budget: usize) {
-        if let Some(old) = self.map.remove(&key) {
+        if let Some(old) = self.map.remove(&key).as_deref().and_then(OnceLock::get) {
             self.resident_steps -= old.steps();
             self.resident_bytes -= old.bytes();
             self.order.retain(|k| *k != key);
@@ -516,7 +522,7 @@ impl TraceCache {
             let Some(oldest) = self.order.pop_front() else {
                 break;
             };
-            if let Some(evicted) = self.map.remove(&oldest) {
+            if let Some(evicted) = self.map.remove(&oldest).as_deref().and_then(OnceLock::get) {
                 self.resident_steps -= evicted.steps();
                 self.resident_bytes -= evicted.bytes();
                 self.evictions += 1;
@@ -525,46 +531,14 @@ impl TraceCache {
         self.resident_steps += steps;
         self.resident_bytes += entry.bytes();
         self.order.push_back(key);
-        self.map.insert(key, entry);
+        self.map.insert(key, Arc::new(OnceLock::from(entry)));
     }
 }
 
-/// The cache and the condition its waiters sleep on.
-struct Shared {
-    cache: Mutex<TraceCache>,
-    /// Notified whenever a caller clears its in-flight markers.
-    compiled: Condvar,
-}
-
-fn shared() -> &'static Shared {
-    static SHARED: OnceLock<Shared> = OnceLock::new();
-    SHARED.get_or_init(|| Shared {
-        cache: Mutex::new(TraceCache::default()),
-        compiled: Condvar::new(),
-    })
-}
+static CACHE: LazyLock<Mutex<TraceCache>> = LazyLock::new(Mutex::default);
 
 fn global() -> MutexGuard<'static, TraceCache> {
-    shared().cache.lock().expect("trace cache poisoned")
-}
-
-/// One caller's claim on the keys it compiles. Dropping it — after the
-/// compiled entries are inserted, or while unwinding from a panicking
-/// compile — clears the in-flight markers and wakes every waiter, so no
-/// waiter sleeps on a compile that is gone.
-struct InFlight(Vec<u128>);
-
-impl Drop for InFlight {
-    fn drop(&mut self) {
-        let shared = shared();
-        // Never panic here: this may run during an unwind.
-        let mut cache = shared.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        for key in &self.0 {
-            cache.in_flight.remove(key);
-        }
-        drop(cache);
-        shared.compiled.notify_all();
-    }
+    CACHE.lock().expect("trace cache poisoned")
 }
 
 /// Compile worker count set by [`set_compile_jobs`]; 0 until then.
@@ -586,184 +560,148 @@ pub fn compile_jobs() -> usize {
     }
 }
 
+/// One distinct key of a [`compiled_for`] call.
+struct Wanted {
+    key: u128,
+    cell: Cell,
+    /// The first task with this key: the one compiled.
+    task: usize,
+    /// How many of the call's tasks have this key.
+    tasks: u64,
+}
+
 /// Returns the compiled trace of every task (index-aligned), consulting and
 /// populating the cross-sweep cache; `None` marks a task past the step cap
 /// (the engines fall back to its on-the-fly cursor). Distinct uncached keys
 /// compile in parallel. A key another caller is compiling is not compiled
-/// again: this call waits for that compile and counts a hit, or compiles
-/// the key itself if the other compile left no entry (it unwound, or its
-/// entry was already evicted).
+/// again: this call blocks on that compile and counts a hit, or compiles
+/// the key itself if that compile panicked.
 pub(crate) fn compiled_for(
     workload: &Workload,
     machine: &MachineConfig,
     pacing: Pacing,
 ) -> Vec<Option<Arc<TaskTrace>>> {
     let keys = task_keys(workload, machine, pacing);
-    let mut out: Vec<Option<Arc<TaskTrace>>> = keys.iter().map(|_| None).collect();
-    // Per-call deltas mirrored into the mesh-obs registry after the lock
-    // drops, so the observability flush never holds the cache mutex.
-    let (mut d_hits, mut d_misses, mut d_fallbacks, mut d_evictions) = (0u64, 0u64, 0u64, 0u64);
-    // The most step storage this call's inserts left resident.
-    let mut peak_bytes = 0;
-    // Tasks still to resolve: every task at first, then those whose key was
-    // in flight elsewhere, looked up again once that compile is done.
-    let mut pending: Vec<usize> = (0..keys.len()).collect();
-    while !pending.is_empty() {
-        // The first task per distinct key this call compiles, and the tasks
-        // whose key another caller is compiling.
-        let (mut missing, mut waiting) = (Vec::new(), Vec::new());
-        {
-            let mut cache = global();
-            for &i in &pending {
-                match cache.map.get(&keys[i]) {
-                    Some(CacheEntry::Compiled(t)) => {
-                        out[i] = Some(Arc::clone(t));
-                        cache.hits += 1;
-                        d_hits += 1;
-                    }
-                    Some(CacheEntry::TooLarge) => {
-                        cache.hits += 1;
-                        cache.fallbacks += 1;
-                        d_hits += 1;
-                        d_fallbacks += 1;
-                    }
-                    None => {
-                        let ours = missing.iter().any(|&j| keys[j] == keys[i]);
-                        if !ours && !cache.in_flight.insert(keys[i]) {
-                            waiting.push(i);
-                            continue;
-                        }
-                        if !ours {
-                            missing.push(i);
-                        }
-                        cache.misses += 1;
-                        d_misses += 1;
-                    }
-                }
+    let mut wanted: Vec<Wanted> = Vec::new();
+    {
+        let mut cache = global();
+        for (task, &key) in keys.iter().enumerate() {
+            match wanted.iter_mut().find(|w| w.key == key) {
+                Some(w) => w.tasks += 1,
+                None => wanted.push(Wanted {
+                    key,
+                    cell: Arc::clone(cache.map.entry(key).or_default()),
+                    task,
+                    tasks: 1,
+                }),
             }
         }
-
-        if !missing.is_empty() {
-            let claim = InFlight(missing.iter().map(|&i| keys[i]).collect());
-            let compiled = {
-                let _span = mesh_obs::span("cyclesim.compile_ns");
-                compile_parallel(&missing, workload, machine, pacing)
-            };
-            let mut cache = global();
-            let evictions_before = cache.evictions;
-            for (&i, trace) in missing.iter().zip(&compiled) {
-                let entry = match trace {
-                    Some(t) => CacheEntry::Compiled(Arc::clone(t)),
-                    None => {
-                        cache.fallbacks += 1;
-                        d_fallbacks += 1;
-                        CacheEntry::TooLarge
-                    }
-                };
-                cache.insert(keys[i], entry, DEFAULT_CACHE_STEPS);
-                peak_bytes = peak_bytes.max(cache.resident_bytes);
-                if mesh_obs::enabled() {
-                    // Fold freshly-compiled trace keys into the run
-                    // manifest's workload fingerprint (XOR fold:
-                    // order-independent across parallel sweep workers).
-                    mesh_obs::merge_fingerprint((keys[i] as u64) ^ ((keys[i] >> 64) as u64));
-                }
-            }
-            d_evictions += cache.evictions - evictions_before;
-            drop(cache);
-            drop(claim);
-            // Fill this call's slots from the fresh compiles directly (an
-            // insert may already have been evicted; the Arcs stay valid).
-            for &i in &pending {
-                if let Some(k) = missing.iter().position(|&j| keys[j] == keys[i]) {
-                    out[i] = compiled[k].clone();
-                }
-            }
-        }
-
-        if !waiting.is_empty() {
-            let _cache = shared()
-                .compiled
-                .wait_while(global(), |cache| {
-                    waiting.iter().any(|&i| cache.in_flight.contains(&keys[i]))
-                })
-                .expect("trace cache poisoned");
-        }
-        pending = waiting;
     }
-    flush_cache_obs(d_hits, d_misses, d_fallbacks, d_evictions, peak_bytes);
+
+    // Fill the empty cells, spread over scoped worker threads claiming from
+    // a shared atomic index. A cell another caller is filling blocks its
+    // worker until that fill ends.
+    let empty: Vec<&Wanted> = wanted.iter().filter(|w| w.cell.get().is_none()).collect();
+    let next = AtomicUsize::new(0);
+    let misses = AtomicU64::new(0);
+    let worker = || {
+        while let Some(w) = empty.get(next.fetch_add(1, Ordering::Relaxed)) {
+            w.cell.get_or_init(|| {
+                misses.fetch_add(w.tasks, Ordering::Relaxed);
+                compile_into_cache(w, workload, machine, pacing)
+            });
+        }
+    };
+    match compile_jobs().min(empty.len()) {
+        0 | 1 => worker(),
+        jobs => std::thread::scope(|s| {
+            for _ in 0..jobs {
+                s.spawn(worker);
+            }
+        }),
+    }
+
+    let out: Vec<Option<Arc<TaskTrace>>> = keys
+        .iter()
+        .map(|&key| {
+            let w = wanted
+                .iter()
+                .find(|w| w.key == key)
+                .expect("every key is wanted");
+            match w.cell.get().expect("every cell is filled") {
+                CacheEntry::Compiled(t) => Some(Arc::clone(t)),
+                CacheEntry::TooLarge => None,
+            }
+        })
+        .collect();
+    let misses = misses.into_inner();
+    let hits = keys.len() as u64 - misses;
+    let fallbacks = out.iter().filter(|t| t.is_none()).count() as u64;
+    let mut cache = global();
+    cache.hits += hits;
+    cache.misses += misses;
+    cache.fallbacks += fallbacks;
+    drop(cache);
+    // Mirrored into the mesh-obs registry after the lock drops, so the
+    // observability flush never holds the cache mutex.
+    if mesh_obs::enabled() && !keys.is_empty() {
+        mesh_obs::counter("cyclesim.trace_cache.hits").add(hits);
+        mesh_obs::counter("cyclesim.trace_cache.misses").add(misses);
+        mesh_obs::counter("cyclesim.trace_cache.fallbacks").add(fallbacks);
+    }
     out
 }
 
-/// Mirrors one `compiled_for` call's trace-cache deltas, and the most step
-/// storage its inserts left resident, into the mesh-obs registry. A no-op
-/// when observability is disabled or nothing happened.
-fn flush_cache_obs(hits: u64, misses: u64, fallbacks: u64, evictions: u64, resident_bytes: usize) {
-    if !mesh_obs::enabled() || hits + misses + fallbacks + evictions == 0 {
-        return;
+/// Compiles `w`'s task, timed as `cyclesim.compile_ns`, and keeps the entry
+/// resident unless a [`clear_cache`] dropped `w`'s cell meanwhile.
+fn compile_into_cache(
+    w: &Wanted,
+    workload: &Workload,
+    machine: &MachineConfig,
+    pacing: Pacing,
+) -> CacheEntry {
+    let entry = {
+        let _span = mesh_obs::span("cyclesim.compile_ns");
+        COMPILES.fetch_add(1, Ordering::Relaxed);
+        if mesh_obs::enabled() {
+            mesh_obs::counter("cyclesim.trace.compiles").inc();
+        }
+        let trace = compile(
+            &workload.tasks[w.task].segments,
+            machine.procs[w.task],
+            derived_pacing(pacing, w.task),
+            DEFAULT_MAX_STEPS,
+        );
+        trace.map_or(CacheEntry::TooLarge, |t| CacheEntry::Compiled(Arc::new(t)))
+    };
+    let mut cache = global();
+    let evictions_before = cache.evictions;
+    // Another cell or none means a `clear_cache` ran during the compile:
+    // the entry then goes to this cell's callers only.
+    if cache
+        .map
+        .get(&w.key)
+        .is_some_and(|c| Arc::ptr_eq(c, &w.cell))
+    {
+        cache.insert(w.key, entry.clone(), DEFAULT_CACHE_STEPS);
     }
-    mesh_obs::counter("cyclesim.trace_cache.hits").add(hits);
-    mesh_obs::counter("cyclesim.trace_cache.misses").add(misses);
-    mesh_obs::counter("cyclesim.trace_cache.fallbacks").add(fallbacks);
-    mesh_obs::counter("cyclesim.trace_cache.evictions").add(evictions);
-    mesh_obs::gauge("cyclesim.trace_cache.resident_bytes").set_max(resident_bytes as u64);
+    let (evictions, resident_bytes) = (cache.evictions - evictions_before, cache.resident_bytes);
+    drop(cache);
+    if mesh_obs::enabled() {
+        mesh_obs::counter("cyclesim.trace_cache.evictions").add(evictions);
+        mesh_obs::gauge("cyclesim.trace_cache.resident_bytes").set_max(resident_bytes as u64);
+        // Fold freshly-compiled trace keys into the run manifest's workload
+        // fingerprint (XOR fold: order-independent across parallel sweep
+        // workers).
+        mesh_obs::merge_fingerprint((w.key as u64) ^ ((w.key >> 64) as u64));
+    }
+    entry
 }
 
 /// Actual trace compiles performed by [`compiled_for`] since process start
 /// (in-memory hits don't count). Mirrored into the
 /// `cyclesim.trace.compiles` obs counter.
 static COMPILES: AtomicU64 = AtomicU64::new(0);
-
-/// Resolves the given task indices (in-memory misses), spreading distinct
-/// tasks over scoped worker threads claiming from a shared atomic index.
-/// Tasks past [`DEFAULT_MAX_STEPS`] resolve to `None`.
-fn compile_parallel(
-    missing: &[usize],
-    workload: &Workload,
-    machine: &MachineConfig,
-    pacing: Pacing,
-) -> Vec<Option<Arc<TaskTrace>>> {
-    let compile_one = |i: usize| {
-        COMPILES.fetch_add(1, Ordering::Relaxed);
-        if mesh_obs::enabled() {
-            mesh_obs::counter("cyclesim.trace.compiles").inc();
-        }
-        compile(
-            &workload.tasks[i].segments,
-            machine.procs[i],
-            derived_pacing(pacing, i),
-            DEFAULT_MAX_STEPS,
-        )
-        .map(Arc::new)
-    };
-    let jobs = compile_jobs().min(missing.len());
-    if jobs <= 1 {
-        return missing.iter().map(|&i| compile_one(i)).collect();
-    }
-    let slots: Vec<Mutex<Option<Option<Arc<TaskTrace>>>>> =
-        (0..missing.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= missing.len() {
-                    break;
-                }
-                let result = compile_one(missing[k]);
-                *slots[k].lock().expect("slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot poisoned")
-                .expect("worker filled every claimed slot")
-        })
-        .collect()
-}
 
 // ---------------------------------------------------------------------------
 // Public instrumentation surface (used by perfsuite and tests).
@@ -789,8 +727,8 @@ pub struct TraceCacheStats {
     pub misses: u64,
     /// Entries evicted oldest-first to stay within the resident budget.
     pub evictions: u64,
-    /// Lookups (or fresh compiles) that resolved to a too-large verdict,
-    /// sending the engines to the on-the-fly cursor fallback.
+    /// Per-task lookups that resolved to a too-large verdict, sending the
+    /// engines to the on-the-fly cursor fallback.
     pub fallbacks: u64,
     /// Actual compiles performed. Always ≤ `misses`: duplicate keys within
     /// one workload compile once, and concurrent callers wait for a key in
@@ -803,7 +741,7 @@ pub struct TraceCacheStats {
 pub fn cache_stats() -> TraceCacheStats {
     let cache = global();
     TraceCacheStats {
-        entries: cache.map.len(),
+        entries: cache.order.len(),
         resident_steps: cache.resident_steps,
         resident_bytes: cache.resident_bytes,
         hits: cache.hits,
@@ -814,9 +752,9 @@ pub fn cache_stats() -> TraceCacheStats {
     }
 }
 
-/// Drops every cached trace (the hit/miss counters and the markers of
-/// compiles in flight are kept). Intended for benchmarks that need
-/// cold-compile timings.
+/// Drops every cached trace (the hit/miss counters are kept). A compile in
+/// flight still returns to its callers but is not kept. Intended for
+/// benchmarks that need cold-compile timings.
 pub fn clear_cache() {
     let mut cache = global();
     cache.map.clear();
@@ -881,7 +819,7 @@ pub fn resident_profiles(
     let traces: Vec<Arc<TaskTrace>> = {
         let cache = global();
         keys.iter()
-            .map(|key| match cache.map.get(key) {
+            .map(|key| match cache.map.get(key).and_then(|cell| cell.get()) {
                 Some(CacheEntry::Compiled(trace)) => Some(Arc::clone(trace)),
                 _ => None,
             })
@@ -1137,23 +1075,59 @@ mod tests {
 
     #[test]
     fn waiter_compiles_a_key_whose_compile_unwound() {
-        // A claim dropped without an entry, as when its compile panics, must
-        // wake the waiter, which then compiles the key itself.
+        // A compile that panics leaves its key's cell empty; a caller
+        // blocked on that compile must then compile the key itself.
         let mut w = Workload::new();
         w.add_task(TaskProgram::new("t").with_segment(Segment::work(424_243)));
         let machine = MachineConfig::homogeneous(1, proc(1024), BusConfig::new(4));
         let key = task_keys(&w, &machine, Pacing::Even)[0];
-        assert!(global().in_flight.insert(key));
-        let claim = InFlight(vec![key]);
+        let cell = Arc::clone(global().map.entry(key).or_default());
+        let (started, compiling) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
+            let unwinding = s.spawn(move || {
+                cell.get_or_init(|| {
+                    started.send(()).unwrap();
+                    // Unwind only once the waiter holds this cell (the map,
+                    // this thread and the waiter); the pause makes it likely
+                    // that the waiter is blocked on the compile by then, but
+                    // either order must work.
+                    while Arc::strong_count(&cell) < 3 {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    panic!("the compile unwinds");
+                });
+            });
+            compiling.recv().unwrap();
             let waiter = s.spawn(|| compiled_for(&w, &machine, Pacing::Even));
-            // Either order must work: the pause only makes it likely that
-            // the waiter is already asleep on the marker when it clears.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            drop(claim);
+            assert!(unwinding.join().is_err());
             assert!(waiter.join().unwrap()[0].is_some());
         });
-        assert!(!global().in_flight.contains(&key));
+        assert!(
+            resident_profiles(&w, &machine, Pacing::Even).is_some(),
+            "the waiter's compile is resident"
+        );
+    }
+
+    #[test]
+    fn compile_whose_cell_was_cleared_is_not_kept() {
+        // `clear_cache` during a compile drops the key's cell from the map
+        // (removed by hand here: clearing the whole cache would race the
+        // other tests). The compile still returns its entry, unkept.
+        let mut w = Workload::new();
+        w.add_task(TaskProgram::new("t").with_segment(Segment::work(271_829)));
+        let machine = MachineConfig::homogeneous(1, proc(1024), BusConfig::new(4));
+        let key = task_keys(&w, &machine, Pacing::Even)[0];
+        let wanted = Wanted {
+            key,
+            cell: Arc::clone(global().map.entry(key).or_default()),
+            task: 0,
+            tasks: 1,
+        };
+        global().map.remove(&key);
+        let entry = compile_into_cache(&wanted, &w, &machine, Pacing::Even);
+        assert!(matches!(entry, CacheEntry::Compiled(_)));
+        assert!(!global().map.contains_key(&key));
     }
 
     #[test]

@@ -39,13 +39,10 @@ fn main() {
         .collect();
     let results = mesh_bench::or_exit(
         "ablation_granularity",
-        mesh_bench::eval::sweep_with_references(
+        mesh_bench::sweep::sweep_with_references(
             "ablation_granularity",
             &sweep,
             |_| mesh_bench::iss_reference_fp(&workload, &machine),
-            |_| {
-                mesh_bench::iss_reference(&workload, &machine);
-            },
             |&spacing| {
                 compare(
                     &workload,

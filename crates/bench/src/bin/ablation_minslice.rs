@@ -44,13 +44,10 @@ fn main() {
     .to_vec();
     let results = mesh_bench::or_exit(
         "ablation_minslice",
-        mesh_bench::eval::sweep_with_references(
+        mesh_bench::sweep::sweep_with_references(
             "ablation_minslice",
             &sweep,
             |_| mesh_bench::iss_reference_fp(&workload, &machine),
-            |_| {
-                mesh_bench::iss_reference(&workload, &machine);
-            },
             |&min| {
                 compare(
                     &workload,

@@ -34,32 +34,33 @@ fn main() {
         .into_iter()
         .map(|(label, _)| label)
         .collect();
-    let reference_fp = mesh_bench::iss_reference_fp(&workload, &machine);
-    // One planner group: every model row scores against the same
-    // cycle-accurate reference, which the split-phase planner runs (and the
-    // sub-evaluation cache shares) exactly once.
+    // One reference group: every model row scores against the same
+    // cycle-accurate reference, which the memo shares across the rows (and
+    // the fabric keeps on one worker).
     let results = mesh_bench::or_exit(
         "ablation_models",
-        mesh_bench::eval::sweep_with_references(
+        mesh_bench::sweep::sweep_with_references(
             "ablation_models",
             &labels,
-            |_| reference_fp,
-            |_| {
-                mesh_bench::iss_reference(&workload, &machine);
-            },
+            |_| mesh_bench::iss_reference_fp(&workload, &machine),
             |&label| {
+                // The reference runs first: its simulation compiles the
+                // traces the hybrid run's annotation profile is read from.
+                let reference = mesh_bench::iss_reference(&workload, &machine).pct;
                 let (_, model) = ablation_models()
                     .into_iter()
                     .find(|&(l, _)| l == label)
                     .expect("a model of the table");
                 // Memoized per model identity; a replay runs no kernel.
                 let run = hybrid_run(&workload, &machine, model, &[]);
-                run.percent(run.report.queuing_total().as_cycles())
+                (
+                    run.percent(run.report.queuing_total().as_cycles()),
+                    reference,
+                )
             },
         ),
     );
-    let reference = mesh_bench::iss_reference(&workload, &machine).pct;
-    for (name, pct) in labels.iter().zip(results) {
+    for (name, (pct, reference)) in labels.iter().zip(results) {
         table.row(vec![
             name.to_string(),
             format!("{pct:.4}"),

@@ -71,22 +71,19 @@ fn main() {
         .flat_map(|&(key, _)| PROC_SWEEP.map(|procs| (key, procs)))
         .collect();
     // The expensive shared sub-evaluation here is the adversarial ISS
-    // schedule set, which depends only on the processor count — the planner
-    // groups the three model rows of each grid column onto one reference.
+    // schedule set, which depends only on the processor count: the three
+    // model rows of each grid column share one, through the memo in
+    // process and on one worker when sharded. The grid is model-major, so
+    // its first three claims start the three distinct references.
     let results = mesh_bench::or_exit(
         "noc_sweep",
-        mesh_bench::eval::sweep_with_references(
+        mesh_bench::sweep::sweep_with_references(
             "noc_sweep",
             &points,
             |&(_, procs)| {
                 let workload = build(&UniformConfig::with_threads(procs));
                 let machine = fft_machine(procs, 8 * 1024, FFT_BUS_DELAY);
                 mesh_bench::adversarial_max_fp(&workload, &machine)
-            },
-            |&(_, procs)| {
-                let workload = build(&UniformConfig::with_threads(procs));
-                let machine = fft_machine(procs, 8 * 1024, FFT_BUS_DELAY);
-                mesh_bench::adversarial_bus_queuing_max(&workload, &machine);
             },
             |&(key, procs)| run_point(key, procs),
         ),

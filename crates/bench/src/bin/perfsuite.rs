@@ -249,6 +249,11 @@ fn bench_obs(suite: &mut Suite, workload: &Workload, machine: &MachineConfig, sa
     }
 }
 
+/// Samples behind every `kernel/` and `model/` median, in both modes. A
+/// kernel run takes about 15 µs, so one preemption on a shared host moves
+/// it 2x: a median of five samples failed the 2x gate on noise alone.
+const MICRO_SAMPLES: usize = 51;
+
 fn bench_kernel(suite: &mut Suite, samples: usize) {
     if suite.wants("kernel/fig4_fft") {
         // A Figure-4 FFT point: barrier-grained annotations, few large
@@ -463,11 +468,13 @@ fn main() {
         filter: args.filter.clone(),
         records: Vec::new(),
     };
-    // Sample counts: medians stabilize quickly; quick mode keeps CI short.
-    let (s_fast, s_sim) = if args.quick { (5, 3) } else { (15, 7) };
+    // Sample counts. Quick mode keeps CI short, except where the gate needs
+    // more: a `sweep/` median of three samples spread nearly 2x across
+    // runs of one build, so the 2x gate could not see a regression under it.
+    let (s_sim, s_sweep) = if args.quick { (3, 9) } else { (7, 15) };
 
-    bench_kernel(&mut suite, s_fast);
-    bench_models(&mut suite, s_fast);
+    bench_kernel(&mut suite, MICRO_SAMPLES);
+    bench_models(&mut suite, MICRO_SAMPLES);
 
     // Smoke-grid cyclesim runs exist in both modes so a quick CI run is
     // always comparable against a committed full baseline.
@@ -542,7 +549,7 @@ fn main() {
     // The result cache and the split-phase sweep grid, last so their
     // config juggling and cache clearing cannot perturb any other section.
     bench_store(&mut suite, s_sim);
-    bench_sweep(&mut suite, s_sim);
+    bench_sweep(&mut suite, s_sweep);
 
     let file = BenchFile {
         git_sha: sha.clone(),

@@ -1,18 +1,21 @@
-//! Miniature split-phase ablation sweep — the byte-identity test target.
+//! Miniature shared-reference ablation sweep — the byte-identity test
+//! target.
 //!
 //! Runs a small min-timeslice grid (FFT-4096 on 2 processors, 8 KB caches)
-//! through the exact planner entry point the real ablation binaries use
-//! ([`mesh_bench::eval::sweep_with_references`] feeding
-//! [`mesh_bench::compare`]), printing a table with wall-clock columns. The
+//! through the sweep entry point the real ablation binaries use
+//! ([`mesh_bench::sweep::sweep_with_references`] feeding
+//! [`mesh_bench::compare`]): every point shares one ISS reference through
+//! the memo in process, and the reference key keeps the grid on one worker
+//! when sharded. It prints a table with wall-clock columns. The
 //! `cache_identity` integration test spawns this binary cold, memo-warm and
 //! sharded and asserts the stdout bytes never change: cached legs replay
 //! their *recorded* wall clocks, so even the timing columns are reproduced
 //! exactly. A cold sharded run measures its own wall clocks; every other
-//! column must still match.
+//! column must still match, and it simulates the reference once.
 
 use mesh_annotate::AnnotationPolicy;
-use mesh_bench::sweep::FBits;
-use mesh_bench::{compare, eval, fft_machine, HybridOptions};
+use mesh_bench::sweep::{sweep_with_references, FBits};
+use mesh_bench::{compare, fft_machine, HybridOptions};
 use mesh_workloads::fft::{self, FftConfig};
 
 fn main() {
@@ -31,13 +34,10 @@ fn main() {
     println!("subeval-demo: min-timeslice ablation (FFT-4096, 2 procs, 8KB)");
     let results = mesh_bench::or_exit(
         "subeval-demo",
-        eval::sweep_with_references(
+        sweep_with_references(
             "subeval-demo",
             &grid,
             |_| mesh_bench::iss_reference_fp(&workload, &machine),
-            |_| {
-                mesh_bench::iss_reference(&workload, &machine);
-            },
             |m| {
                 compare(
                     &workload,

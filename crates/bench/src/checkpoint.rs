@@ -96,17 +96,6 @@ impl Checkpointable for f64 {
     }
 }
 
-/// The value of a sweep run only for its side effects (the planner's
-/// reference phase).
-impl Checkpointable for () {
-    fn encode(&self) -> String {
-        "-".to_string()
-    }
-    fn decode(s: &str) -> Option<()> {
-        (s.trim() == "-").then_some(())
-    }
-}
-
 impl Checkpointable for Duration {
     fn encode(&self) -> String {
         self.as_nanos().to_string()

@@ -9,10 +9,11 @@
 //!
 //! * **Opt-in sharding.** With [`SHARDS_ENV`] (`MESH_BENCH_SHARDS=n`) set,
 //!   both sweep entry points ([`crate::sweep::try_sweep_labeled`] and
-//!   [`crate::eval::sweep_with_references`]) shard the grid's unresolved
-//!   points across `n` workers: round-robin, or — for a planned grid — one
-//!   shard per reference group (`group % n`), so a shared reference is
-//!   computed by one worker only. Each worker is a **re-exec of the
+//!   [`crate::sweep::sweep_with_references`]) shard the grid's unresolved
+//!   points across `n` workers: round-robin, or — for a grid with a
+//!   reference key — one shard per reference group (`group % n`), so a
+//!   shared reference is computed by one worker only. This co-location is
+//!   the reference key's only job. Each worker is a **re-exec of the
 //!   current binary** (same executable, same argv) with
 //!   [`WORKER_SHARD_ENV`] set; the sweep dispatch recognizes the variable,
 //!   evaluates only the worker's assigned points, and exits — the worker
@@ -487,22 +488,37 @@ fn reap(shards: &mut [Shard]) {
     }
 }
 
+/// Each point's reference group: points with equal `reference_key`
+/// fingerprints share a group, and groups are numbered in first-occurrence
+/// order, so the assignment is deterministic.
+fn group_by_reference<K>(points: &[K], reference_key: &dyn Fn(&K) -> u128) -> Vec<u64> {
+    let mut group_of_fp: HashMap<u128, u64> = HashMap::new();
+    points
+        .iter()
+        .map(|key| {
+            let next = group_of_fp.len() as u64;
+            *group_of_fp.entry(reference_key(key)).or_insert(next)
+        })
+        .collect()
+}
+
 /// The parent entrypoint: shards `points` across `shards` supervised worker
 /// processes and performs the deterministic last-wins merge. See the
 /// [module docs](self) for the protocol; on any spawn failure the sweep
 /// completes on the in-process runner instead of erroring.
 ///
-/// `groups`, when given, holds each point's reference group from the
-/// [`crate::eval`] planner: a group's points all land on shard
-/// `group % shards`, so a sub-evaluation they share (an ISS reference) is
-/// computed once per *sweep* rather than once per *shard*. Without groups
-/// the points are dealt round-robin.
+/// `reference_key`, when given, is the reference key of
+/// [`crate::sweep::sweep_with_references`]: each point's group (see
+/// [`group_by_reference`]) lands on shard `group % shards`, so a
+/// sub-evaluation a group shares (an ISS reference) is computed once per
+/// *sweep* rather than once per *shard*. Without a key the points are dealt
+/// round-robin.
 pub(crate) fn run_sharded<K, V, F>(
     label: &str,
     points: &[K],
     user_ck: Option<&Checkpoint>,
     shards: usize,
-    groups: Option<&[u64]>,
+    reference_key: Option<&dyn Fn(&K) -> u128>,
     config: &RunConfig,
     eval: F,
 ) -> Result<Vec<V>, SweepError>
@@ -538,10 +554,11 @@ where
     // The shard of each `todo` entry. Both the plan file and the
     // supervision state derive from this one vector, so parent and workers
     // always agree.
+    let groups = reference_key.map(|key| group_by_reference(points, key));
     let assignment: Vec<usize> = todo
         .iter()
         .enumerate()
-        .map(|(j, &(index, _, _))| match groups {
+        .map(|(j, &(index, _, _))| match &groups {
             Some(groups) => (groups[index] % shards as u64) as usize,
             None => j % shards,
         })
@@ -1121,6 +1138,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn grouping_is_deterministic_and_first_occurrence_ordered() {
+        let points = vec![(0u64, 0u64), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)];
+        let groups = group_by_reference(&points, &|&(machine, _)| u128::from(machine + 7));
+        assert_eq!(groups, vec![0, 0, 1, 0, 1, 2]);
+    }
 
     #[test]
     fn plan_round_trips_and_filters_by_shard() {

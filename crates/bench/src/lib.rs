@@ -21,7 +21,6 @@
 
 pub mod checkpoint;
 pub mod config;
-pub mod eval;
 pub mod fabric;
 pub mod memo;
 pub mod perf;
@@ -494,9 +493,9 @@ impl crate::checkpoint::Checkpointable for HybridLeg {
 
 /// The sub-evaluation fingerprint of the cycle-accurate reference for a
 /// workload/machine pair: the key [`iss_reference`] memoizes under, and the
-/// grouping key the [`eval`] planner co-locates sweep points by. Depends
-/// only on the scenario — never on hybrid knobs — so every point of an
-/// ablation grid over one machine shares it.
+/// reference key that [`sweep::sweep_with_references`] co-locates a sharded
+/// grid's points by. Depends only on the scenario — never on hybrid knobs —
+/// so every point of an ablation grid over one machine shares it.
 ///
 /// # Panics
 ///
@@ -794,28 +793,31 @@ pub fn run_phm_point(idle1: f64, bus_delay: u64, seed: u64) -> ComparisonPoint {
     compare(&workload, &machine, HybridOptions::default())
 }
 
-/// Runs the cycle-accurate simulator under every adversarial schedule and
-/// returns the **maximum** observed bus queuing, in cycles — the
-/// adversarial ground truth a worst-case envelope must dominate.
+/// Runs (or replays) the adversarial leg of an envelope point: the
+/// **maximum** bus queuing, in cycles, that the cycle-accurate simulator
+/// observes under any adversarial schedule — the ground truth a worst-case
+/// envelope must dominate. Memoized under [`adversarial_max_fp`] in the
+/// in-process memo and — with `MESH_RESULT_CACHE` set — on disk.
 ///
 /// The schedules are fixed priority, reverse priority, and victim-last for
 /// every processor (`2 + n` schedules): deterministic work-conserving bus
 /// arbitrations of the cycle-accurate simulator, each chosen to starve some
 /// processor.
-///
-/// The maximum is memoized per scenario in the in-process memo and — with
-/// `MESH_RESULT_CACHE` set — on disk.
-///
-/// # Panics
-///
-/// Panics if the workload is invalid for the machine.
-pub fn adversarial_bus_queuing_max(workload: &Workload, machine: &MachineConfig) -> u64 {
-    adversarial_max_keyed(adversarial_max_fp(workload, machine), workload, machine)
-}
-
 fn adversarial_max_keyed(fp: u128, workload: &Workload, machine: &MachineConfig) -> u64 {
     let (max, origin) = memo::memoize_flagged(fp, || {
-        adversarial_bus_queuing_max_uncached(workload, machine)
+        let victims = (0..machine.procs.len()).map(Arbitration::VictimLast);
+        [Arbitration::FixedPriority, Arbitration::ReversePriority]
+            .into_iter()
+            .chain(victims)
+            .map(|arb| {
+                let mut m = machine.clone();
+                m.bus = m.bus.with_arbitration(arb);
+                mesh_cyclesim::simulate(workload, &m)
+                    .expect("adversarial cycle-accurate simulation failed")
+                    .bus_queuing_total()
+            })
+            .max()
+            .unwrap_or(0)
     });
     if origin.cached() {
         bump_subeval("bench.subeval.reference_shared");
@@ -824,8 +826,9 @@ fn adversarial_max_keyed(fp: u128, workload: &Workload, machine: &MachineConfig)
 }
 
 /// The sub-evaluation fingerprint of the adversarial-schedule maximum for a
-/// workload/machine pair — the grouping key `noc_sweep` hands the [`eval`]
-/// planner, so envelope points differing only in contention model share one
+/// workload/machine pair — the reference key `noc_sweep` hands
+/// [`sweep::sweep_with_references`], so under the fabric the envelope
+/// points differing only in contention model share one worker and one
 /// adversarial ISS sweep.
 ///
 /// # Panics
@@ -841,22 +844,6 @@ fn adversarial_key(workload_fp: u128, machine: &MachineConfig) -> u128 {
     scenario_fp_of("adversarial-max", workload_fp, machine)
         .word(0)
         .finish()
-}
-
-fn adversarial_bus_queuing_max_uncached(workload: &Workload, machine: &MachineConfig) -> u64 {
-    let victims = (0..machine.procs.len()).map(Arbitration::VictimLast);
-    [Arbitration::FixedPriority, Arbitration::ReversePriority]
-        .into_iter()
-        .chain(victims)
-        .map(|arb| {
-            let mut m = machine.clone();
-            m.bus = m.bus.with_arbitration(arb);
-            mesh_cyclesim::simulate(workload, &m)
-                .expect("adversarial cycle-accurate simulation failed")
-                .bus_queuing_total()
-        })
-        .max()
-        .unwrap_or(0)
 }
 
 /// One envelope-validation point: the hybrid kernel's mean and worst-case
@@ -1032,8 +1019,11 @@ fn hybrid_run_keyed<M: ContentionModel + 'static>(
 /// pass an empty slice to leave every thread at the default priority.
 ///
 /// The hybrid leg is [`hybrid_run`]; the adversarial leg is memoized
-/// separately (see [`adversarial_bus_queuing_max`]). Both keys share one
-/// pass over the workload's segments.
+/// separately under [`adversarial_max_fp`]. Both keys share one pass over
+/// the workload's segments. The adversarial leg runs first: its
+/// simulations compile the scenario's traces, and the hybrid leg's
+/// annotation profile is then read from them instead of walking the caches
+/// again.
 ///
 /// # Panics
 ///
@@ -1045,10 +1035,10 @@ pub fn run_envelope_point<M: ContentionModel + 'static>(
     priorities: &[u32],
 ) -> EnvelopePoint {
     let workload_fp = workload_fp(workload, machine);
-    let fp = hybrid_run_key(workload_fp, machine, &model, priorities);
-    let run = hybrid_run_keyed(fp, workload, machine, model, priorities);
     let fp = adversarial_key(workload_fp, machine);
     let adversarial = adversarial_max_keyed(fp, workload, machine);
+    let fp = hybrid_run_key(workload_fp, machine, &model, priorities);
+    let run = hybrid_run_keyed(fp, workload, machine, model, priorities);
     EnvelopePoint {
         mean_pct: run.percent(run.report.envelope.mean.as_cycles()),
         worst_pct: run.percent(run.report.envelope.worst.as_cycles()),

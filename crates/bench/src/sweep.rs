@@ -10,8 +10,9 @@
 //! Two public functions run a grid:
 //!
 //! * [`try_sweep_labeled`] — a grid of independent points;
-//! * [`crate::eval::sweep_with_references`] — a grid whose points share
-//!   expensive reference sub-evaluations, which it runs first.
+//! * [`sweep_with_references`] — a grid whose points share expensive
+//!   reference sub-evaluations. In process the single-flight memo shares
+//!   them; the reference key only keeps a group on one fabric worker.
 //!
 //! Both go through one dispatch, which reads the process's
 //! [`RunConfig`] first, so a misconfigured environment exits before any
@@ -296,24 +297,70 @@ where
     dispatch(label, points, None, eval)
 }
 
-/// The shared-reference plan of a grid run through
-/// [`crate::eval::sweep_with_references`].
-pub(crate) struct References<'a, K> {
-    /// The fingerprint of the reference a point shares; points with equal
-    /// fingerprints form one group.
-    pub(crate) key: &'a dyn Fn(&K) -> u128,
-    /// Computes (and thereby caches) one point's reference.
-    pub(crate) run: &'a (dyn Fn(&K) + Sync),
+/// Crash-isolated, resumable sweep of a grid whose points share expensive
+/// reference sub-evaluations — an ablation grid scoring many hybrid knob
+/// settings against one cycle-accurate reference per scenario.
+///
+/// Runs exactly like [`try_sweep_labeled`]; `eval` is the same hook. The
+/// sharing itself is the memo's: `eval` requests its reference through a
+/// memoized sub-evaluation (e.g. [`crate::iss_reference`]), the first point
+/// that needs a reference fills that reference's single-flight cell, and
+/// every other point of its group waits on the cell or reads it.
+///
+/// `reference_key` maps a point to the fingerprint of the reference it
+/// shares (e.g. [`crate::iss_reference_fp`]); points with equal keys form
+/// one group. It is called only under the multi-process fabric
+/// (`MESH_BENCH_SHARDS`), which puts each group's points on one worker
+/// process (`group % shards`, groups numbered in first-occurrence order),
+/// so n workers never compute one reference n ways.
+///
+/// In process, points are claimed in input order. Order the grid so that
+/// points with distinct references come first — interleaved rather than
+/// group by group — so the first claims start the distinct references in
+/// parallel; a grid ordered group by group computes them one after another.
+///
+/// # Examples
+///
+/// ```
+/// use mesh_bench::memo::memoize_flagged;
+/// use mesh_bench::sweep::sweep_with_references;
+///
+/// // Six (machine, knob) points over two machines, interleaved so both
+/// // references start at once; each machine's reference is computed once.
+/// let points: Vec<(u64, u64)> = (0..3).flat_map(|k| (0..2).map(move |m| (m, k))).collect();
+/// let reference_fp = |machine: u64| 0xD0C5_0000 + u128::from(machine);
+/// let values = sweep_with_references(
+///     "doc-references",
+///     &points,
+///     |&(machine, _)| reference_fp(machine),
+///     |&(machine, knob)| memoize_flagged(reference_fp(machine), || machine * 10).0 + knob,
+/// )
+/// .unwrap();
+/// assert_eq!(values, vec![0, 10, 1, 11, 2, 12]);
+/// ```
+pub fn sweep_with_references<K, V, F, G>(
+    label: &str,
+    points: &[K],
+    reference_key: G,
+    eval: F,
+) -> Result<Vec<V>, SweepError>
+where
+    K: Hash + Eq + Clone + Sync + fmt::Debug,
+    V: Clone + Send + Checkpointable,
+    F: Fn(&K) -> V + Sync,
+    G: Fn(&K) -> u128,
+{
+    dispatch(label, points, Some(&reference_key), eval)
 }
 
 /// The one dispatch behind both public entry points: a fabric worker
-/// evaluates its shard; otherwise a planned grid runs its reference phase,
-/// and the grid runs on the fabric (with the reference groups as
-/// co-location hints) or on the in-process runner.
-pub(crate) fn dispatch<K, V, F>(
+/// evaluates its shard; otherwise the grid runs on the fabric (with the
+/// reference key, when given, co-locating each group) or on the in-process
+/// runner.
+fn dispatch<K, V, F>(
     label: &str,
     points: &[K],
-    references: Option<References<'_, K>>,
+    reference_key: Option<&dyn Fn(&K) -> u128>,
     eval: F,
 ) -> Result<Vec<V>, SweepError>
 where
@@ -326,7 +373,6 @@ where
         // The parent already planned this worker's assignment.
         return crate::fabric::worker_sweep(worker, label, points, eval);
     }
-    let groups = references.map(|refs| crate::eval::reference_phase(label, points, &refs, config));
     let checkpoint = match &config.checkpoint {
         // A set but unusable path is an error: silently dropping the
         // resumability the user asked for would be worse than failing.
@@ -342,7 +388,7 @@ where
             points,
             checkpoint.as_ref(),
             shards,
-            groups.as_deref(),
+            reference_key,
             config,
             eval,
         ),
@@ -780,6 +826,38 @@ mod tests {
         .unwrap();
         assert_eq!(out, vec![6]);
         assert_eq!(attempts.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn shared_references_fill_once_per_group_in_process() {
+        // Fingerprints no other test uses: the memo is process-global.
+        const FP: u128 = 0x51F1_0000_0000_0000_0000_0000_0000_0100;
+        let reference_fp = |machine: u64| FP + u128::from(machine);
+        // 3 machines × 4 knob settings, interleaved.
+        let points: Vec<(u64, u64)> = (0..4u64)
+            .flat_map(|knob| (0..3u64).map(move |machine| (machine, knob)))
+            .collect();
+        let fills = AtomicU64::new(0);
+        let values = sweep_with_references(
+            "shared-references",
+            &points,
+            |&(machine, _)| reference_fp(machine),
+            |&(machine, knob)| {
+                let (reference, _) = crate::memo::memoize_flagged(reference_fp(machine), || {
+                    fills.fetch_add(1, Ordering::Relaxed);
+                    machine * 100
+                });
+                reference + knob
+            },
+        )
+        .unwrap();
+        let expected: Vec<u64> = points.iter().map(|&(m, k)| m * 100 + k).collect();
+        assert_eq!(values, expected);
+        assert_eq!(
+            fills.load(Ordering::Relaxed),
+            3,
+            "one reference fill per distinct machine"
+        );
     }
 
     #[test]

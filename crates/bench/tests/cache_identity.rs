@@ -2,9 +2,11 @@
 //! must produce the same simulated numbers with the result cache off and
 //! populating; a result-memo replay (from disk or from the in-process memo)
 //! must reproduce the populating point *exactly* (recorded wall clocks
-//! included); a planner-driven sweep's stdout must be byte-identical
+//! included); a shared-reference sweep's stdout must be byte-identical
 //! across {sub-memo cold, sub-memo warm, sharded over a warm memo}, and a
-//! cold sharded run must agree on every simulated column; distinct hybrid
+//! cold sharded run must agree on every simulated column and simulate the
+//! shared reference once; the four shared-reference binaries must walk
+//! each scenario's caches once, in process and sharded; distinct hybrid
 //! knob settings must never collide within a sub-evaluation
 //! fingerprint domain; the annotation-profile key must cover exactly
 //! the inputs a profile depends on; the `multi_resource` binary must print
@@ -15,7 +17,7 @@
 //!
 //! The in-process leg test mutates process-global cache configuration, so
 //! its legs run in sequence inside one test function; the stdout legs spawn
-//! the `subeval_demo` and `multi_resource` binaries, so each gets a
+//! `subeval_demo`, `multi_resource` and the other binaries, so each gets a
 //! pristine process.
 
 use mesh_annotate::AnnotationPolicy;
@@ -357,18 +359,98 @@ fn sweep_stdout_byte_identical_across_memo_and_sharding() {
     let sharded = demo_stdout(&[memo_env.clone(), ("MESH_BENCH_SHARDS", "2".into())]);
     assert_eq!(sharded, cold, "sharded run diverged");
 
-    // Leg 4: sharded with no result cache. The reference phase is skipped
-    // and the planner's reference groups co-locate the grid on one worker,
-    // which computes everything afresh: its own wall clocks, but every
-    // simulated column must match the cold in-process leg.
-    let sharded_cold = demo_stdout(&[("MESH_BENCH_SHARDS", "2".into())]);
+    // Leg 4: sharded with no result cache. The reference key co-locates
+    // the grid on one worker, which computes everything afresh: its own
+    // wall clocks, but every simulated column must match the cold
+    // in-process leg, and the merged counters show the shared reference
+    // simulated once, not once per worker.
+    let obs_dir = memo_dir.with_extension("obs");
+    let sharded_cold = demo_stdout(&[
+        ("MESH_BENCH_SHARDS", "2".into()),
+        ("MESH_OBS_OUT", obs_dir.display().to_string()),
+    ]);
     assert_eq!(
         simulated_columns(&sharded_cold),
         simulated_columns(&cold),
         "cold sharded run diverged on a simulated column"
     );
+    let metrics = std::fs::read_to_string(obs_dir.join("metrics.txt"))
+        .expect("the sharded run wrote its merged metrics");
+    assert_eq!(
+        counter(&metrics, "cyclesim.sim.runs"),
+        1,
+        "the reference group was split across workers:\n{metrics}"
+    );
 
     let _ = std::fs::remove_dir_all(&memo_dir);
+    let _ = std::fs::remove_dir_all(&obs_dir);
+}
+
+/// The four binaries whose grids share references walk each scenario's
+/// private caches once. Every point runs its cycle-accurate leg before its
+/// hybrid leg, so the one annotation profile per scenario is read from the
+/// traces the reference compiled (`noc_sweep` has three scenarios), and
+/// each shared reference is simulated once (`noc_sweep`'s three adversarial
+/// sets are 4, 6 and 10 simulations). Both hold in process and sharded
+/// with no result cache, where the reference key keeps each group on one
+/// worker process.
+#[test]
+fn shared_reference_binaries_walk_each_scenario_once() {
+    let base = std::env::temp_dir().join(format!(
+        "mesh-cache-identity-shared-references-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&base);
+    let binaries = [
+        (
+            "ablation_minslice",
+            env!("CARGO_BIN_EXE_ablation_minslice"),
+            1,
+            1,
+        ),
+        (
+            "ablation_granularity",
+            env!("CARGO_BIN_EXE_ablation_granularity"),
+            1,
+            1,
+        ),
+        (
+            "ablation_models",
+            env!("CARGO_BIN_EXE_ablation_models"),
+            1,
+            1,
+        ),
+        ("noc_sweep", env!("CARGO_BIN_EXE_noc_sweep"), 3, 20),
+    ];
+    let legs: [(&str, &[(&str, &str)]); 2] = [
+        ("in-process", &[("MESH_BENCH_JOBS", "2")]),
+        (
+            "sharded",
+            &[("MESH_BENCH_SHARDS", "2"), ("MESH_BENCH_JOBS", "1")],
+        ),
+    ];
+    for (name, exe, profiles, sim_runs) in binaries {
+        for (leg, knobs) in legs {
+            let obs = base.join(format!("{name}-{leg}"));
+            let mut envs: Vec<(&str, String)> =
+                knobs.iter().map(|&(k, v)| (k, v.to_string())).collect();
+            envs.push(("MESH_OBS_OUT", obs.display().to_string()));
+            bin_stdout(exe, &envs);
+            let metrics = std::fs::read_to_string(obs.join("metrics.txt"))
+                .expect("the run wrote its metrics");
+            assert_eq!(
+                counter(&metrics, "bench.subeval.annotation_from_trace"),
+                profiles,
+                "{name} {leg}: a profile walked the caches again:\n{metrics}"
+            );
+            assert_eq!(
+                counter(&metrics, "cyclesim.sim.runs"),
+                sim_runs,
+                "{name} {leg}: a shared reference was simulated twice:\n{metrics}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 /// The stderr replay note tells a cold run from a warm one. The demo's

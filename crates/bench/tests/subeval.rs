@@ -12,7 +12,7 @@
 //! the deltas.
 
 use mesh_annotate::AnnotationPolicy;
-use mesh_bench::{assemble_memoized, compare, eval, fft_machine, memo, HybridOptions};
+use mesh_bench::{assemble_memoized, compare, fft_machine, memo, sweep, HybridOptions};
 use mesh_models::Mm1Queue;
 use mesh_obs as obs;
 use mesh_workloads::fft::{self, FftConfig};
@@ -139,8 +139,9 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
     };
     assert_eq!(simulated(&fresh), simulated(&points[0]));
 
-    // The planner path must not change the count: a second distinct machine
-    // swept through `sweep_with_references` pays exactly one more simulate.
+    // The shared-reference sweep must not change the count: a second
+    // distinct machine swept through `sweep_with_references` pays exactly
+    // one more simulate.
     memo::clear_subeval_lru();
     let machine_b = fft_machine(2, 16 * 1024, 4);
     let runs_before = obs::counter("cyclesim.sim.runs").value();
@@ -149,13 +150,10 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
         .copied()
         .map(mesh_bench::sweep::FBits::new)
         .collect();
-    let planned = eval::sweep_with_references(
+    let planned = sweep::sweep_with_references(
         "subeval-once",
         &grid_bits,
         |_| mesh_bench::iss_reference_fp(&workload, &machine_b),
-        |_| {
-            mesh_bench::iss_reference(&workload, &machine_b);
-        },
         |m| {
             compare(
                 &workload,
@@ -167,12 +165,12 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
             )
         },
     )
-    .expect("planned sweep succeeds");
+    .expect("shared-reference sweep succeeds");
     assert_eq!(planned.len(), grid.len());
     assert_eq!(
         obs::counter("cyclesim.sim.runs").value() - runs_before,
         1,
-        "planner dispatch still runs cyclesim once per scenario"
+        "a shared-reference sweep still runs cyclesim once per scenario"
     );
 
     // A scenario no simulation has touched has no resident traces: its

@@ -11,7 +11,9 @@
 //! cargo run -p mesh-bench --bin ablation_models --release
 //! ```
 
-use mesh_bench::{ablation_models, fft_machine, hybrid_run, FFT_BUS_DELAY};
+use mesh_annotate::AnnotationPolicy;
+use mesh_bench::{ablation_models, fft_machine, hybrid_run, HybridOptions, FFT_BUS_DELAY};
+use mesh_core::model::NoContention;
 use mesh_metrics::{abs_percent_error, Table};
 use mesh_workloads::fft::{build, FftConfig};
 
@@ -52,11 +54,13 @@ fn main() {
                     .find(|&(l, _)| l == label)
                     .expect("a model of the table");
                 // Memoized per model identity; a replay runs no kernel.
-                let run = hybrid_run(&workload, &machine, model, &[]);
-                (
-                    run.percent(run.report.queuing_total().as_cycles()),
-                    reference,
-                )
+                let options = HybridOptions {
+                    policy: AnnotationPolicy::AtBarriers,
+                    min_timeslice: 0.0,
+                };
+                let no_io = None::<NoContention>;
+                let run = hybrid_run(&workload, &machine, model, no_io, options, &[]);
+                (run.percent(run.queuing), reference)
             },
         ),
     );

@@ -70,11 +70,12 @@ fn main() {
         .iter()
         .flat_map(|&(key, _)| PROC_SWEEP.map(|procs| (key, procs)))
         .collect();
-    // The expensive shared sub-evaluation here is the adversarial ISS
-    // schedule set, which depends only on the processor count: the three
-    // model rows of each grid column share one, through the memo in
-    // process and on one worker when sharded. The grid is model-major, so
-    // its first three claims start the three distinct references.
+    // The expensive shared legs here are the adversarial ISS schedules,
+    // which depend only on the processor count: the three model rows of
+    // each grid column share them, through the memo in process and on one
+    // worker when sharded, where the base machine's reference key stands
+    // for the column. The grid is model-major, so its first three claims
+    // start the three distinct schedule sets.
     let results = mesh_bench::or_exit(
         "noc_sweep",
         mesh_bench::sweep::sweep_with_references(
@@ -83,7 +84,7 @@ fn main() {
             |&(_, procs)| {
                 let workload = build(&UniformConfig::with_threads(procs));
                 let machine = fft_machine(procs, 8 * 1024, FFT_BUS_DELAY);
-                mesh_bench::adversarial_max_fp(&workload, &machine)
+                mesh_bench::iss_reference_fp(&workload, &machine)
             },
             |&(key, procs)| run_point(key, procs),
         ),

@@ -48,7 +48,7 @@
 use mesh_annotate::{assemble, AnnotationPolicy};
 use mesh_arch::MachineConfig;
 use mesh_bench::perf::{
-    check_regression, git_sha, time_median_batched_ns, time_median_ns, BenchFile, BenchRecord,
+    check_regression, time_median_batched_ns, time_median_ns, BenchFile, BenchRecord,
 };
 use mesh_bench::{fft_machine, phm_machine, FFT_BUS_DELAY, FFT_CACHES, FFT_PROC_SWEEP};
 use mesh_core::model::{ContentionModel, Slice, SliceRequest};
@@ -457,7 +457,7 @@ fn bench_sweep(suite: &mut Suite, samples: usize) {
 
 fn main() {
     let args = parse_args();
-    let sha = git_sha();
+    let sha = mesh_obs::report::git_sha();
     let mode = if args.quick { "quick" } else { "full" };
     println!("perfsuite ({mode}) at {sha}\n");
     // Read before the first section, so the cyclesim timings compile traces

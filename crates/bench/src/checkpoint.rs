@@ -130,23 +130,6 @@ tuple_checkpointable!(A:0, B:1; 2);
 tuple_checkpointable!(A:0, B:1, C:2; 3);
 tuple_checkpointable!(A:0, B:1, C:2, D:3; 4);
 
-/// A kernel [`Report`](mesh_core::Report) round-trips through its own
-/// lossless record encoding ([`to_record`](mesh_core::Report::to_record) /
-/// [`from_record`](mesh_core::Report::from_record)). The record is a
-/// multi-token line, so a `Report` cannot be a *component* of the tuple
-/// impls above (those consume one token per element) — compose it through a
-/// wrapper with a custom `decode` instead, as the result-memoization layer
-/// does.
-impl Checkpointable for mesh_core::Report {
-    fn encode(&self) -> String {
-        self.to_record()
-    }
-
-    fn decode(s: &str) -> Option<mesh_core::Report> {
-        mesh_core::Report::from_record(s)
-    }
-}
-
 /// Stable FNV-1a hash of a grid point's [`Hash`] feed.
 ///
 /// The standard library's default hasher is randomized per process, so it

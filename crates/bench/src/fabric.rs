@@ -397,6 +397,34 @@ fn read_plan(path: &Path, shard: usize) -> std::io::Result<Vec<u64>> {
 /// directories of successive sharded sweeps (including repeated labels).
 static SWEEP_SEQ: AtomicUsize = AtomicUsize::new(0);
 
+/// This process's scratch directory: sweep directories, the default
+/// session store, and flight records salvaged with no `MESH_OBS_OUT`.
+fn fabric_dir() -> PathBuf {
+    std::env::temp_dir().join(format!("mesh-fabric-{}", std::process::id()))
+}
+
+/// Deletes a sweep's scratch directory when dropped, so every exit path of
+/// [`run_sharded`] cleans up: the finished sweep, each fallback to the
+/// in-process runner, and an unwind.
+struct SweepScratch(PathBuf);
+
+impl Drop for SweepScratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Deletes what sharded sweeps leave behind once the run ends: the default
+/// session store, then the per-process scratch directory if that is now
+/// empty. A flight record salvaged there for a failed point keeps the
+/// directory. The store's path names this process, so it is never a user's
+/// `MESH_BENCH_CHECKPOINT` file. Called by [`crate::obs_finish`] and on
+/// [`crate::or_exit`]'s error exit.
+pub(crate) fn remove_scratch() {
+    let _ = std::fs::remove_file(fabric_dir().join("session.ckpt"));
+    let _ = std::fs::remove_dir(fabric_dir());
+}
+
 /// One supervised worker shard: its assignment, its child process and the
 /// incremental state of tailing its checkpoint.
 struct Shard {
@@ -545,8 +573,9 @@ where
 
     // ---- Scratch: plan file, worker checkpoints, session store --------
     let seq = SWEEP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let fabric_dir = std::env::temp_dir().join(format!("mesh-fabric-{}", std::process::id()));
+    let fabric_dir = fabric_dir();
     let sweep_dir = fabric_dir.join(format!("{slabel}-{seq}"));
+    let _scratch = SweepScratch(sweep_dir.clone());
     let session_own: Checkpoint;
     let session: &Checkpoint;
     let session_path: PathBuf;
@@ -869,7 +898,6 @@ where
     }
     reap(&mut worker_shards);
     absorb_workers(&mut worker_shards, &slabel);
-    let _ = std::fs::remove_dir_all(&sweep_dir);
     sweep::assemble(label, points, &merged, failures)
 }
 
@@ -951,8 +979,8 @@ fn absorb_workers(shards: &mut [Shard], slabel: &str) {
 /// Copies a dead worker's flight-recorder dump out of the (soon-deleted)
 /// sweep scratch directory, returning the preserved path: into the
 /// `MESH_OBS_OUT` directory when set, next to the scratch (the per-process
-/// fabric directory, which is never removed) otherwise. `None` when the
-/// worker never flushed a ring — e.g. the recorder is off.
+/// fabric directory, which [`remove_scratch`] then keeps) otherwise.
+/// `None` when the worker never flushed a ring — e.g. the recorder is off.
 fn salvage_flight_record(
     sweep_dir: &Path,
     slabel: &str,

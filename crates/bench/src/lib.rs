@@ -30,7 +30,7 @@ use mesh_annotate::{
     profile_task, AnnotationPolicy, HybridSetup, ProfiledWorkload, SegmentProfile,
 };
 use mesh_arch::{Arbitration, BusConfig, CacheConfig, MachineConfig, ProcConfig};
-use mesh_core::model::ContentionModel;
+use mesh_core::model::{ContentionModel, NoContention};
 use mesh_cyclesim::CycleReport;
 use mesh_metrics::abs_percent_error;
 use mesh_models::{
@@ -110,6 +110,7 @@ pub fn or_exit<T, E: std::fmt::Display>(context: &str, result: Result<T, E>) -> 
         Ok(value) => value,
         Err(e) => {
             eprintln!("{context}: {e}");
+            fabric::remove_scratch();
             std::process::exit(1);
         }
     }
@@ -121,10 +122,11 @@ pub fn or_exit<T, E: std::fmt::Display>(context: &str, result: Result<T, E>) -> 
 /// * with `MESH_BENCH_PROGRESS` on, a one-line cross-sweep trace-cache
 ///   summary goes to stderr (stdout is never touched);
 /// * [`mesh_obs::finish`] writes the metrics snapshot (`MESH_OBS_OUT`) and
-///   the Chrome-trace timeline (`MESH_OBS_TRACE`) if those were requested.
+///   the Chrome-trace timeline (`MESH_OBS_TRACE`) if those were requested;
+/// * the scratch files of sharded sweeps (`MESH_BENCH_SHARDS`) are removed.
 ///
-/// A complete no-op when neither progress reporting nor observability is
-/// enabled.
+/// Prints and writes nothing when neither progress reporting nor
+/// observability is enabled.
 pub fn obs_finish() {
     if config().progress {
         let s = mesh_cyclesim::cache_stats();
@@ -143,6 +145,7 @@ pub fn obs_finish() {
         }
     }
     mesh_obs::finish();
+    fabric::remove_scratch();
 }
 
 impl crate::checkpoint::Checkpointable for ComparisonPoint {
@@ -234,6 +237,18 @@ impl Default for HybridOptions {
     }
 }
 
+/// The trace layer's fingerprint of `workload` on `machine` — the one pass
+/// over every segment a point's memo keys need. A point computes it once
+/// (see [`Scenario`]) and derives each leg's key from it with
+/// [`scenario_fp_of`].
+///
+/// # Panics
+///
+/// Panics if the workload is invalid for the machine.
+fn workload_fp(workload: &Workload, machine: &MachineConfig) -> u128 {
+    mesh_cyclesim::workload_fingerprint(workload, machine, mesh_cyclesim::Pacing::default())
+}
+
 /// Starts a scenario fingerprint covering everything a workload/machine
 /// pair contributes to an evaluation: the trace layer's 128-bit workload
 /// fingerprint (segment content, per-processor timing, pacing) plus the
@@ -241,23 +256,6 @@ impl Default for HybridOptions {
 /// the trace key, so they are folded in here). Evaluation-specific knobs
 /// are appended by the caller before
 /// [`finish`](memo::ScenarioFp::finish)ing.
-///
-/// # Panics
-///
-/// Panics if the workload is invalid for the machine.
-pub fn scenario_fp(domain: &str, workload: &Workload, machine: &MachineConfig) -> memo::ScenarioFp {
-    scenario_fp_of(domain, workload_fp(workload, machine), machine)
-}
-
-/// The trace layer's fingerprint of `workload` on `machine` — the one pass
-/// over every segment a point's memo keys need. Evaluations with several
-/// legs compute it once and derive each leg's key from it with
-/// [`scenario_fp_of`].
-fn workload_fp(workload: &Workload, machine: &MachineConfig) -> u128 {
-    mesh_cyclesim::workload_fingerprint(workload, machine, mesh_cyclesim::Pacing::default())
-}
-
-/// [`scenario_fp`] from an already computed [`workload_fp`].
 fn scenario_fp_of(domain: &str, workload_fp: u128, machine: &MachineConfig) -> memo::ScenarioFp {
     memo::ScenarioFp::new(domain)
         .wide(workload_fp)
@@ -368,56 +366,40 @@ fn annotation_profiles(workload: &Workload, machine: &MachineConfig) -> Vec<Vec<
     profiles.0
 }
 
-/// As [`mesh_annotate::assemble`], but folding the scenario's memoized
+/// As [`mesh_annotate::assemble`] (or [`mesh_annotate::assemble_with_io`]
+/// when `io_model` is given), but folding the scenario's memoized
 /// annotation profile (see [`annotation_profile_fp`]): however many
-/// policies and models are assembled on one scenario, its cache pass runs
-/// once per process, or not at all once the persistent result cache holds
-/// it.
+/// policies, models and I/O delays are assembled on one scenario, its cache
+/// pass runs once per process, or not at all once the persistent result
+/// cache holds it. The hybrid leg of every evaluation assembles here.
 ///
 /// # Panics
 ///
-/// Panics if the workload is invalid for the machine or the machine has an
-/// I/O device.
-pub fn assemble_memoized<M: ContentionModel + 'static>(
+/// Panics if the workload is invalid for the machine, or if `io_model` is
+/// `None` for a machine with an I/O device or given for one without.
+pub fn assemble_memoized<M, I>(
     workload: &Workload,
     machine: &MachineConfig,
-    model: M,
-    policy: AnnotationPolicy,
-) -> HybridSetup {
-    let profiles = annotation_profiles(workload, machine);
-    ProfiledWorkload::new(workload, machine, &profiles)
-        .and_then(|profiled| profiled.assemble(model, policy))
-        .expect("hybrid assembly failed")
-}
-
-/// As [`mesh_annotate::assemble_with_io`], folding the scenario's memoized
-/// annotation profile like [`assemble_memoized`]: the I/O delay is not part
-/// of the profile key, so a sweep over it makes one cache pass.
-///
-/// # Panics
-///
-/// Panics if the workload is invalid for the machine or the machine has no
-/// I/O device.
-pub fn assemble_with_io_memoized<M1, M2>(
-    workload: &Workload,
-    machine: &MachineConfig,
-    bus_model: M1,
-    io_model: M2,
+    bus_model: M,
+    io_model: Option<I>,
     policy: AnnotationPolicy,
 ) -> HybridSetup
 where
-    M1: ContentionModel + 'static,
-    M2: ContentionModel + 'static,
+    M: ContentionModel + 'static,
+    I: ContentionModel + 'static,
 {
     let profiles = annotation_profiles(workload, machine);
     ProfiledWorkload::new(workload, machine, &profiles)
-        .and_then(|profiled| profiled.assemble_with_io(bus_model, io_model, policy))
+        .and_then(|profiled| match io_model {
+            None => profiled.assemble(bus_model, policy),
+            Some(io_model) => profiled.assemble_with_io(bus_model, io_model, policy),
+        })
         .expect("hybrid assembly failed")
 }
 
-/// The memoized product of the cycle-accurate reference sub-evaluation: the
-/// ground-truth queuing percentage plus the recorded wall clock and
-/// simulated-cycle count.
+/// The memoized product of the cycle-accurate leg: the ground-truth
+/// queuing percentage and per-resource queuing, plus the recorded wall
+/// clock and simulated-cycle count.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IssRef {
     /// Queuing percentage measured by the reference.
@@ -426,11 +408,24 @@ pub struct IssRef {
     pub wall: Duration,
     /// Simulated cycles of the reference run.
     pub cycles: u64,
+    /// Bus queuing, in cycles
+    /// ([`CycleReport::bus_queuing_total`]).
+    pub bus_queuing: u64,
+    /// I/O-device queuing, in cycles
+    /// ([`CycleReport::io_queuing_total`]; zero with no device).
+    pub io_queuing: u64,
 }
 
 impl crate::checkpoint::Checkpointable for IssRef {
     fn encode(&self) -> String {
-        [self.pct.encode(), self.wall.encode(), self.cycles.encode()].join(" ")
+        [
+            self.pct.encode(),
+            self.wall.encode(),
+            self.cycles.encode(),
+            self.bus_queuing.encode(),
+            self.io_queuing.encode(),
+        ]
+        .join(" ")
     }
 
     fn decode(s: &str) -> Option<IssRef> {
@@ -439,6 +434,8 @@ impl crate::checkpoint::Checkpointable for IssRef {
             pct: f64::decode(it.next()?)?,
             wall: Duration::decode(it.next()?)?,
             cycles: u64::decode(it.next()?)?,
+            bus_queuing: u64::decode(it.next()?)?,
+            io_queuing: u64::decode(it.next()?)?,
         };
         if it.next().is_some() {
             return None;
@@ -447,28 +444,61 @@ impl crate::checkpoint::Checkpointable for IssRef {
     }
 }
 
-/// The memoized product of the hybrid sub-evaluation.
+/// The memoized product of one hybrid run (see [`hybrid_run`]): the
+/// annotation totals and the kernel's report, reduced to what the
+/// experiments read. Times are in cycles.
 #[derive(Clone, Copy, Debug, PartialEq)]
-struct HybridLeg {
-    pct: f64,
-    wall: Duration,
-    cycles: f64,
-    regions: u64,
-    slices: u64,
-    work_cycles: u64,
-    misses: u64,
+pub struct HybridLeg {
+    /// Contention-free work cycles (the percentage denominator).
+    pub work_cycles: u64,
+    /// Shared bus accesses (cache misses).
+    pub misses: u64,
+    /// Wall-clock time of the kernel run that populated this value.
+    pub wall: Duration,
+    /// Total simulated time of the run.
+    pub total_cycles: f64,
+    /// Annotation regions committed.
+    pub commits: u64,
+    /// Timeslices analyzed.
+    pub slices: u64,
+    /// Total queuing, summed over threads.
+    pub queuing: f64,
+    /// Queuing the bus's model assigned.
+    pub bus_queuing: f64,
+    /// Queuing the I/O device's model assigned (zero with no device).
+    pub io_queuing: f64,
+    /// Mean of the run's queuing envelope.
+    pub envelope_mean: f64,
+    /// Worst case of the run's queuing envelope.
+    pub envelope_worst: f64,
+}
+
+impl HybridLeg {
+    /// `cycles` as a percentage of the run's work cycles (zero for a
+    /// workload without work).
+    pub fn percent(&self, cycles: f64) -> f64 {
+        if self.work_cycles == 0 {
+            0.0
+        } else {
+            100.0 * cycles / self.work_cycles as f64
+        }
+    }
 }
 
 impl crate::checkpoint::Checkpointable for HybridLeg {
     fn encode(&self) -> String {
         [
-            self.pct.encode(),
-            self.wall.encode(),
-            self.cycles.encode(),
-            self.regions.encode(),
-            self.slices.encode(),
             self.work_cycles.encode(),
             self.misses.encode(),
+            self.wall.encode(),
+            self.total_cycles.encode(),
+            self.commits.encode(),
+            self.slices.encode(),
+            self.queuing.encode(),
+            self.bus_queuing.encode(),
+            self.io_queuing.encode(),
+            self.envelope_mean.encode(),
+            self.envelope_worst.encode(),
         ]
         .join(" ")
     }
@@ -476,13 +506,17 @@ impl crate::checkpoint::Checkpointable for HybridLeg {
     fn decode(s: &str) -> Option<HybridLeg> {
         let mut it = s.split_whitespace();
         let v = HybridLeg {
-            pct: f64::decode(it.next()?)?,
-            wall: Duration::decode(it.next()?)?,
-            cycles: f64::decode(it.next()?)?,
-            regions: u64::decode(it.next()?)?,
-            slices: u64::decode(it.next()?)?,
             work_cycles: u64::decode(it.next()?)?,
             misses: u64::decode(it.next()?)?,
+            wall: Duration::decode(it.next()?)?,
+            total_cycles: f64::decode(it.next()?)?,
+            commits: u64::decode(it.next()?)?,
+            slices: u64::decode(it.next()?)?,
+            queuing: f64::decode(it.next()?)?,
+            bus_queuing: f64::decode(it.next()?)?,
+            io_queuing: f64::decode(it.next()?)?,
+            envelope_mean: f64::decode(it.next()?)?,
+            envelope_worst: f64::decode(it.next()?)?,
         };
         if it.next().is_some() {
             return None;
@@ -491,11 +525,13 @@ impl crate::checkpoint::Checkpointable for HybridLeg {
     }
 }
 
-/// The sub-evaluation fingerprint of the cycle-accurate reference for a
-/// workload/machine pair: the key [`iss_reference`] memoizes under, and the
-/// reference key that [`sweep::sweep_with_references`] co-locates a sharded
-/// grid's points by. Depends only on the scenario — never on hybrid knobs —
-/// so every point of an ablation grid over one machine shares it.
+/// The memo key of the cycle-accurate leg for a workload/machine pair: the
+/// key [`iss_reference`] memoizes under, and the reference key that
+/// [`sweep::sweep_with_references`] co-locates a sharded grid's points by.
+/// Depends only on the scenario — never on hybrid knobs — so every point of
+/// an ablation grid over one machine shares it. The machine's digest folds
+/// in the bus arbitration and the I/O device, so each adversarial schedule
+/// and each I/O delay has a leg of its own.
 ///
 /// # Panics
 ///
@@ -505,104 +541,49 @@ pub fn iss_reference_fp(workload: &Workload, machine: &MachineConfig) -> u128 {
 }
 
 fn iss_key(workload_fp: u128, machine: &MachineConfig) -> u128 {
-    scenario_fp_of("subeval-iss", workload_fp, machine).finish()
+    scenario_fp_of("iss-leg", workload_fp, machine).finish()
 }
 
-/// Runs (or replays) the cycle-accurate reference for a workload/machine
-/// pair, memoized under [`iss_reference_fp`] in the in-process memo and —
-/// with `MESH_RESULT_CACHE` set — the persistent result cache. Every sweep point sharing the scenario shares one
-/// simulation; concurrent callers are single-flighted.
+/// The memo key of [`hybrid_run`]: the scenario, then the bus model's
+/// identity, the I/O model's presence and identity, the annotation policy,
+/// the minimum timeslice and the priority assignment. Exposed so the
+/// cache-identity tests can prove every input moves it.
 ///
 /// # Panics
 ///
 /// Panics if the workload is invalid for the machine.
-pub fn iss_reference(workload: &Workload, machine: &MachineConfig) -> IssRef {
-    iss_reference_keyed(iss_reference_fp(workload, machine), workload, machine).0
-}
-
-fn iss_reference_keyed(
-    fp: u128,
+pub fn hybrid_fp(
     workload: &Workload,
     machine: &MachineConfig,
-) -> (IssRef, memo::Origin) {
-    let (iss, origin) = memo::memoize_flagged(fp, || {
-        let iss: CycleReport =
-            mesh_cyclesim::simulate(workload, machine).expect("cycle-accurate simulation failed");
-        IssRef {
-            pct: iss.queuing_percent(),
-            wall: iss.wall_clock,
-            cycles: iss.total_cycles,
-        }
-    });
-    if origin.cached() {
-        bump_subeval("bench.subeval.reference_shared");
-    }
-    (iss, origin)
-}
-
-/// The sub-evaluation fingerprint of the hybrid leg for a scenario and knob
-/// setting: scenario plus annotation policy, minimum timeslice and the
-/// contention model's identity. Exposed so the cache-identity tests can
-/// prove distinct knob settings never collide within the domain.
-///
-/// # Panics
-///
-/// Panics if the workload is invalid for the machine.
-pub fn hybrid_subeval_fp(
-    workload: &Workload,
-    machine: &MachineConfig,
+    bus_model: &dyn ContentionModel,
+    io_model: Option<&dyn ContentionModel>,
     options: HybridOptions,
+    priorities: &[u32],
 ) -> u128 {
-    hybrid_key(workload_fp(workload, machine), machine, options)
+    let fp = workload_fp(workload, machine);
+    hybrid_key(fp, machine, bus_model, io_model, options, priorities)
 }
 
-fn hybrid_key(workload_fp: u128, machine: &MachineConfig, options: HybridOptions) -> u128 {
+fn hybrid_key(
+    workload_fp: u128,
+    machine: &MachineConfig,
+    bus_model: &dyn ContentionModel,
+    io_model: Option<&dyn ContentionModel>,
+    options: HybridOptions,
+    priorities: &[u32],
+) -> u128 {
+    let fp = scenario_fp_of("hybrid-leg", workload_fp, machine).model(bus_model);
+    let fp = match io_model {
+        None => fp.word(0),
+        Some(io_model) => fp.word(1).model(io_model),
+    };
     let [ptag, parg] = policy_words(options.policy);
-    scenario_fp_of("subeval-hybrid", workload_fp, machine)
-        .word(ptag)
+    let priorities: Vec<u64> = priorities.iter().map(|&p| u64::from(p)).collect();
+    fp.word(ptag)
         .word(parg)
         .word(options.min_timeslice.to_bits())
-        .model(&ChenLinBus::new())
+        .words(&priorities)
         .finish()
-}
-
-fn hybrid_leg_keyed(
-    fp: u128,
-    workload: &Workload,
-    machine: &MachineConfig,
-    options: HybridOptions,
-) -> (HybridLeg, memo::Origin) {
-    let (leg, origin) = memo::memoize_flagged(fp, || {
-        let setup = assemble_memoized(workload, machine, ChenLinBus::new(), options.policy);
-        let work_cycles = setup.work_total();
-        let misses = setup.misses_total();
-        let mut builder = setup.builder;
-        builder.set_min_timeslice(mesh_core::SimTime::from_cycles(options.min_timeslice));
-        let outcome = builder
-            .build()
-            .expect("hybrid build failed")
-            .run()
-            .expect("hybrid run failed");
-        let queuing = outcome.report.queuing_total().as_cycles();
-        let pct = if work_cycles == 0 {
-            0.0
-        } else {
-            100.0 * queuing / work_cycles as f64
-        };
-        HybridLeg {
-            pct,
-            wall: outcome.report.wall_clock,
-            cycles: outcome.report.total_time.as_cycles(),
-            regions: outcome.report.commits,
-            slices: outcome.report.slices_analyzed,
-            work_cycles,
-            misses,
-        }
-    });
-    if origin.cached() {
-        bump_subeval("bench.subeval.hybrid_shared");
-    }
-    (leg, origin)
 }
 
 fn analytical_key(workload_fp: u128, machine: &MachineConfig, policy: AnnotationPolicy) -> u128 {
@@ -618,64 +599,190 @@ fn analytical_key(workload_fp: u128, machine: &MachineConfig, policy: Annotation
         .finish()
 }
 
-fn analytical_leg(
+/// A workload/machine pair and its [`workload_fp`], the one pass over the
+/// workload's segments that every memoized leg of a point keys from.
+#[derive(Clone, Copy)]
+struct Scenario<'a> {
+    workload: &'a Workload,
+    machine: &'a MachineConfig,
     fp: u128,
-    workload: &Workload,
-    machine: &MachineConfig,
-    policy: AnnotationPolicy,
-) -> f64 {
-    let (pct, origin) = memo::memoize_flagged(fp, || {
-        // Totals folded from the scenario's memoized annotation profile; no
-        // kernel system is built.
-        let cache_profiles = annotation_profiles(workload, machine);
-        let profiles: Vec<ThreadProfile> =
-            ProfiledWorkload::new(workload, machine, &cache_profiles)
-                .expect("hybrid assembly failed")
-                .task_stats(policy)
-                .iter()
-                .map(|t| {
-                    ThreadProfile::new(
-                        mesh_core::SimTime::from_cycles(t.work_cycles as f64),
-                        t.misses as f64,
-                    )
-                })
-                .collect();
-        let estimator = AnalyticalEstimator::new(
-            ChenLinBus::new(),
-            mesh_core::SimTime::from_cycles(machine.bus.delay_cycles as f64),
-        );
-        estimator.estimate(&profiles).queuing_percent()
-    });
-    if origin.cached() {
-        bump_subeval("bench.subeval.analytical_shared");
+}
+
+impl<'a> Scenario<'a> {
+    fn new(workload: &'a Workload, machine: &'a MachineConfig) -> Scenario<'a> {
+        let fp = workload_fp(workload, machine);
+        Scenario {
+            workload,
+            machine,
+            fp,
+        }
     }
-    pct
+
+    /// The scenario on `machine`, a variant of this one's whose processors
+    /// match: the workload fingerprint leaves out the bus and the I/O
+    /// device, so it carries over.
+    fn on(self, machine: &'a MachineConfig) -> Scenario<'a> {
+        Scenario { machine, ..self }
+    }
+
+    /// The cycle-accurate leg (see [`iss_reference`]).
+    fn iss(self) -> (IssRef, memo::Origin) {
+        let fp = iss_key(self.fp, self.machine);
+        let (iss, origin) = memo::memoize_flagged(fp, || {
+            let iss: CycleReport = mesh_cyclesim::simulate(self.workload, self.machine)
+                .expect("cycle-accurate simulation failed");
+            IssRef {
+                pct: iss.queuing_percent(),
+                wall: iss.wall_clock,
+                cycles: iss.total_cycles,
+                bus_queuing: iss.bus_queuing_total(),
+                io_queuing: iss.io_queuing_total(),
+            }
+        });
+        if origin.cached() {
+            bump_subeval("bench.subeval.reference_shared");
+        }
+        (iss, origin)
+    }
+
+    /// The hybrid leg (see [`hybrid_run`]).
+    fn hybrid<M, I>(
+        self,
+        bus_model: M,
+        io_model: Option<I>,
+        options: HybridOptions,
+        priorities: &[u32],
+    ) -> (HybridLeg, memo::Origin)
+    where
+        M: ContentionModel + 'static,
+        I: ContentionModel + 'static,
+    {
+        let io = io_model.as_ref().map(|m| m as &dyn ContentionModel);
+        let fp = hybrid_key(self.fp, self.machine, &bus_model, io, options, priorities);
+        let (leg, origin) = memo::memoize_flagged(fp, || {
+            let mut setup = assemble_memoized(
+                self.workload,
+                self.machine,
+                bus_model,
+                io_model,
+                options.policy,
+            );
+            for (&thread, &priority) in setup.threads.iter().zip(priorities) {
+                setup.builder.set_priority(thread, priority);
+            }
+            setup
+                .builder
+                .set_min_timeslice(mesh_core::SimTime::from_cycles(options.min_timeslice));
+            let (work_cycles, misses) = (setup.work_total(), setup.misses_total());
+            let (bus, io) = (setup.bus, setup.io);
+            let report = setup
+                .builder
+                .build()
+                .expect("hybrid build failed")
+                .run()
+                .expect("hybrid run failed")
+                .report;
+            let queuing_at = |shared: mesh_core::SharedId| report.shared[shared.index()].queuing;
+            HybridLeg {
+                work_cycles,
+                misses,
+                wall: report.wall_clock,
+                total_cycles: report.total_time.as_cycles(),
+                commits: report.commits,
+                slices: report.slices_analyzed,
+                queuing: report.queuing_total().as_cycles(),
+                bus_queuing: queuing_at(bus).as_cycles(),
+                io_queuing: io.map_or(0.0, |io| queuing_at(io).as_cycles()),
+                envelope_mean: report.envelope.mean.as_cycles(),
+                envelope_worst: report.envelope.worst.as_cycles(),
+            }
+        });
+        if origin.cached() {
+            bump_subeval("bench.subeval.hybrid_shared");
+        }
+        (leg, origin)
+    }
+
+    /// The whole-program analytical estimate's queuing percentage.
+    fn analytical(self, policy: AnnotationPolicy) -> f64 {
+        let Scenario {
+            workload, machine, ..
+        } = self;
+        let fp = analytical_key(self.fp, machine, policy);
+        let (pct, origin) = memo::memoize_flagged(fp, || {
+            // Totals folded from the scenario's memoized annotation profile; no
+            // kernel system is built.
+            let cache_profiles = annotation_profiles(workload, machine);
+            let profiles: Vec<ThreadProfile> =
+                ProfiledWorkload::new(workload, machine, &cache_profiles)
+                    .expect("hybrid assembly failed")
+                    .task_stats(policy)
+                    .iter()
+                    .map(|t| {
+                        ThreadProfile::new(
+                            mesh_core::SimTime::from_cycles(t.work_cycles as f64),
+                            t.misses as f64,
+                        )
+                    })
+                    .collect();
+            let estimator = AnalyticalEstimator::new(
+                ChenLinBus::new(),
+                mesh_core::SimTime::from_cycles(machine.bus.delay_cycles as f64),
+            );
+            estimator.estimate(&profiles).queuing_percent()
+        });
+        if origin.cached() {
+            bump_subeval("bench.subeval.analytical_shared");
+        }
+        pct
+    }
 }
 
-/// The memo keys of [`compare`]'s three legs, all derived from one
-/// [`workload_fp`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct CompareKeys {
-    iss: u128,
-    hybrid: u128,
-    analytical: u128,
+/// Runs (or replays) the cycle-accurate leg for a workload/machine pair,
+/// memoized under [`iss_reference_fp`] in the in-process memo and — with
+/// `MESH_RESULT_CACHE` set — the persistent result cache. Every sweep point
+/// sharing the scenario shares one simulation; concurrent callers are
+/// single-flighted.
+///
+/// # Panics
+///
+/// Panics if the workload is invalid for the machine.
+pub fn iss_reference(workload: &Workload, machine: &MachineConfig) -> IssRef {
+    Scenario::new(workload, machine).iss().0
 }
 
-fn compare_keys(
+/// Runs (or replays) the workload through the hybrid kernel, memoized under
+/// [`hybrid_fp`] in the in-process memo and — with `MESH_RESULT_CACHE` set
+/// — the persistent result cache. `bus_model` resolves contention on the
+/// shared bus and `io_model` on the machine's I/O device (`None` for a
+/// machine without one); `priorities` assigns arbitration priorities to the
+/// logical threads in task order (higher = more important, consumed by
+/// priority-class models; an empty slice leaves every thread at the
+/// default). The run folds the scenario's memoized annotation profile.
+///
+/// # Panics
+///
+/// Panics if the workload is invalid for the machine, or if `io_model` is
+/// `None` for a machine with an I/O device or given for one without.
+pub fn hybrid_run<M, I>(
     workload: &Workload,
     machine: &MachineConfig,
+    bus_model: M,
+    io_model: Option<I>,
     options: HybridOptions,
-) -> CompareKeys {
-    let workload_fp = workload_fp(workload, machine);
-    CompareKeys {
-        iss: iss_key(workload_fp, machine),
-        hybrid: hybrid_key(workload_fp, machine, options),
-        analytical: analytical_key(workload_fp, machine, options.policy),
-    }
+    priorities: &[u32],
+) -> HybridLeg
+where
+    M: ContentionModel + 'static,
+    I: ContentionModel + 'static,
+{
+    let scenario = Scenario::new(workload, machine);
+    scenario.hybrid(bus_model, io_model, options, priorities).0
 }
 
 /// Runs all three estimators on a workload/machine pair as independently
-/// memoized **sub-evaluations** — cycle-accurate reference, hybrid run, and
+/// memoized legs — the cycle-accurate leg ([`iss_reference`]), the hybrid
+/// leg ([`hybrid_run`] with the Chen–Lin model on the bus) and the
 /// whole-program analytical estimate — each cached in the in-process memo
 /// and (with `MESH_RESULT_CACHE` set) the persistent result cache under its
 /// own fingerprint domain. A sweep that varies only
@@ -698,20 +805,21 @@ pub fn compare(
     machine: &MachineConfig,
     options: HybridOptions,
 ) -> ComparisonPoint {
-    let keys = compare_keys(workload, machine, options);
-    let (iss, iss_origin) = iss_reference_keyed(keys.iss, workload, machine);
-    let (hybrid, hybrid_origin) = hybrid_leg_keyed(keys.hybrid, workload, machine, options);
-    let analytical_pct = analytical_leg(keys.analytical, workload, machine, options.policy);
+    let scenario = Scenario::new(workload, machine);
+    let (iss, iss_origin) = scenario.iss();
+    let no_io = None::<NoContention>;
+    let (hybrid, hybrid_origin) = scenario.hybrid(ChenLinBus::new(), no_io, options, &[]);
+    let analytical_pct = scenario.analytical(options.policy);
 
     ComparisonPoint {
         iss_pct: iss.pct,
-        mesh_pct: hybrid.pct,
+        mesh_pct: hybrid.percent(hybrid.queuing),
         analytical_pct,
         iss_wall: iss.wall,
         mesh_wall: hybrid.wall,
         iss_cycles: iss.cycles,
-        mesh_cycles: hybrid.cycles,
-        mesh_regions: hybrid.regions,
+        mesh_cycles: hybrid.total_cycles,
+        mesh_regions: hybrid.commits,
         mesh_slices: hybrid.slices,
         work_cycles: hybrid.work_cycles,
         misses: hybrid.misses,
@@ -793,59 +901,6 @@ pub fn run_phm_point(idle1: f64, bus_delay: u64, seed: u64) -> ComparisonPoint {
     compare(&workload, &machine, HybridOptions::default())
 }
 
-/// Runs (or replays) the adversarial leg of an envelope point: the
-/// **maximum** bus queuing, in cycles, that the cycle-accurate simulator
-/// observes under any adversarial schedule — the ground truth a worst-case
-/// envelope must dominate. Memoized under [`adversarial_max_fp`] in the
-/// in-process memo and — with `MESH_RESULT_CACHE` set — on disk.
-///
-/// The schedules are fixed priority, reverse priority, and victim-last for
-/// every processor (`2 + n` schedules): deterministic work-conserving bus
-/// arbitrations of the cycle-accurate simulator, each chosen to starve some
-/// processor.
-fn adversarial_max_keyed(fp: u128, workload: &Workload, machine: &MachineConfig) -> u64 {
-    let (max, origin) = memo::memoize_flagged(fp, || {
-        let victims = (0..machine.procs.len()).map(Arbitration::VictimLast);
-        [Arbitration::FixedPriority, Arbitration::ReversePriority]
-            .into_iter()
-            .chain(victims)
-            .map(|arb| {
-                let mut m = machine.clone();
-                m.bus = m.bus.with_arbitration(arb);
-                mesh_cyclesim::simulate(workload, &m)
-                    .expect("adversarial cycle-accurate simulation failed")
-                    .bus_queuing_total()
-            })
-            .max()
-            .unwrap_or(0)
-    });
-    if origin.cached() {
-        bump_subeval("bench.subeval.reference_shared");
-    }
-    max
-}
-
-/// The sub-evaluation fingerprint of the adversarial-schedule maximum for a
-/// workload/machine pair — the reference key `noc_sweep` hands
-/// [`sweep::sweep_with_references`], so under the fabric the envelope
-/// points differing only in contention model share one worker and one
-/// adversarial ISS sweep.
-///
-/// # Panics
-///
-/// Panics if the workload is invalid for the machine.
-pub fn adversarial_max_fp(workload: &Workload, machine: &MachineConfig) -> u128 {
-    adversarial_key(workload_fp(workload, machine), machine)
-}
-
-fn adversarial_key(workload_fp: u128, machine: &MachineConfig) -> u128 {
-    // The zero word is the one the schedule-set selector folded for its
-    // full set, kept so result caches written with the selector replay.
-    scenario_fp_of("adversarial-max", workload_fp, machine)
-        .word(0)
-        .finish()
-}
-
 /// One envelope-validation point: the hybrid kernel's mean and worst-case
 /// queuing for a given model, against the adversarial ISS maximum.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -895,121 +950,6 @@ impl crate::checkpoint::Checkpointable for EnvelopePoint {
     }
 }
 
-/// The product of one memoized hybrid run with annotations at barriers (see
-/// [`hybrid_run`]): the work-cycle denominator plus the kernel's full
-/// [`Report`](mesh_core::Report), round-tripped losslessly through the
-/// report's record encoding.
-#[derive(Clone, Debug)]
-pub struct HybridRun {
-    /// Contention-free work cycles (the percentage denominator).
-    pub work_cycles: u64,
-    /// The kernel's report of the run.
-    pub report: mesh_core::Report,
-}
-
-impl HybridRun {
-    /// `cycles` as a percentage of the run's work cycles (zero for a
-    /// workload without work).
-    pub fn percent(&self, cycles: f64) -> f64 {
-        if self.work_cycles == 0 {
-            0.0
-        } else {
-            100.0 * cycles / self.work_cycles as f64
-        }
-    }
-}
-
-impl crate::checkpoint::Checkpointable for HybridRun {
-    fn encode(&self) -> String {
-        format!("{} {}", self.work_cycles, self.report.to_record())
-    }
-
-    fn decode(s: &str) -> Option<HybridRun> {
-        let (work, report) = s.split_once(' ')?;
-        Some(HybridRun {
-            work_cycles: work.parse().ok()?,
-            report: mesh_core::Report::decode(report)?,
-        })
-    }
-}
-
-/// The memo key of [`hybrid_run`]: the scenario plus the model's name and
-/// [`digest_words`](ContentionModel::digest_words) and the priority
-/// assignment.
-///
-/// # Panics
-///
-/// Panics if the workload is invalid for the machine.
-pub fn hybrid_run_fp(
-    workload: &Workload,
-    machine: &MachineConfig,
-    model: &dyn ContentionModel,
-    priorities: &[u32],
-) -> u128 {
-    hybrid_run_key(workload_fp(workload, machine), machine, model, priorities)
-}
-
-fn hybrid_run_key(
-    workload_fp: u128,
-    machine: &MachineConfig,
-    model: &dyn ContentionModel,
-    priorities: &[u32],
-) -> u128 {
-    let priorities: Vec<u64> = priorities.iter().map(|&p| u64::from(p)).collect();
-    scenario_fp_of("envelope-hybrid", workload_fp, machine)
-        .model(model)
-        .words(&priorities)
-        .finish()
-}
-
-/// Runs (or replays) the workload through the hybrid kernel with `model` on
-/// the shared bus and annotations at barriers, memoized under
-/// [`hybrid_run_fp`] in the in-process memo and — with `MESH_RESULT_CACHE`
-/// set — the persistent result cache. `priorities`
-/// assigns arbitration priorities to the logical threads in task order, as
-/// in [`run_envelope_point`].
-///
-/// # Panics
-///
-/// Panics if the workload is invalid for the machine.
-pub fn hybrid_run<M: ContentionModel + 'static>(
-    workload: &Workload,
-    machine: &MachineConfig,
-    model: M,
-    priorities: &[u32],
-) -> HybridRun {
-    let fp = hybrid_run_fp(workload, machine, &model, priorities);
-    hybrid_run_keyed(fp, workload, machine, model, priorities)
-}
-
-fn hybrid_run_keyed<M: ContentionModel + 'static>(
-    fp: u128,
-    workload: &Workload,
-    machine: &MachineConfig,
-    model: M,
-    priorities: &[u32],
-) -> HybridRun {
-    let (run, _) = memo::memoize_flagged(fp, || {
-        let mut setup = assemble_memoized(workload, machine, model, AnnotationPolicy::AtBarriers);
-        for (&thread, &priority) in setup.threads.iter().zip(priorities) {
-            setup.builder.set_priority(thread, priority);
-        }
-        let work_cycles = setup.work_total();
-        let report = setup
-            .builder
-            .build()
-            .expect("hybrid build failed")
-            .run()
-            .expect("hybrid run failed")
-            .report;
-        HybridRun {
-            work_cycles,
-            report,
-        }
-    });
-    run
-}
-
 /// Runs one envelope-validation point: the workload through the hybrid
 /// kernel with `model` on the shared bus (annotations at barriers), and the
 /// cycle-accurate simulator under every adversarial schedule.
@@ -1018,12 +958,16 @@ fn hybrid_run_keyed<M: ContentionModel + 'static>(
 /// task order (higher = more important, consumed by priority-class models);
 /// pass an empty slice to leave every thread at the default priority.
 ///
-/// The hybrid leg is [`hybrid_run`]; the adversarial leg is memoized
-/// separately under [`adversarial_max_fp`]. Both keys share one pass over
-/// the workload's segments. The adversarial leg runs first: its
-/// simulations compile the scenario's traces, and the hybrid leg's
-/// annotation profile is then read from them instead of walking the caches
-/// again.
+/// The schedules are fixed priority, reverse priority, and victim-last for
+/// every processor (`2 + n` schedules): deterministic work-conserving bus
+/// arbitrations of the cycle-accurate simulator, each chosen to starve some
+/// processor. Each is one cycle-accurate leg keyed by its machine (see
+/// [`iss_reference_fp`]), and the largest bus queuing among them is the
+/// ground truth the worst-case envelope must dominate. The hybrid leg is
+/// [`hybrid_run`]'s. Every key shares one pass over the workload's
+/// segments. The schedule legs run first: their simulations compile the
+/// scenario's traces, and the hybrid leg's annotation profile is then read
+/// from them instead of walking the caches again.
 ///
 /// # Panics
 ///
@@ -1034,14 +978,27 @@ pub fn run_envelope_point<M: ContentionModel + 'static>(
     model: M,
     priorities: &[u32],
 ) -> EnvelopePoint {
-    let workload_fp = workload_fp(workload, machine);
-    let fp = adversarial_key(workload_fp, machine);
-    let adversarial = adversarial_max_keyed(fp, workload, machine);
-    let fp = hybrid_run_key(workload_fp, machine, &model, priorities);
-    let run = hybrid_run_keyed(fp, workload, machine, model, priorities);
+    let scenario = Scenario::new(workload, machine);
+    let victims = (0..machine.procs.len()).map(Arbitration::VictimLast);
+    let adversarial = [Arbitration::FixedPriority, Arbitration::ReversePriority]
+        .into_iter()
+        .chain(victims)
+        .map(|arbitration| {
+            let mut schedule = machine.clone();
+            schedule.bus = schedule.bus.with_arbitration(arbitration);
+            scenario.on(&schedule).iss().0.bus_queuing
+        })
+        .max()
+        .unwrap_or(0);
+    let options = HybridOptions {
+        policy: AnnotationPolicy::AtBarriers,
+        min_timeslice: 0.0,
+    };
+    let no_io = None::<NoContention>;
+    let (run, _) = scenario.hybrid(model, no_io, options, priorities);
     EnvelopePoint {
-        mean_pct: run.percent(run.report.envelope.mean.as_cycles()),
-        worst_pct: run.percent(run.report.envelope.worst.as_cycles()),
+        mean_pct: run.percent(run.envelope_mean),
+        worst_pct: run.percent(run.envelope_worst),
         adversarial_pct: run.percent(adversarial as f64),
         work_cycles: run.work_cycles,
     }
@@ -1086,34 +1043,12 @@ impl crate::checkpoint::Checkpointable for ResourcePoint {
     }
 }
 
-/// The memo key of [`compare_resources`]: the scenario — every segment's
-/// I/O operations and the machine's I/O device included — plus both models'
-/// identities and the annotation policy.
-///
-/// # Panics
-///
-/// Panics if the workload is invalid for the machine.
-pub fn resource_point_fp(
-    workload: &Workload,
-    machine: &MachineConfig,
-    bus_model: &dyn ContentionModel,
-    io_model: &dyn ContentionModel,
-    policy: AnnotationPolicy,
-) -> u128 {
-    let [ptag, parg] = policy_words(policy);
-    scenario_fp("multi-resource", workload, machine)
-        .word(ptag)
-        .word(parg)
-        .model(bus_model)
-        .model(io_model)
-        .finish()
-}
-
-/// Runs (or replays) one multi-resource point: the cycle-accurate reference
-/// and the hybrid kernel with `bus_model` on the bus and `io_model` on the
-/// I/O device, compared per resource. Memoized under [`resource_point_fp`]
-/// like the other evaluations; the hybrid leg folds the scenario's memoized
-/// annotation profile (see [`assemble_with_io_memoized`]).
+/// Runs (or replays) one multi-resource point: the cycle-accurate leg and
+/// the hybrid leg with `bus_model` on the bus and `io_model` on the I/O
+/// device, compared per resource. Both legs are the memoized ones every
+/// other evaluation uses (see [`iss_reference`] and [`hybrid_run`]); the
+/// cycle-accurate leg runs first, so the hybrid leg reads the scenario's
+/// annotation profile from the traces it compiled.
 ///
 /// # Panics
 ///
@@ -1130,30 +1065,19 @@ where
     M1: ContentionModel + 'static,
     M2: ContentionModel + 'static,
 {
-    let fp = resource_point_fp(workload, machine, &bus_model, &io_model, policy);
-    let (point, _) = memo::memoize_flagged(fp, || {
-        let iss =
-            mesh_cyclesim::simulate(workload, machine).expect("cycle-accurate simulation failed");
-        let setup = assemble_with_io_memoized(workload, machine, bus_model, io_model, policy);
-        let work = setup.work_total() as f64;
-        let bus = setup.bus;
-        let io = setup.io.expect("machine has an I/O device");
-        let report = setup
-            .builder
-            .build()
-            .expect("hybrid build failed")
-            .run()
-            .expect("hybrid run failed")
-            .report;
-        let pct = |queuing: f64| 100.0 * queuing / work;
-        ResourcePoint {
-            mesh_bus_pct: pct(report.shared[bus.index()].queuing.as_cycles()),
-            iss_bus_pct: pct(iss.bus_queuing_total() as f64),
-            mesh_io_pct: pct(report.shared[io.index()].queuing.as_cycles()),
-            iss_io_pct: pct(iss.io_queuing_total() as f64),
-        }
-    });
-    point
+    let scenario = Scenario::new(workload, machine);
+    let (iss, _) = scenario.iss();
+    let options = HybridOptions {
+        policy,
+        min_timeslice: 0.0,
+    };
+    let (hybrid, _) = scenario.hybrid(bus_model, Some(io_model), options, &[]);
+    ResourcePoint {
+        mesh_bus_pct: hybrid.percent(hybrid.bus_queuing),
+        iss_bus_pct: hybrid.percent(iss.bus_queuing as f64),
+        mesh_io_pct: hybrid.percent(hybrid.io_queuing),
+        iss_io_pct: hybrid.percent(iss.io_queuing as f64),
+    }
 }
 
 /// The interchangeable contention models of the `ablation_models` table
@@ -1219,68 +1143,6 @@ mod tests {
         assert!((p.mesh_error() - 10.0).abs() < 1e-9);
         assert!((p.analytical_error() - 70.0).abs() < 1e-9);
         assert!((p.speedup() - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn compare_derives_every_leg_key_from_one_fingerprint() {
-        let workload = scenario::build(&PhmConfig::with_second_idle(0.45));
-        let machine = phm_machine(8);
-        let model = ChenLinBus::new();
-        for (policy, min_timeslice) in [
-            (AnnotationPolicy::PerSegment, 0.0),
-            (AnnotationPolicy::AtBarriers, 250.0),
-            (AnnotationPolicy::EverySegments(3), 1000.0),
-        ] {
-            let options = HybridOptions {
-                policy,
-                min_timeslice,
-            };
-            let keys = compare_keys(&workload, &machine, options);
-            let [ptag, parg] = policy_words(policy);
-            let analytical = scenario_fp("subeval-analytical", &workload, &machine)
-                .word(ptag)
-                .word(parg)
-                .text(model.name())
-                .words(&model.digest_words())
-                .finish();
-            assert_eq!(keys.iss, iss_reference_fp(&workload, &machine));
-            assert_eq!(keys.hybrid, hybrid_subeval_fp(&workload, &machine, options));
-            assert_eq!(keys.analytical, analytical, "{policy:?}");
-        }
-    }
-
-    /// A persistent result cache written by an earlier build keeps
-    /// replaying only while every key stays bit-identical; these are one
-    /// small scenario's keys as earlier builds computed them.
-    #[test]
-    fn memo_keys_stay_pinned() {
-        let workload = fft::build(&FftConfig {
-            points: 1024,
-            threads: 2,
-            ..FftConfig::default()
-        });
-        let machine = fft_machine(2, 8 * 1024, 4);
-        let options = HybridOptions {
-            policy: AnnotationPolicy::EverySegments(3),
-            min_timeslice: 250.0,
-        };
-        let keys = compare_keys(&workload, &machine, options);
-        assert_eq!(keys.iss, 0x7f08057cf81c2ade843e2edac064f83c);
-        assert_eq!(keys.hybrid, 0x779444ff4c9fc6d84971b6a47132d344);
-        assert_eq!(keys.analytical, 0x5d0925784b22bd41672e19ea8622b88b);
-        let workload_fp = workload_fp(&workload, &machine);
-        assert_eq!(
-            hybrid_run_key(workload_fp, &machine, &ChenLinBus::new(), &[2, 1]),
-            0xa9e4109289bd8569a349de226819e1e4
-        );
-        assert_eq!(
-            adversarial_key(workload_fp, &machine),
-            0x7f998b8d63d9f3b23b302ce41f99d041
-        );
-        assert_eq!(
-            annotation_profile_fp(&workload, &machine),
-            0xe182223b3ce433aaa3844e009be4d29d
-        );
     }
 
     #[test]

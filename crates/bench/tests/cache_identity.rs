@@ -7,24 +7,27 @@
 //! cold sharded run must agree on every simulated column and simulate the
 //! shared reference once; the four shared-reference binaries must walk
 //! each scenario's caches once, in process and sharded; distinct hybrid
-//! knob settings must never collide within a sub-evaluation
-//! fingerprint domain; the annotation-profile key must cover exactly
-//! the inputs a profile depends on; the `multi_resource` binary must print
-//! the same bytes with and without a cache and replay a warm one without
-//! simulating, and compile each distinct trace once at any worker count;
-//! and the keys of its points and of the `ablation_models` rows must
-//! separate every input that changes them.
+//! knob settings must never collide within the hybrid leg's domain; the
+//! annotation-profile key must cover exactly the inputs a profile depends
+//! on; the `multi_resource` binary must print the same bytes with and
+//! without a cache and replay a warm one without simulating, and compile
+//! each distinct trace once at any worker count; and the keys of the
+//! cycle-accurate and hybrid legs — whose callers include every
+//! `multi_resource` point, every `noc_sweep` schedule and every
+//! `ablation_models` row — must separate every input that changes them.
 //!
-//! The in-process leg test mutates process-global cache configuration, so
-//! its legs run in sequence inside one test function; the stdout legs spawn
+//! `compare` must also store its legs under the keys earlier builds pinned.
+//!
+//! The two in-process tests mutate process-global cache configuration, so
+//! they hold one lock and run in sequence; the stdout legs spawn
 //! `subeval_demo`, `multi_resource` and the other binaries, so each gets a
 //! pristine process.
 
 use mesh_annotate::AnnotationPolicy;
 use mesh_arch::{Arbitration, BusConfig, CacheConfig, IoConfig, MachineConfig, ProcConfig};
 use mesh_bench::{
-    ablation_models, annotation_profile_fp, compare, fft_machine, hybrid_run_fp, memo,
-    resource_point_fp, ComparisonPoint, HybridOptions, FFT_BUS_DELAY,
+    ablation_models, annotation_profile_fp, compare, fft_machine, hybrid_fp, iss_reference_fp,
+    memo, ComparisonPoint, HybridOptions, FFT_BUS_DELAY,
 };
 use mesh_core::model::ContentionModel;
 use mesh_models::{ChenLinBus, Md1Queue, Mm1Queue};
@@ -33,6 +36,13 @@ use mesh_workloads::{MemPattern, Segment, SegmentKind, TaskProgram, Workload};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::process::Command;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests that set the process-global result cache.
+fn global_cache() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// The simulation-determined fields — everything except the two measured
 /// wall clocks, which legitimately differ run to run. Floats are compared
@@ -59,6 +69,7 @@ fn point() -> ComparisonPoint {
 
 #[test]
 fn results_identical_across_cache_configurations() {
+    let _global = global_cache();
     let unique = format!("mesh-cache-identity-{}", std::process::id());
     let memo_dir = std::env::temp_dir().join(format!("{unique}-memo"));
     let _ = std::fs::remove_dir_all(&memo_dir);
@@ -111,6 +122,60 @@ fn results_identical_across_cache_configurations() {
 
     memo::set_result_cache(None);
     let _ = std::fs::remove_dir_all(&memo_dir);
+}
+
+/// A persistent result cache written by an earlier build keeps replaying
+/// only while every key stays bit-identical. These are one small
+/// scenario's keys as earlier builds computed them, read back as the names
+/// of the entries `compare` itself stores, so editing the arguments of any
+/// of its legs fails here. The public keys name the same entries.
+#[test]
+fn memo_keys_stay_pinned() {
+    const ISS: u128 = 0xe035981bc176fd29ee8091b2efed38bc;
+    const HYBRID: u128 = 0x2e9c23b1bf38fae64791543a2d1e2ece;
+    const ANALYTICAL: u128 = 0x5d0925784b22bd41672e19ea8622b88b;
+    const PROFILE: u128 = 0xe182223b3ce433aaa3844e009be4d29d;
+    let workload = fft::build(&FftConfig {
+        points: 1024,
+        threads: 2,
+        ..FftConfig::default()
+    });
+    let machine = fft_machine(2, 8 * 1024, 4);
+    let options = HybridOptions {
+        policy: AnnotationPolicy::EverySegments(3),
+        min_timeslice: 250.0,
+    };
+    assert_eq!(iss_reference_fp(&workload, &machine), ISS);
+    let chen_lin = ChenLinBus::new();
+    assert_eq!(
+        hybrid_fp(&workload, &machine, &chen_lin, None, options, &[]),
+        HYBRID
+    );
+    assert_eq!(annotation_profile_fp(&workload, &machine), PROFILE);
+
+    let _global = global_cache();
+    let memo_dir = std::env::temp_dir().join(format!(
+        "mesh-cache-identity-pins-{}-memo",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&memo_dir);
+    memo::set_result_cache(Some(&memo_dir));
+    memo::clear_subeval_lru();
+    compare(&workload, &machine, options);
+    memo::set_result_cache(None);
+    let mut stored: Vec<String> = std::fs::read_dir(&memo_dir)
+        .expect("read the result cache")
+        .map(|e| e.expect("list the result cache").file_name())
+        .map(|name| name.to_string_lossy().into_owned())
+        .collect();
+    stored.sort();
+    let _ = std::fs::remove_dir_all(&memo_dir);
+    let mut pinned: Vec<String> = [ISS, HYBRID, ANALYTICAL, PROFILE]
+        .iter()
+        .map(|fp| format!("{fp:032x}.res"))
+        .collect();
+    pinned.sort();
+    assert_eq!(stored, pinned, "compare stored its legs under other keys");
 }
 
 /// Two tasks exercising every segment and pattern field.
@@ -591,28 +656,90 @@ fn multi_resource_compiles_each_trace_once_at_any_job_count() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// The `multi-resource` key covers what a point depends on: the I/O delay,
-/// each segment's I/O operations, either resource's model (bus and I/O
-/// models are not interchangeable in the key) and the annotation policy.
+/// The cycle-accurate key covers the machine the simulator runs: each of
+/// the `2 + n` adversarial arbitration schedules of an `n`-processor
+/// machine has a key of its own, none equal to the base machine's, and the
+/// I/O delay, the device's presence and each segment's I/O operations move
+/// the key too.
 #[test]
-fn resource_point_fingerprint_covers_its_inputs() {
+fn iss_fingerprint_covers_its_inputs() {
+    let w = profile_workload();
+    let machine = |io_delay| profile_machine().with_io(IoConfig::new(io_delay));
+    let m = machine(8);
+    let base = iss_reference_fp(&w, &m);
+    assert_eq!(base, iss_reference_fp(&w.clone(), &m.clone()));
+
+    let mut seen = HashSet::from([base]);
+    let victims = (0..m.procs.len()).map(Arbitration::VictimLast);
+    for arbitration in [Arbitration::FixedPriority, Arbitration::ReversePriority]
+        .into_iter()
+        .chain(victims)
+    {
+        let mut schedule = m.clone();
+        schedule.bus = schedule.bus.with_arbitration(arbitration);
+        assert!(
+            seen.insert(iss_reference_fp(&w, &schedule)),
+            "{arbitration:?} left the key unchanged"
+        );
+    }
+    assert_eq!(seen.len(), 1 + 2 + m.procs.len());
+    for io_delay in [4, 16, 32] {
+        assert!(
+            seen.insert(iss_reference_fp(&w, &machine(io_delay))),
+            "I/O delay {io_delay} left the key unchanged"
+        );
+    }
+    assert!(
+        seen.insert(iss_reference_fp(&w, &profile_machine())),
+        "dropping the I/O device left the key unchanged"
+    );
+    for t in 0..w.tasks.len() {
+        for s in 0..w.tasks[t].segments.len() {
+            let mut edited = w.clone();
+            edited.tasks[t].segments[s].io_ops += 1;
+            assert!(
+                seen.insert(iss_reference_fp(&edited, &m)),
+                "task {t} segment {s} io_ops left the key unchanged"
+            );
+        }
+    }
+}
+
+/// The hybrid key covers every input of a hybrid leg: the I/O delay, each
+/// segment's I/O operations, the bus model, the I/O model's presence and
+/// identity (bus and I/O models are not interchangeable in the key), the
+/// annotation policy, the minimum timeslice and the priorities. It never
+/// equals the cycle-accurate key of the same scenario.
+#[test]
+fn hybrid_fingerprint_covers_its_inputs() {
     let w = profile_workload();
     let machine = |io_delay| profile_machine().with_io(IoConfig::new(io_delay));
     let m = machine(8);
     let (chen_lin, md1, mm1) = (ChenLinBus::new(), Md1Queue::new(), Mm1Queue::new());
+    let options = HybridOptions::default();
     let fp = |w: &Workload,
               m: &MachineConfig,
               bus: &dyn ContentionModel,
-              io: &dyn ContentionModel,
-              policy| resource_point_fp(w, m, bus, io, policy);
-    let policy = AnnotationPolicy::PerSegment;
-    let base = fp(&w, &m, &chen_lin, &md1, policy);
-    assert_eq!(base, fp(&w.clone(), &m.clone(), &chen_lin, &md1, policy));
+              io: Option<&dyn ContentionModel>,
+              options: HybridOptions,
+              priorities: &[u32]| hybrid_fp(w, m, bus, io, options, priorities);
+    let base = fp(&w, &m, &chen_lin, Some(&md1), options, &[]);
+    assert_eq!(
+        base,
+        fp(&w.clone(), &m.clone(), &chen_lin, Some(&md1), options, &[])
+    );
 
     let mut seen = HashSet::from([base]);
     for io_delay in [4, 16, 32] {
         assert!(
-            seen.insert(fp(&w, &machine(io_delay), &chen_lin, &md1, policy)),
+            seen.insert(fp(
+                &w,
+                &machine(io_delay),
+                &chen_lin,
+                Some(&md1),
+                options,
+                &[]
+            )),
             "I/O delay {io_delay} left the key unchanged"
         );
     }
@@ -621,46 +748,68 @@ fn resource_point_fingerprint_covers_its_inputs() {
             let mut edited = w.clone();
             edited.tasks[t].segments[s].io_ops += 1;
             assert!(
-                seen.insert(fp(&edited, &m, &chen_lin, &md1, policy)),
+                seen.insert(fp(&edited, &m, &chen_lin, Some(&md1), options, &[])),
                 "task {t} segment {s} io_ops left the key unchanged"
             );
         }
     }
-    let models: [(&str, &dyn ContentionModel, &dyn ContentionModel); 3] = [
-        ("I/O model md1 -> mm1", &chen_lin, &mm1),
-        ("bus model chen-lin -> mm1", &mm1, &md1),
-        ("models swapped", &md1, &chen_lin),
+    let models: [(&str, &dyn ContentionModel, Option<&dyn ContentionModel>); 4] = [
+        ("I/O model md1 -> mm1", &chen_lin, Some(&mm1)),
+        ("bus model chen-lin -> mm1", &mm1, Some(&md1)),
+        ("models swapped", &md1, Some(&chen_lin)),
+        ("no I/O model", &chen_lin, None),
     ];
     for (name, bus, io) in models {
-        assert!(seen.insert(fp(&w, &m, bus, io, policy)), "{name}");
+        assert!(seen.insert(fp(&w, &m, bus, io, options, &[])), "{name}");
     }
     for policy in [
         AnnotationPolicy::AtBarriers,
         AnnotationPolicy::EverySegments(2),
         AnnotationPolicy::EverySegments(3),
     ] {
+        let options = HybridOptions { policy, ..options };
         assert!(
-            seen.insert(fp(&w, &m, &chen_lin, &md1, policy)),
+            seen.insert(fp(&w, &m, &chen_lin, Some(&md1), options, &[])),
             "{policy:?} left the key unchanged"
         );
     }
+    for min_timeslice in [1.0, 250.0, 1e6] {
+        let options = HybridOptions {
+            min_timeslice,
+            ..options
+        };
+        assert!(
+            seen.insert(fp(&w, &m, &chen_lin, Some(&md1), options, &[])),
+            "minimum timeslice {min_timeslice} left the key unchanged"
+        );
+    }
+    for priorities in [&[1, 2][..], &[2, 1], &[1]] {
+        assert!(
+            seen.insert(fp(&w, &m, &chen_lin, Some(&md1), options, priorities)),
+            "priorities {priorities:?} left the key unchanged"
+        );
+    }
     assert!(
-        !seen.contains(&mesh_bench::iss_reference_fp(&w, &m)),
-        "the multi-resource domain collided with the reference domain"
+        !seen.contains(&iss_reference_fp(&w, &m)),
+        "the hybrid domain collided with the cycle-accurate domain"
     );
 }
 
-/// Every row of `ablation_models` replays its own hybrid run: the ten
+/// Every row of `ablation_models` replays its own hybrid leg: the ten
 /// models give ten distinct keys on the binary's scenario.
 #[test]
-fn ablation_models_have_distinct_hybrid_run_keys() {
+fn ablation_models_have_distinct_hybrid_keys() {
     let workload = fft::build(&FftConfig::with_threads(8));
     let machine = fft_machine(8, 512 * 1024, FFT_BUS_DELAY);
+    let options = HybridOptions {
+        policy: AnnotationPolicy::AtBarriers,
+        min_timeslice: 0.0,
+    };
     let models = ablation_models();
     assert_eq!(models.len(), 10);
     let keys: HashSet<u128> = models
         .iter()
-        .map(|(_, model)| hybrid_run_fp(&workload, &machine, model.as_ref(), &[]))
+        .map(|(_, model)| hybrid_fp(&workload, &machine, model.as_ref(), None, options, &[]))
         .collect();
     assert_eq!(keys.len(), models.len(), "two ablation models share a key");
 }
@@ -668,12 +817,11 @@ fn ablation_models_have_distinct_hybrid_run_keys() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Sub-evaluation fingerprints for distinct (policy, min_timeslice)
-    /// knob settings never collide within the hybrid domain, and the
-    /// reference domain never collides with the hybrid domain on the same
-    /// scenario.
+    /// Hybrid keys for distinct (policy, min_timeslice) knob settings never
+    /// collide, and the cycle-accurate key never collides with a hybrid key
+    /// on the same scenario.
     #[test]
-    fn hybrid_subeval_fingerprints_never_collide(
+    fn hybrid_fingerprints_never_collide(
         raw_timeslices in proptest::collection::vec(0u64..1_000_000, 1..8),
         seg in 1usize..64,
     ) {
@@ -692,11 +840,8 @@ proptest! {
         let mut seen: HashSet<u128> = HashSet::new();
         for policy in policies {
             for &ts in &timeslices {
-                let fp = mesh_bench::hybrid_subeval_fp(
-                    &workload,
-                    &machine,
-                    HybridOptions { policy, min_timeslice: ts as f64 },
-                );
+                let options = HybridOptions { policy, min_timeslice: ts as f64 };
+                let fp = hybrid_fp(&workload, &machine, &ChenLinBus::new(), None, options, &[]);
                 prop_assert!(
                     seen.insert(fp),
                     "fingerprint collision at policy {policy:?} ts {ts}"
@@ -705,7 +850,7 @@ proptest! {
         }
         // Cross-domain: the reference key never aliases a hybrid key.
         prop_assert!(
-            !seen.contains(&mesh_bench::iss_reference_fp(&workload, &machine)),
+            !seen.contains(&iss_reference_fp(&workload, &machine)),
             "reference domain collided with hybrid domain"
         );
     }
@@ -725,7 +870,7 @@ proptest! {
             return; // identical identities legitimately collide
         }
         let fp = |name: &str, digest: u64| {
-            memo::ScenarioFp::new("subeval-hybrid")
+            memo::ScenarioFp::new("hybrid-leg")
                 .wide(0xFEED)
                 .text(name)
                 .words(&[digest])

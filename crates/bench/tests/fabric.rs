@@ -21,7 +21,12 @@ const WORKER_EXE: &str = env!("CARGO_BIN_EXE_mesh_worker");
 /// variable removed so the ambient environment can neither steer nor
 /// invalidate the subject.
 fn command(envs: &[(&str, String)]) -> Command {
-    let mut cmd = Command::new(WORKER_EXE);
+    command_of(WORKER_EXE, envs)
+}
+
+/// As [`command`], for any binary of the crate.
+fn command_of(exe: &str, envs: &[(&str, String)]) -> Command {
+    let mut cmd = Command::new(exe);
     for (key, _) in std::env::vars_os() {
         if key.to_string_lossy().starts_with("MESH_") {
             cmd.env_remove(key);
@@ -284,4 +289,47 @@ fn fail_point_injection_is_honored_inside_workers() {
         stderr.contains("poisoning point #2 2 of sweep 'demo'"),
         "injected failure poisons the right point: {stderr}"
     );
+}
+
+/// A sharded run leaves nothing in its temp directory once it ends: not
+/// the sweep directories with their plan files, not the default session
+/// store, and not the per-process directory that held them. That holds
+/// with worker processes and on the in-process fallback after every worker
+/// spawn failed.
+#[test]
+fn sharded_runs_leave_no_scratch_behind() {
+    let legs = [("workers", None), ("spawn-failure", Some("/nonexistent"))];
+    for (leg, fabric_exe) in legs {
+        let tmp = temp_dir(&format!("scratch-{leg}"));
+        std::fs::remove_dir_all(&tmp).expect("clear the temp directory");
+        std::fs::create_dir_all(&tmp).expect("create the temp directory");
+        let mut envs = vec![
+            ("MESH_BENCH_SHARDS", "2".to_string()),
+            ("MESH_BENCH_JOBS", "1".to_string()),
+        ];
+        if let Some(exe) = fabric_exe {
+            envs.push(("MESH_FABRIC_EXE", exe.to_string()));
+        }
+        let out = command_of(env!("CARGO_BIN_EXE_fig5"), &envs)
+            .env("TMPDIR", &tmp)
+            .output()
+            .expect("spawning fig5 from a test must work");
+        assert!(out.status.success(), "{leg}: fig5 failed: {out:?}");
+        let left: Vec<_> = walk(&tmp);
+        assert!(left.is_empty(), "{leg}: the run left {left:?}");
+        std::fs::remove_dir_all(&tmp).expect("remove the temp directory");
+    }
+}
+
+/// Every file and directory under `dir`, depth first.
+fn walk(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("readable directory") {
+        let path = entry.expect("readable entry").path();
+        if path.is_dir() {
+            found.extend(walk(&path));
+        }
+        found.push(path);
+    }
+    found
 }

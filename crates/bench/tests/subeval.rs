@@ -13,6 +13,7 @@
 
 use mesh_annotate::AnnotationPolicy;
 use mesh_bench::{assemble_memoized, compare, fft_machine, memo, sweep, HybridOptions};
+use mesh_core::model::NoContention;
 use mesh_models::Mm1Queue;
 use mesh_obs as obs;
 use mesh_workloads::fft::{self, FftConfig};
@@ -108,6 +109,7 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
         &workload,
         &machine,
         Mm1Queue::new(),
+        None::<NoContention>,
         AnnotationPolicy::AtBarriers,
     );
     assert_eq!(setup.misses_total(), points[0].misses);
@@ -121,6 +123,7 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
         &workload,
         &machine,
         Mm1Queue::new(),
+        None::<NoContention>,
         AnnotationPolicy::AtBarriers,
     );
     let fresh = compare(&workload, &machine, knobs[0]);
@@ -180,15 +183,16 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
     memo::clear_subeval_lru();
     let untouched = fft_machine(2, 32 * 1024, 4);
     let policy = AnnotationPolicy::PerSegment;
+    let no_io = None::<NoContention>;
     let from_trace_before = from_trace();
-    let walked = assemble_memoized(&workload, &untouched, Mm1Queue::new(), policy);
+    let walked = assemble_memoized(&workload, &untouched, Mm1Queue::new(), no_io, policy);
     assert_eq!(from_trace(), from_trace_before, "no trace was resident");
     let fresh =
         mesh_annotate::assemble(&workload, &untouched, Mm1Queue::new(), policy).expect("assembles");
     assert_eq!(walked.tasks, fresh.tasks);
     mesh_bench::iss_reference(&workload, &untouched);
     memo::clear_subeval_lru();
-    let read = assemble_memoized(&workload, &untouched, Mm1Queue::new(), policy);
+    let read = assemble_memoized(&workload, &untouched, Mm1Queue::new(), no_io, policy);
     assert_eq!(from_trace() - from_trace_before, 1);
     assert_eq!(read.tasks, walked.tasks);
 }

@@ -222,200 +222,6 @@ impl Report {
             self.procs[proc.index()].busy / self.total_time
         }
     }
-
-    /// Serializes the complete report as one whitespace-tokenized line —
-    /// the wire format of `mesh-bench`'s result-memoization cache.
-    /// Lossless: every time and access count travels as its IEEE-754 bit
-    /// pattern, the wall clock as integer nanoseconds, and incident details
-    /// as hex-encoded UTF-8, so [`Report::from_record`] reconstructs a
-    /// field-identical (`==`) report.
-    pub fn to_record(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(64 + 96 * self.threads.len());
-        let t = |v: SimTime| format!("{:016x}", v.as_cycles().to_bits());
-        let f = |v: f64| format!("{:016x}", v.to_bits());
-        write!(
-            out,
-            "v1 {} {} {} {} {} {} {}",
-            t(self.total_time),
-            self.commits,
-            self.slices_analyzed,
-            self.kernel_steps,
-            self.wall_clock.as_nanos(),
-            t(self.envelope.mean),
-            t(self.envelope.worst),
-        )
-        .expect("writing to a String cannot fail");
-        write!(out, " T {}", self.threads.len()).expect("infallible");
-        for th in &self.threads {
-            let finished = match th.finished_at {
-                None => "-".to_string(),
-                Some(v) => t(v),
-            };
-            write!(
-                out,
-                " {} {} {} {} {} {} {} {}",
-                th.regions,
-                t(th.busy),
-                t(th.queuing),
-                t(th.queuing_worst),
-                t(th.blocked),
-                t(th.ready_wait),
-                f(th.accesses),
-                finished,
-            )
-            .expect("infallible");
-        }
-        write!(out, " P {}", self.procs.len()).expect("infallible");
-        for p in &self.procs {
-            write!(out, " {} {}", t(p.busy), p.regions).expect("infallible");
-        }
-        write!(out, " S {}", self.shared.len()).expect("infallible");
-        for s in &self.shared {
-            write!(
-                out,
-                " {} {} {} {}",
-                f(s.accesses),
-                t(s.queuing),
-                t(s.queuing_worst),
-                s.contended_slices,
-            )
-            .expect("infallible");
-        }
-        write!(out, " I {}", self.incidents.len()).expect("infallible");
-        for i in &self.incidents {
-            let action = match i.action {
-                crate::supervisor::FaultAction::Clamped => 0,
-                crate::supervisor::FaultAction::FellBack => 1,
-            };
-            let mut detail = String::with_capacity(2 * i.detail.len().max(1));
-            if i.detail.is_empty() {
-                detail.push('-');
-            } else {
-                for b in i.detail.bytes() {
-                    write!(detail, "{b:02x}").expect("infallible");
-                }
-            }
-            write!(
-                out,
-                " {} {} {} {}",
-                t(i.at),
-                i.shared.index(),
-                action,
-                detail,
-            )
-            .expect("infallible");
-        }
-        out
-    }
-
-    /// Parses a line produced by [`Report::to_record`]. Returns `None` on
-    /// any malformation — unknown version, missing or trailing tokens,
-    /// non-hex bit patterns — never panics: the result cache treats a
-    /// `None` as a corrupt entry to quarantine and recompute.
-    pub fn from_record(text: &str) -> Option<Report> {
-        let mut tok = text.split_whitespace();
-        if tok.next()? != "v1" {
-            return None;
-        }
-        fn time(tok: &mut std::str::SplitWhitespace<'_>) -> Option<SimTime> {
-            Some(SimTime::from_cycles_unchecked(f64::from_bits(
-                u64::from_str_radix(tok.next()?, 16).ok()?,
-            )))
-        }
-        fn float(tok: &mut std::str::SplitWhitespace<'_>) -> Option<f64> {
-            Some(f64::from_bits(u64::from_str_radix(tok.next()?, 16).ok()?))
-        }
-        fn int<T: std::str::FromStr>(tok: &mut std::str::SplitWhitespace<'_>) -> Option<T> {
-            tok.next()?.parse().ok()
-        }
-        fn tag(tok: &mut std::str::SplitWhitespace<'_>, expect: &str) -> Option<()> {
-            (tok.next()? == expect).then_some(())
-        }
-        let mut report = Report {
-            total_time: time(&mut tok)?,
-            commits: int(&mut tok)?,
-            slices_analyzed: int(&mut tok)?,
-            kernel_steps: int(&mut tok)?,
-            wall_clock: std::time::Duration::from_nanos(int(&mut tok)?),
-            ..Report::default()
-        };
-        report.envelope = Envelope {
-            mean: time(&mut tok)?,
-            worst: time(&mut tok)?,
-        };
-        tag(&mut tok, "T")?;
-        let threads: usize = int(&mut tok)?;
-        for _ in 0..threads {
-            report.threads.push(ThreadReport {
-                regions: int(&mut tok)?,
-                busy: time(&mut tok)?,
-                queuing: time(&mut tok)?,
-                queuing_worst: time(&mut tok)?,
-                blocked: time(&mut tok)?,
-                ready_wait: time(&mut tok)?,
-                accesses: float(&mut tok)?,
-                finished_at: match tok.next()? {
-                    "-" => None,
-                    bits => Some(SimTime::from_cycles_unchecked(f64::from_bits(
-                        u64::from_str_radix(bits, 16).ok()?,
-                    ))),
-                },
-            });
-        }
-        tag(&mut tok, "P")?;
-        let procs: usize = int(&mut tok)?;
-        for _ in 0..procs {
-            report.procs.push(ProcReport {
-                busy: time(&mut tok)?,
-                regions: int(&mut tok)?,
-            });
-        }
-        tag(&mut tok, "S")?;
-        let shared: usize = int(&mut tok)?;
-        for _ in 0..shared {
-            report.shared.push(SharedReport {
-                accesses: float(&mut tok)?,
-                queuing: time(&mut tok)?,
-                queuing_worst: time(&mut tok)?,
-                contended_slices: int(&mut tok)?,
-            });
-        }
-        tag(&mut tok, "I")?;
-        let incidents: usize = int(&mut tok)?;
-        for _ in 0..incidents {
-            let at = time(&mut tok)?;
-            let shared = crate::ids::SharedId::from_index(int(&mut tok)?);
-            let action = match int::<u8>(&mut tok)? {
-                0 => crate::supervisor::FaultAction::Clamped,
-                1 => crate::supervisor::FaultAction::FellBack,
-                _ => return None,
-            };
-            let hex = tok.next()?;
-            let detail = if hex == "-" {
-                String::new()
-            } else {
-                if hex.len() % 2 != 0 {
-                    return None;
-                }
-                let bytes: Option<Vec<u8>> = (0..hex.len() / 2)
-                    .map(|i| u8::from_str_radix(hex.get(2 * i..2 * i + 2)?, 16).ok())
-                    .collect();
-                String::from_utf8(bytes?).ok()?
-            };
-            report.incidents.push(crate::supervisor::Incident {
-                at,
-                shared,
-                detail,
-                action,
-            });
-        }
-        // Trailing tokens mean the line is not one of ours.
-        if tok.next().is_some() {
-            return None;
-        }
-        Some(report)
-    }
 }
 
 #[cfg(test)]
@@ -485,77 +291,6 @@ mod tests {
         };
         assert_eq!(r.queuing_worst_total().as_cycles(), 20.0);
         assert!((r.queuing_worst_percent() - 20.0).abs() < 1e-12);
-    }
-
-    fn full_report() -> Report {
-        use crate::ids::SharedId;
-        use crate::supervisor::{FaultAction, Incident};
-        let mut r = report_with(&[80.5, 20.25], &[8.125, 2.0625]);
-        r.threads[0].regions = 7;
-        r.threads[0].queuing_worst = SimTime::from_cycles(16.5);
-        r.threads[0].blocked = SimTime::from_cycles(3.75);
-        r.threads[0].ready_wait = SimTime::from_cycles(0.5);
-        r.threads[0].accesses = 123.456;
-        r.threads[0].finished_at = Some(SimTime::from_cycles(99.875));
-        r.threads[1].finished_at = None;
-        r.shared = vec![SharedReport {
-            accesses: 41.5,
-            queuing: SimTime::from_cycles(10.0),
-            queuing_worst: SimTime::from_cycles(20.0),
-            contended_slices: 5,
-        }];
-        r.commits = 11;
-        r.slices_analyzed = 13;
-        r.kernel_steps = 17;
-        r.wall_clock = std::time::Duration::from_nanos(123_456_789);
-        r.incidents = vec![
-            Incident {
-                at: SimTime::from_cycles(42.0),
-                shared: SharedId::from_index(0),
-                detail: "penalty was NaN for thread #1".to_string(),
-                action: FaultAction::Clamped,
-            },
-            Incident {
-                at: SimTime::from_cycles(43.0),
-                shared: SharedId::from_index(0),
-                detail: String::new(),
-                action: FaultAction::FellBack,
-            },
-        ];
-        r.envelope = Envelope {
-            mean: r.queuing_total(),
-            worst: r.queuing_worst_total(),
-        };
-        r
-    }
-
-    #[test]
-    fn record_round_trip_is_lossless() {
-        for report in [Report::default(), full_report()] {
-            let line = report.to_record();
-            assert!(!line.contains('\n'), "single line");
-            let back = Report::from_record(&line).expect("own records parse");
-            assert_eq!(report, back);
-        }
-    }
-
-    #[test]
-    fn record_rejects_malformed_lines() {
-        let line = full_report().to_record();
-        assert_eq!(Report::from_record(""), None);
-        assert_eq!(Report::from_record("v2 0 0"), None);
-        assert_eq!(
-            Report::from_record(&line[..line.len() / 2]),
-            None,
-            "truncated"
-        );
-        assert_eq!(
-            Report::from_record(&format!("{line} extra")),
-            None,
-            "trailing"
-        );
-        let garbled = line.replacen("v1", "v1 zz", 1);
-        assert_eq!(Report::from_record(&garbled), None);
     }
 
     #[test]

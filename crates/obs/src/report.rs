@@ -119,24 +119,37 @@ pub fn manifest_json() -> String {
     out
 }
 
-/// `git rev-parse --short=12 HEAD`, or `"unknown"` outside a work tree.
-fn git_sha() -> String {
-    let in_dir = |dir: Option<&str>| {
-        let mut cmd = std::process::Command::new("git");
-        if let Some(dir) = dir {
-            cmd.args(["-C", dir]);
-        }
-        cmd.args(["rev-parse", "--short=12", "HEAD"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-    };
-    in_dir(Some(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")))
-        .or_else(|| in_dir(None))
+/// The short git revision (`git rev-parse --short=12 HEAD`) of the
+/// repository this crate was built from, or `"unknown"` outside a work
+/// tree. The run manifest and perfsuite's BENCH files both record it.
+///
+/// Resolved against the repository this crate lives in (via
+/// `CARGO_MANIFEST_DIR`), not the process working directory, so a binary
+/// launched from a subdirectory, or from anywhere else, names its revision
+/// correctly. Falls back to a plain cwd-relative invocation (for relocated
+/// builds where the compiled-in path no longer exists) before giving up.
+pub fn git_sha() -> String {
+    git_short_sha_in(Some(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")))
+        .or_else(|| git_short_sha_in(None))
         .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Runs `git rev-parse --short=12 HEAD`, in `dir` when given, and returns
+/// the trimmed stdout on success.
+fn git_short_sha_in(dir: Option<&str>) -> Option<String> {
+    let mut cmd = std::process::Command::new("git");
+    if let Some(dir) = dir {
+        // `git -C <missing-dir>` fails cleanly, which is what we want for
+        // builds whose source tree has moved.
+        cmd.args(["-C", dir]);
+    }
+    cmd.args(["rev-parse", "--short=12", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
 }
 
 /// Writes the metrics snapshot (`metrics.txt`, `metrics.json`,
@@ -209,6 +222,20 @@ mod tests {
         assert!(manifest.contains("\"workload_fingerprint\""));
         std::fs::remove_dir_all(&dir).unwrap();
         crate::set_enabled(false);
+    }
+
+    #[test]
+    fn git_sha_resolves_independent_of_cwd() {
+        // The manifest-anchored lookup must succeed inside a checkout no
+        // matter where the process was launched from; the test binary runs
+        // somewhere under the repo, so this is the subdirectory case.
+        let sha = git_short_sha_in(Some(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")))
+            .expect("repo root lookup");
+        assert_eq!(sha.len(), 12, "short=12 sha: {sha}");
+        assert!(sha.chars().all(|c| c.is_ascii_hexdigit()), "{sha}");
+        assert_eq!(git_sha(), sha);
+        // A nonexistent directory fails cleanly rather than panicking.
+        assert_eq!(git_short_sha_in(Some("/nonexistent/do-not-create")), None);
     }
 
     #[test]

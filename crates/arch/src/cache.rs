@@ -238,6 +238,7 @@ impl Cache {
     }
 
     /// Performs one access, updating LRU state and counters.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> Access {
         let line = addr >> self.line_shift;
         let set_idx = (line & self.set_mask) as usize;

@@ -35,8 +35,33 @@ use mesh_workloads::fft::{self, FftConfig};
 use mesh_workloads::{MemPattern, Segment, SegmentKind, TaskProgram, Workload};
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::{Mutex, MutexGuard};
+
+/// A `mesh-cache-identity-*` directory in the temp directory, emptied when
+/// made and removed when dropped: after a test's last assertion, and also
+/// when an assertion fails or the test otherwise unwinds.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(name: &str) -> TempDir {
+        let path =
+            std::env::temp_dir().join(format!("mesh-cache-identity-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        TempDir(path)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// Serializes the tests that set the process-global result cache.
 fn global_cache() -> MutexGuard<'static, ()> {
@@ -70,9 +95,8 @@ fn point() -> ComparisonPoint {
 #[test]
 fn results_identical_across_cache_configurations() {
     let _global = global_cache();
-    let unique = format!("mesh-cache-identity-{}", std::process::id());
-    let memo_dir = std::env::temp_dir().join(format!("{unique}-memo"));
-    let _ = std::fs::remove_dir_all(&memo_dir);
+    let tmp = TempDir::new("memo");
+    let memo_dir = tmp.path();
 
     // Leg 1: no memo — the plain in-process baseline. The in-process memo
     // is cleared so this process actually simulates.
@@ -85,7 +109,7 @@ fn results_identical_across_cache_configurations() {
     // Leg 2: result memo — the populating run computes and stores its
     // sub-evaluations, the replay must be the recorded point verbatim, wall
     // clocks included.
-    memo::set_result_cache(Some(&memo_dir));
+    memo::set_result_cache(Some(memo_dir));
     memo::clear_subeval_lru();
     let populate = point();
     assert!(!populate.replayed, "populating run computed its legs");
@@ -121,7 +145,6 @@ fn results_identical_across_cache_configurations() {
     assert_eq!(lru, populate, "LRU replay must be the recorded point");
 
     memo::set_result_cache(None);
-    let _ = std::fs::remove_dir_all(&memo_dir);
 }
 
 /// A persistent result cache written by an earlier build keeps replaying
@@ -154,22 +177,18 @@ fn memo_keys_stay_pinned() {
     assert_eq!(annotation_profile_fp(&workload, &machine), PROFILE);
 
     let _global = global_cache();
-    let memo_dir = std::env::temp_dir().join(format!(
-        "mesh-cache-identity-pins-{}-memo",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&memo_dir);
-    memo::set_result_cache(Some(&memo_dir));
+    let tmp = TempDir::new("pins");
+    let memo_dir = tmp.path();
+    memo::set_result_cache(Some(memo_dir));
     memo::clear_subeval_lru();
     compare(&workload, &machine, options);
     memo::set_result_cache(None);
-    let mut stored: Vec<String> = std::fs::read_dir(&memo_dir)
+    let mut stored: Vec<String> = std::fs::read_dir(memo_dir)
         .expect("read the result cache")
         .map(|e| e.expect("list the result cache").file_name())
         .map(|name| name.to_string_lossy().into_owned())
         .collect();
     stored.sort();
-    let _ = std::fs::remove_dir_all(&memo_dir);
     let mut pinned: Vec<String> = [ISS, HYBRID, ANALYTICAL, PROFILE]
         .iter()
         .map(|fp| format!("{fp:032x}.res"))
@@ -402,12 +421,11 @@ fn simulated_columns(stdout: &str) -> Vec<String> {
 /// simulated column.
 #[test]
 fn sweep_stdout_byte_identical_across_memo_and_sharding() {
-    let memo_dir = std::env::temp_dir().join(format!(
-        "mesh-cache-identity-stdout-{}-memo",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&memo_dir);
-    let memo_env = ("MESH_RESULT_CACHE", memo_dir.display().to_string());
+    let tmp = TempDir::new("stdout");
+    let memo_env = (
+        "MESH_RESULT_CACHE",
+        tmp.path().join("memo").display().to_string(),
+    );
 
     // Leg 1: sub-memo cold — populates the shared cache.
     let cold = demo_stdout(std::slice::from_ref(&memo_env));
@@ -429,7 +447,7 @@ fn sweep_stdout_byte_identical_across_memo_and_sharding() {
     // wall clocks, but every simulated column must match the cold
     // in-process leg, and the merged counters show the shared reference
     // simulated once, not once per worker.
-    let obs_dir = memo_dir.with_extension("obs");
+    let obs_dir = tmp.path().join("obs");
     let sharded_cold = demo_stdout(&[
         ("MESH_BENCH_SHARDS", "2".into()),
         ("MESH_OBS_OUT", obs_dir.display().to_string()),
@@ -446,9 +464,6 @@ fn sweep_stdout_byte_identical_across_memo_and_sharding() {
         1,
         "the reference group was split across workers:\n{metrics}"
     );
-
-    let _ = std::fs::remove_dir_all(&memo_dir);
-    let _ = std::fs::remove_dir_all(&obs_dir);
 }
 
 /// The four binaries whose grids share references walk each scenario's
@@ -461,11 +476,8 @@ fn sweep_stdout_byte_identical_across_memo_and_sharding() {
 /// worker process.
 #[test]
 fn shared_reference_binaries_walk_each_scenario_once() {
-    let base = std::env::temp_dir().join(format!(
-        "mesh-cache-identity-shared-references-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&base);
+    let tmp = TempDir::new("shared-references");
+    let base = tmp.path();
     let binaries = [
         (
             "ablation_minslice",
@@ -515,7 +527,6 @@ fn shared_reference_binaries_walk_each_scenario_once() {
             );
         }
     }
-    let _ = std::fs::remove_dir_all(&base);
 }
 
 /// The stderr replay note tells a cold run from a warm one. The demo's
@@ -526,12 +537,9 @@ fn shared_reference_binaries_walk_each_scenario_once() {
 #[test]
 fn replay_note_flags_only_rows_from_the_result_cache() {
     const NOTE: &str = "rows replayed from the result cache";
-    let memo_dir = std::env::temp_dir().join(format!(
-        "mesh-cache-identity-note-{}-memo",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&memo_dir);
-    std::fs::create_dir_all(&memo_dir).expect("create the empty cache directory");
+    let tmp = TempDir::new("note");
+    let memo_dir = tmp.path();
+    std::fs::create_dir_all(memo_dir).expect("create the empty cache directory");
     let memo_env = ("MESH_RESULT_CACHE", memo_dir.display().to_string());
 
     let (uncached, uncached_err) = bin_output(DEMO_EXE, &[]);
@@ -552,8 +560,6 @@ fn replay_note_flags_only_rows_from_the_result_cache() {
         "warm run flags every row: {warm_err}"
     );
     assert_eq!(warm, cold, "warm replay diverged");
-
-    let _ = std::fs::remove_dir_all(&memo_dir);
 }
 
 /// `multi_resource` end to end: its stdout is byte-identical with no
@@ -562,11 +568,8 @@ fn replay_note_flags_only_rows_from_the_result_cache() {
 /// warm run replays every point without a simulation or a kernel run.
 #[test]
 fn multi_resource_replays_a_warm_cache_byte_identically() {
-    let base = std::env::temp_dir().join(format!(
-        "mesh-cache-identity-multi-resource-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&base);
+    let tmp = TempDir::new("multi-resource");
+    let base = tmp.path();
     let memo_env = ("MESH_RESULT_CACHE", base.join("memo").display().to_string());
     let (cold_obs, warm_obs) = (base.join("cold-obs"), base.join("warm-obs"));
     let metrics = |dir: &std::path::Path| {
@@ -616,7 +619,6 @@ fn multi_resource_replays_a_warm_cache_byte_identically() {
     for name in ["cyclesim.sim.runs", "kernel.runs"] {
         assert_eq!(counter(&warm_metrics, name), 0, "warm run counted {name}");
     }
-    let _ = std::fs::remove_dir_all(&base);
 }
 
 /// A cold `multi_resource` run compiles each distinct trace once at any
@@ -625,11 +627,8 @@ fn multi_resource_replays_a_warm_cache_byte_identically() {
 /// instead of compiling it again. The worker count leaves stdout alone.
 #[test]
 fn multi_resource_compiles_each_trace_once_at_any_job_count() {
-    let base = std::env::temp_dir().join(format!(
-        "mesh-cache-identity-multi-resource-jobs-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&base);
+    let tmp = TempDir::new("multi-resource-jobs");
+    let base = tmp.path();
     let run = |jobs: &str| {
         let obs = base.join(format!("jobs-{jobs}"));
         let stdout = bin_stdout(
@@ -653,7 +652,6 @@ fn multi_resource_compiles_each_trace_once_at_any_job_count() {
         compiles(&serial_metrics),
         "concurrent points compiled a shared trace twice:\n{parallel_metrics}"
     );
-    let _ = std::fs::remove_dir_all(&base);
 }
 
 /// The cycle-accurate key covers the machine the simulator runs: each of

@@ -167,14 +167,16 @@ impl<'w> SegmentCursor<'w> {
     }
 
     /// The compute chunk preceding access event `k` (1-based). Even pacing
-    /// uses a Bresenham spread; Poisson pacing draws a truncated exponential
-    /// gap, conserving the segment's total compute exactly.
+    /// uses a Bresenham spread, its product in `u128` so that no segment's
+    /// compute and event count can overflow it; Poisson pacing draws a
+    /// truncated exponential gap, conserving the segment's total compute
+    /// exactly.
     fn gap_before_event(&mut self, rng: Option<&mut SmallRng>) -> u64 {
         match rng {
             None => {
-                let k = self.events_emitted + 1;
-                let target = self.compute_cycles * k / self.total_events;
-                target - self.compute_emitted
+                let k = u128::from(self.events_emitted + 1);
+                let target = u128::from(self.compute_cycles) * k / u128::from(self.total_events);
+                target as u64 - self.compute_emitted
             }
             Some(rng) => {
                 let remaining = self.compute_cycles - self.compute_emitted;
@@ -191,10 +193,12 @@ impl<'w> SegmentCursor<'w> {
     }
 
     /// Whether access event `k` (0-based) is an I/O operation, spreading the
-    /// I/O operations evenly among the memory references (Bresenham).
+    /// I/O operations evenly among the memory references (Bresenham, in
+    /// `u128` like the gaps).
     fn event_is_io(&self) -> bool {
-        let k = self.events_emitted;
-        (k + 1) * self.total_ios / self.total_events > k * self.total_ios / self.total_events
+        let k = u128::from(self.events_emitted);
+        let (ios, events) = (u128::from(self.total_ios), u128::from(self.total_events));
+        (k + 1) * ios / events > k * ios / events
     }
 
     fn next_item(&mut self, rng: Option<&mut SmallRng>) -> Option<Item> {

@@ -12,7 +12,7 @@
 //! two produce identical [`CycleReport`]s (see `docs/PERFORMANCE.md`).
 //!
 //! By default both engines consume **compiled traces** ([`TraceMode`], the
-//! [`trace`] module): each task's cursor walk, pacing RNG and private-cache
+//! [`trace`] module): each task's segment walk, pacing RNG and private-cache
 //! simulation run once at compile time — in parallel, de-duplicated by a
 //! cross-sweep content-keyed cache — and the engines merge pre-resolved
 //! events. The on-the-fly cursor path remains available behind

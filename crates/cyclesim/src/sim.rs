@@ -1059,47 +1059,65 @@ impl<'w> SkipEngine<'w> {
     }
 
     /// Grants the free bus to `p` at `at` and fuses the transfer with `p`'s
-    /// next step ([`SkipEngine::resolve_after_grant`]). Then, while `p`'s
-    /// next completion ends in a miss strictly before `horizon`, grants
+    /// next step, as [`SkipEngine::resolve_after_grant`] does. Then, while
+    /// `p`'s next completion ends in a miss strictly before `horizon`, grants
     /// that miss too, at that completion, without a pass of the main loop:
     /// until the horizon no other processor changes state, so each of those
     /// grants is solo. With observability on, each chained completion
     /// records the jump, dispatch and grant fusion the main loop would.
-    /// Returns the cycle of the last grant — the top-of-cycle at which the
-    /// main loop resumes.
+    /// The chain keeps `p`'s counters and the bus's in locals and writes
+    /// them once it ends: nothing reads them in between. Returns the cycle
+    /// of the last grant — the top-of-cycle at which the main loop resumes.
     fn grant_bus(&mut self, p: usize, mut at: u64, horizon: u64, obs: &mut Option<SkipObs>) -> u64 {
         // Round-robin resumes after the winner; the other policies never
         // read the cursor.
         self.rr_next = if p + 1 == self.stats.len() { 0 } else { p + 1 };
-        loop {
-            self.stats[p].work_cycles += self.bus_delay;
-            self.bus_busy_cycles += self.bus_delay;
-            self.bus_busy_until = at + self.bus_delay;
-            let state = self.resolve_after_grant(p, self.bus_busy_until);
+        let delay = self.bus_delay;
+        // The main loop's jump from a chained grant would see `p`'s
+        // completion queued beside the others, which stay put meanwhile.
+        let depth = self.live_events() + 1;
+        let feed = &mut self.feeds[p];
+        let (mut grants, mut work, mut idle) = (0u64, 0u64, 0u64);
+        let (mut hits, mut misses, mut io_ops) = (0u64, 0u64, 0u64);
+        let state = loop {
+            grants += 1;
+            let step = feed.next_step();
+            hits += step.hits;
+            match step.event {
+                StepEvent::Miss => misses += 1,
+                StepEvent::Io => io_ops += 1,
+                _ => {}
+            }
+            work += delay + step.busy;
+            idle += step.idle;
+            let until = at + delay + step.busy + step.idle;
             if let Some(o) = obs.as_mut() {
                 o.grant_fusions += 1;
             }
-            match state {
-                EvState::Busy {
+            if step.event != StepEvent::Miss || until >= horizon {
+                break EvState::Busy {
                     until,
-                    then: StepEvent::Miss,
-                } if until < horizon => {
-                    // The main loop's jump from `at` would see `p`'s
-                    // completion queued beside the others.
-                    if let Some(o) = obs.as_mut() {
-                        o.record_jump(at, until);
-                        o.queue_depth_max = o.queue_depth_max.max(self.live_events() + 1);
-                        o.dispatched += 1;
-                        o.solo_grants += 1;
-                    }
-                    at = until;
-                }
-                _ => {
-                    self.install(p, state);
-                    return at;
-                }
+                    then: step.event,
+                };
             }
-        }
+            if let Some(o) = obs.as_mut() {
+                o.record_jump(at, until);
+                o.queue_depth_max = o.queue_depth_max.max(depth);
+                o.dispatched += 1;
+                o.solo_grants += 1;
+            }
+            at = until;
+        };
+        let stats = &mut self.stats[p];
+        stats.work_cycles += work;
+        stats.idle_cycles += idle;
+        stats.hits += hits;
+        stats.misses += misses;
+        stats.io_ops += io_ops;
+        self.bus_busy_cycles += grants * delay;
+        self.bus_busy_until = at + delay;
+        self.install(p, state);
+        at
     }
 }
 

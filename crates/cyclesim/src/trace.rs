@@ -41,6 +41,13 @@
 //!   concurrent sweep points sharing a trace compile it once. A compile
 //!   that panics leaves the cell empty, and the next caller — or one that
 //!   was waiting — compiles the trace itself;
+//! * the compiler walks each task in one loop per segment with all state
+//!   in locals: per access event it draws the pacing gap, places I/O
+//!   operations by a Bresenham remainder, reads the next pattern address,
+//!   accesses the cache and counts the hit or miss, and it packs a step at
+//!   each miss, I/O operation, barrier and the end. It produces exactly the
+//!   steps the on-the-fly cursor feed does, without the feed's
+//!   item-by-item state machine, and rounds the Poisson gap inline;
 //! * every trace also carries its task's **per-segment hit and miss
 //!   counts**, counted during the same cache walk.
 //!   [`resident_profiles`] hands them out, so annotation (`mesh-annotate`'s
@@ -58,11 +65,17 @@
 //! `tests/differential.rs` pins trace-fed runs of both engines to
 //! field-identical [`CycleReport`](crate::CycleReport)s — and identical
 //! errors — against the on-the-fly cursor reference across the whole
-//! pacing/arbitration/barrier/I/O/error space.
+//! pacing/arbitration/barrier/I/O/error space, and this module's tests pin
+//! compiled step streams, profiles and eviction counts to the cursor feed's
+//! (on every task of the paper's Figure 4 and Figure 6 workloads in an
+//! optimized build).
 
-use crate::cursor::{derived_pacing, Item, Pacing, TaskCursor};
+use crate::cursor::{compute_cycles, derived_pacing, Item, Pacing, TaskCursor};
 use mesh_arch::{Cache, MachineConfig, ProcConfig};
+use mesh_workloads::segment::SegmentKind;
 use mesh_workloads::{Segment, Workload};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -139,9 +152,9 @@ pub struct SegmentProfile {
 }
 
 /// An on-the-fly step producer: walks the segment cursor and the private
-/// cache, fusing compute chunks and hits exactly like the trace compiler.
-/// This is both the engines' `OnTheFly` feed and the compiler's input — one
-/// fusion implementation, so the compiled and live paths cannot drift.
+/// cache, fusing compute chunks and hits into the steps the trace compiler
+/// produces. It is the engines' `OnTheFly` feed, their fallback for a task
+/// past the step cap, and the reference the tests pin compiled traces to.
 pub(crate) struct CursorFeed<'w> {
     pub(crate) cursor: TaskCursor<'w>,
     pub(crate) cache: Cache,
@@ -332,39 +345,211 @@ impl TraceCursor {
     }
 }
 
-/// Compiles one task: drains a [`CursorFeed`] into chunked storage. Returns
-/// `None` when the trace would exceed `max_steps` (the caller falls back to
-/// the on-the-fly cursor).
+/// A trace under construction: packed steps in chunks, the wide table and
+/// the step cap.
+struct StepWriter {
+    chunks: Vec<Box<[PackedStep]>>,
+    current: Vec<PackedStep>,
+    wide: Vec<TraceStep>,
+    steps: usize,
+    max_steps: usize,
+    /// Steps whose span absorbed an idle gap.
+    fused_idle: u64,
+}
+
+impl StepWriter {
+    fn new(max_steps: usize) -> StepWriter {
+        StepWriter {
+            chunks: Vec::new(),
+            current: Vec::with_capacity(CHUNK_STEPS.min(max_steps.max(1))),
+            wide: Vec::new(),
+            steps: 0,
+            max_steps,
+            fused_idle: 0,
+        }
+    }
+
+    /// Appends `step`, or returns `None` if the trace already holds
+    /// `max_steps` steps.
+    #[inline(always)]
+    fn push(&mut self, step: TraceStep) -> Option<()> {
+        if self.steps >= self.max_steps {
+            return None;
+        }
+        if step.idle > 0 {
+            self.fused_idle += 1;
+        }
+        self.current.push(PackedStep::pack(step, &mut self.wide));
+        self.steps += 1;
+        if self.current.len() == CHUNK_STEPS {
+            let full = std::mem::replace(&mut self.current, Vec::with_capacity(CHUNK_STEPS));
+            self.chunks.push(full.into_boxed_slice());
+        }
+        Some(())
+    }
+}
+
+/// In a segment of fewer compute cycles and fewer access events than this,
+/// [`poisson_gap`] takes its short path: the counts left convert to `f64`
+/// exactly through `i64`, the mean gap is below 2^52 and `-ln(1 - u)` at
+/// most 52·ln 2 for a draw `u` in [0, 1 - 2^-52], so twice the unrounded
+/// gap stays below 2^59, inside [`round_doubled`]'s domain.
+const INLINE_ROUND_LIMIT: u64 = 1 << 52;
+
+/// `x.round() as u64` for `x` in [0, 2^62) and for −0.0, given `2x`:
+/// `⌊x + ½⌋ = ⌊(⌊2x⌋ + 1) / 2⌋`, and doubling and truncating a float are
+/// both exact. That rounds half away from zero like [`f64::round`], in one
+/// conversion and two integer operations instead of the library call
+/// `f64::round` compiles to on targets without a rounding instruction.
+#[inline]
+fn round_doubled(two_x: f64) -> u64 {
+    ((two_x as i64 + 1) >> 1) as u64
+}
+
+/// The compute cycles before the next access event of a Poisson-paced
+/// segment with `remaining` cycles left for `events_left` events: the same
+/// draw and float expression as the segment cursor's, which draws nothing
+/// once the compute is used up. `short` says the segment is below
+/// [`INLINE_ROUND_LIMIT`] in both counts. The short path rounds inline and
+/// keeps the loop-carried chain from `remaining` to the gap short: the
+/// logarithm, which does not depend on `remaining`, comes first and takes
+/// the doubling along.
+#[inline]
+fn poisson_gap(remaining: u64, events_left: u64, short: bool, rng: &mut SmallRng) -> u64 {
+    if remaining == 0 {
+        return 0;
+    }
+    let u: f64 = rng.gen_range(0.0..1.0);
+    let gap = if short {
+        let minus_two_ln = -2.0 * (1.0_f64 - u).ln();
+        let mean = remaining as i64 as f64 / events_left as i64 as f64;
+        // Exactly twice `-mean * ln(1 - u)`: scaling by two commutes with
+        // rounding short of overflow and underflow, which neither nears.
+        round_doubled(mean * minus_two_ln)
+    } else {
+        let mean = remaining as f64 / events_left as f64;
+        (-mean * (1.0_f64 - u).ln()).round() as u64
+    };
+    gap.min(remaining)
+}
+
+/// Walks `segments` through `cache` in one loop per segment, with the open
+/// step's spans and hits in locals, writing a step at each miss, I/O
+/// operation and barrier, and at the end. Each segment's hits and misses go
+/// to `profile`. Produces exactly the steps [`CursorFeed`] does: the same
+/// gaps (Even pacing's Bresenham target in `u128`, Poisson's draw), the
+/// same even spread of I/O operations among the references (a Bresenham
+/// remainder instead of two divisions per event), the same references.
+/// Returns `None` once `out` refuses a step.
+fn walk(
+    segments: &[Segment],
+    proc: ProcConfig,
+    pacing: Pacing,
+    cache: &mut Cache,
+    profile: &mut [SegmentProfile],
+    out: &mut StepWriter,
+) -> Option<()> {
+    let mut rng = match pacing {
+        Pacing::Even => None,
+        Pacing::Poisson(seed) => Some(SmallRng::seed_from_u64(seed)),
+    };
+    let (mut busy, mut idle, mut hits) = (0u64, 0u64, 0u64);
+    for (segment, counts) in segments.iter().zip(profile) {
+        if segment.kind == SegmentKind::Idle {
+            // Idle durations are wall-clock cycles, independent of power.
+            idle += segment.compute_ops;
+        } else {
+            let compute = compute_cycles(segment.compute_ops, proc);
+            let (nrefs, ios) = (segment.total_refs(), segment.io_ops);
+            let events = nrefs + ios;
+            let short = compute < INLINE_ROUND_LIMIT && events < INLINE_ROUND_LIMIT;
+            // Event `k` is an I/O operation when `(k + 1)·ios / events`
+            // steps past `k·ios / events`; `phase` is `k·ios mod events`.
+            let mut phase: u64 = 0;
+            let mut placed: u64 = 0;
+            let mut refs = segment.refs();
+            for k in 0..events {
+                let gap = match rng.as_mut() {
+                    None => {
+                        let target = u128::from(compute) * u128::from(k + 1) / u128::from(events);
+                        target as u64 - placed
+                    }
+                    Some(rng) => poisson_gap(compute - placed, events - k, short, rng),
+                };
+                placed += gap;
+                busy += gap;
+                let event = if phase >= nrefs {
+                    phase -= nrefs;
+                    StepEvent::Io
+                } else {
+                    phase += ios;
+                    let addr = refs.next().expect("ref count mismatch");
+                    if cache.access(addr).is_miss() {
+                        counts.misses += 1;
+                        StepEvent::Miss
+                    } else {
+                        counts.hits += 1;
+                        hits += 1;
+                        busy += proc.hit_cycles;
+                        continue;
+                    }
+                };
+                out.push(TraceStep {
+                    busy,
+                    idle,
+                    hits,
+                    event,
+                })?;
+                (busy, idle, hits) = (0, 0, 0);
+            }
+            // Pure compute, or the remainder the gaps left behind.
+            busy += compute - placed;
+        }
+        if let Some(id) = segment.barrier {
+            out.push(TraceStep {
+                busy,
+                idle,
+                hits,
+                event: StepEvent::Barrier(id),
+            })?;
+            (busy, idle, hits) = (0, 0, 0);
+        }
+    }
+    out.push(TraceStep {
+        busy,
+        idle,
+        hits,
+        event: StepEvent::Finish,
+    })
+}
+
+/// Compiles one task into chunked storage (see [`walk`]). Returns `None`
+/// when the trace would exceed `max_steps` (the caller falls back to the
+/// on-the-fly cursor).
 pub(crate) fn compile(
     segments: &[Segment],
     proc: ProcConfig,
     pacing: Pacing,
     max_steps: usize,
 ) -> Option<TaskTrace> {
-    let mut feed = CursorFeed::new(segments, proc, pacing);
-    let mut chunks: Vec<Box<[PackedStep]>> = Vec::new();
-    let mut current: Vec<PackedStep> = Vec::with_capacity(CHUNK_STEPS.min(max_steps.max(1)));
-    let mut wide: Vec<TraceStep> = Vec::new();
-    let mut steps: usize = 0;
-    let mut fused_idle: u64 = 0;
-    loop {
-        let step = feed.next_step();
-        if steps >= max_steps {
-            return None;
-        }
-        if step.idle > 0 {
-            fused_idle += 1;
-        }
-        current.push(PackedStep::pack(step, &mut wide));
-        steps += 1;
-        if current.len() == CHUNK_STEPS {
-            chunks.push(std::mem::take(&mut current).into_boxed_slice());
-            current = Vec::with_capacity(CHUNK_STEPS);
-        }
-        if step.event == StepEvent::Finish {
-            break;
-        }
+    let mut cache = Cache::new(proc.cache);
+    let mut profile = vec![SegmentProfile::default(); segments.len()];
+    let mut out = StepWriter::new(max_steps);
+    let complete = walk(segments, proc, pacing, &mut cache, &mut profile, &mut out);
+    if mesh_obs::enabled() {
+        // With `cyclesim.compile_ns`, the host time per reference walked.
+        let refs = profile.iter().map(|c| c.hits + c.misses).sum();
+        mesh_obs::counter("cyclesim.trace.refs").add(refs);
     }
+    complete?;
+    let StepWriter {
+        mut chunks,
+        current,
+        mut wide,
+        steps,
+        fused_idle,
+        ..
+    } = out;
     if !current.is_empty() {
         chunks.push(current.into_boxed_slice());
     }
@@ -378,8 +563,8 @@ pub(crate) fn compile(
         chunks,
         wide,
         steps,
-        profile: feed.profile,
-        cache_evictions: feed.cache.stats().evictions,
+        profile,
+        cache_evictions: cache.stats().evictions,
     })
 }
 
@@ -942,6 +1127,31 @@ mod tests {
         }
     }
 
+    /// Compiles `segments` and asserts that the trace holds exactly what a
+    /// [`CursorFeed`] produces: every step, each segment's hits and misses,
+    /// and the cache walk's evictions. Returns the trace.
+    fn assert_compile_matches_feed(
+        segments: &[Segment],
+        p: ProcConfig,
+        pacing: Pacing,
+    ) -> Arc<TaskTrace> {
+        let trace = Arc::new(compile(segments, p, pacing, usize::MAX).expect("fits any cap"));
+        let mut live = CursorFeed::new(segments, p, pacing);
+        let mut reader = TraceCursor::new(Arc::clone(&trace));
+        for i in 0..trace.steps() {
+            let step = reader.next_step();
+            assert_eq!(step, live.next_step(), "step {i} under {pacing:?}");
+            assert_eq!(step.event == StepEvent::Finish, i + 1 == trace.steps());
+        }
+        assert_eq!(trace.profile, live.profile, "profile under {pacing:?}");
+        assert_eq!(
+            trace.cache_evictions,
+            live.cache.stats().evictions,
+            "evictions under {pacing:?}"
+        );
+        trace
+    }
+
     #[test]
     fn compile_matches_cursor_feed() {
         let segments = vec![
@@ -953,13 +1163,199 @@ mod tests {
             }),
             Segment::idle(13),
             Segment::work(5).with_barrier(0),
+            // Several patterns, interleaved I/O, and no compute to spread.
+            Segment::work(0)
+                .with_pattern(MemPattern::Strided {
+                    base: 64,
+                    stride: 96,
+                    count: 9,
+                })
+                .with_pattern(MemPattern::Strided {
+                    base: 0,
+                    stride: 8,
+                    count: 0,
+                })
+                .with_pattern(MemPattern::Random {
+                    base: 4096,
+                    span: 2048,
+                    count: 11,
+                    seed: 3,
+                })
+                .with_io(7),
+            // I/O operations alone, then more of them than references.
+            Segment::work(30).with_io(4).with_barrier(1),
+            Segment::work(57)
+                .with_pattern(MemPattern::Strided {
+                    base: 0,
+                    stride: 1024,
+                    count: 3,
+                })
+                .with_io(8),
+            Segment::idle(0),
+        ];
+        for pacing in [Pacing::Even, Pacing::Poisson(42), Pacing::Poisson(7)] {
+            assert_compile_matches_feed(&segments, proc(1024), pacing);
+            assert_compile_matches_feed(&segments, proc(1024).with_power(0.7), pacing);
+            assert_compile_matches_feed(&segments, proc(1024).with_hit_cycles(0), pacing);
+        }
+    }
+
+    #[test]
+    fn inline_rounding_matches_f64_round_at_the_edges() {
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut cases = vec![
+            -0.0,
+            0.0,
+            0.5,
+            below(0.5),
+            1.0,
+            below(1.0),
+            f64::MIN_POSITIVE,
+            2.0_f64.powi(52) - 1.0,
+            2.0_f64.powi(52),
+            2.0_f64.powi(52) + 1.0,
+            2.0_f64.powi(53) - 1.0,
+            2.0_f64.powi(58) + 4096.0,
+        ];
+        for k in [
+            0u64,
+            1,
+            2,
+            3,
+            1000,
+            (1 << 32) + 7,
+            (1 << 51) + 1,
+            (1 << 52) - 1,
+        ] {
+            let half = k as f64 + 0.5;
+            cases.extend([half, below(half), k as f64]);
+        }
+        for x in cases {
+            assert_eq!(round_doubled(x + x), x.round() as u64, "{x:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Every binade of [0, 2^53), subnormals included: a biased
+        /// exponent below 1023 + 53 and any mantissa.
+        #[test]
+        fn inline_rounding_matches_f64_round(
+            exponent in 0u64..1023 + 53,
+            mantissa in 0u64..1 << 52,
+        ) {
+            let x = f64::from_bits(exponent << 52 | mantissa);
+            proptest::prop_assert_eq!(round_doubled(x + x), x.round() as u64);
+        }
+
+        /// The short path's doubled gap is bit for bit twice the cursor's
+        /// unrounded gap, and so rounds to the same cycle count.
+        #[test]
+        fn doubled_gap_is_twice_the_cursor_gap(
+            remaining in 1u64..INLINE_ROUND_LIMIT,
+            events_left in 1u64..INLINE_ROUND_LIMIT,
+            u in 0.0f64..1.0,
+        ) {
+            let mean = remaining as f64 / events_left as f64;
+            let x = -mean * (1.0_f64 - u).ln();
+            let mean_i64 = remaining as i64 as f64 / events_left as i64 as f64;
+            let two_x = mean_i64 * (-2.0 * (1.0_f64 - u).ln());
+            proptest::prop_assert_eq!(two_x.to_bits(), (2.0 * x).to_bits());
+            proptest::prop_assert_eq!(round_doubled(two_x), x.round() as u64);
+        }
+    }
+
+    #[test]
+    fn gaps_past_the_inline_rounding_limit_match_the_cursor() {
+        // A segment of 2^53 cycles takes the `f64::round` path throughout;
+        // the next, one cycle short of the limit, the short path.
+        let segments = vec![
+            Segment::work(1 << 53).with_pattern(MemPattern::Strided {
+                base: 0,
+                stride: 1024,
+                count: 5,
+            }),
+            Segment::work(INLINE_ROUND_LIMIT - 1).with_pattern(MemPattern::Strided {
+                base: 0,
+                stride: 16,
+                count: 6,
+            }),
         ];
         let p = proc(1024);
-        for pacing in [Pacing::Even, Pacing::Poisson(42)] {
-            let trace = Arc::new(compile(&segments, p, pacing, usize::MAX).expect("fits any cap"));
-            let mut live = CursorFeed::new(&segments, p, pacing);
-            for step in drain(&trace) {
-                assert_eq!(step, live.next_step());
+        for pacing in [Pacing::Poisson(1), Pacing::Poisson(0x5EED), Pacing::Even] {
+            let trace = assert_compile_matches_feed(&segments, p, pacing);
+            let busy: u64 = drain(&trace).iter().map(|s| s.busy).sum();
+            let hits: u64 = trace.profile.iter().map(|c| c.hits).sum();
+            assert_eq!(hits, 3);
+            assert_eq!(
+                busy,
+                (1 << 53) + INLINE_ROUND_LIMIT - 1 + hits * p.hit_cycles
+            );
+        }
+    }
+
+    #[test]
+    fn even_pacing_spreads_a_segment_past_the_u64_product() {
+        // `compute · k` passes 2^64 from the fourth of eight references;
+        // each gap is still exactly an eighth of the compute.
+        let segments = vec![Segment::work(1 << 62).with_pattern(MemPattern::Strided {
+            base: 0,
+            stride: 1024,
+            count: 8,
+        })];
+        let trace = assert_compile_matches_feed(&segments, proc(1024), Pacing::Even);
+        let steps = drain(&trace);
+        assert_eq!(steps.len(), 9);
+        assert!(steps[..8]
+            .iter()
+            .all(|s| s.busy == 1 << 59 && s.event == StepEvent::Miss));
+        assert_eq!(steps[8].busy, 0);
+    }
+
+    /// The paper's two largest ISS workloads compile to exactly what the
+    /// cursor feed walks: every task of Figure 4's eight FFT scenarios (64K
+    /// points on 2–16 processors, 512 KB and 8 KB 4-way caches of 32-byte
+    /// lines) and of Figure 6's 21 PHM workloads (seven idle fractions, three
+    /// seeds, on the ARM-like and the slower M32R-like core with 8 KB 4-way
+    /// caches), under the default pacing and under even pacing.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "needs an optimized build: cargo test --release"
+    )]
+    fn paper_workloads_compile_to_the_cursor_feed() {
+        use mesh_arch::CacheConfig;
+        use mesh_workloads::fft::{self, FftConfig};
+        use mesh_workloads::scenario::{self, PhmConfig};
+        let cache = |bytes| CacheConfig::new(bytes, 32, 4).unwrap();
+        let mut scenarios: Vec<(Workload, Vec<ProcConfig>)> = Vec::new();
+        for bytes in [512 * 1024, 8 * 1024] {
+            for threads in [2, 4, 8, 16] {
+                let procs = vec![ProcConfig::new(cache(bytes)); threads];
+                scenarios.push((fft::build(&FftConfig::with_threads(threads)), procs));
+            }
+        }
+        for idle in [0.0, 0.15, 0.30, 0.45, 0.60, 0.75, 0.90] {
+            for seed in [0xC0FFEE, 0xBEEF, 0xF00D] {
+                let phm = PhmConfig {
+                    seed,
+                    ..PhmConfig::with_second_idle(idle)
+                };
+                let procs = vec![
+                    ProcConfig::new(cache(8 * 1024)),
+                    ProcConfig::new(cache(8 * 1024)).with_power(0.8),
+                ];
+                scenarios.push((scenario::build(&phm), procs));
+            }
+        }
+        assert_eq!(scenarios.len(), 8 + 21);
+        for pacing in [Pacing::default(), Pacing::Even] {
+            for (workload, procs) in &scenarios {
+                for (i, task) in workload.tasks.iter().enumerate() {
+                    let task_pacing = derived_pacing(pacing, i);
+                    assert_compile_matches_feed(&task.segments, procs[i], task_pacing);
+                }
             }
         }
     }

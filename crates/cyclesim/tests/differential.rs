@@ -27,12 +27,21 @@ use mesh_workloads::scenario::{self, PhmConfig};
 use mesh_workloads::{MemPattern, Segment, TaskProgram, Workload};
 use proptest::prelude::*;
 
-/// (compute_ops, refs, use_random_pattern, idle_cycles, io_ops)
-type SegSpec = (u64, u64, bool, u64, u64);
+/// (compute_ops, patterns as (refs, use_random_pattern), idle_cycles,
+/// io_ops)
+type SegSpec = (u64, Vec<(u64, bool)>, u64, u64);
 
+/// Up to five segments of up to 300 operations (zero included), each with
+/// up to three strided or random patterns, up to eight I/O operations and
+/// an optional idle gap after it.
 fn arb_task() -> impl Strategy<Value = Vec<SegSpec>> {
     prop::collection::vec(
-        (1u64..300, 0u64..40, any::<bool>(), 0u64..80, 0u64..4),
+        (
+            0u64..300,
+            prop::collection::vec((0u64..40, any::<bool>()), 0..4),
+            0u64..80,
+            0u64..9,
+        ),
         1..6,
     )
 }
@@ -49,16 +58,17 @@ fn build_workload(tasks: &[Vec<SegSpec>], barriers: bool) -> Workload {
     for (ti, segs) in tasks.iter().enumerate() {
         let mut task = TaskProgram::new(format!("t{ti}"));
         let mut built: Vec<Segment> = Vec::new();
-        for (si, &(ops, refs, random, idle, io)) in segs.iter().enumerate() {
-            let mut seg = Segment::work(ops);
-            if refs > 0 {
-                let base = (ti as u64) << 24;
+        for (si, (ops, patterns, idle, io)) in segs.iter().enumerate() {
+            let (idle, io) = (*idle, *io);
+            let mut seg = Segment::work(*ops);
+            for (pi, &(refs, random)) in patterns.iter().enumerate() {
+                let base = ((ti as u64) << 24) + (pi as u64) * 1024;
                 seg = seg.with_pattern(if random {
                     MemPattern::Random {
                         base,
                         span: 64 * 1024,
                         count: refs,
-                        seed: (ti * 31 + si) as u64,
+                        seed: (ti * 31 + si + 1000 * pi) as u64,
                     }
                 } else {
                     MemPattern::Strided {
@@ -245,7 +255,7 @@ proptest! {
         let bid = w.add_barrier(tasks.len() + 1); // can never fill
         for (ti, segs) in tasks.iter().enumerate() {
             let mut task = TaskProgram::new(format!("t{ti}"));
-            for &(ops, _, _, idle, _) in segs {
+            for &(ops, _, idle, _) in segs {
                 task.push(Segment::work(ops));
                 if idle > 0 {
                     task.push(Segment::idle(idle));
@@ -412,5 +422,44 @@ fn solo_runs_match_the_ticker() {
             "{arbitration:?}"
         );
         assert_eq!(skip, tick, "{arbitration:?}");
+    }
+}
+
+/// A segment whose even spread overflows a 64-bit product: 2^62 cycles of
+/// compute over eight misses, one every 2^59 cycles, so `compute · k`
+/// passes 2^64 from the fourth. Both feeds of the skip engine place every
+/// miss exactly. The ticker cannot walk 2^62 cycles, so the whole matrix
+/// also runs to a cycle limit; its compiled cells compile the whole task
+/// first.
+#[test]
+fn even_pacing_spreads_a_huge_segment_exactly() {
+    let mut w = Workload::new();
+    let mut t = TaskProgram::new("t0");
+    t.push(Segment::work(1 << 62).with_pattern(MemPattern::Strided {
+        base: 0,
+        stride: 32,
+        count: 8,
+    }));
+    w.add_task(t);
+    let m = machine(1, 4, true, 1, 6, false);
+    let (skip, tick) = run_both(&w, &m, Pacing::Even, 1000);
+    assert_eq!(tick, Err(CycleSimError::CycleLimit { limit: 1000 }));
+    assert_eq!(skip, tick);
+    for trace in [TraceMode::Compiled, TraceMode::OnTheFly] {
+        let report = simulate_with_options(
+            &w,
+            &m,
+            SimOptions {
+                pacing: Pacing::Even,
+                trace,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+        let proc = report.procs[0];
+        assert_eq!(proc.misses, 8, "{trace:?}");
+        assert_eq!(proc.work_cycles, (1 << 62) + 8 * 4, "{trace:?}");
+        assert_eq!(proc.queuing_cycles, 0, "{trace:?}");
+        assert_eq!(report.total_cycles, (1 << 62) + 8 * 4, "{trace:?}");
     }
 }

@@ -107,6 +107,7 @@ pub enum PatternIter {
 impl Iterator for PatternIter {
     type Item = u64;
 
+    #[inline]
     fn next(&mut self) -> Option<u64> {
         match self {
             PatternIter::Strided {

@@ -18,10 +18,11 @@
 //! trace-compile cost, cache bypassed) — the compile/consume split of the
 //! trace pipeline.
 //!
-//! The `store/` section prices the result memo cache against a throwaway
-//! directory: `store/memo_hit` is a full comparison point served from the
-//! result cache. The section restores the process-wide cache
-//! configuration afterwards, so the other benchmarks are unaffected by it.
+//! The `store/` section prices the result memo: `store/phm_keys` is the
+//! two memo-key passes over a Figure-6 PHM workload, and `store/memo_hit`
+//! is a full comparison point served from a result cache in a throwaway
+//! directory. The section restores the process-wide cache configuration
+//! afterwards, so the other benchmarks are unaffected by it.
 //!
 //! The `sweep/` section times an end-to-end ablation grid through the
 //! split-phase evaluation tiers: `sweep/grid_cold` (the in-process memo
@@ -49,8 +50,12 @@ use mesh_annotate::{assemble, AnnotationPolicy};
 use mesh_arch::MachineConfig;
 use mesh_bench::perf::{
     check_regression, time_median_batched_ns, time_median_ns, BenchFile, BenchRecord,
+    DEFAULT_FACTOR, GATED_PREFIXES,
 };
-use mesh_bench::{fft_machine, phm_machine, FFT_BUS_DELAY, FFT_CACHES, FFT_PROC_SWEEP};
+use mesh_bench::{
+    fft_machine, phm_machine, FFT_BUS_DELAY, FFT_CACHES, FFT_PROC_SWEEP, FIG5_BUS_DELAYS,
+    FIG6_IDLE_SWEEP,
+};
 use mesh_core::model::{ContentionModel, Slice, SliceRequest};
 use mesh_core::{SharedId, SimTime, ThreadId};
 use mesh_cyclesim::{simulate_with_options, Pacing, SimOptions, TraceMode};
@@ -74,7 +79,7 @@ fn parse_args() -> Args {
         out: None,
         check: None,
         filter: None,
-        factor: 2.0,
+        factor: DEFAULT_FACTOR,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -343,6 +348,30 @@ fn bench_models(suite: &mut Suite, samples: usize) {
     }
 }
 
+/// Prices the keys of one PHM point: `store/phm_keys` is one
+/// [`workload_fingerprint`](mesh_cyclesim::workload_fingerprint) plus one
+/// [`annotation_profile_fp`](mesh_bench::annotation_profile_fp) on Figure
+/// 6's first workload (idle 0, its first seed), the two passes over its 443
+/// segments that a point's memo keys take. A byte-wise hash of the same
+/// words is about 4x slower, which the 2x gate sees.
+fn bench_keys(suite: &mut Suite) {
+    if !suite.wants("store/phm_keys") {
+        return;
+    }
+    let workload = scenario::build(&PhmConfig {
+        seed: 0xC0FFEE,
+        ..PhmConfig::with_second_idle(FIG6_IDLE_SWEEP[0])
+    });
+    let machine = phm_machine(FIG5_BUS_DELAYS[0]);
+    let median = time_median_ns(MICRO_SAMPLES, 8, || {
+        (
+            mesh_cyclesim::workload_fingerprint(&workload, &machine, Pacing::default()),
+            mesh_bench::annotation_profile_fp(&workload, &machine),
+        )
+    });
+    suite.record("store/phm_keys", median);
+}
+
 /// Prices the persistent result cache on the smoke FFT workload against a
 /// throwaway directory: `store/memo_hit` is a full `run_fft_point` served
 /// from a warm result cache (a repeated sweep point).
@@ -534,7 +563,7 @@ fn main() {
             }
         }
         // The Figure-5 bus-delay sweep on the PHM scenario.
-        for delay in mesh_bench::FIG5_BUS_DELAYS {
+        for delay in FIG5_BUS_DELAYS {
             let workload = scenario::build(&PhmConfig::with_second_idle(0.45));
             bench_cyclesim(
                 &mut suite,
@@ -546,8 +575,10 @@ fn main() {
         }
     }
 
-    // The result cache and the split-phase sweep grid, last so their
-    // config juggling and cache clearing cannot perturb any other section.
+    // The result memo (its keys, then the cache) and the split-phase sweep
+    // grid, last so their config juggling and cache clearing cannot perturb
+    // any other section.
+    bench_keys(&mut suite);
     bench_store(&mut suite, s_sim);
     bench_sweep(&mut suite, s_sweep);
 
@@ -618,7 +649,7 @@ fn main() {
             std::process::exit(1);
         });
         let partial = args.filter.is_some();
-        for prefix in ["kernel/", "model/", "cyclesim/", "obs/", "store/", "sweep/"] {
+        for prefix in GATED_PREFIXES {
             if partial && !file.benchmarks.iter().any(|b| b.name.starts_with(prefix)) {
                 println!("perf check skipped: the filter measured no {prefix} benchmark");
                 continue;

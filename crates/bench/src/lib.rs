@@ -323,8 +323,10 @@ impl crate::checkpoint::Checkpointable for Profiles {
 /// processor it runs on. Nothing else determines a profile, so the key
 /// deliberately leaves out the annotation policy, minimum timeslice,
 /// contention model, bus and I/O timing, and processor power and hit cost —
-/// every point of a sweep over those shares one profile.
+/// every point of a sweep over those shares one profile. Timed as
+/// `bench.profile_key_ns`.
 pub fn annotation_profile_fp(workload: &Workload, machine: &MachineConfig) -> u128 {
+    let _span = mesh_obs::span("bench.profile_key_ns");
     let mut fp = memo::ScenarioFp::new("subeval-annotate").word(workload.tasks.len() as u64);
     for (task, proc) in workload.tasks.iter().zip(&machine.procs) {
         fp = fp

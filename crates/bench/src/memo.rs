@@ -8,9 +8,10 @@
 //! fingerprints identically to an earlier run is answered from disk in
 //! microseconds, without entering either simulator.
 //!
-//! **Keys.** A [`ScenarioFp`] is a 128-bit FNV-1a fold seeded with a format
-//! version and a domain tag (e.g. `"compare"`), extended with the trace
-//! layer's [`workload_fingerprint`](mesh_cyclesim::workload_fingerprint)
+//! **Keys.** A [`ScenarioFp`] is a 128-bit [`KeyHasher`] fold (one 64-bit
+//! word per step, the hasher of the trace cache's keys too) seeded with a
+//! format version and a domain tag (e.g. `"compare"`), extended with the
+//! trace layer's [`workload_fingerprint`](mesh_cyclesim::workload_fingerprint)
 //! (everything that determines the micro-event streams), the machine's
 //! [`digest_words`](mesh_arch::MachineConfig::digest_words), the model's
 //! name and [`digest_words`](mesh_core::model::ContentionModel::digest_words),
@@ -40,6 +41,7 @@
 
 use crate::checkpoint::{Checkpointable, Fnv1a};
 use mesh_core::model::ContentionModel;
+use mesh_cyclesim::KeyHasher;
 use std::collections::HashMap;
 use std::fs;
 use std::hash::Hasher as _;
@@ -57,9 +59,6 @@ pub const RESULT_CACHE_ENV: &str = "MESH_RESULT_CACHE";
 /// versions read as misses.
 const MEMO_VERSION: u64 = 1;
 
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-
 // ---------------------------------------------------------------------------
 // Scenario fingerprints.
 // ---------------------------------------------------------------------------
@@ -67,39 +66,32 @@ const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 /// A 128-bit scenario fingerprint under construction. Builder-style: fold
 /// in every input the evaluation depends on, then [`finish`](ScenarioFp::finish).
 #[derive(Clone, Copy, Debug)]
-pub struct ScenarioFp(u128);
+pub struct ScenarioFp(KeyHasher);
 
 impl ScenarioFp {
     /// Starts a fingerprint for one evaluation domain (e.g. `"compare"`,
     /// `"envelope"`). Distinct domains never collide even on identical
     /// scenarios — they memoize different value types.
     pub fn new(domain: &str) -> ScenarioFp {
-        ScenarioFp(FNV128_OFFSET).word(MEMO_VERSION).text(domain)
-    }
-
-    fn byte(mut self, b: u8) -> ScenarioFp {
-        self.0 ^= u128::from(b);
-        self.0 = self.0.wrapping_mul(FNV128_PRIME);
-        self
+        ScenarioFp(KeyHasher::default())
+            .word(MEMO_VERSION)
+            .text(domain)
     }
 
     /// Folds in one 64-bit word (counts, discriminants, float bit
     /// patterns).
     #[must_use]
     pub fn word(mut self, w: u64) -> ScenarioFp {
-        for b in w.to_le_bytes() {
-            self = self.byte(b);
-        }
+        self.0.word(w);
         self
     }
 
     /// Folds in a 128-bit word (nested fingerprints such as
-    /// [`mesh_cyclesim::workload_fingerprint`]).
+    /// [`mesh_cyclesim::workload_fingerprint`]) as two words, low half
+    /// first.
     #[must_use]
     pub fn wide(mut self, w: u128) -> ScenarioFp {
-        for b in w.to_le_bytes() {
-            self = self.byte(b);
-        }
+        self.0.write_u128(w);
         self
     }
 
@@ -116,32 +108,18 @@ impl ScenarioFp {
 
     /// Folds in any [`Hash`](std::hash::Hash) value through std's hashing
     /// protocol — e.g. workload segments, which derive `Hash` over every
-    /// field.
+    /// field. Each integer the impl writes is one word.
     #[must_use]
-    pub fn hashed<T: std::hash::Hash + ?Sized>(self, value: &T) -> ScenarioFp {
-        struct Fold(ScenarioFp);
-        impl std::hash::Hasher for Fold {
-            fn write(&mut self, bytes: &[u8]) {
-                for &b in bytes {
-                    self.0 = self.0.byte(b);
-                }
-            }
-            fn finish(&self) -> u64 {
-                self.0 .0 as u64
-            }
-        }
-        let mut fold = Fold(self);
-        value.hash(&mut fold);
-        fold.0
+    pub fn hashed<T: std::hash::Hash + ?Sized>(mut self, value: &T) -> ScenarioFp {
+        value.hash(&mut self.0);
+        self
     }
 
     /// Folds in a string, length-prefixed.
     #[must_use]
     pub fn text(mut self, s: &str) -> ScenarioFp {
         self = self.word(s.len() as u64);
-        for b in s.bytes() {
-            self = self.byte(b);
-        }
+        self.0.write(s.as_bytes());
         self
     }
 
@@ -155,7 +133,7 @@ impl ScenarioFp {
 
     /// The finished 128-bit fingerprint.
     pub fn finish(self) -> u128 {
-        self.0
+        self.0.finish128()
     }
 }
 

@@ -236,6 +236,14 @@ pub fn time_median_batched_ns<I, O>(
     times[times.len() / 2]
 }
 
+/// The name prefixes `perfsuite --check` gates, each compared on its own.
+pub const GATED_PREFIXES: [&str; 6] =
+    ["kernel/", "model/", "cyclesim/", "obs/", "store/", "sweep/"];
+
+/// `perfsuite`'s default `--factor`: a gated median may read at most this
+/// many times its baseline.
+pub const DEFAULT_FACTOR: f64 = 2.0;
+
 /// Compares `current` against `baseline` for every baseline benchmark whose
 /// name starts with `prefix`; a benchmark regresses when its median exceeds
 /// `factor` times the baseline median.
@@ -513,6 +521,36 @@ mod tests {
         let err = check_regression(&current, &baseline, "cyclesim/", 2.0, false).unwrap_err();
         assert_eq!(err.len(), 1);
         assert!(err[0].contains("result_cache=1"), "{err:?}");
+    }
+
+    /// The gate can see a 3x slowdown of any one gated prefix against the
+    /// committed baseline, and only of that prefix.
+    #[test]
+    fn a_slowed_prefix_fails_the_committed_baseline() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+        let text = std::fs::read_to_string(path).expect("read the committed baseline");
+        let baseline = BenchFile::from_json(&text).expect("the committed baseline parses");
+        for slowed in GATED_PREFIXES {
+            let mut current = baseline.clone();
+            let rows = current
+                .benchmarks
+                .iter_mut()
+                .filter(|b| b.name.starts_with(slowed))
+                .map(|b| b.median_ns *= 3.0)
+                .count();
+            for prefix in GATED_PREFIXES {
+                let verdict = check_regression(&current, &baseline, prefix, DEFAULT_FACTOR, false);
+                if prefix == slowed {
+                    let failures = verdict.expect_err("a 3x slowdown passed the gate");
+                    assert_eq!(failures.len(), rows, "{prefix}: {failures:?}");
+                } else {
+                    assert!(
+                        verdict.is_ok(),
+                        "{slowed} slowed, {prefix} failed: {verdict:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

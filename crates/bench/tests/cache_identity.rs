@@ -16,7 +16,10 @@
 //! `multi_resource` point, every `noc_sweep` schedule and every
 //! `ablation_models` row — must separate every input that changes them.
 //!
-//! `compare` must also store its legs under the keys earlier builds pinned.
+//! `compare` must also store its legs under the keys earlier builds pinned,
+//! a single flipped bit in any integer field of a workload must move every
+//! key over it, and a cold `fig6` must make the same number of key passes
+//! at any worker count.
 //!
 //! The two in-process tests mutate process-global cache configuration, so
 //! they hold one lock and run in sequence; the stdout legs spawn
@@ -30,6 +33,7 @@ use mesh_bench::{
     memo, ComparisonPoint, HybridOptions, FFT_BUS_DELAY,
 };
 use mesh_core::model::ContentionModel;
+use mesh_cyclesim::{workload_fingerprint, Pacing};
 use mesh_models::{ChenLinBus, Md1Queue, Mm1Queue};
 use mesh_workloads::fft::{self, FftConfig};
 use mesh_workloads::{MemPattern, Segment, SegmentKind, TaskProgram, Workload};
@@ -151,13 +155,16 @@ fn results_identical_across_cache_configurations() {
 /// only while every key stays bit-identical. These are one small
 /// scenario's keys as earlier builds computed them, read back as the names
 /// of the entries `compare` itself stores, so editing the arguments of any
-/// of its legs fails here. The public keys name the same entries.
+/// of its legs fails here. The public keys name the same entries. The pins
+/// were re-taken when the keys moved from byte-wise FNV-1a to the
+/// word-at-a-time [`mesh_cyclesim::KeyHasher`]: every key covers the same
+/// inputs as before, but caches written by earlier builds no longer replay.
 #[test]
 fn memo_keys_stay_pinned() {
-    const ISS: u128 = 0xe035981bc176fd29ee8091b2efed38bc;
-    const HYBRID: u128 = 0x2e9c23b1bf38fae64791543a2d1e2ece;
-    const ANALYTICAL: u128 = 0x5d0925784b22bd41672e19ea8622b88b;
-    const PROFILE: u128 = 0xe182223b3ce433aaa3844e009be4d29d;
+    const ISS: u128 = 0x3e28b4f4f06e98d18ec23874ada7f585;
+    const HYBRID: u128 = 0x7fc08fac3a1fedab93c83b493ff693a1;
+    const ANALYTICAL: u128 = 0x228553ddda66cb2cea1a3f37870121e1;
+    const PROFILE: u128 = 0x13ab39738b8c00c13864c3d030bdc738;
     let workload = fft::build(&FftConfig {
         points: 1024,
         threads: 2,
@@ -354,6 +361,77 @@ fn annotation_profile_fingerprint_covers_its_inputs() {
     }
 }
 
+/// Calls `f` on every integer field of every segment and pattern of `w`,
+/// in order: each segment's operations, I/O operations and barrier index
+/// (when it has one), then each of its patterns' fields.
+fn visit_integers(w: &mut Workload, f: &mut dyn FnMut(&mut u64)) {
+    for seg in w.tasks.iter_mut().flat_map(|t| &mut t.segments) {
+        f(&mut seg.compute_ops);
+        f(&mut seg.io_ops);
+        if let Some(barrier) = &mut seg.barrier {
+            let mut word = *barrier as u64;
+            f(&mut word);
+            *barrier = word as usize;
+        }
+        for pattern in &mut seg.mem {
+            match pattern {
+                MemPattern::Strided {
+                    base,
+                    stride,
+                    count,
+                } => [base, stride, count].into_iter().for_each(&mut *f),
+                MemPattern::Random {
+                    base,
+                    span,
+                    count,
+                    seed,
+                } => [base, span, count, seed].into_iter().for_each(&mut *f),
+            }
+        }
+    }
+}
+
+/// A single flipped bit anywhere in a workload's integer fields moves every
+/// key over it: the workload fingerprint (the trace layer's, under every
+/// result-memo key but the profile's), the annotation-profile key and the
+/// cycle-accurate leg's key each differ from the base for every variant,
+/// and no two variants share a key.
+#[test]
+fn every_flipped_bit_moves_every_key() {
+    let w = profile_workload();
+    let m = profile_machine();
+    let keys = |w: &Workload| {
+        [
+            workload_fingerprint(w, &m, Pacing::default()),
+            annotation_profile_fp(w, &m),
+            iss_reference_fp(w, &m),
+        ]
+    };
+    let mut fields = 0;
+    visit_integers(&mut w.clone(), &mut |_| fields += 1);
+    assert_eq!(fields, 28, "two tasks of 14 integer fields");
+
+    let mut seen: [HashSet<u128>; 3] = keys(&w).map(|key| HashSet::from([key]));
+    for field in 0..fields {
+        for bit in 0..64 {
+            let mut flipped = w.clone();
+            let mut at = 0;
+            visit_integers(&mut flipped, &mut |x| {
+                if at == field {
+                    *x ^= 1 << bit;
+                }
+                at += 1;
+            });
+            for (kind, (key, seen)) in keys(&flipped).into_iter().zip(&mut seen).enumerate() {
+                assert!(
+                    seen.insert(key),
+                    "key {kind}: field {field} bit {bit} collides with the base or another flip"
+                );
+            }
+        }
+    }
+}
+
 const DEMO_EXE: &str = env!("CARGO_BIN_EXE_subeval_demo");
 const MULTI_RESOURCE_EXE: &str = env!("CARGO_BIN_EXE_multi_resource");
 
@@ -395,6 +473,23 @@ fn counter(metrics: &str, name: &str) -> u64 {
             let fields: Vec<&str> = line.split_whitespace().collect();
             match fields[..] {
                 ["counter", n, "=", value] if n == name => value.parse().ok(),
+                _ => None,
+            }
+        })
+        .unwrap_or(0)
+}
+
+/// A histogram's sample count in a `metrics.txt` snapshot; histograms that
+/// were never recorded are not listed and read as zero.
+fn histogram_count(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|line| {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            match fields[..] {
+                ["histogram", n, count, ..] if n == name => {
+                    count.strip_prefix("count=")?.parse().ok()
+                }
                 _ => None,
             }
         })
@@ -652,6 +747,40 @@ fn multi_resource_compiles_each_trace_once_at_any_job_count() {
         compiles(&serial_metrics),
         "concurrent points compiled a shared trace twice:\n{parallel_metrics}"
     );
+}
+
+/// The key layer's spans count one sample per pass over a workload's
+/// segments: `cyclesim.trace_keys_ns` per trace-key pass (each point's
+/// workload fingerprint, each cycle-accurate fill's trace lookup, each
+/// profile fill's read of the resident traces) and `bench.profile_key_ns`
+/// per annotation-profile key (each point's hybrid and analytical legs).
+/// A cold `fig6` of 105 points, with 21 distinct profiles, makes 231 and
+/// 210 at any worker count: the passes follow single-flight fills.
+#[test]
+fn fig6_key_passes_are_the_same_at_any_job_count() {
+    let tmp = TempDir::new("key-passes");
+    for jobs in ["1", "2"] {
+        let obs = tmp.path().join(format!("jobs-{jobs}"));
+        bin_stdout(
+            env!("CARGO_BIN_EXE_fig6"),
+            &[
+                ("MESH_BENCH_JOBS", jobs.to_string()),
+                ("MESH_OBS_OUT", obs.display().to_string()),
+            ],
+        );
+        let metrics =
+            std::fs::read_to_string(obs.join("metrics.txt")).expect("the run wrote its metrics");
+        assert_eq!(
+            histogram_count(&metrics, "cyclesim.trace_keys_ns"),
+            231,
+            "{jobs} jobs:\n{metrics}"
+        );
+        assert_eq!(
+            histogram_count(&metrics, "bench.profile_key_ns"),
+            210,
+            "{jobs} jobs:\n{metrics}"
+        );
+    }
 }
 
 /// The cycle-accurate key covers the machine the simulator runs: each of

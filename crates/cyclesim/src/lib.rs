@@ -27,11 +27,13 @@
 #![warn(missing_docs)]
 
 mod cursor;
+pub mod key;
 pub mod ring;
 pub mod sim;
 pub mod trace;
 
 pub use cursor::{compute_cycles, Pacing};
+pub use key::KeyHasher;
 pub use sim::{
     simulate, simulate_with_limit, simulate_with_options, CycleReport, CycleSimError,
     ProcCycleStats, SimOptions,

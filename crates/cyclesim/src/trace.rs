@@ -30,7 +30,8 @@
 //!   workers over a shared atomic index, [`compile_jobs`] of them, which
 //!   `mesh-bench` sets to its sweep worker count);
 //! * compiled traces live in a process-wide **cross-sweep cache** keyed by
-//!   a stable content hash of the segments, the processor's timing digest
+//!   a stable 128-bit content hash ([`KeyHasher`], one 64-bit word per
+//!   step) of the segments, the processor's timing digest
 //!   ([`mesh_arch::ProcConfig::digest_words`]) and the derived pacing seed.
 //!   fig4/fig5-style grids that revisit the same per-processor streams
 //!   (they vary cache size and processor count, not the programs) compile
@@ -71,6 +72,7 @@
 //! optimized build).
 
 use crate::cursor::{compute_cycles, derived_pacing, Item, Pacing, TaskCursor};
+use crate::key::KeyHasher;
 use mesh_arch::{Cache, MachineConfig, ProcConfig};
 use mesh_workloads::segment::SegmentKind;
 use mesh_workloads::{Segment, Workload};
@@ -572,47 +574,13 @@ pub(crate) fn compile(
 // Content keying.
 // ---------------------------------------------------------------------------
 
-/// 128-bit FNV-1a over the std `Hash` protocol: a stable, process-portable
-/// content hash (std's default hasher is randomly keyed per process, which
-/// would defeat deterministic keying). 128 bits make accidental collisions
-/// across a sweep's handful of distinct workloads negligible.
-struct Fnv128(u128);
-
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-
-impl Default for Fnv128 {
-    fn default() -> Fnv128 {
-        Fnv128(FNV128_OFFSET)
-    }
-}
-
-impl Fnv128 {
-    fn finish128(&self) -> u128 {
-        self.0
-    }
-}
-
-impl Hasher for Fnv128 {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u128::from(b);
-            self.0 = self.0.wrapping_mul(FNV128_PRIME);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0 as u64
-    }
-}
-
 /// The cross-sweep cache key: everything [`compile`] reads. The segments
 /// hash through their derived `Hash` impls; the processor contributes its
 /// timing digest words (power bits, cache geometry, hit cost); the pacing
 /// is the *derived* per-processor policy, so two processors sharing a seed
 /// base but differing in index key separately.
 fn trace_key(segments: &[Segment], proc: ProcConfig, pacing: Pacing) -> u128 {
-    let mut h = Fnv128::default();
+    let mut h = KeyHasher::default();
     segments.hash(&mut h);
     for w in proc.digest_words() {
         h.write_u64(w);
@@ -628,8 +596,10 @@ fn trace_key(segments: &[Segment], proc: ProcConfig, pacing: Pacing) -> u128 {
 }
 
 /// Every task's [`trace_key`] on the processor it is pinned to, under its
-/// derived pacing. The caller checks that the workload fits the machine.
+/// derived pacing, timed as `cyclesim.trace_keys_ns`. The caller checks
+/// that the workload fits the machine.
 fn task_keys(workload: &Workload, machine: &MachineConfig, pacing: Pacing) -> Vec<u128> {
+    let _span = mesh_obs::span("cyclesim.trace_keys_ns");
     workload
         .tasks
         .iter()
@@ -949,9 +919,9 @@ pub fn clear_cache() {
 }
 
 /// A stable 128-bit fingerprint of everything trace compilation reads for
-/// this workload/machine/pacing triple: the FNV-1a fold of every task's
-/// content key (segments + processor timing digest + derived per-task
-/// pacing). This is the base ingredient of `mesh-bench`'s scenario
+/// this workload/machine/pacing triple: the [`KeyHasher`] fold of every
+/// task's content key (segments + processor timing digest + derived
+/// per-task pacing). This is the base ingredient of `mesh-bench`'s scenario
 /// fingerprints (`MESH_RESULT_CACHE`): two scenarios with equal workload
 /// fingerprints feed the kernel identical micro-event streams.
 ///
@@ -963,7 +933,7 @@ pub fn workload_fingerprint(workload: &Workload, machine: &MachineConfig, pacing
         workload.tasks.len() <= machine.procs.len(),
         "workload does not fit the machine"
     );
-    let mut h = Fnv128::default();
+    let mut h = KeyHasher::default();
     for key in task_keys(workload, machine, pacing) {
         h.write_u128(key);
     }

@@ -19,11 +19,11 @@
 //!    many of those settings on one scenario can compute it once (see
 //!    [`ProfiledWorkload`]). The cycle-accurate simulator's trace compile
 //!    walks the same references through the same cache and counts the same
-//!    profile as it goes, so a caller that has already compiled a
-//!    scenario's traces can read the profile from them
-//!    ([`mesh_cyclesim::resident_profiles`]) and skip this walk;
-//!    `mesh-bench` does, and calls [`profile_task`] only when a trace is not
-//!    resident.
+//!    profile as it goes, so a caller can read the profile from a
+//!    scenario's compiled traces ([`mesh_cyclesim::profiles`]), which the
+//!    simulator's cross-sweep trace cache shares with its runs;
+//!    `mesh-bench` does, and calls [`profile_task`] only for a task too
+//!    long to compile.
 //! 2. **Fold** — walks the segments with their profile, grouping them
 //!    into annotation regions according to an [`AnnotationPolicy`], and
 //!    resolves each region into the annotation tuple the kernel consumes:

@@ -306,9 +306,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The trace compile counts exactly the profile annotation computes:
-    /// once a workload's traces are compiled, the counts they carry equal
-    /// `profile_task` segment by segment, for every task on its own cache,
-    /// under either pacing.
+    /// the counts a workload's compiled traces carry equal `profile_task`
+    /// segment by segment, for every task on its own cache, under either
+    /// pacing.
     #[test]
     fn compiled_traces_count_the_annotation_profile(
         tasks in prop::collection::vec((arb_mixed_segments(), arb_cache()), 1..4),
@@ -323,9 +323,10 @@ proptest! {
         }
         prop_assert!(w.validate().is_ok());
         let machine = MachineConfig::new(procs, BusConfig::new(4)).with_io(IoConfig::new(8));
-        mesh_cyclesim::prewarm(&w, &machine, pacing);
-        let compiled = mesh_cyclesim::resident_profiles(&w, &machine, pacing)
-            .expect("compiled traces are resident");
+        let compiled: Vec<Vec<SegmentProfile>> = mesh_cyclesim::profiles(&w, &machine, pacing)
+            .into_iter()
+            .map(|profile| profile.expect("a task under the step cap compiles"))
+            .collect();
         let walked: Vec<Vec<SegmentProfile>> = w
             .tasks
             .iter()

@@ -276,104 +276,27 @@ fn bump_subeval(name: &str) {
     }
 }
 
-/// The memoized product of the annotation sub-evaluation: every task's
-/// per-segment cache profile ([`profile_task`] on its processor's cache).
-struct Profiles(Vec<Vec<SegmentProfile>>);
-
-/// Encoded as `<tasks>`, then per task `<segments>` followed by each
-/// segment's `<hits> <misses>`.
-impl crate::checkpoint::Checkpointable for Profiles {
-    fn encode(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = self.0.len().to_string();
-        for task in &self.0 {
-            let _ = write!(out, " {}", task.len());
-            for seg in task {
-                let _ = write!(out, " {} {}", seg.hits, seg.misses);
-            }
-        }
-        out
-    }
-
-    fn decode(s: &str) -> Option<Profiles> {
-        let mut it = s.split_whitespace().map(|t| t.parse::<u64>().ok());
-        let mut next = || it.next().flatten();
-        let tasks = next()?;
-        let mut profiles = Vec::new();
-        for _ in 0..tasks {
-            let segments = next()?;
-            let mut task = Vec::new();
-            for _ in 0..segments {
-                task.push(SegmentProfile {
-                    hits: next()?,
-                    misses: next()?,
-                });
-            }
-            profiles.push(task);
-        }
-        if it.next().is_some() {
-            return None;
-        }
-        Some(Profiles(profiles))
-    }
-}
-
-/// The sub-evaluation fingerprint of a scenario's annotation profile: the
-/// content of every task's segments plus the cache geometry of the
-/// processor it runs on. Nothing else determines a profile, so the key
-/// deliberately leaves out the annotation policy, minimum timeslice,
-/// contention model, bus and I/O timing, and processor power and hit cost —
-/// every point of a sweep over those shares one profile. Timed as
-/// `bench.profile_key_ns`.
-pub fn annotation_profile_fp(workload: &Workload, machine: &MachineConfig) -> u128 {
-    let _span = mesh_obs::span("bench.profile_key_ns");
-    let mut fp = memo::ScenarioFp::new("subeval-annotate").word(workload.tasks.len() as u64);
-    for (task, proc) in workload.tasks.iter().zip(&machine.procs) {
-        fp = fp
-            .hashed(&task.segments)
-            .words(&proc.cache.geometry_words());
-    }
-    fp.finish()
-}
-
-/// Computes (or replays) the scenario's annotation profile, memoized under
-/// [`annotation_profile_fp`] like the other sub-evaluations. Callers request
-/// it inside their own leg's memo closure, so a replayed leg never asks.
-///
-/// A computed profile is read from the scenario's compiled traces when the
-/// cycle-accurate leg has left them all resident (their compile walked the
-/// same caches and counted the same hits and misses), and made with
-/// [`profile_task`] otherwise.
+/// Every task's per-segment cache profile, read from the trace cache under
+/// the cycle-accurate leg's pacing ([`mesh_cyclesim::profiles`]): the
+/// traces the scenario's reference compiled, or compiled now for the
+/// reference to reuse. Only a task past the trace step cap walks its cache
+/// here, with [`profile_task`]. Callers read it inside their own leg's memo
+/// closure, so a replayed leg never asks.
 fn annotation_profiles(workload: &Workload, machine: &MachineConfig) -> Vec<Vec<SegmentProfile>> {
-    let fp = annotation_profile_fp(workload, machine);
-    let (profiles, origin) = memo::memoize_flagged(fp, || {
-        if let Some(profiles) =
-            mesh_cyclesim::resident_profiles(workload, machine, mesh_cyclesim::Pacing::default())
-        {
-            bump_subeval("bench.subeval.annotation_from_trace");
-            return Profiles(profiles);
-        }
-        Profiles(
-            workload
-                .tasks
-                .iter()
-                .zip(&machine.procs)
-                .map(|(task, proc)| profile_task(task, proc.cache))
-                .collect(),
-        )
-    });
-    if origin.cached() {
-        bump_subeval("bench.subeval.annotation_shared");
-    }
-    profiles.0
+    mesh_cyclesim::profiles(workload, machine, mesh_cyclesim::Pacing::default())
+        .into_iter()
+        .zip(workload.tasks.iter().zip(&machine.procs))
+        .map(|(profile, (task, proc))| profile.unwrap_or_else(|| profile_task(task, proc.cache)))
+        .collect()
 }
 
 /// As [`mesh_annotate::assemble`] (or [`mesh_annotate::assemble_with_io`]
-/// when `io_model` is given), but folding the scenario's memoized
-/// annotation profile (see [`annotation_profile_fp`]): however many
-/// policies, models and I/O delays are assembled on one scenario, its cache
-/// pass runs once per process, or not at all once the persistent result
-/// cache holds it. The hybrid leg of every evaluation assembles here.
+/// when `io_model` is given), but folding the annotation profile its
+/// compiled traces carry: however many policies, models and I/O delays are
+/// assembled on one scenario, and whichever of them or the scenario's
+/// cycle-accurate leg comes first, each task's cache is walked once per
+/// process while its trace stays resident, by the trace compile. The
+/// hybrid leg of every evaluation assembles here.
 ///
 /// # Panics
 ///
@@ -712,8 +635,8 @@ impl<'a> Scenario<'a> {
         } = self;
         let fp = analytical_key(self.fp, machine, policy);
         let (pct, origin) = memo::memoize_flagged(fp, || {
-            // Totals folded from the scenario's memoized annotation profile; no
-            // kernel system is built.
+            // Totals folded from the scenario's annotation profile; no kernel
+            // system is built.
             let cache_profiles = annotation_profiles(workload, machine);
             let profiles: Vec<ThreadProfile> =
                 ProfiledWorkload::new(workload, machine, &cache_profiles)
@@ -760,7 +683,8 @@ pub fn iss_reference(workload: &Workload, machine: &MachineConfig) -> IssRef {
 /// machine without one); `priorities` assigns arbitration priorities to the
 /// logical threads in task order (higher = more important, consumed by
 /// priority-class models; an empty slice leaves every thread at the
-/// default). The run folds the scenario's memoized annotation profile.
+/// default). The run folds the annotation profile of the scenario's
+/// compiled traces (see [`assemble_memoized`]).
 ///
 /// # Panics
 ///
@@ -1178,5 +1102,43 @@ mod tests {
         assert!(point.mesh_pct > 0.0, "hybrid predicted contention");
         assert!(point.work_cycles > 0);
         assert!(point.misses > 0);
+    }
+
+    /// A task whose trace passes the trace cache's step cap has no compiled
+    /// profile: its annotation walks its cache with `profile_task`, counts a
+    /// trace-cache fallback, and folds the same totals as a fresh
+    /// annotation.
+    #[test]
+    fn a_task_past_the_step_cap_walks_its_cache() {
+        use mesh_workloads::{MemPattern, Segment, TaskProgram};
+        // Every reference misses (a new line each time), and every miss is
+        // a trace step: 4.3 M steps, past the cap of 4 Mi.
+        const REFS: u64 = 4_300_000;
+        let mut workload = Workload::new();
+        workload.add_task(TaskProgram::new("past-the-cap").with_segment(
+            Segment::work(1000).with_pattern(MemPattern::Strided {
+                base: 0,
+                stride: 32,
+                count: REFS,
+            }),
+        ));
+        let machine = fft_machine(1, 8 * 1024, 4);
+        let policy = AnnotationPolicy::PerSegment;
+        let fallbacks = mesh_cyclesim::cache_stats().fallbacks;
+        let setup = assemble_memoized(
+            &workload,
+            &machine,
+            ChenLinBus::new(),
+            None::<NoContention>,
+            policy,
+        );
+        assert!(
+            mesh_cyclesim::cache_stats().fallbacks > fallbacks,
+            "the capped task resolved to a trace"
+        );
+        let walked = mesh_annotate::assemble(&workload, &machine, ChenLinBus::new(), policy)
+            .expect("assembles");
+        assert_eq!(setup.tasks, walked.tasks);
+        assert_eq!(setup.misses_total(), REFS);
     }
 }

@@ -26,10 +26,11 @@
 //! checkpoints use — floats travel as bit patterns, so a memoized result is
 //! *byte-identical* to the computed one). Files are published with the
 //! temp + rename pattern; a corrupt or mismatched entry is quarantined
-//! (renamed to `<fp>.quarantined`) and recomputed. Most entries are a few
-//! hundred bytes; an annotation profile (`subeval-annotate`, two counts per
-//! workload segment) is a few KB. A scenario's entries therefore stay well
-//! under a megabyte, so there is no GC tier — wipe the directory to reset.
+//! (renamed to `<fp>.quarantined`) and recomputed. Entries are a few
+//! hundred bytes, one per memoized leg (`iss-leg`, `hybrid-leg`,
+//! `subeval-analytical`), so there is no GC tier — wipe the directory to
+//! reset. A leg's annotation profile is not an entry: it is read from the
+//! trace cache's compiled traces inside the leg's fill.
 //!
 //! **In process**, every fingerprint asked for has one [`OnceLock`] cell
 //! holding the value's encoding. The first caller fills it (from the
@@ -103,15 +104,6 @@ impl ScenarioFp {
         for &w in ws {
             self = self.word(w);
         }
-        self
-    }
-
-    /// Folds in any [`Hash`](std::hash::Hash) value through std's hashing
-    /// protocol — e.g. workload segments, which derive `Hash` over every
-    /// field. Each integer the impl writes is one word.
-    #[must_use]
-    pub fn hashed<T: std::hash::Hash + ?Sized>(mut self, value: &T) -> ScenarioFp {
-        value.hash(&mut self.0);
         self
     }
 

@@ -6,10 +6,11 @@
 //! across {sub-memo cold, sub-memo warm, sharded over a warm memo}, and a
 //! cold sharded run must agree on every simulated column and simulate the
 //! shared reference once; the four shared-reference binaries must walk
-//! each scenario's caches once, in process and sharded; distinct hybrid
-//! knob settings must never collide within the hybrid leg's domain; the
-//! annotation-profile key must cover exactly the inputs a profile depends
-//! on; the `multi_resource` binary must print the same bytes with and
+//! each task's cache once, in process and sharded; distinct hybrid knob
+//! settings must never collide within the hybrid leg's domain; the workload
+//! fingerprint, which keys the trace cache a profile is read from, must
+//! cover every input a profile depends on and no bus or I/O timing; the
+//! `multi_resource` binary must print the same bytes with and
 //! without a cache and replay a warm one without simulating, and compile
 //! each distinct trace once at any worker count; and the keys of the
 //! cycle-accurate and hybrid legs — whose callers include every
@@ -29,8 +30,8 @@
 use mesh_annotate::AnnotationPolicy;
 use mesh_arch::{Arbitration, BusConfig, CacheConfig, IoConfig, MachineConfig, ProcConfig};
 use mesh_bench::{
-    ablation_models, annotation_profile_fp, compare, fft_machine, hybrid_fp, iss_reference_fp,
-    memo, ComparisonPoint, HybridOptions, FFT_BUS_DELAY,
+    ablation_models, compare, fft_machine, hybrid_fp, iss_reference_fp, memo, ComparisonPoint,
+    HybridOptions, FFT_BUS_DELAY,
 };
 use mesh_core::model::ContentionModel;
 use mesh_cyclesim::{workload_fingerprint, Pacing};
@@ -159,12 +160,13 @@ fn results_identical_across_cache_configurations() {
 /// were re-taken when the keys moved from byte-wise FNV-1a to the
 /// word-at-a-time [`mesh_cyclesim::KeyHasher`]: every key covers the same
 /// inputs as before, but caches written by earlier builds no longer replay.
+/// The annotation profile the hybrid and analytical legs fold is read from
+/// the trace cache and stores no entry of its own.
 #[test]
 fn memo_keys_stay_pinned() {
     const ISS: u128 = 0x3e28b4f4f06e98d18ec23874ada7f585;
     const HYBRID: u128 = 0x7fc08fac3a1fedab93c83b493ff693a1;
     const ANALYTICAL: u128 = 0x228553ddda66cb2cea1a3f37870121e1;
-    const PROFILE: u128 = 0x13ab39738b8c00c13864c3d030bdc738;
     let workload = fft::build(&FftConfig {
         points: 1024,
         threads: 2,
@@ -181,7 +183,6 @@ fn memo_keys_stay_pinned() {
         hybrid_fp(&workload, &machine, &chen_lin, None, options, &[]),
         HYBRID
     );
-    assert_eq!(annotation_profile_fp(&workload, &machine), PROFILE);
 
     let _global = global_cache();
     let tmp = TempDir::new("pins");
@@ -196,7 +197,7 @@ fn memo_keys_stay_pinned() {
         .map(|name| name.to_string_lossy().into_owned())
         .collect();
     stored.sort();
-    let mut pinned: Vec<String> = [ISS, HYBRID, ANALYTICAL, PROFILE]
+    let mut pinned: Vec<String> = [ISS, HYBRID, ANALYTICAL]
         .iter()
         .map(|fp| format!("{fp:032x}.res"))
         .collect();
@@ -296,20 +297,23 @@ fn segment_edits(t: usize) -> Vec<Edit> {
     ]
 }
 
-/// The `subeval-annotate` key covers every input a cache profile depends on
-/// — each field of each segment and pattern, the task count, each
-/// processor's cache geometry — and nothing else: bus delay and
-/// arbitration, the I/O device, processor power and hit cost, and task
-/// names leave it unchanged, so profiles are shared across them. The
+/// The workload fingerprint keys the compiled traces an annotation profile
+/// is read from, so it must cover every input a cache profile depends on —
+/// each field of each segment and pattern, the task count, each processor's
+/// cache geometry — while bus delay and arbitration, the I/O device and
+/// task names leave it unchanged, so profiles are shared across them.
+/// Processor power and hit cost are inputs of the trace key by design (they
+/// time the trace's steps), so a profile is not shared across them. The
 /// annotation policy, minimum timeslice and contention model are not
-/// inputs of the key at all (`subeval.rs` shows one profile serving a
-/// policy × timeslice grid and a second model).
+/// inputs at all (`subeval.rs` shows one compile serving a policy ×
+/// timeslice grid and a second model).
 #[test]
-fn annotation_profile_fingerprint_covers_its_inputs() {
+fn workload_fingerprint_covers_its_inputs() {
     let w = profile_workload();
     let m = profile_machine();
-    let base = annotation_profile_fp(&w, &m);
-    assert_eq!(base, annotation_profile_fp(&w.clone(), &m.clone()));
+    let fp = |w: &Workload, m: &MachineConfig| workload_fingerprint(w, m, Pacing::default());
+    let base = fp(&w, &m);
+    assert_eq!(base, fp(&w.clone(), &m.clone()));
 
     let mut seen = HashSet::from([base]);
     for t in 0..w.tasks.len() {
@@ -317,13 +321,15 @@ fn annotation_profile_fingerprint_covers_its_inputs() {
             let mut edited = w.clone();
             apply(&mut edited);
             assert_ne!(edited, w, "{name} must edit the workload");
-            let fp = annotation_profile_fp(&edited, &m);
-            assert!(seen.insert(fp), "{name} left the profile key unchanged");
+            assert!(
+                seen.insert(fp(&edited, &m)),
+                "{name} left the workload fingerprint unchanged"
+            );
         }
     }
     let mut fewer = w.clone();
     fewer.tasks.pop();
-    assert!(seen.insert(annotation_profile_fp(&fewer, &m)), "task count");
+    assert!(seen.insert(fp(&fewer, &m)), "task count");
 
     let geometries = [(16 * 1024, 32, 4), (8 * 1024, 64, 4), (8 * 1024, 32, 2)];
     for p in 0..m.procs.len() {
@@ -331,8 +337,8 @@ fn annotation_profile_fingerprint_covers_its_inputs() {
             let mut edited = m.clone();
             edited.procs[p].cache = CacheConfig::new(size, line, ways).unwrap();
             assert!(
-                seen.insert(annotation_profile_fp(&w, &edited)),
-                "proc {p} cache {size}/{line}/{ways} left the profile key unchanged"
+                seen.insert(fp(&w, &edited)),
+                "proc {p} cache {size}/{line}/{ways} left the workload fingerprint unchanged"
             );
         }
     }
@@ -346,17 +352,13 @@ fn annotation_profile_fingerprint_covers_its_inputs() {
             m.bus.with_arbitration(Arbitration::FixedPriority),
         ),
         m.clone().with_io(IoConfig::new(8)),
-        MachineConfig::new(
-            vec![m.procs[0], m.procs[1].with_power(0.8).with_hit_cycles(3)],
-            m.bus,
-        ),
     ];
-    assert_eq!(annotation_profile_fp(&renamed, &m), base, "task name");
+    assert_eq!(fp(&renamed, &m), base, "task name");
     for machine in &timing_only {
         assert_eq!(
-            annotation_profile_fp(&w, machine),
+            fp(&w, machine),
             base,
-            "{machine:?} changes no cache profile"
+            "{machine:?} changes no compiled trace"
         );
     }
 }
@@ -393,7 +395,7 @@ fn visit_integers(w: &mut Workload, f: &mut dyn FnMut(&mut u64)) {
 
 /// A single flipped bit anywhere in a workload's integer fields moves every
 /// key over it: the workload fingerprint (the trace layer's, under every
-/// result-memo key but the profile's), the annotation-profile key and the
+/// result-memo key and beside each trace a profile is read from) and the
 /// cycle-accurate leg's key each differ from the base for every variant,
 /// and no two variants share a key.
 #[test]
@@ -403,7 +405,6 @@ fn every_flipped_bit_moves_every_key() {
     let keys = |w: &Workload| {
         [
             workload_fingerprint(w, &m, Pacing::default()),
-            annotation_profile_fp(w, &m),
             iss_reference_fp(w, &m),
         ]
     };
@@ -411,7 +412,7 @@ fn every_flipped_bit_moves_every_key() {
     visit_integers(&mut w.clone(), &mut |_| fields += 1);
     assert_eq!(fields, 28, "two tasks of 14 integer fields");
 
-    let mut seen: [HashSet<u128>; 3] = keys(&w).map(|key| HashSet::from([key]));
+    let mut seen: [HashSet<u128>; 2] = keys(&w).map(|key| HashSet::from([key]));
     for field in 0..fields {
         for bit in 0..64 {
             let mut flipped = w.clone();
@@ -561,38 +562,43 @@ fn sweep_stdout_byte_identical_across_memo_and_sharding() {
     );
 }
 
-/// The four binaries whose grids share references walk each scenario's
-/// private caches once. Every point runs its cycle-accurate leg before its
-/// hybrid leg, so the one annotation profile per scenario is read from the
-/// traces the reference compiled (`noc_sweep` has three scenarios), and
-/// each shared reference is simulated once (`noc_sweep`'s three adversarial
-/// sets are 4, 6 and 10 simulations). Both hold in process and sharded
-/// with no result cache, where the reference key keeps each group on one
-/// worker process.
+/// The four binaries whose grids share references walk each task's private
+/// cache once, in its trace compile: every annotation profile is read from
+/// a compiled trace, with no fallback walk, and each distinct trace
+/// compiles once per process — 8 for the 8-processor FFT of
+/// `ablation_minslice` and `ablation_models`, 2 for `ablation_granularity`'s
+/// PHM pair, and 8 for `noc_sweep`'s 2-, 4- and 8-task uniform scenarios,
+/// whose smaller workloads reuse the larger one's first traces. Each shared
+/// reference is simulated once (`noc_sweep`'s three adversarial sets are 4,
+/// 6 and 10 simulations). Both hold in process and sharded with no result
+/// cache, where the reference key keeps each group on one worker process;
+/// each worker compiles its own groups' traces, so `noc_sweep`'s shared
+/// traces compile in both workers (12).
 #[test]
 fn shared_reference_binaries_walk_each_scenario_once() {
     let tmp = TempDir::new("shared-references");
     let base = tmp.path();
+    // (name, executable, compiles in process and sharded, simulations)
     let binaries = [
         (
             "ablation_minslice",
             env!("CARGO_BIN_EXE_ablation_minslice"),
-            1,
+            [8, 8],
             1,
         ),
         (
             "ablation_granularity",
             env!("CARGO_BIN_EXE_ablation_granularity"),
-            1,
+            [2, 2],
             1,
         ),
         (
             "ablation_models",
             env!("CARGO_BIN_EXE_ablation_models"),
-            1,
+            [8, 8],
             1,
         ),
-        ("noc_sweep", env!("CARGO_BIN_EXE_noc_sweep"), 3, 20),
+        ("noc_sweep", env!("CARGO_BIN_EXE_noc_sweep"), [8, 12], 20),
     ];
     let legs: [(&str, &[(&str, &str)]); 2] = [
         ("in-process", &[("MESH_BENCH_JOBS", "2")]),
@@ -601,8 +607,8 @@ fn shared_reference_binaries_walk_each_scenario_once() {
             &[("MESH_BENCH_SHARDS", "2"), ("MESH_BENCH_JOBS", "1")],
         ),
     ];
-    for (name, exe, profiles, sim_runs) in binaries {
-        for (leg, knobs) in legs {
+    for (name, exe, compiles, sim_runs) in binaries {
+        for ((leg, knobs), compiles) in legs.into_iter().zip(compiles) {
             let obs = base.join(format!("{name}-{leg}"));
             let mut envs: Vec<(&str, String)> =
                 knobs.iter().map(|&(k, v)| (k, v.to_string())).collect();
@@ -611,9 +617,14 @@ fn shared_reference_binaries_walk_each_scenario_once() {
             let metrics = std::fs::read_to_string(obs.join("metrics.txt"))
                 .expect("the run wrote its metrics");
             assert_eq!(
-                counter(&metrics, "bench.subeval.annotation_from_trace"),
-                profiles,
-                "{name} {leg}: a profile walked the caches again:\n{metrics}"
+                counter(&metrics, "cyclesim.trace.compiles"),
+                compiles,
+                "{name} {leg}: a trace compiled twice in one process:\n{metrics}"
+            );
+            assert_eq!(
+                counter(&metrics, "cyclesim.trace_cache.fallbacks"),
+                0,
+                "{name} {leg}: a profile walked a cache past the step cap:\n{metrics}"
             );
             assert_eq!(
                 counter(&metrics, "cyclesim.sim.runs"),
@@ -659,8 +670,10 @@ fn replay_note_flags_only_rows_from_the_result_cache() {
 
 /// `multi_resource` end to end: its stdout is byte-identical with no
 /// cache, while populating one, warm, and sharded over the warm cache. The
-/// populating run makes one cache pass for its four I/O delays, and the
-/// warm run replays every point without a simulation or a kernel run.
+/// populating run makes one cache pass for its four I/O delays: the first
+/// simulation compiles both tasks' traces, and the other three and all four
+/// hybrid legs' profile reads hit them. The warm run replays every point
+/// without a simulation or a kernel run.
 #[test]
 fn multi_resource_replays_a_warm_cache_byte_identically() {
     let tmp = TempDir::new("multi-resource");
@@ -688,9 +701,12 @@ fn multi_resource_replays_a_warm_cache_byte_identically() {
         "{cold_metrics}"
     );
     assert_eq!(
-        counter(&cold_metrics, "bench.subeval.annotation_shared"),
-        3,
-        "the four I/O delays share one annotation profile:\n{cold_metrics}"
+        [
+            counter(&cold_metrics, "cyclesim.trace_cache.misses"),
+            counter(&cold_metrics, "cyclesim.trace_cache.hits"),
+        ],
+        [2, 3 * 2 + 4 * 2],
+        "the four I/O delays share one cache pass:\n{cold_metrics}"
     );
     let warm = bin_stdout(
         MULTI_RESOURCE_EXE,
@@ -749,13 +765,12 @@ fn multi_resource_compiles_each_trace_once_at_any_job_count() {
     );
 }
 
-/// The key layer's spans count one sample per pass over a workload's
+/// The key layer's span counts one sample per pass over a workload's
 /// segments: `cyclesim.trace_keys_ns` per trace-key pass (each point's
-/// workload fingerprint, each cycle-accurate fill's trace lookup, each
-/// profile fill's read of the resident traces) and `bench.profile_key_ns`
-/// per annotation-profile key (each point's hybrid and analytical legs).
-/// A cold `fig6` of 105 points, with 21 distinct profiles, makes 231 and
-/// 210 at any worker count: the passes follow single-flight fills.
+/// workload fingerprint, each cycle-accurate fill's trace lookup, and each
+/// hybrid and analytical fill's profile read from the trace cache). A cold
+/// `fig6` of 105 points makes 105 + 105 + 210 = 420 at any worker count:
+/// the passes follow single-flight fills.
 #[test]
 fn fig6_key_passes_are_the_same_at_any_job_count() {
     let tmp = TempDir::new("key-passes");
@@ -772,12 +787,7 @@ fn fig6_key_passes_are_the_same_at_any_job_count() {
             std::fs::read_to_string(obs.join("metrics.txt")).expect("the run wrote its metrics");
         assert_eq!(
             histogram_count(&metrics, "cyclesim.trace_keys_ns"),
-            231,
-            "{jobs} jobs:\n{metrics}"
-        );
-        assert_eq!(
-            histogram_count(&metrics, "bench.profile_key_ns"),
-            210,
+            420,
             "{jobs} jobs:\n{metrics}"
         );
     }

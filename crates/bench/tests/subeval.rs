@@ -2,10 +2,11 @@
 //! an ablation-style sweep varying only hybrid knobs invokes
 //! `mesh_cyclesim::simulate` **exactly once** per distinct (workload,
 //! machine), with every other point sharing the memoized reference — and
-//! computes the annotation profile exactly once per scenario, with every
-//! hybrid and analytical leg folding the shared profile. That one profile is
-//! read from the traces the reference compiled, not from a second cache
-//! walk; a scenario no simulation has touched still walks its caches.
+//! walks each task's cache exactly once per scenario, in the reference's
+//! trace compile: every hybrid and analytical leg reads its annotation
+//! profile from those compiled traces as a trace-cache hit. A scenario no
+//! simulation has touched compiles its traces for the profile, and its
+//! later reference reuses them.
 //!
 //! This is the only test in this file on purpose — it reads process-global
 //! counters, and a sibling test running `compare` in parallel would race
@@ -14,6 +15,7 @@
 use mesh_annotate::AnnotationPolicy;
 use mesh_bench::{assemble_memoized, compare, fft_machine, memo, sweep, HybridOptions};
 use mesh_core::model::NoContention;
+use mesh_cyclesim::{cache_stats, TraceCacheStats};
 use mesh_models::Mm1Queue;
 use mesh_obs as obs;
 use mesh_workloads::fft::{self, FftConfig};
@@ -41,13 +43,21 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
             })
         })
         .collect();
-    let annotation_shared = || obs::counter("bench.subeval.annotation_shared").value();
-    let from_trace = || obs::counter("bench.subeval.annotation_from_trace").value();
+    // Trace-cache lookups and compiles since `before`, as
+    // `[hits, misses, compiles]`.
+    let traces_since = |before: TraceCacheStats| {
+        let now = cache_stats();
+        [
+            now.hits - before.hits,
+            now.misses - before.misses,
+            now.compiles - before.compiles,
+        ]
+    };
+    let tasks = workload.tasks.len() as u64;
 
     let runs_before = obs::counter("cyclesim.sim.runs").value();
     let shared_before = obs::counter("bench.subeval.reference_shared").value();
-    let annotation_before = annotation_shared();
-    let from_trace_before = from_trace();
+    let traces_before = cache_stats();
 
     let points: Vec<_> = knobs
         .iter()
@@ -68,20 +78,15 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
         knobs.len() as u64 - 1,
         "every point after the first shares the memoized reference"
     );
+    // The reference leg runs first and compiles each task's trace once.
     // Every hybrid leg (one per point) and every analytical leg (one per
-    // policy) asks for the annotation profile; only the first computes it.
+    // policy) then reads the annotation profile from those traces: one
+    // trace-cache hit per task, and no second cache walk.
     let requests = (knobs.len() + policies.len()) as u64;
     assert_eq!(
-        annotation_shared() - annotation_before,
-        requests - 1,
+        traces_since(traces_before),
+        [requests * tasks, tasks, tasks],
         "the cache pass runs once per scenario across policies and timeslices"
-    );
-    // The reference leg runs first and compiles the scenario's traces, so
-    // the one profile the grid computes is read from them.
-    assert_eq!(
-        from_trace() - from_trace_before,
-        1,
-        "the grid's profile comes from the resident traces, not a second walk"
     );
     // Every leg was measured in this process: sharing the reference
     // through the in-process memo is not a replay from the result cache.
@@ -93,18 +98,19 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
     assert!(points.iter().all(|p| p.iss_cycles == points[0].iss_cycles
         && p.iss_pct.to_bits() == points[0].iss_pct.to_bits()));
 
-    // Replaying the grid from the warm memo asks for no profile at all: it is
-    // requested lazily, inside the legs' memo closures.
-    let annotation_before = annotation_shared();
+    // Replaying the grid from the warm memo reads no profile at all: it is
+    // read lazily, inside the legs' memo closures.
+    let traces_before = cache_stats();
     let replayed: Vec<_> = knobs
         .iter()
         .map(|&options| compare(&workload, &machine, options))
         .collect();
     assert_eq!(replayed, points, "warm replay reproduces the grid");
-    assert_eq!(annotation_shared(), annotation_before);
+    assert_eq!(traces_since(traces_before), [0, 0, 0]);
 
-    // Another contention model on the same scenario folds the same profile.
-    let annotation_before = annotation_shared();
+    // Another contention model on the same scenario folds the same profile,
+    // read from the same traces.
+    let traces_before = cache_stats();
     let setup = assemble_memoized(
         &workload,
         &machine,
@@ -113,24 +119,21 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
         AnnotationPolicy::AtBarriers,
     );
     assert_eq!(setup.misses_total(), points[0].misses);
-    assert_eq!(annotation_shared() - annotation_before, 1);
+    assert_eq!(traces_since(traces_before), [tasks, 0, 0]);
 
-    // A point whose timed legs are computed is not flagged replayed even
-    // when its annotation profile was served from the cache.
+    // A point whose legs are all computed again reads its profiles from the
+    // traces the first run left, and is not flagged replayed.
     memo::clear_subeval_lru();
-    let annotation_before = annotation_shared();
-    let _ = assemble_memoized(
-        &workload,
-        &machine,
-        Mm1Queue::new(),
-        None::<NoContention>,
-        AnnotationPolicy::AtBarriers,
-    );
+    let traces_before = cache_stats();
     let fresh = compare(&workload, &machine, knobs[0]);
-    assert_eq!(annotation_shared() - annotation_before, 2);
+    assert_eq!(
+        traces_since(traces_before),
+        [3 * tasks, 0, 0],
+        "the reference, hybrid and analytical legs each read the traces"
+    );
     assert!(
         !fresh.replayed,
-        "a shared profile does not make a point a replay"
+        "resident traces do not make a point a replay"
     );
     let simulated = |p: &mesh_bench::ComparisonPoint| {
         (
@@ -177,22 +180,30 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
     );
 
     // A scenario no simulation has touched has no resident traces: its
-    // profile falls back to the cache walk and matches a fresh annotation.
-    // Once the reference has compiled the traces, the profile read from
-    // them folds to the same totals.
+    // profile compiles them, and folds to the same regions as a fresh
+    // annotation's cache walk. The reference that runs later reuses the
+    // compiled traces instead of walking the caches again.
     memo::clear_subeval_lru();
     let untouched = fft_machine(2, 32 * 1024, 4);
     let policy = AnnotationPolicy::PerSegment;
     let no_io = None::<NoContention>;
-    let from_trace_before = from_trace();
-    let walked = assemble_memoized(&workload, &untouched, Mm1Queue::new(), no_io, policy);
-    assert_eq!(from_trace(), from_trace_before, "no trace was resident");
+    let traces_before = cache_stats();
+    let compiled = assemble_memoized(&workload, &untouched, Mm1Queue::new(), no_io, policy);
+    assert_eq!(
+        traces_since(traces_before),
+        [0, tasks, tasks],
+        "the profile compiles the untouched scenario's traces"
+    );
     let fresh =
         mesh_annotate::assemble(&workload, &untouched, Mm1Queue::new(), policy).expect("assembles");
-    assert_eq!(walked.tasks, fresh.tasks);
+    assert_eq!(compiled.tasks, fresh.tasks);
+    let traces_before = cache_stats();
+    let runs_before = obs::counter("cyclesim.sim.runs").value();
     mesh_bench::iss_reference(&workload, &untouched);
-    memo::clear_subeval_lru();
-    let read = assemble_memoized(&workload, &untouched, Mm1Queue::new(), no_io, policy);
-    assert_eq!(from_trace() - from_trace_before, 1);
-    assert_eq!(read.tasks, walked.tasks);
+    assert_eq!(obs::counter("cyclesim.sim.runs").value() - runs_before, 1);
+    assert_eq!(
+        traces_since(traces_before),
+        [tasks, 0, 0],
+        "the reference reuses the traces the profile compiled"
+    );
 }

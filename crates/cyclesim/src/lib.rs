@@ -39,6 +39,6 @@ pub use sim::{
     ProcCycleStats, SimOptions,
 };
 pub use trace::{
-    cache_stats, prewarm, resident_profiles, workload_fingerprint, SegmentProfile, TraceCacheStats,
+    cache_stats, prewarm, profiles, workload_fingerprint, SegmentProfile, TraceCacheStats,
     TraceMode,
 };

@@ -50,9 +50,9 @@
 //!   steps the on-the-fly cursor feed does, without the feed's
 //!   item-by-item state machine, and rounds the Poisson gap inline;
 //! * every trace also carries its task's **per-segment hit and miss
-//!   counts**, counted during the same cache walk.
-//!   [`resident_profiles`] hands them out, so annotation (`mesh-annotate`'s
-//!   profile) needs no second walk for a task whose trace is resident.
+//!   counts**, counted during the same cache walk. [`profiles`] hands them
+//!   out, so annotation (`mesh-annotate`'s profile) needs no second walk of
+//!   any task under the step cap.
 //!
 //! Memory stays bounded: a single task's trace is capped at 4 Mi steps
 //! (≈ 32 MiB plus 40 bytes per wide step; beyond it the engines fall back
@@ -954,33 +954,31 @@ pub fn prewarm(workload: &Workload, machine: &MachineConfig, pacing: Pacing) {
 }
 
 /// Every task's per-segment hit and miss counts (index-aligned with the
-/// tasks, then with each task's segments), read from the compiled traces
-/// in the cross-sweep cache — or `None` unless every task's trace is
-/// resident. A lookup only: it never compiles and moves none of the cache's
-/// counters.
+/// tasks, then with each task's segments), read from its compiled trace in
+/// the cross-sweep cache: a cache hit, or a compile on a miss, counted like
+/// a simulation's lookups. `None` marks a task past the step cap, which has
+/// no trace.
 ///
 /// The counts come from the same cache walk that resolved the trace's hit
 /// and miss events, so they equal a fresh walk of each task's references,
 /// in order, through one private cache of its processor's geometry.
-pub fn resident_profiles(
+///
+/// # Panics
+///
+/// Panics if the workload has more tasks than the machine has processors.
+pub fn profiles(
     workload: &Workload,
     machine: &MachineConfig,
     pacing: Pacing,
-) -> Option<Vec<Vec<SegmentProfile>>> {
-    if workload.tasks.len() > machine.procs.len() {
-        return None;
-    }
-    let keys = task_keys(workload, machine, pacing);
-    let traces: Vec<Arc<TaskTrace>> = {
-        let cache = global();
-        keys.iter()
-            .map(|key| match cache.map.get(key).and_then(|cell| cell.get()) {
-                Some(CacheEntry::Compiled(trace)) => Some(Arc::clone(trace)),
-                _ => None,
-            })
-            .collect::<Option<_>>()?
-    };
-    Some(traces.iter().map(|t| t.profile.clone()).collect())
+) -> Vec<Option<Vec<SegmentProfile>>> {
+    assert!(
+        workload.tasks.len() <= machine.procs.len(),
+        "workload does not fit the machine"
+    );
+    compiled_for(workload, machine, pacing)
+        .iter()
+        .map(|trace| trace.as_ref().map(|t| t.profile.clone()))
+        .collect()
 }
 
 /// Compiles every task of the workload from scratch — bypassing the
@@ -1439,6 +1437,14 @@ mod tests {
         }
     }
 
+    /// Whether `key`'s compiled trace is resident in the cross-sweep cache.
+    fn resident(key: u128) -> bool {
+        matches!(
+            global().map.get(&key).and_then(|cell| cell.get()),
+            Some(CacheEntry::Compiled(_))
+        )
+    }
+
     #[test]
     fn waiter_compiles_a_key_whose_compile_unwound() {
         // A compile that panics leaves its key's cell empty; a caller
@@ -1469,10 +1475,7 @@ mod tests {
             assert!(unwinding.join().is_err());
             assert!(waiter.join().unwrap()[0].is_some());
         });
-        assert!(
-            resident_profiles(&w, &machine, Pacing::Even).is_some(),
-            "the waiter's compile is resident"
-        );
+        assert!(resident(key), "the waiter's compile is resident");
     }
 
     #[test]
@@ -1497,7 +1500,7 @@ mod tests {
     }
 
     #[test]
-    fn resident_profiles_read_the_compile_counts() {
+    fn profiles_read_the_compile_counts() {
         let segments = vec![
             Segment::work(100).with_pattern(MemPattern::Strided {
                 base: 0x7A11_0000,
@@ -1519,24 +1522,25 @@ mod tests {
                 .fold(TaskProgram::new("t"), TaskProgram::with_segment),
         );
         let machine = MachineConfig::homogeneous(1, proc(1024), BusConfig::new(4));
-        // A lookup never compiles: the traces stay absent until a prewarm.
-        assert_eq!(resident_profiles(&w, &machine, Pacing::Even), None);
-        assert_eq!(resident_profiles(&w, &machine, Pacing::Even), None);
-        prewarm(&w, &machine, Pacing::Even);
+        let key = |pacing| task_keys(&w, &machine, pacing)[0];
         let counts = |hits, misses| SegmentProfile { hits, misses };
-        assert_eq!(
-            resident_profiles(&w, &machine, Pacing::Even),
-            Some(vec![vec![
-                // 16 refs over 4 lines: 4 misses, 12 hits.
-                counts(12, 4),
-                counts(0, 0),
-                counts(0, 0),
-                // Line 0 is still cached; 2048 and 4096 map onto its set.
-                counts(1, 2),
-            ]])
-        );
-        // Another pacing is another key: not resident.
-        assert_eq!(resident_profiles(&w, &machine, Pacing::Poisson(3)), None);
+        let expected = vec![Some(vec![
+            // 16 refs over 4 lines: 4 misses, 12 hits.
+            counts(12, 4),
+            counts(0, 0),
+            counts(0, 0),
+            // Line 0 is still cached; 2048 and 4096 map onto its set.
+            counts(1, 2),
+        ])];
+        // A miss compiles the trace and leaves it resident for the engines.
+        assert!(!resident(key(Pacing::Even)));
+        assert_eq!(profiles(&w, &machine, Pacing::Even), expected);
+        assert!(resident(key(Pacing::Even)));
+        assert_eq!(profiles(&w, &machine, Pacing::Even), expected);
+        // Another pacing is another key with the same counts: pacing moves
+        // when a reference is made, never which references miss.
+        assert!(!resident(key(Pacing::Poisson(3))));
+        assert_eq!(profiles(&w, &machine, Pacing::Poisson(3)), expected);
     }
 
     #[test]

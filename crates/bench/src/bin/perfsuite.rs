@@ -1,9 +1,10 @@
 //! **perfsuite** — the repository's perf-trajectory benchmark suite.
 //!
-//! Times the three hot paths (hybrid kernel, contention-model `evaluate`s,
-//! and the cycle-accurate simulator in both engines) on the FFT, MiBench/PHM
-//! and uniform workloads, and writes the measurements to `BENCH_<sha>.json`
-//! so every commit's performance is a recorded, comparable artifact.
+//! Times the hot paths (hybrid kernel, annotation pass, contention-model
+//! `evaluate`s, and the cycle-accurate simulator in both engines) on the
+//! FFT, MiBench/PHM and uniform workloads, and writes the measurements to
+//! `BENCH_<sha>.json` so every commit's performance is a recorded,
+//! comparable artifact.
 //!
 //! ```bash
 //! cargo run -p mesh-bench --release --bin perfsuite            # full suite
@@ -17,6 +18,10 @@
 //! skip engine on the on-the-fly cursor path) and `_compile` (the cold
 //! trace-compile cost, cache bypassed) — the compile/consume split of the
 //! trace pipeline.
+//!
+//! The `annotate/` rows time the hybrid's annotation pass on the FFT and
+//! PHM scenarios of `kernel/` and `cyclesim/smoke_*`, in two parts (see
+//! `bench_hybrid`).
 //!
 //! The `store/` section prices the result memo: `store/phm_keys` is the
 //! memo-key pass over a Figure-6 PHM workload, and `store/memo_hit`
@@ -36,29 +41,34 @@
 //! a partial artifact (`--check` then gates only the prefixes the filter
 //! measured, and only the benchmarks it measured under them).
 //!
-//! `--check FILE` exits nonzero if any `kernel/`, `model/`, `cyclesim/`,
-//! `obs/`, `store/` or `sweep/` benchmark regressed by more than `--factor`
-//! times (default 2x), after checking every prefix and printing each
-//! failure. It never passes vacuously: a gated prefix with no
-//! benchmark in both files fails, and so does a benchmark that only one
-//! file has, when the run is unfiltered. It refuses outright when the two
-//! files recorded different parallelism or cache configurations.
-//! After a run the suite prints a speedup summary — tick/skip per workload,
-//! trace-vs-cursor, and the compile cost — so BENCH deltas are readable
-//! without hand-diffing JSON. See `docs/PERFORMANCE.md`.
+//! `--check FILE` exits nonzero if any benchmark under a gated prefix
+//! (`kernel/`, `annotate/`, `model/`, `cyclesim/`, `obs/`, `store/`,
+//! `sweep/`) regressed by more than `--factor` times (default 2x), after
+//! checking every prefix and printing each failure. It never passes
+//! vacuously: a gated prefix with no benchmark in both files fails, and so
+//! does a benchmark that only one file has, when the run is unfiltered. It
+//! refuses outright when the two files recorded different parallelism or
+//! cache configurations. Beside its verdicts it prints the ungated
+//! `host/reference` (see `HOST_ROW`) over the baseline's.
+//!
+//! After a run the suite prints the cyclesim speedups (tick/skip per
+//! workload, trace-vs-cursor, and the compile cost) and each scenario's
+//! MESH-versus-ISS curve with annotation included ([`SpeedupCurve`]), so
+//! BENCH deltas are readable without hand-diffing JSON. See
+//! `docs/PERFORMANCE.md`.
 
-use mesh_annotate::{assemble, AnnotationPolicy};
+use mesh_annotate::{profile_task, AnnotationPolicy, ProfiledWorkload, SegmentProfile};
 use mesh_arch::MachineConfig;
 use mesh_bench::perf::{
-    check_regression, time_median_batched_ns, time_median_ns, BenchFile, BenchRecord,
-    DEFAULT_FACTOR, GATED_PREFIXES,
+    check_regression, host_reference, time_median_batched_ns, time_median_ns, BenchFile,
+    BenchRecord, SpeedupCurve, DEFAULT_FACTOR, GATED_PREFIXES,
 };
 use mesh_bench::{
     fft_machine, phm_machine, FFT_BUS_DELAY, FFT_CACHES, FFT_PROC_SWEEP, FIG5_BUS_DELAYS,
     FIG6_IDLE_SWEEP,
 };
 use mesh_core::model::{ContentionModel, Slice, SliceRequest};
-use mesh_core::{SharedId, SimTime, ThreadId};
+use mesh_core::{SharedId, SimTime, System, ThreadId};
 use mesh_cyclesim::{simulate_with_options, Pacing, SimOptions, TraceMode};
 use mesh_models::{ChenLinBus, Md1Queue, Mm1Queue, PriorityBus, RoundRobinBus};
 use mesh_workloads::fft::{self, FftConfig};
@@ -255,65 +265,101 @@ fn bench_obs(suite: &mut Suite, workload: &Workload, machine: &MachineConfig, sa
     }
 }
 
-/// Samples behind every `kernel/` and `model/` median, in both modes. A
-/// kernel run takes about 15 µs, so one preemption on a shared host moves
-/// it 2x: a median of five samples failed the 2x gate on noise alone.
+/// Samples behind every `kernel/`, `annotate/` and `model/` median, in
+/// both modes. A kernel run takes about 15 µs, so one preemption on a
+/// shared host moves it 2x: a median of five samples failed the 2x gate on
+/// noise alone.
 const MICRO_SAMPLES: usize = 51;
 
-fn bench_kernel(suite: &mut Suite, samples: usize) {
-    if suite.wants("kernel/fig4_fft") {
-        // A Figure-4 FFT point: barrier-grained annotations, few large
-        // slices.
-        let fft_w = fft::build(&FftConfig {
-            points: 16_384,
-            threads: 4,
-            ..FftConfig::default()
-        });
-        let fft_m = fft_machine(4, 8 * 1024, FFT_BUS_DELAY);
-        let median = time_median_batched_ns(
-            samples,
-            || {
-                assemble(
-                    &fft_w,
-                    &fft_m,
-                    ChenLinBus::new(),
-                    AnnotationPolicy::AtBarriers,
-                )
-                .expect("assemble")
-                .builder
-                .build()
-                .expect("build")
-            },
-            |system| system.run().expect("hybrid run"),
-        );
-        suite.record("kernel/fig4_fft", median);
+/// A scenario that the `kernel/`, `annotate/` and `cyclesim/` sections all
+/// time, so the summary can chain their medians into one MESH-versus-ISS
+/// curve (see [`SpeedupCurve`]).
+struct Scenario {
+    /// Row name under `kernel/` and `annotate/`.
+    name: &'static str,
+    /// Row stem under `cyclesim/`.
+    sim: &'static str,
+    workload: Workload,
+    machine: MachineConfig,
+    policy: AnnotationPolicy,
+}
+
+impl Scenario {
+    /// Every task's cache walk: what production reads from the trace cache.
+    fn profile(&self) -> Vec<Vec<SegmentProfile>> {
+        self.workload
+            .tasks
+            .iter()
+            .zip(&self.machine.procs)
+            .map(|(task, proc)| profile_task(task, proc.cache))
+            .collect()
     }
 
-    if suite.wants("kernel/fig6_phm") {
-        // A Figure-6 PHM point: per-segment annotations, many small slices —
-        // the commit-rate stress case.
-        let phm_w = scenario::build(&PhmConfig {
-            target_ops: 300_000,
-            ..PhmConfig::with_second_idle(0.45)
-        });
-        let phm_m = phm_machine(8);
-        let median = time_median_batched_ns(
-            samples,
-            || {
-                assemble(
-                    &phm_w,
-                    &phm_m,
-                    ChenLinBus::new(),
-                    AnnotationPolicy::PerSegment,
-                )
-                .expect("assemble")
-                .builder
-                .build()
-                .expect("build")
-            },
-            |system| system.run().expect("hybrid run"),
-        );
-        suite.record("kernel/fig6_phm", median);
+    /// One design point's kernel system, folded from the scenario's profile.
+    fn fold_build(&self, profiles: &[Vec<SegmentProfile>]) -> System {
+        ProfiledWorkload::new(&self.workload, &self.machine, profiles)
+            .and_then(|profiled| profiled.assemble(ChenLinBus::new(), self.policy))
+            .expect("assemble")
+            .builder
+            .build()
+            .expect("build")
+    }
+}
+
+/// The two scenarios, each built once per run.
+fn scenarios() -> [Scenario; 2] {
+    [
+        // A Figure-4 FFT point: barrier-grained annotations, few large
+        // slices.
+        Scenario {
+            name: "fig4_fft",
+            sim: "cyclesim/smoke_fft",
+            workload: fft::build(&FftConfig {
+                points: 16_384,
+                threads: 4,
+                ..FftConfig::default()
+            }),
+            machine: fft_machine(4, 8 * 1024, FFT_BUS_DELAY),
+            policy: AnnotationPolicy::AtBarriers,
+        },
+        // A Figure-6 PHM point: per-segment annotations, many small slices
+        // — the commit-rate stress case.
+        Scenario {
+            name: "fig6_phm",
+            sim: "cyclesim/smoke_mibench_phm",
+            workload: scenario::build(&PhmConfig {
+                target_ops: 300_000,
+                ..PhmConfig::with_second_idle(0.45)
+            }),
+            machine: phm_machine(8),
+            policy: AnnotationPolicy::PerSegment,
+        },
+    ]
+}
+
+/// Times the hybrid on each scenario: `kernel/<name>` runs a built system;
+/// `annotate/<name>_profile` walks every task's cache, which production
+/// reads from the trace cache and so pays once per scenario; and
+/// `annotate/<name>_fold_build` folds that profile and builds the system,
+/// which every design point pays.
+fn bench_hybrid(suite: &mut Suite, scenarios: &[Scenario]) {
+    for s in scenarios {
+        let profiles = s.profile();
+        let kernel = format!("kernel/{}", s.name);
+        if suite.wants(&kernel) {
+            let run = |system: System| system.run().expect("hybrid run");
+            let median = time_median_batched_ns(MICRO_SAMPLES, || s.fold_build(&profiles), run);
+            suite.record(&kernel, median);
+        }
+        let profile = format!("annotate/{}_profile", s.name);
+        if suite.wants(&profile) {
+            suite.record(&profile, time_median_ns(MICRO_SAMPLES, 1, || s.profile()));
+        }
+        let fold_build = format!("annotate/{}_fold_build", s.name);
+        if suite.wants(&fold_build) {
+            let median = time_median_ns(MICRO_SAMPLES, 1, || s.fold_build(&profiles));
+            suite.record(&fold_build, median);
+        }
     }
 }
 
@@ -409,7 +455,7 @@ fn bench_store(suite: &mut Suite, samples: usize) {
 /// Prints the cold/shared ratio — the headline split-phase win (the ≥ 2x
 /// figure tracked in docs/PERFORMANCE.md). Runs alongside `store/` at the
 /// end of the suite and restores the environment-driven configuration.
-fn bench_sweep(suite: &mut Suite, samples: usize) {
+fn bench_sweep(suite: &mut Suite, fft: &Scenario, samples: usize) {
     let wants_cold = suite.wants("sweep/grid_cold");
     let wants_shared = suite.wants("sweep/grid_shared");
     let wants_memo = suite.wants("sweep/grid_memo_warm");
@@ -418,12 +464,7 @@ fn bench_sweep(suite: &mut Suite, samples: usize) {
     }
     let memo_dir =
         std::env::temp_dir().join(format!("mesh-perfsuite-{}-sweep", std::process::id()));
-    let workload = fft::build(&FftConfig {
-        points: 16_384,
-        threads: 4,
-        ..FftConfig::default()
-    });
-    let machine = fft_machine(4, 8 * 1024, FFT_BUS_DELAY);
+    let (workload, machine) = (&fft.workload, &fft.machine);
     let grid = [0.0, 50.0, 200.0, 1_000.0, 5_000.0];
     // `isolated` clears the in-process memo before every point, so no
     // point shares another's sub-evaluations.
@@ -433,8 +474,8 @@ fn bench_sweep(suite: &mut Suite, samples: usize) {
                 mesh_bench::memo::clear_subeval_lru();
             }
             mesh_bench::compare(
-                &workload,
-                &machine,
+                workload,
+                machine,
                 mesh_bench::HybridOptions {
                     policy: AnnotationPolicy::AtBarriers,
                     min_timeslice: ts,
@@ -481,6 +522,54 @@ fn bench_sweep(suite: &mut Suite, samples: usize) {
     let _ = std::fs::remove_dir_all(&memo_dir);
 }
 
+/// The ungated row that records host speed, which no code change moves:
+/// the median time of [`host_reference`] over [`HOST_SAMPLES`] samples at
+/// the start of a run and as many at its end, averaged. Timed in every run,
+/// filtered or not.
+const HOST_ROW: &str = "host/reference";
+/// References per host-reference sample: about 7.5 ms on a 2-vCPU Xeon VM.
+const HOST_REFS: u64 = 1_000_000;
+const HOST_SAMPLES: usize = 5;
+
+/// Prints each scenario's MESH-versus-ISS curve (see [`SpeedupCurve`])
+/// from the medians the run recorded, skipping a scenario a `--filter`
+/// left incomplete.
+fn print_curves(file: &BenchFile, scenarios: &[Scenario]) {
+    println!(
+        "\n{:<40} {:>9} {:>9} {:>9} {:>10}",
+        "MESH vs ISS speedup(N), annotation in", "N = 1", "N = 64", "limit", "100x at N"
+    );
+    let median = |name: String| file.median_of(&name);
+    for s in scenarios {
+        let (Some(compile), Some(consume), Some(profile), Some(fold_build), Some(run)) = (
+            median(format!("{}_compile", s.sim)),
+            median(format!("{}_skip", s.sim)),
+            median(format!("annotate/{}_profile", s.name)),
+            median(format!("annotate/{}_fold_build", s.name)),
+            median(format!("kernel/{}", s.name)),
+        ) else {
+            continue;
+        };
+        let curve = SpeedupCurve {
+            compile,
+            consume,
+            profile,
+            fold_build,
+            run,
+        };
+        let n = curve
+            .break_even(100.0)
+            .map_or("never".into(), |n| n.to_string());
+        println!(
+            "{:<40} {:>8.1}x {:>8.1}x {:>8.1}x {n:>10}",
+            s.name,
+            curve.at(1.0),
+            curve.at(64.0),
+            curve.limit()
+        );
+    }
+}
+
 fn main() {
     let args = parse_args();
     let sha = mesh_obs::report::git_sha();
@@ -498,52 +587,31 @@ fn main() {
     // more: a `sweep/` median of three samples spread nearly 2x across
     // runs of one build, so the 2x gate could not see a regression under it.
     let (s_sim, s_sweep) = if args.quick { (3, 9) } else { (7, 15) };
+    let time_host = || time_median_ns(HOST_SAMPLES, 1, || host_reference(HOST_REFS));
+    let host_start = time_host();
 
-    bench_kernel(&mut suite, MICRO_SAMPLES);
+    let scenarios = scenarios();
+    bench_hybrid(&mut suite, &scenarios);
     bench_models(&mut suite, MICRO_SAMPLES);
 
     // Smoke-grid cyclesim runs exist in both modes so a quick CI run is
     // always comparable against a committed full baseline.
-    let smoke_fft = fft::build(&FftConfig {
-        points: 16_384,
-        threads: 4,
-        ..FftConfig::default()
-    });
-    bench_cyclesim(
-        &mut suite,
-        "cyclesim/smoke_fft",
-        &smoke_fft,
-        &fft_machine(4, 8 * 1024, FFT_BUS_DELAY),
-        s_sim,
-    );
-    let smoke_phm = scenario::build(&PhmConfig {
-        target_ops: 300_000,
-        ..PhmConfig::with_second_idle(0.45)
-    });
-    bench_cyclesim(
-        &mut suite,
-        "cyclesim/smoke_mibench_phm",
-        &smoke_phm,
-        &phm_machine(8),
-        s_sim,
-    );
+    for s in &scenarios {
+        bench_cyclesim(&mut suite, s.sim, &s.workload, &s.machine, s_sim);
+    }
+    let [fft, _] = &scenarios;
     let smoke_uniform = uniform::build(&UniformConfig::with_threads(4));
     bench_cyclesim(
         &mut suite,
         "cyclesim/smoke_uniform",
         &smoke_uniform,
-        &fft_machine(4, 8 * 1024, FFT_BUS_DELAY),
+        &fft.machine,
         s_sim,
     );
 
     // Observability overhead, after the cyclesim benches so the forced
     // enable cannot perturb them.
-    bench_obs(
-        &mut suite,
-        &smoke_fft,
-        &fft_machine(4, 8 * 1024, FFT_BUS_DELAY),
-        s_sim,
-    );
+    bench_obs(&mut suite, &fft.workload, &fft.machine, s_sim);
 
     if !args.quick {
         // The Figure-4 grid: processor sweep x both cache configurations.
@@ -577,7 +645,14 @@ fn main() {
     // any other section.
     bench_keys(&mut suite);
     bench_store(&mut suite, s_sim);
-    bench_sweep(&mut suite, s_sweep);
+    bench_sweep(&mut suite, fft, s_sweep);
+    let host_end = time_host();
+    println!(
+        "host reference at start {:.2} ms, at end {:.2} ms",
+        host_start / 1e6,
+        host_end / 1e6
+    );
+    suite.record(HOST_ROW, (host_start + host_end) / 2.0);
 
     let file = BenchFile {
         git_sha: sha.clone(),
@@ -628,6 +703,7 @@ fn main() {
         // floor-bound by the per-reference work both engines share.
         println!("fig4 grid speedup range (tick/skip): {lo:.1}x - {hi:.1}x");
     }
+    print_curves(&file, &scenarios);
 
     let out = args.out.unwrap_or_else(|| format!("BENCH_{sha}.json"));
     std::fs::write(&out, file.to_json()).unwrap_or_else(|e| {
@@ -645,6 +721,16 @@ fn main() {
             eprintln!("error: malformed baseline {baseline_path}: {e}");
             std::process::exit(1);
         });
+        if let Some(base) = baseline.median_of(HOST_ROW) {
+            let now = file.median_of(HOST_ROW).expect("every run times the host");
+            println!(
+                "host reference: {:.2}x the baseline's ({:.2} vs {:.2} ms); \
+                 the gate compares raw medians",
+                now / base,
+                now / 1e6,
+                base / 1e6
+            );
+        }
         let partial = args.filter.is_some();
         let mut failed = false;
         for prefix in GATED_PREFIXES {

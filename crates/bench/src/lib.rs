@@ -26,9 +26,7 @@ pub mod memo;
 pub mod perf;
 pub mod sweep;
 
-use mesh_annotate::{
-    profile_task, AnnotationPolicy, HybridSetup, ProfiledWorkload, SegmentProfile,
-};
+use mesh_annotate::{profile_task, AnnotationPolicy, ProfiledWorkload, SegmentProfile};
 use mesh_arch::{Arbitration, BusConfig, CacheConfig, MachineConfig, ProcConfig};
 use mesh_core::model::{ContentionModel, NoContention};
 use mesh_cyclesim::CycleReport;
@@ -288,38 +286,6 @@ fn annotation_profiles(workload: &Workload, machine: &MachineConfig) -> Vec<Vec<
         .zip(workload.tasks.iter().zip(&machine.procs))
         .map(|(profile, (task, proc))| profile.unwrap_or_else(|| profile_task(task, proc.cache)))
         .collect()
-}
-
-/// As [`mesh_annotate::assemble`] (or [`mesh_annotate::assemble_with_io`]
-/// when `io_model` is given), but folding the annotation profile its
-/// compiled traces carry: however many policies, models and I/O delays are
-/// assembled on one scenario, and whichever of them or the scenario's
-/// cycle-accurate leg comes first, each task's cache is walked once per
-/// process while its trace stays resident, by the trace compile. The
-/// hybrid leg of every evaluation assembles here.
-///
-/// # Panics
-///
-/// Panics if the workload is invalid for the machine, or if `io_model` is
-/// `None` for a machine with an I/O device or given for one without.
-pub fn assemble_memoized<M, I>(
-    workload: &Workload,
-    machine: &MachineConfig,
-    bus_model: M,
-    io_model: Option<I>,
-    policy: AnnotationPolicy,
-) -> HybridSetup
-where
-    M: ContentionModel + 'static,
-    I: ContentionModel + 'static,
-{
-    let profiles = annotation_profiles(workload, machine);
-    ProfiledWorkload::new(workload, machine, &profiles)
-        .and_then(|profiled| match io_model {
-            None => profiled.assemble(bus_model, policy),
-            Some(io_model) => profiled.assemble_with_io(bus_model, io_model, policy),
-        })
-        .expect("hybrid assembly failed")
 }
 
 /// The memoized product of the cycle-accurate leg: the ground-truth
@@ -585,13 +551,15 @@ impl<'a> Scenario<'a> {
         let io = io_model.as_ref().map(|m| m as &dyn ContentionModel);
         let fp = hybrid_key(self.fp, self.machine, &bus_model, io, options, priorities);
         let (leg, origin) = memo::memoize_flagged(fp, || {
-            let mut setup = assemble_memoized(
-                self.workload,
-                self.machine,
-                bus_model,
-                io_model,
-                options.policy,
-            );
+            let profiles = annotation_profiles(self.workload, self.machine);
+            let mut setup = ProfiledWorkload::new(self.workload, self.machine, &profiles)
+                .and_then(|profiled| match io_model {
+                    None => profiled.assemble(bus_model, options.policy),
+                    Some(io_model) => {
+                        profiled.assemble_with_io(bus_model, io_model, options.policy)
+                    }
+                })
+                .expect("hybrid assembly failed");
             for (&thread, &priority) in setup.threads.iter().zip(priorities) {
                 setup.builder.set_priority(thread, priority);
             }
@@ -684,7 +652,10 @@ pub fn iss_reference(workload: &Workload, machine: &MachineConfig) -> IssRef {
 /// logical threads in task order (higher = more important, consumed by
 /// priority-class models; an empty slice leaves every thread at the
 /// default). The run folds the annotation profile of the scenario's
-/// compiled traces (see [`assemble_memoized`]).
+/// compiled traces: however many policies, models and I/O delays run on
+/// one scenario, and whichever of them or the scenario's cycle-accurate leg
+/// comes first, each task's cache is walked once per process while its
+/// trace stays resident, by the trace compile.
 ///
 /// # Panics
 ///
@@ -1125,20 +1096,17 @@ mod tests {
         let machine = fft_machine(1, 8 * 1024, 4);
         let policy = AnnotationPolicy::PerSegment;
         let fallbacks = mesh_cyclesim::cache_stats().fallbacks;
-        let setup = assemble_memoized(
-            &workload,
-            &machine,
-            ChenLinBus::new(),
-            None::<NoContention>,
-            policy,
-        );
+        let profiles = annotation_profiles(&workload, &machine);
         assert!(
             mesh_cyclesim::cache_stats().fallbacks > fallbacks,
             "the capped task resolved to a trace"
         );
+        let folded = ProfiledWorkload::new(&workload, &machine, &profiles)
+            .expect("the profile matches the workload")
+            .task_stats(policy);
         let walked = mesh_annotate::assemble(&workload, &machine, ChenLinBus::new(), policy)
             .expect("assembles");
-        assert_eq!(setup.tasks, walked.tasks);
-        assert_eq!(setup.misses_total(), REFS);
+        assert_eq!(folded, walked.tasks);
+        assert_eq!(walked.misses_total(), REFS);
     }
 }

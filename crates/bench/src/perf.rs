@@ -1,11 +1,11 @@
 //! The perf-trajectory harness: timing primitives, the `BENCH_*.json`
 //! format, and the regression check used by the CI `perf-smoke` job.
 //!
-//! Timing follows the vendored criterion stand-in's methodology — a fixed
-//! number of samples, `black_box` around every routine, median reported —
-//! but exposes the numbers programmatically so `perfsuite` can persist them
-//! as a [`BenchFile`] instead of only printing. See `docs/PERFORMANCE.md`
-//! for how to run the suite and read the files.
+//! Each measurement is the median of a fixed number of samples, with every
+//! routine's result passed through [`std::hint::black_box`] so the compiler
+//! cannot delete the timed work; `perfsuite` persists the medians as a
+//! [`BenchFile`]. See `docs/PERFORMANCE.md` for how to run the suite and
+//! read the files.
 //!
 //! ## File format
 //!
@@ -38,7 +38,7 @@
 //! Benchmark names contain only `[A-Za-z0-9_/.-]`, so no string escaping is
 //! needed; [`BenchFile::from_json`] rejects anything else.
 
-use criterion::black_box;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// One benchmark's result: its name and the median wall time per iteration.
@@ -198,9 +198,9 @@ impl BenchFile {
 }
 
 /// Times `routine` for `samples` iterations and returns the median
-/// nanoseconds per iteration — the stand-in criterion's measurement, made
-/// programmatic. `inner` repeats the routine per sample (use > 1 for
-/// sub-microsecond routines so the clock resolution doesn't dominate).
+/// nanoseconds per iteration. `inner` repeats the routine per sample
+/// (use > 1 for sub-microsecond routines so the clock resolution doesn't
+/// dominate).
 pub fn time_median_ns<O>(samples: usize, inner: u32, mut routine: impl FnMut() -> O) -> f64 {
     assert!(samples >= 1 && inner >= 1);
     let mut times: Vec<f64> = (0..samples)
@@ -237,8 +237,98 @@ pub fn time_median_batched_ns<I, O>(
 }
 
 /// The name prefixes `perfsuite --check` gates, each compared on its own.
-pub const GATED_PREFIXES: [&str; 6] =
-    ["kernel/", "model/", "cyclesim/", "obs/", "store/", "sweep/"];
+pub const GATED_PREFIXES: [&str; 7] = [
+    "kernel/",
+    "annotate/",
+    "model/",
+    "cyclesim/",
+    "obs/",
+    "store/",
+    "sweep/",
+];
+
+/// A fixed host-speed reference that belongs to the harness, not to the
+/// program: a 4-way, 4096-set LRU cache with 32-byte lines fed `refs`
+/// pseudo-random references that mostly stay within an 8 KiB window which
+/// jumps every ~64 references. No program change can move its time, so a
+/// run's reference over a baseline's separates host state from code.
+/// Returns the miss count, so the work cannot be optimised away.
+pub fn host_reference(refs: u64) -> u64 {
+    const SETS: usize = 1 << 12;
+    const WAYS: usize = 4;
+    let mut tags = vec![u64::MAX; SETS * WAYS];
+    let mut stamps = vec![0u64; SETS * WAYS];
+    let (mut x, mut base, mut misses) = (0x5EED_u64, 0u64, 0u64);
+    for i in 0..refs {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        if x.is_multiple_of(64) {
+            base = (x >> 20) % (1 << 26);
+        }
+        let line = (base + (x % 8192) * 8) >> 5;
+        let (set, tag) = ((line as usize) & (SETS - 1), line >> 12);
+        let ways = &mut tags[set * WAYS..(set + 1) * WAYS];
+        let ages = &mut stamps[set * WAYS..(set + 1) * WAYS];
+        let way = match ways.iter().position(|&t| t == tag) {
+            Some(w) => w,
+            None => {
+                misses += 1;
+                let victim = (0..WAYS).min_by_key(|&w| ages[w]).expect("ways exist");
+                ways[victim] = tag;
+                victim
+            }
+        };
+        ages[way] = i;
+    }
+    misses
+}
+
+/// The MESH-versus-ISS speedup over a design space of `n` points on one
+/// scenario. The ISS compiles its trace once, since the trace ignores the
+/// bus, and consumes it per point; MESH walks each task's cache once (the
+/// profile) and folds the profile, builds and runs its kernel per point:
+///
+/// speedup(n) = (compile + n·consume) / (profile + n·(fold_build + run)).
+///
+/// Each field is one perfsuite median, in nanoseconds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SpeedupCurve {
+    /// ISS trace compile (`cyclesim/smoke_*_compile`).
+    pub compile: f64,
+    /// ISS consumption of the compiled trace (`cyclesim/smoke_*_skip`).
+    pub consume: f64,
+    /// Annotation profile, every task's cache walk (`annotate/*_profile`).
+    pub profile: f64,
+    /// Profile fold and kernel build (`annotate/*_fold_build`).
+    pub fold_build: f64,
+    /// Kernel run (`kernel/*`).
+    pub run: f64,
+}
+
+impl SpeedupCurve {
+    /// The speedup over `n` design points.
+    pub fn at(&self, n: f64) -> f64 {
+        (self.compile + n * self.consume) / (self.profile + n * (self.fold_build + self.run))
+    }
+
+    /// The speedup as `n` grows without bound.
+    pub fn limit(&self) -> f64 {
+        self.consume / (self.fold_build + self.run)
+    }
+
+    /// The least `n` ≥ 1 from which on the speedup is at least `target`,
+    /// or `None` when it never stays there: when consume ≤
+    /// target·(fold_build + run), its limit is at most `target`.
+    pub fn break_even(&self, target: f64) -> Option<u64> {
+        let gain_per_point = self.consume - target * (self.fold_build + self.run);
+        if gain_per_point <= 0.0 {
+            return None;
+        }
+        let n = ((target * self.profile - self.compile) / gain_per_point).ceil();
+        Some(n.max(1.0) as u64)
+    }
+}
 
 /// `perfsuite`'s default `--factor`: a gated median may read at most this
 /// many times its baseline.
@@ -550,6 +640,34 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_curve_breaks_even_at_the_exact_n() {
+        // Per point, MESH costs 1 + 1 and the ISS 300: the limit is 150x.
+        // 100x needs n·(300 - 200) >= 100·1000 - 0, so n = 1000 exactly.
+        let curve = SpeedupCurve {
+            compile: 0.0,
+            consume: 300.0,
+            profile: 1_000.0,
+            fold_build: 1.0,
+            run: 1.0,
+        };
+        assert_eq!(curve.limit(), 150.0);
+        assert_eq!(curve.break_even(100.0), Some(1_000));
+        assert!(curve.at(1_000.0) >= 100.0 && curve.at(999.0) < 100.0);
+        // A compile that outweighs 100 profiles passes at the first point.
+        let early = SpeedupCurve {
+            compile: 200_000.0,
+            ..curve
+        };
+        assert_eq!(early.break_even(100.0), Some(1));
+        // A consume of at most 100x the per-point cost never stays above
+        // 100x, however large the compile.
+        for consume in [200.0, 199.0, 0.0] {
+            let never = SpeedupCurve { consume, ..early };
+            assert_eq!(never.break_even(100.0), None, "consume {consume}");
         }
     }
 

@@ -1,10 +1,10 @@
 //! `perfsuite --check` end to end, on the exit status CI gates on: a
-//! filtered quick run (`--filter phm` measures `kernel/`, `cyclesim/` and
-//! `store/` rows) checked against a baseline made from an earlier run's own
-//! output. With the `kernel/` and `store/` medians cut 1000× in that
-//! baseline, the run exits 1 and names every row of both prefixes, so a
-//! prefix that fails early never hides one checked later; against the
-//! unmodified output it exits 0.
+//! filtered quick run (`--filter phm` measures `kernel/`, `annotate/`,
+//! `cyclesim/` and `store/` rows) checked against a baseline made from an
+//! earlier run's own output. With the `kernel/`, `annotate/` and `store/`
+//! medians cut 1000× in that baseline, the run exits 1 and names every row
+//! of all three prefixes, so a prefix that fails early never hides one
+//! checked later; against the unmodified output it exits 0.
 //!
 //! Both checks use `--factor 50`: far below the seeded 1000× slowdown, and
 //! far above the run-to-run spread of the same build on a busy host, which
@@ -85,14 +85,14 @@ fn check_reports_every_failing_prefix() {
             .map(|b| b.name.clone())
             .collect()
     };
-    for prefix in ["kernel/", "cyclesim/", "store/"] {
+    for prefix in ["kernel/", "annotate/", "cyclesim/", "store/"] {
         assert!(
             !rows(prefix).is_empty(),
             "the filter measured no {prefix} row"
         );
     }
 
-    let slowed = ["kernel/", "store/"];
+    let slowed = ["kernel/", "annotate/", "store/"];
     let mut cut = measured.clone();
     for b in &mut cut.benchmarks {
         if slowed.iter().any(|prefix| b.name.starts_with(prefix)) {
@@ -124,7 +124,7 @@ fn check_reports_every_failing_prefix() {
     }
     assert!(
         stdout.contains("perf check OK: ") && stdout.contains(" cyclesim/ benchmarks within"),
-        "the prefix between the two failures was not checked:\n{stdout}"
+        "the prefix between failing ones was not checked:\n{stdout}"
     );
 
     let passed = perfsuite(&[

@@ -1,4 +1,4 @@
-//! Proves the split-phase acceptance criterion with observability counters:
+//! Proves the split-phase acceptance condition with observability counters:
 //! an ablation-style sweep varying only hybrid knobs invokes
 //! `mesh_cyclesim::simulate` **exactly once** per distinct (workload,
 //! machine), with every other point sharing the memoized reference — and
@@ -12,10 +12,10 @@
 //! counters, and a sibling test running `compare` in parallel would race
 //! the deltas.
 
-use mesh_annotate::AnnotationPolicy;
-use mesh_bench::{assemble_memoized, compare, fft_machine, memo, sweep, HybridOptions};
+use mesh_annotate::{AnnotationPolicy, ProfiledWorkload};
+use mesh_bench::{compare, fft_machine, hybrid_run, memo, sweep, HybridOptions};
 use mesh_core::model::NoContention;
-use mesh_cyclesim::{cache_stats, TraceCacheStats};
+use mesh_cyclesim::{cache_stats, Pacing, TraceCacheStats};
 use mesh_models::Mm1Queue;
 use mesh_obs as obs;
 use mesh_workloads::fft::{self, FftConfig};
@@ -108,17 +108,15 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
     assert_eq!(replayed, points, "warm replay reproduces the grid");
     assert_eq!(traces_since(traces_before), [0, 0, 0]);
 
-    // Another contention model on the same scenario folds the same profile,
-    // read from the same traces.
+    // A hybrid leg under a contention model no other check uses folds the
+    // same profile, read from the same traces.
+    let no_io = None::<NoContention>;
     let traces_before = cache_stats();
-    let setup = assemble_memoized(
-        &workload,
-        &machine,
-        Mm1Queue::new(),
-        None::<NoContention>,
-        AnnotationPolicy::AtBarriers,
+    let leg = hybrid_run(&workload, &machine, Mm1Queue::new(), no_io, knobs[0], &[]);
+    assert_eq!(
+        (leg.work_cycles, leg.misses),
+        (points[0].work_cycles, points[0].misses)
     );
-    assert_eq!(setup.misses_total(), points[0].misses);
     assert_eq!(traces_since(traces_before), [tasks, 0, 0]);
 
     // A point whose legs are all computed again reads its profiles from the
@@ -185,18 +183,31 @@ fn knob_sweep_runs_cyclesim_once_per_scenario() {
     // compiled traces instead of walking the caches again.
     memo::clear_subeval_lru();
     let untouched = fft_machine(2, 32 * 1024, 4);
-    let policy = AnnotationPolicy::PerSegment;
-    let no_io = None::<NoContention>;
+    let options = HybridOptions {
+        policy: AnnotationPolicy::PerSegment,
+        min_timeslice: 0.0,
+    };
     let traces_before = cache_stats();
-    let compiled = assemble_memoized(&workload, &untouched, Mm1Queue::new(), no_io, policy);
+    let leg = hybrid_run(&workload, &untouched, Mm1Queue::new(), no_io, options, &[]);
     assert_eq!(
         traces_since(traces_before),
         [0, tasks, tasks],
         "the profile compiles the untouched scenario's traces"
     );
-    let fresh =
-        mesh_annotate::assemble(&workload, &untouched, Mm1Queue::new(), policy).expect("assembles");
-    assert_eq!(compiled.tasks, fresh.tasks);
+    let fresh = mesh_annotate::assemble(&workload, &untouched, Mm1Queue::new(), options.policy)
+        .expect("assembles");
+    assert_eq!(
+        (leg.work_cycles, leg.misses),
+        (fresh.work_total(), fresh.misses_total())
+    );
+    let profiles: Vec<_> = mesh_cyclesim::profiles(&workload, &untouched, Pacing::default())
+        .into_iter()
+        .map(|profile| profile.expect("every task is under the step cap"))
+        .collect();
+    let folded = ProfiledWorkload::new(&workload, &untouched, &profiles)
+        .expect("the profile matches the workload")
+        .task_stats(options.policy);
+    assert_eq!(folded, fresh.tasks);
     let traces_before = cache_stats();
     let runs_before = obs::counter("cyclesim.sim.runs").value();
     mesh_bench::iss_reference(&workload, &untouched);

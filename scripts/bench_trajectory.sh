@@ -31,11 +31,14 @@ if [ "${#files[@]}" -eq 0 ]; then
 fi
 
 # Column label: the recorded git_sha (falls back to the file name), plus a
-# star when the file was a --quick run (not comparable with full runs).
+# star when the file was a --quick run (not comparable with full runs). The
+# baseline reads `baseline (<sha>)`, since it is a copy of another
+# committed run that carries the same sha.
 label_of() {
   sha=$(sed -n 's/.*"git_sha": "\([A-Za-z0-9_.-]*\)".*/\1/p' "$1" | head -n 1)
   quick=$(sed -n 's/.*"quick": \(true\|false\).*/\1/p' "$1" | head -n 1)
   label="${sha:-$1}"
+  [ "$(basename "$1")" = BENCH_baseline.json ] && label="baseline (${label})"
   [ "$quick" = "true" ] && label="${label}*"
   printf '%s' "$label"
 }

@@ -11,7 +11,7 @@
 //! cargo run -p mesh-bench --bin fig5 --release
 //! ```
 
-use mesh_bench::{run_phm_point, FIG5_BUS_DELAYS};
+use mesh_bench::{compare, phm_machine, phm_workload, HybridOptions, FIG5_BUS_DELAYS};
 use mesh_metrics::{mean, series_to_csv, Series, Table};
 
 fn main() {
@@ -24,10 +24,12 @@ fn main() {
     let mut mesh_errs = Vec::new();
     let mut analytical_errs = Vec::new();
 
+    // One workload, built once; each bus delay is a grid point of its own.
+    let workload = phm_workload(0.90, 0xC0FFEE);
     let results = mesh_bench::or_exit(
         "fig5",
         mesh_bench::sweep::try_sweep_labeled("fig5", &FIG5_BUS_DELAYS, |&delay| {
-            run_phm_point(0.90, delay, 0xC0FFEE)
+            compare(&workload, &phm_machine(delay), HybridOptions::default())
         }),
     );
     for (delay, p) in FIG5_BUS_DELAYS.iter().zip(results) {

@@ -16,7 +16,10 @@
 //! ```
 
 use mesh_bench::sweep::FBits;
-use mesh_bench::{run_phm_point, FIG5_BUS_DELAYS, FIG6_IDLE_SWEEP};
+use mesh_bench::{
+    compare_each, phm_machine, phm_workload, HybridOptions, FIG5_BUS_DELAYS, FIG6_IDLE_SWEEP,
+    FIG6_SEEDS,
+};
 use mesh_metrics::{mean, series_to_csv, Series, Table};
 
 fn main() {
@@ -26,35 +29,32 @@ fn main() {
     let mut mesh = Series::new("MESH error");
     let mut analytical = Series::new("Analytical error");
 
-    // The full (idle, delay, seed) grid — 7 x 5 x 3 = 105 independent
-    // points, the largest sweep in the harness and the one that benefits
-    // most from MESH_BENCH_JOBS > 1. Seeds smooth the sporadic
-    // interleavings; results come back in input order regardless of the
-    // worker count.
-    let points: Vec<(FBits, u64, u64)> = FIG6_IDLE_SWEEP
+    // One grid point per (idle, seed) workload — 7 x 3 = 21 independent
+    // rows, each building its workload once and comparing it on every bus
+    // delay in order. Seeds smooth the sporadic interleavings; rows come
+    // back in input order regardless of the worker count.
+    let machines = FIG5_BUS_DELAYS.map(phm_machine);
+    let points: Vec<(FBits, u64)> = FIG6_IDLE_SWEEP
         .iter()
-        .flat_map(|&idle| {
-            FIG5_BUS_DELAYS.iter().flat_map(move |&delay| {
-                [0xC0FFEE, 0xBEEF, 0xF00D].map(|seed| (FBits::new(idle), delay, seed))
-            })
-        })
+        .flat_map(|&idle| FIG6_SEEDS.map(|seed| (FBits::new(idle), seed)))
         .collect();
-    let results = mesh_bench::or_exit(
+    let rows = mesh_bench::or_exit(
         "fig6",
-        mesh_bench::sweep::try_sweep_labeled("fig6", &points, |&(idle, delay, seed)| {
-            run_phm_point(idle.get(), delay, seed)
+        mesh_bench::sweep::try_sweep_labeled("fig6", &points, |&(idle, seed)| {
+            let workload = phm_workload(idle.get(), seed);
+            compare_each(&workload, &machines, HybridOptions::default())
         }),
     );
-    let mut rows = results.into_iter();
 
-    for idle in FIG6_IDLE_SWEEP {
+    for (idle, by_seed) in FIG6_IDLE_SWEEP.iter().zip(rows.chunks(FIG6_SEEDS.len())) {
+        // Summed in (delay, seed) order: a float sum depends on its order,
+        // and this is the order of the recorded transcript's means.
         let mut mesh_errs = Vec::new();
         let mut analytical_errs = Vec::new();
-        for _delay in FIG5_BUS_DELAYS {
-            for _seed in [0xC0FFEE, 0xBEEF, 0xF00D] {
-                let p = rows.next().expect("one result per grid point");
-                mesh_errs.push(p.mesh_error());
-                analytical_errs.push(p.analytical_error());
+        for delay in 0..FIG5_BUS_DELAYS.len() {
+            for row in by_seed {
+                mesh_errs.push(row[delay].mesh_error());
+                analytical_errs.push(row[delay].analytical_error());
             }
         }
         mesh.push(idle * 100.0, mean(&mesh_errs));

@@ -65,7 +65,7 @@ use mesh_bench::perf::{
 };
 use mesh_bench::{
     fft_machine, phm_machine, FFT_BUS_DELAY, FFT_CACHES, FFT_PROC_SWEEP, FIG5_BUS_DELAYS,
-    FIG6_IDLE_SWEEP,
+    FIG6_IDLE_SWEEP, FIG6_SEEDS,
 };
 use mesh_core::model::{ContentionModel, Slice, SliceRequest};
 use mesh_core::{SharedId, SimTime, System, ThreadId};
@@ -404,10 +404,7 @@ fn bench_keys(suite: &mut Suite) {
     if !suite.wants("store/phm_keys") {
         return;
     }
-    let workload = scenario::build(&PhmConfig {
-        seed: 0xC0FFEE,
-        ..PhmConfig::with_second_idle(FIG6_IDLE_SWEEP[0])
-    });
+    let workload = mesh_bench::phm_workload(FIG6_IDLE_SWEEP[0], FIG6_SEEDS[0]);
     let machine = phm_machine(FIG5_BUS_DELAYS[0]);
     let median = time_median_ns(MICRO_SAMPLES, 8, || {
         mesh_cyclesim::workload_fingerprint(&workload, &machine, Pacing::default())

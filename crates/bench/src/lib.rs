@@ -26,6 +26,7 @@ pub mod memo;
 pub mod perf;
 pub mod sweep;
 
+use checkpoint::Checkpointable as _;
 use mesh_annotate::{profile_task, AnnotationPolicy, ProfiledWorkload, SegmentProfile};
 use mesh_arch::{Arbitration, BusConfig, CacheConfig, MachineConfig, ProcConfig};
 use mesh_core::model::{ContentionModel, NoContention};
@@ -167,7 +168,63 @@ impl crate::checkpoint::Checkpointable for ComparisonPoint {
 
     fn decode(s: &str) -> Option<ComparisonPoint> {
         let mut it = s.split_whitespace();
-        let mut point = ComparisonPoint {
+        let mut point = ComparisonPoint::decode_measured(&mut it)?;
+        // The replay flag is a later addition: records written before it
+        // carry 11 tokens and decode as not-replayed.
+        if let Some(flag) = it.next() {
+            point.replayed = decode_flag(flag)?;
+        }
+        if it.next().is_some() {
+            return None;
+        }
+        Some(point)
+    }
+}
+
+/// A row of points ([`compare_each`]): the count, then each point's 12
+/// tokens, replay flag included.
+impl crate::checkpoint::Checkpointable for Vec<ComparisonPoint> {
+    fn encode(&self) -> String {
+        let mut line = self.len().encode();
+        for point in self {
+            line.push(' ');
+            line.push_str(&point.encode());
+        }
+        line
+    }
+
+    fn decode(s: &str) -> Option<Vec<ComparisonPoint>> {
+        let mut it = s.split_whitespace();
+        let count = usize::decode(it.next()?)?;
+        let row = (0..count)
+            .map(|_| {
+                let mut point = ComparisonPoint::decode_measured(&mut it)?;
+                point.replayed = decode_flag(it.next()?)?;
+                Some(point)
+            })
+            .collect::<Option<Vec<_>>>()?;
+        if it.next().is_some() {
+            return None;
+        }
+        Some(row)
+    }
+}
+
+fn decode_flag(token: &str) -> Option<bool> {
+    match u64::decode(token)? {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    }
+}
+
+impl ComparisonPoint {
+    /// Reads the eleven measured fields of [`encode`]'s tokens, in order,
+    /// leaving the replay flag to the caller.
+    ///
+    /// [`encode`]: crate::checkpoint::Checkpointable::encode
+    fn decode_measured<'a>(it: &mut impl Iterator<Item = &'a str>) -> Option<ComparisonPoint> {
+        Some(ComparisonPoint {
             iss_pct: f64::decode(it.next()?)?,
             mesh_pct: f64::decode(it.next()?)?,
             analytical_pct: f64::decode(it.next()?)?,
@@ -180,24 +237,9 @@ impl crate::checkpoint::Checkpointable for ComparisonPoint {
             work_cycles: u64::decode(it.next()?)?,
             misses: u64::decode(it.next()?)?,
             replayed: false,
-        };
-        // The replay flag is a later addition: records written before it
-        // carry 11 tokens and decode as not-replayed.
-        if let Some(flag) = it.next() {
-            point.replayed = match u64::decode(flag)? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-        }
-        if it.next().is_some() {
-            return None;
-        }
-        Some(point)
+        })
     }
-}
 
-impl ComparisonPoint {
     /// Absolute percent error of the hybrid prediction against the
     /// reference.
     pub fn mesh_error(&self) -> f64 {
@@ -512,8 +554,40 @@ impl<'a> Scenario<'a> {
     /// The scenario on `machine`, a variant of this one's whose processors
     /// match: the workload fingerprint leaves out the bus and the I/O
     /// device, so it carries over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `machine`'s processors differ from this scenario's: the
+    /// fingerprint covers them, so it would key another scenario's results.
     fn on(self, machine: &'a MachineConfig) -> Scenario<'a> {
+        assert!(
+            machine.procs == self.machine.procs,
+            "a scenario moves only to a machine with the same processors"
+        );
         Scenario { machine, ..self }
+    }
+
+    /// All three estimators as independently memoized legs (see
+    /// [`compare`]).
+    fn compare(self, options: HybridOptions) -> ComparisonPoint {
+        let (iss, iss_origin) = self.iss();
+        let no_io = None::<NoContention>;
+        let (hybrid, hybrid_origin) = self.hybrid(ChenLinBus::new(), no_io, options, &[]);
+        let analytical_pct = self.analytical(options.policy);
+        ComparisonPoint {
+            iss_pct: iss.pct,
+            mesh_pct: hybrid.percent(hybrid.queuing),
+            analytical_pct,
+            iss_wall: iss.wall,
+            mesh_wall: hybrid.wall,
+            iss_cycles: iss.cycles,
+            mesh_cycles: hybrid.total_cycles,
+            mesh_regions: hybrid.commits,
+            mesh_slices: hybrid.slices,
+            work_cycles: hybrid.work_cycles,
+            misses: hybrid.misses,
+            replayed: [iss_origin, hybrid_origin].contains(&memo::Origin::Persisted),
+        }
     }
 
     /// The cycle-accurate leg (see [`iss_reference`]).
@@ -702,26 +776,30 @@ pub fn compare(
     machine: &MachineConfig,
     options: HybridOptions,
 ) -> ComparisonPoint {
-    let scenario = Scenario::new(workload, machine);
-    let (iss, iss_origin) = scenario.iss();
-    let no_io = None::<NoContention>;
-    let (hybrid, hybrid_origin) = scenario.hybrid(ChenLinBus::new(), no_io, options, &[]);
-    let analytical_pct = scenario.analytical(options.policy);
+    Scenario::new(workload, machine).compare(options)
+}
 
-    ComparisonPoint {
-        iss_pct: iss.pct,
-        mesh_pct: hybrid.percent(hybrid.queuing),
-        analytical_pct,
-        iss_wall: iss.wall,
-        mesh_wall: hybrid.wall,
-        iss_cycles: iss.cycles,
-        mesh_cycles: hybrid.total_cycles,
-        mesh_regions: hybrid.commits,
-        mesh_slices: hybrid.slices,
-        work_cycles: hybrid.work_cycles,
-        misses: hybrid.misses,
-        replayed: [iss_origin, hybrid_origin].contains(&memo::Origin::Persisted),
-    }
+/// [`compare`] on each of `machines` in order, for one workload. The
+/// machines share their processors and differ only in their bus or I/O
+/// device, so one pass over the workload's segments keys every point's
+/// legs. A sweep over bus timing builds each workload once and hands it
+/// here.
+///
+/// # Panics
+///
+/// Panics if the machines' processors differ (before any leg runs), or if
+/// the workload is invalid for them.
+pub fn compare_each(
+    workload: &Workload,
+    machines: &[MachineConfig],
+    options: HybridOptions,
+) -> Vec<ComparisonPoint> {
+    let Some(first) = machines.first() else {
+        return Vec::new();
+    };
+    let scenario = Scenario::new(workload, first);
+    let scenarios: Vec<Scenario> = machines.iter().map(|m| scenario.on(m)).collect();
+    scenarios.into_iter().map(|s| s.compare(options)).collect()
 }
 
 /// Prints a stderr provenance note when any point of a finished sweep was
@@ -787,15 +865,13 @@ pub fn run_fft_point(procs: usize, cache_bytes: u64, bus_delay: u64) -> Comparis
     )
 }
 
-/// Runs one Figure-5/6 point: the sporadic PHM scenario with the second
-/// processor idle for the given fraction, at the given bus delay.
-pub fn run_phm_point(idle1: f64, bus_delay: u64, seed: u64) -> ComparisonPoint {
-    let workload = scenario::build(&PhmConfig {
+/// The sporadic PHM workload of Figures 5 and 6, with the second processor
+/// idle for the given fraction. Every bus delay runs the same workload.
+pub fn phm_workload(idle1: f64, seed: u64) -> Workload {
+    scenario::build(&PhmConfig {
         seed,
         ..PhmConfig::with_second_idle(idle1)
-    });
-    let machine = phm_machine(bus_delay);
-    compare(&workload, &machine, HybridOptions::default())
+    })
 }
 
 /// One envelope-validation point: the hybrid kernel's mean and worst-case
@@ -1014,6 +1090,8 @@ pub const FFT_CACHES: [(u64, &str); 2] = [(512 * 1024, "512KB"), (8 * 1024, "8KB
 pub const FIG5_BUS_DELAYS: [u64; 5] = [2, 4, 8, 12, 16];
 /// The idle fractions of the Figure 6 sweep.
 pub const FIG6_IDLE_SWEEP: [f64; 7] = [0.0, 0.15, 0.30, 0.45, 0.60, 0.75, 0.90];
+/// The PHM seeds each Figure 6 idle fraction averages over.
+pub const FIG6_SEEDS: [u64; 3] = [0xC0FFEE, 0xBEEF, 0xF00D];
 /// The bus delay used by the FFT experiments.
 pub const FFT_BUS_DELAY: u64 = 4;
 
@@ -1040,6 +1118,56 @@ mod tests {
         assert!((p.mesh_error() - 10.0).abs() < 1e-9);
         assert!((p.analytical_error() - 70.0).abs() < 1e-9);
         assert!((p.speedup() - 100.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_row_round_trips_and_rejects_a_wrong_count_or_a_trailing_token() {
+        let point = |pct: f64, replayed: bool| ComparisonPoint {
+            iss_pct: pct,
+            mesh_pct: pct * 1.1,
+            analytical_pct: -0.0,
+            iss_wall: Duration::new(3, 141_592_653),
+            mesh_wall: Duration::from_nanos(2_718),
+            iss_cycles: u64::MAX,
+            mesh_cycles: f64::MIN_POSITIVE,
+            mesh_regions: 443,
+            mesh_slices: 0,
+            work_cycles: 1 << 40,
+            misses: 7,
+            replayed,
+        };
+        let row = vec![point(0.1, false), point(12.5, true), point(f64::MAX, false)];
+        let line = row.encode();
+        assert_eq!(line.split_whitespace().count(), 1 + 3 * 12);
+        let decoded = Vec::<ComparisonPoint>::decode(&line).expect("a row decodes");
+        assert_eq!(decoded, row);
+        let flags: Vec<bool> = decoded.iter().map(|p| p.replayed).collect();
+        assert_eq!(flags, [false, true, false], "the replay flags survive");
+        assert_eq!(decoded.encode(), line);
+        assert_eq!(Vec::<ComparisonPoint>::decode("0"), Some(Vec::new()));
+
+        let body = line.split_once(' ').expect("a count, then records").1;
+        for count in ["2", "4", "x"] {
+            let miscounted = format!("{count} {body}");
+            assert_eq!(Vec::<ComparisonPoint>::decode(&miscounted), None, "{count}");
+        }
+        assert_eq!(Vec::<ComparisonPoint>::decode(&format!("{line} 0")), None);
+        assert_eq!(Vec::<ComparisonPoint>::decode(""), None);
+    }
+
+    /// The workload fingerprint covers the processors but not the bus, so
+    /// a row's machines must share their processors: a second machine with
+    /// other caches would replay the first one's legs.
+    #[test]
+    #[should_panic(expected = "same processors")]
+    fn compare_each_refuses_machines_with_other_processors() {
+        let workload = fft::build(&FftConfig {
+            points: 4096,
+            threads: 2,
+            ..FftConfig::default()
+        });
+        let machines = [fft_machine(2, 8 * 1024, 4), fft_machine(2, 16 * 1024, 4)];
+        compare_each(&workload, &machines, HybridOptions::default());
     }
 
     #[test]

@@ -18,20 +18,24 @@
 //! `ablation_models` row — must separate every input that changes them.
 //!
 //! `compare` must also store its legs under the keys earlier builds pinned,
+//! `compare_each` must equal `compare` on each of its machines, a leg
+//! replayed from disk must read back in process as the stored value,
 //! a single flipped bit in any integer field of a workload must move every
-//! key over it, and a cold `fig6` must make the same number of key passes
-//! at any worker count.
+//! key over it, a cold `fig6` must make the same number of key passes at
+//! any worker count and a warm one a single pass per workload row, and
+//! `fig6` must resume a failed row byte-identically.
 //!
-//! The two in-process tests mutate process-global cache configuration, so
-//! they hold one lock and run in sequence; the stdout legs spawn
-//! `subeval_demo`, `multi_resource` and the other binaries, so each gets a
-//! pristine process.
+//! The in-process tests that set the process-global cache configuration
+//! or empty the in-process memo hold one lock and run in sequence; the
+//! stdout legs spawn `subeval_demo`, `multi_resource` and the other
+//! binaries, so each gets a pristine process.
 
 use mesh_annotate::AnnotationPolicy;
 use mesh_arch::{Arbitration, BusConfig, CacheConfig, IoConfig, MachineConfig, ProcConfig};
+use mesh_bench::memo::Origin;
 use mesh_bench::{
-    ablation_models, compare, fft_machine, hybrid_fp, iss_reference_fp, memo, ComparisonPoint,
-    HybridOptions, FFT_BUS_DELAY,
+    ablation_models, compare, compare_each, fft_machine, hybrid_fp, iss_reference_fp, memo,
+    ComparisonPoint, HybridOptions, IssRef, FFT_BUS_DELAY,
 };
 use mesh_core::model::ContentionModel;
 use mesh_cyclesim::{workload_fingerprint, Pacing};
@@ -41,8 +45,9 @@ use mesh_workloads::{MemPattern, Segment, SegmentKind, TaskProgram, Workload};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 /// A `mesh-cache-identity-*` directory in the temp directory, emptied when
 /// made and removed when dropped: after a test's last assertion, and also
@@ -68,7 +73,8 @@ impl Drop for TempDir {
     }
 }
 
-/// Serializes the tests that set the process-global result cache.
+/// Serializes the tests that set the process-global result cache or empty
+/// the in-process memo.
 fn global_cache() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -149,6 +155,78 @@ fn results_identical_across_cache_configurations() {
     assert!(lru.replayed);
     assert_eq!(lru, populate, "LRU replay must be the recorded point");
 
+    memo::set_result_cache(None);
+}
+
+/// `compare_each` is `compare` on each machine in turn. The row and the
+/// single points each run over an emptied in-process memo with no result
+/// cache, so neither side reads a leg the other computed.
+#[test]
+fn compare_each_is_compare_on_each_machine() {
+    let workload = fft::build(&FftConfig {
+        points: 4096,
+        threads: 2,
+        ..FftConfig::default()
+    });
+    let machines = [fft_machine(2, 8 * 1024, 4), fft_machine(2, 8 * 1024, 9)];
+    let options = HybridOptions::default();
+    let _global = global_cache();
+    memo::set_result_cache(None);
+    memo::clear_subeval_lru();
+    let row = compare_each(&workload, &machines, options);
+    memo::clear_subeval_lru();
+    let lru_before = memo::stats().lru_hits;
+    let points: Vec<ComparisonPoint> = machines
+        .iter()
+        .map(|machine| compare(&workload, machine, options))
+        .collect();
+    assert_eq!(memo::stats().lru_hits, lru_before, "every leg computed");
+    assert_eq!(row.len(), machines.len());
+    for (at, (got, want)) in row.iter().zip(&points).enumerate() {
+        assert_eq!(
+            deterministic_fields(got),
+            deterministic_fields(want),
+            "{at}"
+        );
+    }
+    assert_ne!(row[0].iss_pct, row[1].iss_pct, "the bus delay mattered");
+    assert!(compare_each(&workload, &[], options).is_empty());
+}
+
+/// A leg replayed from the result cache fills its in-process cell, and a
+/// later read in the process decodes that cell to the stored value.
+#[test]
+fn a_replayed_leg_reads_back_in_process() {
+    const FP: u128 = 0x51F1_0000_0000_0000_0000_0000_0000_0200;
+    let stored = IssRef {
+        pct: 12.345,
+        wall: Duration::new(1, 234_567_891),
+        cycles: 98_765,
+        bus_queuing: 4_321,
+        io_queuing: 0,
+    };
+    let replays = || -> IssRef { panic!("the leg replays") };
+    let _global = global_cache();
+    let tmp = TempDir::new("replayed-leg");
+    memo::set_result_cache(Some(tmp.path()));
+    memo::clear_subeval_lru();
+    assert_eq!(
+        memo::memoize_flagged(FP, || stored),
+        (stored, Origin::Computed)
+    );
+    memo::clear_subeval_lru();
+    let before = memo::stats();
+    assert_eq!(
+        memo::memoize_flagged(FP, replays),
+        (stored, Origin::Persisted)
+    );
+    assert_eq!(
+        memo::memoize_flagged(FP, replays),
+        (stored, Origin::Persisted)
+    );
+    let after = memo::stats();
+    assert_eq!(after.hits - before.hits, 1, "one read from disk");
+    assert_eq!(after.lru_hits - before.lru_hits, 1, "one read in process");
     memo::set_result_cache(None);
 }
 
@@ -436,10 +514,11 @@ fn every_flipped_bit_moves_every_key() {
 const DEMO_EXE: &str = env!("CARGO_BIN_EXE_subeval_demo");
 const MULTI_RESOURCE_EXE: &str = env!("CARGO_BIN_EXE_multi_resource");
 
+const FIG6_EXE: &str = env!("CARGO_BIN_EXE_fig6");
+
 /// Runs `exe` under `envs` with every inherited `MESH_*` variable removed,
-/// so the ambient environment can neither steer nor invalidate a leg, and
-/// returns its stdout and stderr.
-fn bin_output(exe: &str, envs: &[(&str, String)]) -> (String, String) {
+/// so the ambient environment can neither steer nor invalidate a leg.
+fn bin_run(exe: &str, envs: &[(&str, String)]) -> Output {
     let mut cmd = Command::new(exe);
     for (key, _) in std::env::vars_os() {
         if key.to_string_lossy().starts_with("MESH_") {
@@ -449,7 +528,12 @@ fn bin_output(exe: &str, envs: &[(&str, String)]) -> (String, String) {
     for (key, value) in envs {
         cmd.env(key, value);
     }
-    let out = cmd.output().expect("spawning the binary must work");
+    cmd.output().expect("spawning the binary must work")
+}
+
+/// [`bin_run`]'s stdout and stderr, of a run that must succeed.
+fn bin_output(exe: &str, envs: &[(&str, String)]) -> (String, String) {
+    let out = bin_run(exe, envs);
     assert!(out.status.success(), "{exe} failed: {out:?}");
     (
         String::from_utf8(out.stdout).expect("stdout is UTF-8"),
@@ -766,31 +850,87 @@ fn multi_resource_compiles_each_trace_once_at_any_job_count() {
 }
 
 /// The key layer's span counts one sample per pass over a workload's
-/// segments: `cyclesim.trace_keys_ns` per trace-key pass (each point's
+/// segments: `cyclesim.trace_keys_ns` per trace-key pass (each row's
 /// workload fingerprint, each cycle-accurate fill's trace lookup, and each
 /// hybrid and analytical fill's profile read from the trace cache). A cold
-/// `fig6` of 105 points makes 105 + 105 + 210 = 420 at any worker count:
-/// the passes follow single-flight fills.
+/// `fig6` of 21 workload rows × 5 bus delays makes 21 + 105 + 210 = 336 at
+/// any worker count: the passes follow single-flight fills. A warm re-run
+/// over the result cache the cold run wrote replays every leg and makes
+/// the 21 fingerprints alone; one per point would read 105.
 #[test]
 fn fig6_key_passes_are_the_same_at_any_job_count() {
     let tmp = TempDir::new("key-passes");
+    let cache = (
+        "MESH_RESULT_CACHE",
+        tmp.path().join("memo").display().to_string(),
+    );
     for jobs in ["1", "2"] {
-        let obs = tmp.path().join(format!("jobs-{jobs}"));
-        bin_stdout(
-            env!("CARGO_BIN_EXE_fig6"),
-            &[
-                ("MESH_BENCH_JOBS", jobs.to_string()),
-                ("MESH_OBS_OUT", obs.display().to_string()),
-            ],
-        );
-        let metrics =
-            std::fs::read_to_string(obs.join("metrics.txt")).expect("the run wrote its metrics");
-        assert_eq!(
-            histogram_count(&metrics, "cyclesim.trace_keys_ns"),
-            420,
-            "{jobs} jobs:\n{metrics}"
-        );
+        let run = |leg: &str| {
+            let obs = tmp.path().join(format!("{leg}-jobs-{jobs}"));
+            let stdout = bin_stdout(
+                FIG6_EXE,
+                &[
+                    ("MESH_BENCH_JOBS", jobs.to_string()),
+                    ("MESH_OBS_OUT", obs.display().to_string()),
+                    cache.clone(),
+                ],
+            );
+            let metrics = std::fs::read_to_string(obs.join("metrics.txt"))
+                .expect("the run wrote its metrics");
+            let passes = histogram_count(&metrics, "cyclesim.trace_keys_ns");
+            (stdout, passes, metrics)
+        };
+        let _ = std::fs::remove_dir_all(tmp.path().join("memo"));
+        let (cold, cold_passes, metrics) = run("cold");
+        assert_eq!(cold_passes, 336, "{jobs} jobs, cold:\n{metrics}");
+        let (warm, warm_passes, metrics) = run("warm");
+        assert_eq!(warm_passes, 21, "{jobs} jobs, warm:\n{metrics}");
+        assert_eq!(counter(&metrics, "bench.result_cache.misses"), 0);
+        assert_eq!(warm, cold, "{jobs} jobs: the warm replay diverged");
     }
+}
+
+/// `fig6`'s checkpoint records name its 21 rows. A run with row 4 failing
+/// exits nonzero and leaves the other 20 rows on disk; the resumed run
+/// evaluates row 4 alone, its five bus delays, and prints the
+/// uninterrupted run's stdout.
+#[test]
+fn fig6_resumes_a_failed_row_byte_identically() {
+    let tmp = TempDir::new("fig6-resume");
+    std::fs::create_dir_all(tmp.path()).expect("create the test directory");
+    let checkpoint = tmp.path().join("fig6.ckpt");
+    let checkpoint_env = ("MESH_BENCH_CHECKPOINT", checkpoint.display().to_string());
+    let uninterrupted = bin_stdout(FIG6_EXE, &[]);
+
+    let failed = bin_run(
+        FIG6_EXE,
+        &[
+            checkpoint_env.clone(),
+            ("MESH_BENCH_FAIL_POINT", "fig6:4".into()),
+            ("MESH_BENCH_RETRIES", "0".into()),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&failed.stderr);
+    assert!(!failed.status.success(), "the failed row went unreported");
+    assert!(
+        stderr.contains("point #4") && stderr.contains("20 completed"),
+        "{stderr}"
+    );
+    let records = std::fs::read_to_string(&checkpoint).expect("the run wrote its checkpoint");
+    assert_eq!(records.lines().count(), 20, "{records}");
+
+    let obs = tmp.path().join("obs");
+    let resumed = bin_stdout(
+        FIG6_EXE,
+        &[checkpoint_env, ("MESH_OBS_OUT", obs.display().to_string())],
+    );
+    assert_eq!(resumed, uninterrupted, "the resumed run diverged");
+    let metrics = std::fs::read_to_string(obs.join("metrics.txt")).expect("metrics");
+    assert_eq!(
+        counter(&metrics, "cyclesim.sim.runs"),
+        5,
+        "the resume re-ran more than row 4:\n{metrics}"
+    );
 }
 
 /// The cycle-accurate key covers the machine the simulator runs: each of

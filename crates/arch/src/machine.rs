@@ -95,7 +95,37 @@ pub enum Arbitration {
     /// Every other waiter is served before the victim processor; the victim
     /// is granted only when it waits alone — the worst work-conserving
     /// schedule for that processor.
+    ///
+    /// Two victims duplicate another schedule. On `n` processors,
+    /// `VictimLast(n − 1)` grants exactly as
+    /// [`FixedPriority`](Arbitration::FixedPriority): the highest index is
+    /// never the lowest waiter while others wait. On two processors,
+    /// `VictimLast(0)` grants exactly as
+    /// [`ReversePriority`](Arbitration::ReversePriority): serving
+    /// processor 0 last is serving the higher index first.
+    /// [`Arbitration::adversarial`] leaves both out.
     VictimLast(usize),
+}
+
+impl Arbitration {
+    /// The adversarial schedules of `procs` processors whose grants differ:
+    /// [`FixedPriority`](Arbitration::FixedPriority), then
+    /// [`ReversePriority`](Arbitration::ReversePriority) from two processors
+    /// on, then [`VictimLast`](Arbitration::VictimLast) of every processor
+    /// but the last from three on. The dropped victims grant exactly as a
+    /// kept schedule does (see [`VictimLast`](Arbitration::VictimLast)), so
+    /// the largest queuing over this set is the largest over all `2 + n`.
+    /// Never empty: one processor has one schedule.
+    pub fn adversarial(procs: usize) -> Vec<Arbitration> {
+        let mut schedules = vec![Arbitration::FixedPriority];
+        if procs >= 2 {
+            schedules.push(Arbitration::ReversePriority);
+        }
+        if procs >= 3 {
+            schedules.extend((0..procs - 1).map(Arbitration::VictimLast));
+        }
+        schedules
+    }
 }
 
 /// The shared bus connecting all processors to memory.

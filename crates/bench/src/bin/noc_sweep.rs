@@ -12,7 +12,15 @@
 //! column checks that the envelope dominates the observation.
 //!
 //! The multi-hop row routes over 2 hops with every hop fully shared
-//! (overlap 1.0), and every point runs the full adversarial schedule set.
+//! (overlap 1.0), and every point runs every distinct adversarial
+//! schedule: fixed and reverse priority, and victim-last for each
+//! processor but the last — 2, 5 and 9 cycle-accurate runs for the 2-, 4-
+//! and 8-processor columns. The two victim-last schedules left out of the
+//! `2 + n` grant exactly as fixed or reverse priority does
+//! ([`Arbitration::adversarial`](mesh_arch::Arbitration::adversarial)), so
+//! the adversarial maximum is the full set's. A point simulates its
+//! schedules on the run's job budget (`MESH_BENCH_JOBS`), reading first
+//! the ones another point or the result cache already holds.
 //!
 //! ```bash
 //! cargo run -p mesh-bench --bin noc_sweep --release
@@ -75,7 +83,8 @@ fn main() {
     // each grid column share them, through the memo in process and on one
     // worker when sharded, where the base machine's reference key stands
     // for the column. The grid is model-major, so its first three claims
-    // start the three distinct schedule sets.
+    // start the three distinct schedule sets, each point spreading its own
+    // set's simulations over the job budget.
     let results = mesh_bench::or_exit(
         "noc_sweep",
         mesh_bench::sweep::sweep_with_references(

@@ -78,8 +78,9 @@ pub const KNOBS: [(&str, Reader); 26] = [
 /// How a run executes: one typed field per mesh-bench knob.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
-    /// Sweep worker threads, and trace-compile threads ([`JOBS_ENV`];
-    /// default: available parallelism).
+    /// Sweep worker threads, trace-compile threads, and the threads that
+    /// fill one envelope point's schedule legs ([`JOBS_ENV`]; default:
+    /// available parallelism).
     pub jobs: usize,
     /// Extra attempts per failing point ([`RETRIES_ENV`]; default 1).
     pub retries: u32,

@@ -592,22 +592,42 @@ impl<'a> Scenario<'a> {
 
     /// The cycle-accurate leg (see [`iss_reference`]).
     fn iss(self) -> (IssRef, memo::Origin) {
-        let fp = iss_key(self.fp, self.machine);
-        let (iss, origin) = memo::memoize_flagged(fp, || {
-            let iss: CycleReport = mesh_cyclesim::simulate(self.workload, self.machine)
-                .expect("cycle-accurate simulation failed");
-            IssRef {
-                pct: iss.queuing_percent(),
-                wall: iss.wall_clock,
-                cycles: iss.total_cycles,
-                bus_queuing: iss.bus_queuing_total(),
-                io_queuing: iss.io_queuing_total(),
-            }
-        });
+        let (iss, origin) =
+            memo::memoize_flagged(iss_key(self.fp, self.machine), || self.simulate());
         if origin.cached() {
             bump_subeval("bench.subeval.reference_shared");
         }
         (iss, origin)
+    }
+
+    /// The cycle-accurate legs of `scenarios`, index-aligned: those this
+    /// process or the result cache holds are read on the caller, and the
+    /// rest are filled on the run's job budget (`memo::memoize_each`).
+    fn iss_each(scenarios: &[Scenario]) -> Vec<IssRef> {
+        let keys: Vec<u128> = scenarios.iter().map(|s| iss_key(s.fp, s.machine)).collect();
+        memo::memoize_each(&keys, config().jobs, |i| scenarios[i].simulate())
+            .into_iter()
+            .map(|(iss, origin)| {
+                if origin.cached() {
+                    bump_subeval("bench.subeval.reference_shared");
+                }
+                iss
+            })
+            .collect()
+    }
+
+    /// Runs the cycle-accurate simulator on the scenario: the value of its
+    /// cycle-accurate leg.
+    fn simulate(self) -> IssRef {
+        let iss: CycleReport = mesh_cyclesim::simulate(self.workload, self.machine)
+            .expect("cycle-accurate simulation failed");
+        IssRef {
+            pct: iss.queuing_percent(),
+            wall: iss.wall_clock,
+            cycles: iss.total_cycles,
+            bus_queuing: iss.bus_queuing_total(),
+            io_queuing: iss.io_queuing_total(),
+        }
     }
 
     /// The hybrid leg (see [`hybrid_run`]).
@@ -925,22 +945,28 @@ impl crate::checkpoint::Checkpointable for EnvelopePoint {
 
 /// Runs one envelope-validation point: the workload through the hybrid
 /// kernel with `model` on the shared bus (annotations at barriers), and the
-/// cycle-accurate simulator under every adversarial schedule.
+/// cycle-accurate simulator under every distinct adversarial schedule.
 ///
 /// `priorities` assigns arbitration priorities to the logical threads in
 /// task order (higher = more important, consumed by priority-class models);
 /// pass an empty slice to leave every thread at the default priority.
 ///
-/// The schedules are fixed priority, reverse priority, and victim-last for
-/// every processor (`2 + n` schedules): deterministic work-conserving bus
-/// arbitrations of the cycle-accurate simulator, each chosen to starve some
-/// processor. Each is one cycle-accurate leg keyed by its machine (see
-/// [`iss_reference_fp`]), and the largest bus queuing among them is the
-/// ground truth the worst-case envelope must dominate. The hybrid leg is
-/// [`hybrid_run`]'s. Every key shares one pass over the workload's
-/// segments. The schedule legs run first: their simulations compile the
-/// scenario's traces, and the hybrid leg's annotation profile is then read
-/// from them instead of walking the caches again.
+/// The schedules are [`Arbitration::adversarial`]'s: fixed priority,
+/// reverse priority, and victim-last for every processor but the last,
+/// deterministic work-conserving bus arbitrations of the cycle-accurate
+/// simulator, each chosen to starve some processor. The two victim-last
+/// schedules left out of the `2 + n` grant exactly as a kept one does, so
+/// the maximum is the same. Each schedule is one cycle-accurate leg keyed
+/// by its machine (see [`iss_reference_fp`]), and the largest bus queuing
+/// among them is the ground truth the worst-case envelope must dominate.
+/// The legs this process or the result cache holds are read on the calling
+/// thread; the rest are simulated on it and, when two or more remain, on
+/// up to `jobs − 1` scoped threads of the run's configuration
+/// ([`config()`]). A leg that panics fails the point with its own payload.
+/// The hybrid leg is [`hybrid_run`]'s. Every key shares one pass over the
+/// workload's segments. The schedule legs run first: their simulations
+/// compile the scenario's traces, and the hybrid leg's annotation profile
+/// is then read from them instead of walking the caches again.
 ///
 /// # Panics
 ///
@@ -952,15 +978,18 @@ pub fn run_envelope_point<M: ContentionModel + 'static>(
     priorities: &[u32],
 ) -> EnvelopePoint {
     let scenario = Scenario::new(workload, machine);
-    let victims = (0..machine.procs.len()).map(Arbitration::VictimLast);
-    let adversarial = [Arbitration::FixedPriority, Arbitration::ReversePriority]
+    let schedules: Vec<MachineConfig> = Arbitration::adversarial(machine.procs.len())
         .into_iter()
-        .chain(victims)
         .map(|arbitration| {
             let mut schedule = machine.clone();
             schedule.bus = schedule.bus.with_arbitration(arbitration);
-            scenario.on(&schedule).iss().0.bus_queuing
+            schedule
         })
+        .collect();
+    let legs: Vec<Scenario> = schedules.iter().map(|s| scenario.on(s)).collect();
+    let adversarial = Scenario::iss_each(&legs)
+        .iter()
+        .map(|iss| iss.bus_queuing)
         .max()
         .unwrap_or(0);
     let options = HybridOptions {

@@ -39,6 +39,9 @@
 //! caller reads it at once — so a sweep whose points share a
 //! sub-evaluation computes it once per process. A fill that panics leaves
 //! its cell empty, and the next caller, or one that was waiting, fills it.
+//! A caller that needs several values at once (`memoize_each`, one
+//! envelope point's adversarial schedules) reads the ones either tier
+//! holds first, then fills the rest in parallel on the run's job budget.
 
 use crate::checkpoint::{Checkpointable, Fnv1a};
 use mesh_core::model::ContentionModel;
@@ -47,8 +50,9 @@ use std::collections::HashMap;
 use std::fs;
 use std::hash::Hasher as _;
 use std::io::Write as _;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, OnceLock};
 
 /// Environment variable enabling result memoization: a directory path
@@ -410,6 +414,78 @@ fn fill<V: Checkpointable>(fp: u128, f: impl FnOnce() -> V) -> (V, String, Origi
     (value, encoded, Origin::Computed)
 }
 
+/// Whether `fp`'s in-process cell holds a value.
+fn filled(fp: u128) -> bool {
+    CELLS
+        .lock()
+        .expect("memo cells poisoned")
+        .get(&fp)
+        .is_some_and(|cell| cell.get().is_some())
+}
+
+/// Whether the persistent tier holds an entry for `fp`, valid or not.
+fn on_disk(fp: u128) -> bool {
+    dir().is_some_and(|dir| entry_path(&dir, fp).exists())
+}
+
+/// [`memoize_flagged`] for each of `fps`, index-aligned, where `f(i)`
+/// computes the value of `fps[i]`. The values this process or the
+/// persistent tier holds are read on the calling thread first. The rest
+/// are computed on it, and, when at least two remain and `jobs` is at
+/// least 2, on up to `jobs − 1` scoped threads besides, each claiming the
+/// next from one atomic index; otherwise in order on the caller. Each is
+/// single-flighted as in [`memoize_flagged`], so a value another caller is
+/// computing is waited on, not computed again. A computation that panics
+/// stops no other: once every one has ended, the first panicking one's
+/// payload resumes on the caller, and its fingerprint stays computable.
+pub(crate) fn memoize_each<V: Checkpointable + Send>(
+    fps: &[u128],
+    jobs: usize,
+    f: impl Fn(usize) -> V + Sync,
+) -> Vec<(V, Origin)> {
+    // Read what either tier holds on the caller: threads start only for
+    // values to compute. A corrupt entry is computed here, as its fill
+    // would compute it anywhere.
+    let mut values: Vec<Option<(V, Origin)>> = (0..fps.len())
+        .map(|i| (filled(fps[i]) || on_disk(fps[i])).then(|| memoize_flagged(fps[i], || f(i))))
+        .collect();
+    let todo: Vec<usize> = (0..fps.len()).filter(|&i| values[i].is_none()).collect();
+    let computed: Vec<Mutex<_>> = todo.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let worker = || loop {
+        let claim = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&i) = todo.get(claim) else { break };
+        let value = catch_unwind(AssertUnwindSafe(|| memoize_flagged(fps[i], || f(i))));
+        *computed[claim].lock().expect("memo slot poisoned") = Some(value);
+    };
+    match jobs.min(todo.len()) {
+        0 | 1 => worker(),
+        threads => std::thread::scope(|s| {
+            for _ in 1..threads {
+                s.spawn(worker);
+            }
+            worker();
+        }),
+    }
+    let mut panicked = None;
+    for (i, slot) in todo.into_iter().zip(computed) {
+        match slot.into_inner().expect("memo slot poisoned") {
+            Some(Ok(value)) => values[i] = Some(value),
+            Some(Err(payload)) => {
+                panicked.get_or_insert(payload);
+            }
+            None => unreachable!("every claimed value is computed"),
+        }
+    }
+    if let Some(payload) = panicked {
+        resume_unwind(payload);
+    }
+    values
+        .into_iter()
+        .map(|v| v.expect("every value is read or computed"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,6 +592,64 @@ mod tests {
             assert!(filler.join().is_err());
             assert_eq!(waiter.join().unwrap(), (9, Origin::Computed));
         });
+    }
+
+    /// One leg panics among four: with one job, leg 2 on the caller; with
+    /// two, the first leg a spawned thread takes (the caller's legs wait
+    /// for it, so one does). The caller sees that leg's own payload, every
+    /// other leg is computed, and the next call computes that leg alone.
+    #[test]
+    fn a_panicking_leg_among_several_fails_alone() {
+        const FP: u128 = 0x51F1_0000_0000_0000_0000_0000_0000_0010;
+        let caller = std::thread::current().id();
+        for jobs in [1usize, 2] {
+            let fps: Vec<u128> = (0..4).map(|i| FP + 4 * jobs as u128 + i).collect();
+            let computed = Mutex::new(Vec::new());
+            let failed = Mutex::new(None);
+            let fill = |fail: bool| {
+                let (computed, failed) = (&computed, &failed);
+                move |i: usize| {
+                    computed.lock().unwrap().push(i);
+                    let on_caller = std::thread::current().id() == caller;
+                    if fail {
+                        let mut failed = failed.lock().unwrap();
+                        if failed.is_none() && (jobs == 1 && i == 2 || jobs > 1 && !on_caller) {
+                            *failed = Some(i);
+                            drop(failed);
+                            panic!("the leg unwinds");
+                        }
+                    }
+                    while fail && jobs > 1 && on_caller && failed.lock().unwrap().is_none() {
+                        std::thread::yield_now();
+                    }
+                    10 * i as u64
+                }
+            };
+            let panicked = catch_unwind(AssertUnwindSafe(|| memoize_each(&fps, jobs, fill(true))))
+                .expect_err("a leg panicked");
+            assert_eq!(
+                panicked.downcast_ref::<&str>(),
+                Some(&"the leg unwinds"),
+                "{jobs} jobs: the caller sees the leg's own payload"
+            );
+            let failed_leg = failed.lock().unwrap().expect("a leg failed");
+            let mut first = std::mem::take(&mut *computed.lock().unwrap());
+            first.sort_unstable();
+            assert_eq!(first, [0, 1, 2, 3], "{jobs} jobs: the others still ran");
+            let values = memoize_each(&fps, jobs, fill(false));
+            assert_eq!(*computed.lock().unwrap(), [failed_leg], "{jobs} jobs");
+            let expected: Vec<(u64, Origin)> = (0..4)
+                .map(|i| {
+                    let origin = if i == failed_leg {
+                        Origin::Computed
+                    } else {
+                        Origin::Shared
+                    };
+                    (10 * i as u64, origin)
+                })
+                .collect();
+            assert_eq!(values, expected, "{jobs} jobs");
+        }
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //! replayed from disk must read back in process as the stored value,
 //! a single flipped bit in any integer field of a workload must move every
 //! key over it, a cold `fig6` must make the same number of key passes at
-//! any worker count and a warm one a single pass per workload row, and
-//! `fig6` must resume a failed row byte-identically.
+//! any worker count and a warm one a single pass per workload row,
+//! `fig6` must resume a failed row byte-identically, and `noc_sweep` must
+//! fill each distinct adversarial schedule once, cold and warm, at any
+//! worker count.
 //!
 //! The in-process tests that set the process-global cache configuration
 //! or empty the in-process memo hold one lock and run in sequence; the
@@ -516,6 +518,8 @@ const MULTI_RESOURCE_EXE: &str = env!("CARGO_BIN_EXE_multi_resource");
 
 const FIG6_EXE: &str = env!("CARGO_BIN_EXE_fig6");
 
+const NOC_SWEEP_EXE: &str = env!("CARGO_BIN_EXE_noc_sweep");
+
 /// Runs `exe` under `envs` with every inherited `MESH_*` variable removed,
 /// so the ambient environment can neither steer nor invalidate a leg.
 fn bin_run(exe: &str, envs: &[(&str, String)]) -> Output {
@@ -653,8 +657,9 @@ fn sweep_stdout_byte_identical_across_memo_and_sharding() {
 /// `ablation_minslice` and `ablation_models`, 2 for `ablation_granularity`'s
 /// PHM pair, and 8 for `noc_sweep`'s 2-, 4- and 8-task uniform scenarios,
 /// whose smaller workloads reuse the larger one's first traces. Each shared
-/// reference is simulated once (`noc_sweep`'s three adversarial sets are 4,
-/// 6 and 10 simulations). Both hold in process and sharded with no result
+/// reference is simulated once (`noc_sweep`'s three sets of distinct
+/// adversarial schedules are 2, 5 and 9 simulations). Both hold in process
+/// and sharded with no result
 /// cache, where the reference key keeps each group on one worker process;
 /// each worker compiles its own groups' traces, so `noc_sweep`'s shared
 /// traces compile in both workers (12).
@@ -682,7 +687,7 @@ fn shared_reference_binaries_walk_each_scenario_once() {
             [8, 8],
             1,
         ),
-        ("noc_sweep", env!("CARGO_BIN_EXE_noc_sweep"), [8, 12], 20),
+        ("noc_sweep", NOC_SWEEP_EXE, [8, 12], 16),
     ];
     let legs: [(&str, &[(&str, &str)]); 2] = [
         ("in-process", &[("MESH_BENCH_JOBS", "2")]),
@@ -716,6 +721,68 @@ fn shared_reference_binaries_walk_each_scenario_once() {
                 "{name} {leg}: a shared reference was simulated twice:\n{metrics}"
             );
         }
+    }
+}
+
+/// `noc_sweep` fills each distinct adversarial schedule once, at any
+/// worker count. A cold run over an empty result cache misses 25 legs (16
+/// schedules and 9 hybrid legs) and serves the other 32 of its 48 schedule
+/// lookups in process. Its warm rerun reads the 25 entries from disk and
+/// serves every schedule and hybrid lookup from a cache, with no
+/// simulation or trace compile, and prints the cold run's stdout.
+#[test]
+fn noc_sweep_fills_each_distinct_schedule_once() {
+    let tmp = TempDir::new("noc-sweep");
+    for jobs in ["1", "2"] {
+        let cache = tmp.path().join(format!("memo-{jobs}"));
+        let run = |leg: &str| {
+            let obs = tmp.path().join(format!("{leg}-jobs-{jobs}"));
+            let stdout = bin_stdout(
+                NOC_SWEEP_EXE,
+                &[
+                    ("MESH_BENCH_JOBS", jobs.to_string()),
+                    ("MESH_RESULT_CACHE", cache.display().to_string()),
+                    ("MESH_OBS_OUT", obs.display().to_string()),
+                ],
+            );
+            let metrics = std::fs::read_to_string(obs.join("metrics.txt"))
+                .expect("the run wrote its metrics");
+            (stdout, metrics)
+        };
+        let counts = |metrics: &str, names: &[&str]| -> Vec<u64> {
+            names.iter().map(|name| counter(metrics, name)).collect()
+        };
+        let (cold, metrics) = run("cold");
+        assert_eq!(
+            counts(
+                &metrics,
+                &[
+                    "bench.result_cache.misses",
+                    "bench.result_cache.stores",
+                    "bench.subeval.reference_shared",
+                    "cyclesim.sim.runs",
+                ]
+            ),
+            [25, 25, 32, 16],
+            "{jobs} jobs, cold:\n{metrics}"
+        );
+        let (warm, metrics) = run("warm");
+        assert_eq!(
+            counts(
+                &metrics,
+                &[
+                    "bench.result_cache.hits",
+                    "bench.result_cache.misses",
+                    "bench.subeval.reference_shared",
+                    "bench.subeval.hybrid_shared",
+                    "cyclesim.sim.runs",
+                    "cyclesim.trace.compiles",
+                ]
+            ),
+            [25, 0, 48, 9, 0, 0],
+            "{jobs} jobs, warm:\n{metrics}"
+        );
+        assert_eq!(warm, cold, "{jobs} jobs: the warm replay diverged");
     }
 }
 

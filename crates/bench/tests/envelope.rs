@@ -18,8 +18,10 @@
 //! MESH_GOLDEN_DUMP=1 cargo test -p mesh-bench --test envelope -- --nocapture
 //! ```
 
-use mesh_bench::{fft_machine, run_envelope_point, EnvelopePoint};
+use mesh_arch::Arbitration;
+use mesh_bench::{fft_machine, iss_reference, run_envelope_point, EnvelopePoint, IssRef};
 use mesh_models::{ChenLinBus, FairShare, PriorityNoc};
+use mesh_workloads::fft::{self, FftConfig};
 use mesh_workloads::uniform::{build, UniformConfig};
 use mesh_workloads::{MemPattern, Segment, TaskProgram, Workload};
 use proptest::prelude::*;
@@ -156,4 +158,69 @@ fn priority_noc_uniform_point_matches_golden() {
             work_cycles: 3145728,
         },
     );
+}
+
+/// A point simulates only the distinct adversarial schedules, and loses
+/// nothing by it. On uniform workloads of 1, 2, 3, 4 and 8 processors and
+/// FFT workloads of 1, 2, 4 and 8 (an FFT's processors divide its row
+/// count, a power of two), the point's adversarial maximum is the maximum
+/// over all `2 + n` schedules, each its own cycle-accurate leg, and each
+/// schedule the set leaves out simulates exactly as its twin.
+#[test]
+fn distinct_schedules_keep_the_full_adversarial_maximum() {
+    let uniform = |n| {
+        build(&UniformConfig {
+            iterations: 3,
+            ..UniformConfig::with_threads(n)
+        })
+    };
+    let fft = |n| {
+        fft::build(&FftConfig {
+            points: 4096,
+            ..FftConfig::with_threads(n)
+        })
+    };
+    let cases = [1, 2, 3, 4, 8]
+        .map(|n| ("uniform", n, uniform(n)))
+        .into_iter()
+        .chain([1, 2, 4, 8].map(|n| ("fft", n, fft(n))));
+    for (name, n, workload) in cases {
+        let machine = fft_machine(n, 8 * 1024, 4);
+        let point = run_envelope_point(&workload, &machine, FairShare::new(), &[]);
+        let leg = |arbitration| {
+            let mut schedule = machine.clone();
+            schedule.bus = schedule.bus.with_arbitration(arbitration);
+            let IssRef {
+                pct,
+                cycles,
+                bus_queuing,
+                ..
+            } = iss_reference(&workload, &schedule);
+            (pct.to_bits(), cycles, bus_queuing)
+        };
+        let full = [Arbitration::FixedPriority, Arbitration::ReversePriority]
+            .into_iter()
+            .chain((0..n).map(Arbitration::VictimLast));
+        let worst = full.map(|a| leg(a).2).max().expect("2 + n schedules");
+        let worst_pct = 100.0 * worst as f64 / point.work_cycles as f64;
+        assert_eq!(
+            point.adversarial_pct.to_bits(),
+            worst_pct.to_bits(),
+            "{name} on {n}: {} against {worst_pct}",
+            point.adversarial_pct
+        );
+        assert!(n == 1 || worst > 0, "{name} on {n}: no contention");
+        assert_eq!(
+            leg(Arbitration::VictimLast(n - 1)),
+            leg(Arbitration::FixedPriority),
+            "{name} on {n}"
+        );
+        if n == 2 {
+            assert_eq!(
+                leg(Arbitration::VictimLast(0)),
+                leg(Arbitration::ReversePriority),
+                "{name} on 2"
+            );
+        }
+    }
 }

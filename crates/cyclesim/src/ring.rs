@@ -128,6 +128,7 @@ impl GrantRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mesh_arch::Arbitration;
 
     /// Replays the original O(n²) scan for differential comparison.
     fn reference_round_robin(waiting: &mut Vec<usize>, cursor: usize, n: usize) -> usize {
@@ -227,6 +228,71 @@ mod tests {
         }
         assert_eq!(ring.grant_victim_last(0), 1);
         assert_eq!(ring.grant_victim_last(0), 3);
+    }
+
+    /// Every grant `arbitration` makes while draining the waiting set
+    /// `mask` of `n` processors, dispatched as both engines dispatch it.
+    fn drain(arbitration: Arbitration, n: usize, mask: u32) -> Vec<usize> {
+        let mut ring = GrantRing::with_capacity(n);
+        for p in (0..n).filter(|&p| mask & (1 << p) != 0) {
+            ring.push(p);
+        }
+        let mut grants = Vec::new();
+        while !ring.is_empty() {
+            grants.push(match arbitration {
+                Arbitration::FixedPriority => ring.grant_min(),
+                Arbitration::ReversePriority => ring.grant_max(),
+                Arbitration::VictimLast(victim) => ring.grant_victim_last(victim),
+                Arbitration::RoundRobin => unreachable!("round-robin is no adversary"),
+            });
+        }
+        grants
+    }
+
+    #[test]
+    fn dropped_victims_grant_as_a_kept_schedule() {
+        for n in 1..=8 {
+            for mask in 1u32..(1 << n) {
+                assert_eq!(
+                    drain(Arbitration::VictimLast(n - 1), n, mask),
+                    drain(Arbitration::FixedPriority, n, mask),
+                    "{n} processors, waiting {mask:#b}"
+                );
+            }
+        }
+        for mask in 1u32..(1 << 2) {
+            assert_eq!(
+                drain(Arbitration::VictimLast(0), 2, mask),
+                drain(Arbitration::ReversePriority, 2, mask),
+                "waiting {mask:#b}"
+            );
+        }
+    }
+
+    #[test]
+    fn adversarial_set_is_exactly_the_distinct_schedules() {
+        for n in 1..=8usize {
+            let masks = 1u32..(1 << n);
+            let kept = Arbitration::adversarial(n);
+            for (i, &a) in kept.iter().enumerate() {
+                for &b in &kept[i + 1..] {
+                    assert!(
+                        masks.clone().any(|m| drain(a, n, m) != drain(b, n, m)),
+                        "{n} processors: {a:?} grants as {b:?}"
+                    );
+                }
+            }
+            let full = [Arbitration::FixedPriority, Arbitration::ReversePriority]
+                .into_iter()
+                .chain((0..n).map(Arbitration::VictimLast));
+            for a in full {
+                assert!(
+                    kept.iter()
+                        .any(|&k| masks.clone().all(|m| drain(a, n, m) == drain(k, n, m))),
+                    "{n} processors: {a:?} grants as no kept schedule"
+                );
+            }
+        }
     }
 
     #[test]

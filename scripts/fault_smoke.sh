@@ -3,8 +3,9 @@
 #
 #   ./scripts/fault_smoke.sh
 #
-# Five checks against the fig5 binary (5-point grid, fully deterministic
-# stdout — no wall-clock columns), plus one against incident_smoke:
+# Four checks against the fig5 binary (5-point grid, fully deterministic
+# stdout — no wall-clock columns), one against fig6 (21 workload rows,
+# deterministic stdout too) and one against incident_smoke:
 #
 #   1. Crash isolation: with MESH_BENCH_FAIL_POINT injecting a panic at one
 #      grid point, the sweep still completes every other point, exits
@@ -13,8 +14,11 @@
 #   2. Checkpoint/resume after the injected crash: re-running with the same
 #      MESH_BENCH_CHECKPOINT evaluates only the one missing point and the
 #      final stdout is byte-identical to an uninterrupted run.
-#   3. Checkpoint/resume after a real SIGKILL mid-run: same byte-identical
-#      guarantee, whatever subset of points the kill left on disk.
+#   3. Checkpoint/resume after a real SIGKILL mid-run: a serial fig6 (about
+#      0.3 s cold) is killed once its checkpoint holds a row. The kill must
+#      land on the live run (exit 137, at least 1 and fewer than 21 rows on
+#      disk); the resumed run simulates only the missing rows (5 bus delays
+#      each) and prints the uninterrupted run's stdout.
 #   4. Kernel fault incidents are observable: a ClampPenalty run with
 #      injected NaN penalties and MESH_OBS_OUT set must report nonzero
 #      kernel.incidents counters in the metrics snapshot, land in the
@@ -35,9 +39,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FIG5=target/release/fig5
-if [[ ! -x "$FIG5" ]]; then
-    echo "fault_smoke: building fig5 (release)..." >&2
-    cargo build -p mesh-bench --bin fig5 --release --quiet
+FIG6=target/release/fig6
+if [[ ! -x "$FIG5" || ! -x "$FIG6" ]]; then
+    echo "fault_smoke: building fig5 and fig6 (release)..." >&2
+    cargo build -p mesh-bench --bin fig5 --bin fig6 --release --quiet
 fi
 
 WORK="$(mktemp -d)"
@@ -76,21 +81,36 @@ cmp -s "$WORK/golden.txt" "$WORK/resumed.txt" \
 echo "fault_smoke: [2/6] crash-then-resume output byte-identical"
 
 # --- 3. SIGKILL mid-run, then resume --------------------------------------
+# Kill a serial fig6 as soon as its checkpoint holds a row, while later
+# rows are still being simulated.
+FIG6_ROWS=21
+"$FIG6" > "$WORK/fig6-golden.txt" 2>/dev/null
+rows() { [[ -f "$1" ]] && wc -l < "$1" || echo 0; }
 set +e
 MESH_BENCH_CHECKPOINT="$WORK/kill.ckpt" MESH_BENCH_JOBS=1 \
-    "$FIG5" > /dev/null 2>&1 &
+    "$FIG6" > /dev/null 2>&1 &
 pid=$!
-sleep 0.3
+for _ in $(seq 2000); do
+    [[ "$(rows "$WORK/kill.ckpt")" -ge 1 ]] && break
+    kill -0 "$pid" 2>/dev/null || break
+    sleep 0.002
+done
 kill -9 "$pid" 2>/dev/null
 wait "$pid" 2>/dev/null
+status=$?
 set -e
-done_points=0
-[[ -f "$WORK/kill.ckpt" ]] && done_points="$(wc -l < "$WORK/kill.ckpt")"
-MESH_BENCH_CHECKPOINT="$WORK/kill.ckpt" \
-    "$FIG5" > "$WORK/killresumed.txt" 2>/dev/null
-cmp -s "$WORK/golden.txt" "$WORK/killresumed.txt" \
+done_rows="$(rows "$WORK/kill.ckpt")"
+[[ $status -eq 137 ]] || fail "the SIGKILL missed the live fig6 run (exit $status)"
+[[ $done_rows -ge 1 && $done_rows -lt $FIG6_ROWS ]] \
+    || fail "the kill left $done_rows of $FIG6_ROWS rows, not a partial sweep"
+MESH_BENCH_CHECKPOINT="$WORK/kill.ckpt" MESH_OBS_OUT="$WORK/kill-obs" \
+    "$FIG6" > "$WORK/killresumed.txt" 2>/dev/null
+cmp -s "$WORK/fig6-golden.txt" "$WORK/killresumed.txt" \
     || fail "output after SIGKILL + resume differs from the uninterrupted run"
-echo "fault_smoke: [3/6] kill-then-resume output byte-identical (${done_points} points survived the kill)"
+sims="$(awk '$1 == "counter" && $2 == "cyclesim.sim.runs" {print $4}' "$WORK/kill-obs/metrics.txt")"
+[[ "${sims:-0}" -eq $((5 * (FIG6_ROWS - done_rows))) ]] \
+    || fail "the resume ran ${sims:-0} simulations for $((FIG6_ROWS - done_rows)) missing rows"
+echo "fault_smoke: [3/6] kill-then-resume output byte-identical (killed live with ${done_rows}/${FIG6_ROWS} rows on disk; resume simulated ${sims})"
 
 # --- 4. Kernel incidents land in the metrics snapshot ---------------------
 SMOKE=target/release/incident_smoke
